@@ -11,10 +11,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConspecError, ModelLoadError, TreelineParseError
-from .model import ModelBundle, load_corpus, load_model
+from .model import ModelBundle, Pragmas, load_corpus, load_model
 from .network import (
     ConceptNetwork,
     Node,
@@ -45,12 +46,31 @@ def _load(args) -> ModelBundle:
     path = args.model or os.environ.get("CONSPEC_MODEL_PATH")
     if not path:
         raise ModelLoadError("no model: pass --model or set CONSPEC_MODEL_PATH")
-    model = load_model(path)
-    if getattr(args, "beam", None):
-        model.pragmas.beam = args.beam
-    if getattr(args, "tau", None) is not None:
-        model.pragmas.tau = args.tau
-    return model
+    return _with_overrides(load_model(path), args)
+
+
+def _with_overrides(model: ModelBundle, args) -> ModelBundle:
+    """A new bundle carrying the --beam/--tau overrides; ``model`` is left as is."""
+    changes = {
+        key: getattr(args, key)
+        for key in ("beam", "tau")
+        if getattr(args, key, None) is not None
+    }
+    return replace(model, pragmas=replace(model.pragmas, **changes))
+
+
+def _pragma_override(key: str, convert):
+    """argparse type for a pragma override, range-checked by Pragmas."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            Pragmas(**{key: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad value {text!r}: {exc}") from None
+        return value
+
+    return parse
 
 
 def _dot_escape(text: str) -> str:
@@ -158,12 +178,11 @@ def _cmd_realize(args) -> int:
 
 def _cmd_translate(args) -> int:
     pair = load_pair(args.pair)
-    if getattr(args, "beam", None):
-        pair.source_model.pragmas.beam = args.beam
-        pair.receptor_model.pragmas.beam = args.beam
-    if getattr(args, "tau", None) is not None:
-        pair.source_model.pragmas.tau = args.tau
-        pair.receptor_model.pragmas.tau = args.tau
+    pair = replace(
+        pair,
+        source_model=_with_overrides(pair.source_model, args),
+        receptor_model=_with_overrides(pair.receptor_model, args),
+    )
     text = _read_input(args.input).strip()
     ranked = translate(pair, text)
     _print_ranked(ranked, args, as_network=False)
@@ -264,8 +283,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--all", action="store_true", help="print the full ranked list")
         p.add_argument("--json", action="store_true", help="emit the JSON graph export")
         p.add_argument("--trace", action="store_true", help="print derivation traces to stderr")
-        p.add_argument("--beam", type=int, help="beam width override")
-        p.add_argument("--tau", type=float, help="match threshold override")
+        p.add_argument("--beam", type=_pragma_override("beam", int), help="beam width override")
+        p.add_argument("--tau", type=_pragma_override("tau", float), help="match threshold override")
 
     p = sub.add_parser("canon", help="print canonical tree-line")
     p.add_argument("input", nargs="?", default="-")

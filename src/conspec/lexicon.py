@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ModelLoadError
-from .network import Concept, ConceptNetwork, Node
+from .network import Concept, ConceptNetwork, Node, rebuild
 
 # The registry shipped by default: exactly the stemless labels Table-style
 # model corpora use. User models extend it with `declare {label} "..."` lines.
@@ -56,7 +56,6 @@ class Definition:
 class Lexicon:
     definitions: dict[Concept, Definition] = field(default_factory=dict)
     stemless_registry: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_STEMLESS))
-    surface_forms: dict[Concept, list[str]] = field(default_factory=dict)
 
     def __post_init__(self):
         if Concept("have", True) not in self.definitions:
@@ -98,13 +97,6 @@ class Lexicon:
 
     def definition(self, concept: Concept) -> Definition | None:
         return self.definitions.get(concept)
-
-    def surfaces(self, concept: Concept) -> list[str]:
-        """Surface strings for a concept; defaults to its label."""
-        forms = self.surface_forms.get(concept)
-        if forms:
-            return forms
-        return [concept.label]
 
     def undeclared_stemless(self, nets: list[ConceptNetwork]) -> list[str]:
         out = []
@@ -149,7 +141,7 @@ def _substitute(node: Node, lex: Lexicon) -> tuple[Node, ...]:
     defn = lex.definition(node.concept)
     if defn is None:
         return (Node(concept=node.concept, anchor=node.anchor, specifiers=spec),)
-    body_roots = tuple(_copy_node(r) for r in defn.body.roots)
+    body_roots = tuple(rebuild(r) for r in defn.body.roots)
     if not spec and node.anchor is None:
         # bare occurrence: splice the body in directly
         return body_roots
@@ -167,18 +159,6 @@ def _substitute(node: Node, lex: Lexicon) -> tuple[Node, ...]:
         return (Node(concept=root.concept, anchor=node.anchor or root.anchor, specifiers=spec),)
     # specified occurrence of a multi-node body: encapsulate to keep grouping
     return (Node(capsule=ConceptNetwork(body_roots), anchor=node.anchor, specifiers=spec),)
-
-
-def _copy_node(node: Node) -> Node:
-    capsule = None
-    if node.is_capsule:
-        capsule = ConceptNetwork(tuple(_copy_node(r) for r in node.capsule.roots))
-    return Node(
-        concept=node.concept,
-        capsule=capsule,
-        anchor=node.anchor,
-        specifiers=tuple(_copy_node(s) for s in node.specifiers),
-    )
 
 
 def expand(lex: Lexicon, concept: Concept, depth: int) -> ConceptNetwork:

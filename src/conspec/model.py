@@ -8,7 +8,7 @@ reload that fails leaves the previous bundle untouched.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ModelLoadError, TreelineParseError
@@ -22,17 +22,28 @@ from .treeline import (
     NetworkStmt,
     PragmaStmt,
     RuleStmt,
-    TreelineDocument,
     parse_document,
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Pragmas:
+    """Per-model settings. Every way of setting one (a `set` line, a CLI
+    override) goes through the range checks here."""
+
     alpha: float = DEFAULT_ALPHA
     tau: float = DEFAULT_TAU
     beam: int = DEFAULT_BEAM
     orthography: bool = False
+
+    def __post_init__(self):
+        if self.beam < 1:
+            raise ValueError(f"beam must be at least 1, got {self.beam}")
+        # alpha < 1 keeps every analogical derivation below an exact one
+        if not 0 <= self.alpha < 1:
+            raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
+        if not 0 <= self.tau <= 1:
+            raise ValueError(f"tau must be in [0, 1], got {self.tau}")
 
 
 @dataclass
@@ -42,34 +53,34 @@ class ModelBundle:
     pragmas: Pragmas
     path: str = "<inline>"
     content_hash: str = ""
-    document: TreelineDocument | None = None
     lints: list[str] = field(default_factory=list)
-
-    def rule_by_id(self, rule_id: str) -> Rule | None:
-        for rule in self.rules:
-            if rule.rule_id == rule_id:
-                return rule
-        return None
 
 
 _BOOL = {"on": True, "true": True, "off": False, "false": False}
 
+_PRAGMA_VALUE = {
+    "alpha": float,
+    "tau": float,
+    "beam": int,
+    "orthography": lambda text: _BOOL[text.lower()],
+}
 
-def _apply_pragma(pragmas: Pragmas, stmt: PragmaStmt, path: str) -> None:
+
+def _apply_pragma(pragmas: Pragmas, stmt: PragmaStmt, path: str) -> Pragmas:
+    convert = _PRAGMA_VALUE.get(stmt.key)
+    if convert is None:
+        raise ModelLoadError(f"unknown pragma {stmt.key!r}", path, stmt.line)
     try:
-        if stmt.key == "alpha":
-            pragmas.alpha = float(stmt.value)
-        elif stmt.key == "tau":
-            pragmas.tau = float(stmt.value)
-        elif stmt.key == "beam":
-            pragmas.beam = int(stmt.value)
-        elif stmt.key == "orthography":
-            pragmas.orthography = _BOOL[stmt.value.lower()]
-        else:
-            raise ModelLoadError(f"unknown pragma {stmt.key!r}", path, stmt.line)
+        value = convert(stmt.value)
     except (ValueError, KeyError):
         raise ModelLoadError(
             f"bad value {stmt.value!r} for pragma {stmt.key!r}", path, stmt.line
+        ) from None
+    try:
+        return replace(pragmas, **{stmt.key: value})
+    except ValueError as exc:
+        raise ModelLoadError(
+            f"bad value {stmt.value!r} for pragma {stmt.key!r}: {exc}", path, stmt.line
         ) from None
 
 
@@ -80,7 +91,6 @@ def load_model_text(text: str, path: str = "<inline>") -> ModelBundle:
         raise ModelLoadError(str(exc.args[0]), path, exc.line) from exc
     definitions: dict[Concept, Definition] = {}
     declares: dict[str, str] = {}
-    surface_forms: dict[Concept, list[str]] = {}
     pragmas = Pragmas()
     rules: list[Rule] = []
     for stmt in doc.statements:
@@ -89,7 +99,7 @@ def load_model_text(text: str, path: str = "<inline>") -> ModelBundle:
         elif isinstance(stmt, DeclareStmt):
             declares[stmt.label] = stmt.description
         elif isinstance(stmt, PragmaStmt):
-            _apply_pragma(pragmas, stmt, path)
+            pragmas = _apply_pragma(pragmas, stmt, path)
         elif isinstance(stmt, RuleStmt):
             rid = f"r{len(rules) + 1}"
             rules.append(build_rule(stmt.lhs, stmt.rhs, rid, stmt.line, path))
@@ -102,7 +112,7 @@ def load_model_text(text: str, path: str = "<inline>") -> ModelBundle:
                 path,
                 stmt.line,
             )
-    lex = Lexicon(definitions=definitions, surface_forms=surface_forms)
+    lex = Lexicon(definitions=definitions)
     lex.stemless_registry.update(declares)
     lints = list(doc.lints)
     nets = [d.body for d in definitions.values()]
@@ -111,7 +121,7 @@ def load_model_text(text: str, path: str = "<inline>") -> ModelBundle:
     for label in lex.undeclared_stemless(nets):
         lints.append(f"undeclared stemless label {{{label}}}")
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return ModelBundle(lex, RuleSet(rules), pragmas, path, digest, doc, lints)
+    return ModelBundle(lex, RuleSet(rules), pragmas, path, digest, lints)
 
 
 def load_model(path: str | Path) -> ModelBundle:

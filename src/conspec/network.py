@@ -145,6 +145,43 @@ def single(concept: Concept) -> ConceptNetwork:
     return ConceptNetwork((Node(concept=concept),))
 
 
+def _same(concept: Concept) -> Concept:
+    return concept
+
+
+def rebuild(
+    node: Node,
+    concept: Callable[[Concept], Concept] = _same,
+    swap: Callable[[Node], Node | None] | None = None,
+) -> Node:
+    """Fresh copy of the tree under ``node``, descending into capsule bodies.
+
+    Where ``swap(n)`` returns a node, that node stands in for n's whole
+    subtree as is; every other node is copied with ``concept`` applied to its
+    concept. Nodes are visited in preorder (a node's concept, then its capsule
+    body, then its specifiers), which fixes which error ``concept`` raises
+    first.
+    """
+
+    def copy(n: Node) -> Node:
+        if swap is not None:
+            got = swap(n)
+            if got is not None:
+                return got
+        mapped = concept(n.concept) if n.concept is not None else None
+        capsule = None
+        if n.is_capsule:
+            capsule = ConceptNetwork(tuple(copy(r) for r in n.capsule.roots))
+        return Node(
+            concept=mapped,
+            capsule=capsule,
+            anchor=n.anchor,
+            specifiers=tuple(copy(s) for s in n.specifiers),
+        )
+
+    return copy(node)
+
+
 # ---------------------------------------------------------------------------
 # Canonical form and equality
 # ---------------------------------------------------------------------------
@@ -272,20 +309,6 @@ def _target(node: Node, frames) -> Node:
             )
 
 
-def _rebuild(node: Node, mapping: dict[int, Node]) -> Node:
-    capsule = None
-    if node.is_capsule:
-        capsule = ConceptNetwork(tuple(_rebuild(r, mapping) for r in node.capsule.roots))
-    new = Node(
-        concept=node.concept,
-        capsule=capsule,
-        anchor=node.anchor,
-        specifiers=tuple(_rebuild(s, mapping) for s in node.specifiers),
-    )
-    mapping[id(node)] = new
-    return new
-
-
 def resolve_anchors(net: ConceptNetwork) -> ConceptNetwork:
     """Return a copy of the network with reference edges wired.
 
@@ -293,8 +316,7 @@ def resolve_anchors(net: ConceptNetwork) -> ConceptNetwork:
     copied), so co-reference is detectable downstream. The anchor annotation
     is kept so printing and equality still see the written structure.
     """
-    mapping: dict[int, Node] = {}
-    fresh = ConceptNetwork(tuple(_rebuild(r, mapping) for r in net.roots))
+    fresh = ConceptNetwork(tuple(rebuild(r) for r in net.roots))
     _resolve(fresh, assign=True)
     return fresh
 
@@ -358,23 +380,3 @@ def to_json_dict(net: ConceptNetwork) -> dict:
         return d
 
     return {"roots": [conv(r) for r in net.roots]}
-
-
-def map_concepts(net: ConceptNetwork, fn: Callable[[Concept], Concept]) -> ConceptNetwork:
-    """Rebuild the network applying ``fn`` to every concept."""
-
-    def conv(node: Node) -> Node:
-        capsule = None
-        concept = None
-        if node.is_capsule:
-            capsule = ConceptNetwork(tuple(conv(r) for r in node.capsule.roots))
-        else:
-            concept = fn(node.concept)
-        return Node(
-            concept=concept,
-            capsule=capsule,
-            anchor=node.anchor,
-            specifiers=tuple(conv(s) for s in node.specifiers),
-        )
-
-    return ConceptNetwork(tuple(conv(r) for r in net.roots))

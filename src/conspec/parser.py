@@ -54,8 +54,7 @@ def build_vocabulary(model: ModelBundle) -> Vocabulary:
     for concept in concepts:
         if concept.stemless:
             continue
-        for surface in model.lexicon.surfaces(concept):
-            vocab.surfaces.setdefault(surface, []).append(concept)
+        vocab.surfaces.setdefault(concept.label, []).append(concept)
     return vocab
 
 

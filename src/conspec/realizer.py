@@ -107,8 +107,7 @@ def _rewrite_options(model: ModelBundle, fragment: ConceptNetwork):
     root = fragment.roots[0]
     bare = len(fragment.roots) == 1 and not root.specifiers and not root.is_capsule
     if bare and not root.concept.stemless:
-        surface = model.lexicon.surfaces(root.concept)[0]
-        options.append((1.0, f"label:{root.concept.label}", [surface]))
+        options.append((1.0, f"label:{root.concept.label}", [root.concept.label]))
     for match in match_rules(
         model.rules,
         model.lexicon,

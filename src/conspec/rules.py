@@ -33,6 +33,7 @@ from .network import (
     Node,
     canonical_key,
     canonicalize,
+    rebuild,
 )
 from .similarity import (
     DEFAULT_ALPHA,
@@ -57,14 +58,10 @@ def _exact_sim(a: Concept, b: Concept) -> float:
     return 1.0 if a == b else 0.0
 
 
-def _iter_with_nodes(net: ConceptNetwork):
-    yield from net.iter_nodes()
-
-
 def _find_embeddings(pattern: ConceptNetwork, lhs: ConceptNetwork) -> list[Alignment]:
     """All exact prefix embeddings of a (single-root) pattern into lhs."""
     out = []
-    for anchor_node in _iter_with_nodes(lhs):
+    for anchor_node in lhs.iter_nodes():
         target = ConceptNetwork((anchor_node,))
         got = align_networks(pattern, target, _exact_sim, total=False)
         if got is not None:
@@ -81,7 +78,6 @@ class Literal:
 class PatternPart:
     pattern: ConceptNetwork  # standalone view, parsed from the rule text
     to_lhs: dict[Node, Node]  # pattern node -> lhs node
-    lhs_nodes: set[int] = field(default_factory=set)  # id(lhs node)
 
     @property
     def lhs_root(self) -> Node:
@@ -94,15 +90,10 @@ class Rule:
     parts: list[Literal | PatternPart]
     rule_id: str
     line: int = 0
+    part_at: dict[int, int] = field(default_factory=dict)  # id(lhs node) -> owning part index
 
     def pattern_parts(self) -> list[PatternPart]:
         return [p for p in self.parts if isinstance(p, PatternPart)]
-
-    def part_of_lhs_node(self, node: Node) -> PatternPart | None:
-        for part in self.parts:
-            if isinstance(part, PatternPart) and id(node) in part.lhs_nodes:
-                return part
-        return None
 
 
 def build_rule(
@@ -113,7 +104,7 @@ def build_rule(
     path: str = "<inline>",
 ) -> Rule:
     parts: list[Literal | PatternPart] = []
-    used: set[int] = set()
+    part_at: dict[int, int] = {}
     for kind, value in rhs:
         if kind == "lit":
             parts.append(Literal(str(value)))
@@ -140,12 +131,11 @@ def build_rule(
                 line,
             )
         binding = embeddings[0].binding
-        ids = {id(t) for t in binding.values()}
-        if ids & used:
+        if any(id(t) in part_at for t in binding.values()):
             raise ModelLoadError("rule parts overlap on the pattern", path, line)
-        used |= ids
-        parts.append(PatternPart(pattern, dict(binding), ids))
-    return Rule(lhs, parts, rule_id, line)
+        part_at.update((id(t), len(parts)) for t in binding.values())
+        parts.append(PatternPart(pattern, dict(binding)))
+    return Rule(lhs, parts, rule_id, line, part_at)
 
 
 @dataclass
@@ -195,14 +185,14 @@ def match_rule_realize(
     for lhs_node, s in got.sims.items():
         # an analogue must survive into the output: substitution on a node
         # the rhs drops would vanish silently (suppletions stay exact-only)
-        if s < 1.0 and rule.part_of_lhs_node(lhs_node) is None:
+        if s < 1.0 and id(lhs_node) not in rule.part_at:
             return None
     absorbed: dict[int, list[Node]] = {}
     for t_child, lhs_owner in got.remainders:
-        part = rule.part_of_lhs_node(lhs_owner)
-        if part is None:
+        i = rule.part_at.get(id(lhs_owner))
+        if i is None:
             return None  # remainder under a dropped node: content would vanish
-        absorbed.setdefault(rule.parts.index(part), []).append(t_child)
+        absorbed.setdefault(i, []).append(t_child)
     return Match(rule, got.binding, score, absorbed)
 
 
@@ -271,11 +261,7 @@ def realize_parts(rule: Rule, match: Match) -> list[str | ConceptNetwork]:
     preserving the target's own concepts (which may be analogues).
     """
     t_of: dict[int, Node] = {id(l): t for l, t in match.binding.items()}
-    part_of_t: dict[int, int] = {}
-    for i, part in enumerate(rule.parts):
-        if isinstance(part, PatternPart):
-            for lhs_id in part.lhs_nodes:
-                part_of_t[id(t_of[lhs_id])] = i
+    part_of_t = {id(t_of[lhs_id]): i for lhs_id, i in rule.part_at.items()}
     absorbed_at: dict[int, list[Node]] = {}
     for i, subtrees in match.absorbed.items():
         for sub in subtrees:
@@ -320,7 +306,7 @@ def instantiate_reverse(rule: Rule, fragments: list[ConceptNetwork | None], lex:
     when some part fails to match its fragment. Uncovered lhs nodes (role
     markers, capsule shells, {implied} insertions) are copied in verbatim.
     """
-    part_frag: dict[int, tuple[dict[Node, Node], ConceptNetwork]] = {}
+    part_frag: dict[int, dict[Node, Node]] = {}
     product, count = 1.0, 0
     for i, part in enumerate(rule.parts):
         if isinstance(part, Literal):
@@ -332,28 +318,14 @@ def instantiate_reverse(rule: Rule, fragments: list[ConceptNetwork | None], lex:
         alignment, lhs_to_frag = got
         product *= alignment.product
         count += alignment.count
-        part_frag[i] = (lhs_to_frag, fragment)
+        part_frag[i] = lhs_to_frag
 
-    lhs_part_idx: dict[int, int] = {}
-    for i, part in enumerate(rule.parts):
-        if isinstance(part, PatternPart):
-            for lhs_id in part.lhs_nodes:
-                lhs_part_idx[lhs_id] = i
-
-    def build_lhs(l: Node) -> Node:
-        i = lhs_part_idx.get(id(l))
-        if i is not None:
-            lhs_to_frag, _fragment = part_frag[i]
-            return graft(lhs_to_frag[l], l, lhs_to_frag, i)
-        capsule = None
-        if l.is_capsule:
-            capsule = ConceptNetwork(tuple(build_lhs(r) for r in l.capsule.roots))
-        return Node(
-            concept=l.concept,
-            capsule=capsule,
-            anchor=l.anchor,
-            specifiers=tuple(build_lhs(s) for s in l.specifiers),
-        )
+    def part_owned(l: Node) -> Node | None:
+        i = rule.part_at.get(id(l))
+        if i is None:
+            return None
+        lhs_to_frag = part_frag[i]
+        return graft(lhs_to_frag[l], l, lhs_to_frag, i)
 
     def graft(f: Node, l: Node, lhs_to_frag: dict[Node, Node], part_idx: int) -> Node:
         # fragment node f is aligned with lhs node l; fragment remainders stay
@@ -367,8 +339,8 @@ def instantiate_reverse(rule: Rule, fragments: list[ConceptNetwork | None], lex:
                 kept.append(child)  # fragment remainder, verbatim
         # lhs children outside the part are inserted from the pattern
         for lc in l.specifiers:
-            if lhs_part_idx.get(id(lc)) != part_idx and lhs_to_frag.get(lc) is None:
-                kept.append(build_lhs(lc))
+            if rule.part_at.get(id(lc)) != part_idx and lhs_to_frag.get(lc) is None:
+                kept.append(rebuild(lc, swap=part_owned))
         capsule = None
         if f.is_capsule:
             body_of = {id(lhs_to_frag[r]): r for r in l.capsule.roots if lhs_to_frag.get(r) is not None}
@@ -379,7 +351,7 @@ def instantiate_reverse(rule: Rule, fragments: list[ConceptNetwork | None], lex:
             capsule = ConceptNetwork(tuple(roots))
         return Node(concept=f.concept, capsule=capsule, anchor=f.anchor, specifiers=tuple(kept))
 
-    net = ConceptNetwork(tuple(build_lhs(r) for r in rule.lhs.roots))
+    net = ConceptNetwork(tuple(rebuild(r, swap=part_owned) for r in rule.lhs.roots))
     score = product ** (1.0 / count) if count else 1.0
     return net, score
 
@@ -552,20 +524,18 @@ def transfer_scored(
     for selection in selections:
         match_at = {id(m.anchor): m for m in selection}
         try:
-            nets_scores = _apply_selection(net, match_at, cmap)
+            built = _apply_selection(net, match_at, cmap)
         except UntranslatableConceptError as exc:
             errors.append(exc)
             continue
         score = 1.0
         for m in selection:
             score *= m.score
-        for built, sub_score in nets_scores:
-            out_net = canonicalize(built)
-            key = canonical_key(out_net)
-            total = score * sub_score
-            prev = results.get(key)
-            if prev is None or total > prev[1]:
-                results[key] = (out_net, total)
+        out_net = canonicalize(built)
+        key = canonical_key(out_net)
+        prev = results.get(key)
+        if prev is None or score > prev[1]:
+            results[key] = (out_net, score)
     if not results:
         if errors:
             raise errors[0]
@@ -580,27 +550,22 @@ def _apply_selection(
     net: ConceptNetwork,
     match_at: dict[int, _TransferMatch],
     cmap: ConceptMap,
-) -> list[tuple[ConceptNetwork, float]]:
+) -> ConceptNetwork:
     """Rebuild the net applying each selected match at its anchor.
 
-    Returns a list because slot fills could in principle bifurcate; with
-    disjoint selections each slot fill is deterministic, so this returns one
-    network. Kept as a list for the score plumbing.
+    Selections are disjoint, so each slot fill is deterministic. Concepts
+    outside every match go through the concept map.
     """
 
-    def convert(node: Node) -> Node:
+    def transfer(concept: Concept) -> Concept:
+        return _transfer_concept(concept, cmap)
+
+    def at_anchor(node: Node) -> Node | None:
         m = match_at.get(id(node))
-        if m is not None:
-            return build_dst(m.rule.dst.roots[0], m)
-        capsule = None
-        if node.is_capsule:
-            capsule = ConceptNetwork(tuple(convert(r) for r in node.capsule.roots))
-            return Node(capsule=capsule, anchor=node.anchor, specifiers=tuple(convert(s) for s in node.specifiers))
-        return Node(
-            concept=_transfer_concept(node.concept, cmap),
-            anchor=node.anchor,
-            specifiers=tuple(convert(s) for s in node.specifiers),
-        )
+        return None if m is None else build_dst(m.rule.dst.roots[0], m)
+
+    def convert(node: Node) -> Node:
+        return rebuild(node, transfer, at_anchor)
 
     def build_dst(d: Node, m: _TransferMatch) -> Node:
         spec = [build_dst(s, m) for s in d.specifiers]
@@ -620,8 +585,7 @@ def _apply_selection(
             return Node(capsule=body, anchor=t.anchor, specifiers=tuple(extra + spec))
         return Node(concept=concept, anchor=t.anchor, specifiers=tuple(extra + spec))
 
-    rebuilt = ConceptNetwork(tuple(convert(r) for r in net.roots))
-    return [(rebuilt, 1.0)]
+    return ConceptNetwork(tuple(convert(r) for r in net.roots))
 
 
 def apply_transfer(

@@ -107,10 +107,6 @@ def load_pair(path: str | Path) -> LanguagePair:
     return load_pair_text(text, str(path), path.parent)
 
 
-def _staged(exc: ConspecError, stage: str) -> ConspecError:
-    return exc.with_stage(stage)
-
-
 def translate(
     pair: LanguagePair, text: str, *, parse_cap: int = 4
 ) -> list[tuple[str, float, list[str]]]:
@@ -123,7 +119,7 @@ def translate(
     try:
         parses = parse_text(src, text)
     except UnparseableTextError as exc:
-        raise _staged(exc, "parse")
+        raise exc.with_stage("parse")
     transfer_error: ConspecError | None = None
     realize_error: ConspecError | None = None
     results: dict[str, tuple[str, float, list[str]]] = {}
@@ -160,8 +156,8 @@ def translate(
                     results[out_text] = (out_text, score, trace)
     if not results:
         if transfer_error is not None:
-            raise _staged(transfer_error, "transfer")
+            raise transfer_error.with_stage("transfer")
         if realize_error is not None:
-            raise _staged(realize_error, "realize")
-        raise _staged(UnparseableTextError(f"no translation of {text!r}"), "parse")
+            raise realize_error.with_stage("realize")
+        raise UnparseableTextError(f"no translation of {text!r}").with_stage("parse")
     return sorted(results.values(), key=lambda r: (-r[1], len(r[0]), r[0]))

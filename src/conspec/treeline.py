@@ -38,9 +38,15 @@ from .network import (
     Concept,
     ConceptNetwork,
     Node,
+    rebuild,
 )
 
 _LABEL_STOP = set(">[](){},=<'#\n")
+
+# Deepest nesting level a parsed network may reach (see _Parser). Tree walks
+# across the package recurse a few frames per level; this bound keeps every
+# one of them well inside Python's default recursion limit.
+MAX_NESTING = 128
 
 
 @dataclass
@@ -224,16 +230,19 @@ class _Parser:
         return TreelineParseError(msg, tok.line, tok.col)
 
     # -- network grammar ---------------------------------------------------
+    #
+    # ``level`` is the nesting level of the node being built: 1 for a root,
+    # one more per specifier step and per step into a capsule body.
 
-    def network(self, capsule_depth: int) -> ConceptNetwork:
-        roots = [self.chain(capsule_depth)]
+    def network(self, capsule_depth: int, level: int) -> ConceptNetwork:
+        roots = [self.chain(capsule_depth, level)]
         while self.peek() is not None and self.peek().kind == ",":
             self.next()
-            roots.append(self.chain(capsule_depth))
+            roots.append(self.chain(capsule_depth, level))
         return ConceptNetwork(tuple(roots))
 
-    def chain(self, capsule_depth: int) -> Node:
-        root = self.item(capsule_depth)
+    def chain(self, capsule_depth: int, level: int) -> Node:
+        root = self.item(capsule_depth, level)
         current = root
         while self.peek() is not None and self.peek().kind == ">":
             self.next()
@@ -242,19 +251,22 @@ class _Parser:
                 raise self.err("trailing '>'")
             if tok.kind == "[":
                 self.next()
-                group = self.network(capsule_depth)  # commas consumed inside
+                group = self.network(capsule_depth, level + 1)  # commas consumed inside
                 self.expect("]")
                 current.specifiers = current.specifiers + group.roots
                 # chain position stays on the bracket's owner
             else:
-                child = self.item(capsule_depth)
+                level += 1
+                child = self.item(capsule_depth, level)
                 current.specifiers = current.specifiers + (child,)
                 current = child
         return root
 
-    def item(self, capsule_depth: int) -> Node:
+    def item(self, capsule_depth: int, level: int) -> Node:
         anchor: Anchor | None = None
         tok = self.peek()
+        if level > MAX_NESTING:
+            raise self.err(f"network nested deeper than {MAX_NESTING} levels")
         while tok is not None and tok.kind in ("up", "down"):
             self.next()
             if anchor is not None and anchor.direction != (UP if tok.kind == "up" else DOWN):
@@ -281,7 +293,7 @@ class _Parser:
             return Node(concept=Concept(label, True, sense), anchor=anchor)
         if tok.kind == "(":
             self.next()
-            body = self.network(capsule_depth + 1)
+            body = self.network(capsule_depth + 1, level + 1)
             self.expect(")")
             return Node(capsule=body, anchor=anchor)
         if tok.kind == "[":
@@ -293,7 +305,7 @@ class _Parser:
 
 def _parse_tokens_network(tokens: list[Token], end_line: int = 1) -> ConceptNetwork:
     parser = _Parser(tokens, end_line)
-    net = parser.network(0)
+    net = parser.network(0, 1)
     tok = parser.peek()
     if tok is not None:
         raise TreelineParseError(f"unexpected trailing {tok.value!r}", tok.line, tok.col)
@@ -491,15 +503,13 @@ _EITHER_OR_SPELLINGS = {"either...or", "either.. .or", "either. ..or"}
 
 
 def _normalize_either_or(net: ConceptNetwork) -> ConceptNetwork:
-    from .network import map_concepts
-
     def fix(c: Concept) -> Concept:
         if c.label in _EITHER_OR_SPELLINGS:
             return Concept("either or", c.stemless, c.sense)
         return c
 
     if any(n.concept is not None and n.concept.label in _EITHER_OR_SPELLINGS for n in net.iter_nodes()):
-        return map_concepts(net, fix)
+        return ConceptNetwork(tuple(rebuild(r, fix) for r in net.roots))
     return net
 
 

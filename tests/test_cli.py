@@ -56,6 +56,13 @@ class TestCanon:
         assert code == 1
         assert "line" in err
 
+    def test_overdeep_chain_is_parse_error(self, capsys, monkeypatch):
+        chain = " > ".join(f"a{i}" for i in range(600))
+        code, _, err = run(capsys, monkeypatch, ["canon", "-"], chain + "\n")
+        assert code == 1
+        assert err.startswith("parse error:")
+        assert "Traceback" not in err
+
 
 class TestEngineCommands:
     def test_realize(self, capsys, monkeypatch):
@@ -182,6 +189,32 @@ class TestFlagOverrides:
             "he trusted John\n",
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["parse", "-", "--model", ENGLISH, "--beam", "0"],
+            ["parse", "-", "--model", ENGLISH, "--beam", "-1"],
+            ["realize", "-", "--model", ENGLISH, "--tau", "2"],
+            ["translate", "-", "--pair", PAIR, "--beam", "0"],
+            ["translate", "-", "--pair", PAIR, "--tau", "-0.5"],
+        ],
+    )
+    def test_out_of_range_override_is_usage_error(self, capsys, monkeypatch, argv):
+        code, out, err = run(capsys, monkeypatch, argv, "he trusted John\n")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+
+    def test_overrides_build_a_new_bundle(self):
+        from conspec.cli import _with_overrides, build_arg_parser
+        from conspec.model import load_model
+
+        model = load_model(ENGLISH)
+        args = build_arg_parser().parse_args(["parse", "--beam", "4", "--tau", "0.7"])
+        changed = _with_overrides(model, args)
+        assert (changed.pragmas.beam, changed.pragmas.tau) == (4, 0.7)
+        assert (model.pragmas.beam, model.pragmas.tau) == (16, 0.5)
 
 
 class TestLintLoadErrors:

@@ -24,6 +24,28 @@ class TestLoadModel:
         with pytest.raises(ModelLoadError):
             load_model_text("set volume 11")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "set beam 0",
+            "set beam -2",
+            "set alpha 2",  # would rank analogues above exact derivations
+            "set alpha 1",
+            "set alpha -0.1",
+            "set tau 1.5",
+            "set tau -1",
+            "set tau nan",
+        ],
+    )
+    def test_out_of_range_pragma_names_its_line(self, line):
+        with pytest.raises(ModelLoadError, match="for pragma") as exc:
+            load_model_text(f"# header\n{line}\n")
+        assert exc.value.line == 2
+
+    def test_pragma_range_bounds_accepted(self):
+        model = load_model_text("set alpha 0\nset tau 0\nset tau 1\nset beam 1\n")
+        assert (model.pragmas.alpha, model.pragmas.tau, model.pragmas.beam) == (0.0, 1.0, 1)
+
     def test_have_macro_predefined(self):
         model = load_model_text("")
         defn = model.lexicon.definition(Concept("have", True))

@@ -185,6 +185,14 @@ class TestResolveAnchors:
         with pytest.raises(MalformedNetworkError):
             resolve_anchors(bad)
 
+    def test_returns_fresh_nodes_and_leaves_input_unwired(self):
+        n = net("dog > (eat > [{past}, >>{agent}])")
+        resolved = resolve_anchors(n)
+        assert equal(resolved, n)
+        assert not {id(x) for x in n.iter_nodes()} & {id(x) for x in resolved.iter_nodes()}
+        assert all(x.ref is None for x in n.iter_nodes())
+        assert any(x.ref is not None for x in resolved.iter_nodes())
+
 
 class TestJsonExport:
     def test_shape_and_counts(self):

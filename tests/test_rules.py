@@ -63,7 +63,7 @@ class TestBuildRule:
             rule_from_text("like > [{agent} > I, {theme} > I] <=> [I]")
 
     def test_overlapping_parts_rejected(self):
-        with pytest.raises(ModelLoadError):
+        with pytest.raises(ModelLoadError, match="rule parts overlap on the pattern"):
             rule_from_text("trust > {past} <=> [trust > {past}, trust]")
 
     def test_part_inside_capsule_binds(self):
@@ -244,6 +244,15 @@ class TestTransfer:
         with pytest.raises(UntranslatableConceptError) as exc:
             apply_transfer(trules, cmap, net, lex)
         assert "mystery" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "text, first", [("alpha > beta", "alpha"), ("(gamma > delta) > beta", "gamma")]
+    )
+    def test_first_untranslatable_in_preorder_is_named(self, text, first):
+        net = canonicalize(parse_network(text))  # nothing maps
+        with pytest.raises(UntranslatableConceptError) as exc:
+            apply_transfer(TransferRuleSet([]), ConceptMap(), net, make_lexicon({}))
+        assert exc.value.concept_text == first
 
     def test_anchor_annotations_survive(self):
         lex, cmap, trules = transfer_fixture()

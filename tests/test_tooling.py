@@ -1,0 +1,28 @@
+"""Guards for the benchmark harness under perfbench/."""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _layer_functions() -> tuple[str, ...]:
+    tree = ast.parse(SPANS.read_text(encoding="utf-8"))
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "LAYER_FUNCTIONS" for t in stmt.targets
+        ):
+            return ast.literal_eval(stmt.value)
+    raise AssertionError("perfbench/spans.py defines no LAYER_FUNCTIONS")
+
+
+def test_traced_layer_functions_exist():
+    """The traced benchmark run wraps each of these by name."""
+    names = _layer_functions()
+    assert names
+    for name in names:
+        module, attr = name.split(".")
+        fn = getattr(importlib.import_module(f"conspec.{module}"), attr, None)
+        assert inspect.isfunction(fn), f"{name} is not a function in conspec.{module}"

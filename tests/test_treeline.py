@@ -5,8 +5,11 @@ from importlib import resources
 import pytest
 
 from conspec.errors import TreelineParseError
-from conspec.network import canonicalize, equal
+from conspec.lexicon import Lexicon
+from conspec.network import canonicalize, equal, resolve_anchors, to_json_dict
+from conspec.similarity import network_sim
 from conspec.treeline import (
+    MAX_NESTING,
     DeclareStmt,
     DefinitionStmt,
     MapStmt,
@@ -233,3 +236,36 @@ class TestFuzz:
                 parse_network(text)
             except TreelineParseError:
                 pass
+
+
+def _chain(levels: int) -> str:
+    return " > ".join(f"a{i}" for i in range(levels))
+
+
+def _brackets(levels: int) -> str:
+    return "a0" + "".join(f" > [a{i}" for i in range(1, levels)) + "]" * (levels - 1)
+
+
+def _capsules(levels: int) -> str:
+    return "(" * (levels - 1) + "a" + ")" * (levels - 1)
+
+
+def _on_deeper_stack(frames: int, fn):
+    return fn() if frames == 0 else _on_deeper_stack(frames - 1, fn)
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("form", [_chain, _brackets, _capsules])
+    def test_every_op_succeeds_at_the_limit(self, form):
+        def ops():
+            net = parse_network(form(MAX_NESTING))
+            assert equal(parse_network(print_network(net)), net)
+            to_json_dict(resolve_anchors(canonicalize(net)))
+            assert network_sim(Lexicon(), net, net)[0] == 1.0
+
+        _on_deeper_stack(100, ops)  # headroom for callers' own frames
+
+    @pytest.mark.parametrize("form", [_chain, _brackets, _capsules])
+    def test_one_level_past_the_limit_is_a_parse_error(self, form):
+        with pytest.raises(TreelineParseError, match=f"deeper than {MAX_NESTING}"):
+            parse_network(form(MAX_NESTING + 1))
