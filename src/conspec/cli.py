@@ -15,7 +15,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConspecError, ModelLoadError, TreelineParseError
-from .model import ModelBundle, Pragmas, load_corpus, load_model
+from .lexicon import DEFAULT_STEMLESS, undeclared_stemless
+from .model import ModelBundle, Pragmas, load_corpus, load_model, load_model_text
 from .network import (
     ConceptNetwork,
     Node,
@@ -215,9 +216,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from .lexicon import Lexicon
-    from .treeline import DeclareStmt, DefinitionStmt, NetworkStmt, RuleStmt
-
     path = args.model or os.environ.get("CONSPEC_MODEL_PATH")
     if not path:
         raise ModelLoadError("no model: pass --model or set CONSPEC_MODEL_PATH")
@@ -231,24 +229,14 @@ def _cmd_lint(args) -> int:
     for exc in errors:
         problems.append(f"error: {exc}")
     problems.extend(f"note: {l}" for l in doc.lints)
-    registry = Lexicon()
-    nets: list[ConceptNetwork] = []
-    for stmt in doc.statements:
-        if isinstance(stmt, DeclareStmt):
-            registry.stemless_registry[stmt.label] = stmt.description
-        elif isinstance(stmt, DefinitionStmt):
-            nets.append(stmt.body)
-        elif isinstance(stmt, RuleStmt):
-            nets.append(stmt.lhs)
-        elif isinstance(stmt, NetworkStmt):
-            nets.append(stmt.network)
-    for label in registry.undeclared_stemless(nets):
+    for label in undeclared_stemless(doc.statements, DEFAULT_STEMLESS):
         problems.append(f"warning: undeclared stemless label {{{label}}}")
-    try:
-        model = load_model(path)
-    except ModelLoadError as exc:
-        problems.append(f"error: {exc}")
-        model = None
+    model = None
+    if not errors:  # a collected parse error is the one loading would fail on
+        try:
+            model = load_model_text(text, str(path))
+        except ModelLoadError as exc:
+            problems.append(f"error: {exc}")
     if model is not None:
         if args.corpus:
             used: set[str] = set()

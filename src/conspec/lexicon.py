@@ -12,6 +12,15 @@ from dataclasses import dataclass, field
 
 from .errors import ModelLoadError
 from .network import Concept, ConceptNetwork, Node, rebuild
+from .treeline import (
+    DeclareStmt,
+    DefinitionStmt,
+    NetworkStmt,
+    RuleStmt,
+    Statement,
+    TransferRuleStmt,
+    parse_network,
+)
 
 # The registry shipped by default: exactly the stemless labels Table-style
 # model corpora use. User models extend it with `declare {label} "..."` lines.
@@ -59,8 +68,6 @@ class Lexicon:
 
     def __post_init__(self):
         if Concept("have", True) not in self.definitions:
-            from .treeline import parse_network
-
             self.definitions[Concept("have", True)] = Definition(
                 Concept("have", True), parse_network(_HAVE_BODY_TEXT)
             )
@@ -98,14 +105,28 @@ class Lexicon:
     def definition(self, concept: Concept) -> Definition | None:
         return self.definitions.get(concept)
 
-    def undeclared_stemless(self, nets: list[ConceptNetwork]) -> list[str]:
-        out = []
-        for net in nets:
-            for c in net.concepts():
-                if c.stemless and c.label not in self.stemless_registry:
-                    if c.label not in out:
-                        out.append(c.label)
-        return out
+
+# The statement fields scanned for stemless labels. A rule's rhs patterns are
+# sub-chains of its lhs (build_rule checks), so the lhs covers them.
+_NETWORK_FIELDS = {
+    NetworkStmt: ("network",),
+    DefinitionStmt: ("body",),
+    RuleStmt: ("lhs",),
+    TransferRuleStmt: ("src", "dst"),
+}
+
+
+def undeclared_stemless(statements: list[Statement], registry: dict[str, str]) -> list[str]:
+    """Stemless labels the statements use that neither ``registry`` nor their
+    own ``declare`` lines name, in order of first use."""
+    declared = set(registry) | {s.label for s in statements if isinstance(s, DeclareStmt)}
+    out: list[str] = []
+    for stmt in statements:
+        for name in _NETWORK_FIELDS.get(type(stmt), ()):
+            for c in getattr(stmt, name).concepts():
+                if c.stemless and c.label not in declared and c.label not in out:
+                    out.append(c.label)
+    return out
 
 
 def _body_head(body: ConceptNetwork) -> Concept:

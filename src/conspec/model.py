@@ -10,9 +10,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import ModelLoadError, TreelineParseError
-from .lexicon import Definition, Lexicon
+from .lexicon import Definition, Lexicon, undeclared_stemless
 from .network import Concept, ConceptNetwork
 from .rules import DEFAULT_BEAM, DEFAULT_TAU, Rule, RuleSet, build_rule
 from .similarity import DEFAULT_ALPHA
@@ -24,6 +25,9 @@ from .treeline import (
     RuleStmt,
     parse_document,
 )
+
+if TYPE_CHECKING:
+    from .parser import Vocabulary
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,7 @@ class ModelBundle:
     lexicon: Lexicon
     rules: RuleSet
     pragmas: Pragmas
+    vocab: Vocabulary  # surface forms and rule literals, built once at load
     path: str = "<inline>"
     content_hash: str = ""
     lints: list[str] = field(default_factory=list)
@@ -85,6 +90,8 @@ def _apply_pragma(pragmas: Pragmas, stmt: PragmaStmt, path: str) -> Pragmas:
 
 
 def load_model_text(text: str, path: str = "<inline>") -> ModelBundle:
+    from .parser import build_vocabulary
+
     try:
         doc = parse_document(text)
     except TreelineParseError as exc:
@@ -115,13 +122,12 @@ def load_model_text(text: str, path: str = "<inline>") -> ModelBundle:
     lex = Lexicon(definitions=definitions)
     lex.stemless_registry.update(declares)
     lints = list(doc.lints)
-    nets = [d.body for d in definitions.values()]
-    for rule in rules:
-        nets.append(rule.lhs)
-    for label in lex.undeclared_stemless(nets):
+    for label in undeclared_stemless(doc.statements, lex.stemless_registry):
         lints.append(f"undeclared stemless label {{{label}}}")
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return ModelBundle(lex, RuleSet(rules), pragmas, path, digest, lints)
+    rule_set = RuleSet(rules)
+    vocab = build_vocabulary(rule_set, lex)
+    return ModelBundle(lex, rule_set, pragmas, vocab, path, digest, lints)
 
 
 def load_model(path: str | Path) -> ModelBundle:

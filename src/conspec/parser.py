@@ -11,12 +11,14 @@ ranked by derivation score.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice, product as iter_product
 
 from .errors import UnparseableTextError
+from .lexicon import Lexicon
 from .model import ModelBundle
 from .network import ConceptNetwork, Node, canonical_key, canonicalize
 from .realizer import join_affixes, strip_orthography
-from .rules import Literal, PatternPart, instantiate_reverse
+from .rules import Literal, RuleSet, instantiate_reverse
 from .treeline import print_network
 
 
@@ -25,21 +27,16 @@ class Vocabulary:
     surfaces: dict[str, list] = field(default_factory=dict)  # surface -> [Concept]
     literals: set[str] = field(default_factory=set)  # every rule literal
     affixes: set[str] = field(default_factory=set)  # marker-carrying literals
+    max_words: int = 1  # words in the longest surface form
 
     def knows(self, token: str) -> bool:
         return token in self.surfaces or token in self.literals
 
-    def max_words(self) -> int:
-        longest = 1
-        for s in self.surfaces:
-            longest = max(longest, s.count(" ") + 1)
-        return longest
 
-
-def build_vocabulary(model: ModelBundle) -> Vocabulary:
+def build_vocabulary(rules: RuleSet, lexicon: Lexicon) -> Vocabulary:
     vocab = Vocabulary()
     concepts = set()
-    for rule in model.rules:
+    for rule in rules:
         for part in rule.parts:
             if isinstance(part, Literal):
                 vocab.literals.add(part.text)
@@ -49,12 +46,13 @@ def build_vocabulary(model: ModelBundle) -> Vocabulary:
         for node in rule.lhs.iter_nodes():
             if node.concept is not None:
                 concepts.add(node.concept)
-    for name in model.lexicon.definitions:
+    for name in lexicon.definitions:
         concepts.add(name)
     for concept in concepts:
         if concept.stemless:
             continue
         vocab.surfaces.setdefault(concept.label, []).append(concept)
+        vocab.max_words = max(vocab.max_words, concept.label.count(" ") + 1)
     return vocab
 
 
@@ -109,8 +107,7 @@ def _segment_raw(model: ModelBundle, text: str) -> list[list[str]]:
     words = text.split()
     if not words:
         raise UnparseableTextError("empty input")
-    vocab = build_vocabulary(model)
-    span = vocab.max_words()
+    vocab = model.vocab
 
     table: dict[int, list[tuple[list[str], int]]] = {len(words): [([], 0)]}
 
@@ -118,7 +115,7 @@ def _segment_raw(model: ModelBundle, text: str) -> list[list[str]]:
         if i in table:
             return table[i]
         options: list[tuple[list[str], int]] = []
-        for j in range(min(len(words), i + span), i, -1):
+        for j in range(min(len(words), i + vocab.max_words), i, -1):
             token = " ".join(words[i:j])
             if vocab.knows(token):
                 for rest, splits in seg(j):
@@ -158,10 +155,9 @@ class _Item:
     unary: int = 0  # consecutive same-span rule applications (cycle guard)
 
 
-def _chart_parse(model: ModelBundle, tokens: list[str], vocab: Vocabulary):
+def _chart_parse(model: ModelBundle, tokens: list[str]):
     n = len(tokens)
     beam = model.pragmas.beam
-    lits: dict[tuple[int, int], str] = {(i, i + 1): tokens[i] for i in range(n)}
     frags: dict[tuple[int, int], dict[tuple, _Item]] = {
         (i, j): {} for i in range(n) for j in range(i + 1, n + 1)
     }
@@ -184,7 +180,7 @@ def _chart_parse(model: ModelBundle, tokens: list[str], vocab: Vocabulary):
         return True
 
     for i, token in enumerate(tokens):
-        for concept in vocab.surfaces.get(token, ()):  # shift: token -> concept
+        for concept in model.vocab.surfaces.get(token, ()):  # shift: token -> concept
             net = ConceptNetwork((Node(concept=concept),))
             add(i, i + 1, _Item(net, 1.0, [f"shift:{token}"]))
 
@@ -232,7 +228,7 @@ def _chart_parse(model: ModelBundle, tokens: list[str], vocab: Vocabulary):
                 return
             part = parts[idx]
             if isinstance(part, Literal):
-                if lits.get((at, at + 1)) == part.text:
+                if at < n and tokens[at] == part.text:
                     go(idx + 1, at + 1, acc + [(at, at + 1)])
                 return
             for end in range(at + 1, j + 1):
@@ -250,8 +246,6 @@ def _chart_parse(model: ModelBundle, tokens: list[str], vocab: Vocabulary):
             else:
                 ranked = sorted(frags_table[(a, b)].values(), key=lambda it: -it.score)
                 slots.append(list(ranked[:cap]))
-        from itertools import islice, product as iter_product
-
         combos = []
         for picked in islice(iter_product(*slots), cap * 4):
             score = 1.0
@@ -279,12 +273,11 @@ def parse_text(model: ModelBundle, text: str) -> list[tuple[ConceptNetwork, floa
     punct = None
     if model.pragmas.orthography:
         _, punct = strip_orthography(text)
-    vocab = build_vocabulary(model)
     segmentations = segment(model, text)
     results: dict[tuple, tuple[ConceptNetwork, float, list[str]]] = {}
     best_partial: list[str] = []
     for tokens in segmentations:
-        frags = _chart_parse(model, tokens, vocab)
+        frags = _chart_parse(model, tokens)
         n = len(tokens)
         complete = frags[(0, n)] if n else {}
         for key, item in complete.items():

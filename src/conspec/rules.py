@@ -38,16 +38,13 @@ from .network import (
 from .similarity import (
     DEFAULT_ALPHA,
     Alignment,
+    NodeSim,
     align_networks,
     rule_node_sim,
 )
 
 DEFAULT_TAU = 0.5
 DEFAULT_BEAM = 16
-
-REALIZE = "realize"
-PARSE = "parse"
-
 
 # ---------------------------------------------------------------------------
 # Rule construction
@@ -167,85 +164,54 @@ class Match:
         return self.score == 1.0
 
 
-def match_rule_realize(
-    rule: Rule,
-    lex: Lexicon,
-    net: ConceptNetwork,
-    *,
-    alpha: float = DEFAULT_ALPHA,
-    tau: float = DEFAULT_TAU,
-) -> Match | None:
-    """Match the rule pattern against the network's root region."""
-    got = align_networks(rule.lhs, net, rule_node_sim(lex, alpha), total=False)
-    if got is None:
+def _match_region(
+    pattern: ConceptNetwork,
+    target: ConceptNetwork,
+    sim: NodeSim,
+    tau: float,
+    owner: dict[int, object],
+) -> tuple[Alignment, dict[object, list[Node]]] | None:
+    """Align a rule pattern with the target's root region, keeping content.
+
+    ``owner`` maps id(pattern node) to the output part or slot that carries
+    it. The match is dropped below ``tau``, and when an analogue sits on a
+    node no owner carries or a remainder hangs under one: that content would
+    vanish silently (suppletions stay exact-only). Otherwise returns the
+    alignment and the remainder subtrees grouped by owner.
+    """
+    got = align_networks(pattern, target, sim, total=False)
+    if got is None or got.score < tau:
         return None
-    score = got.score
-    if score < tau:
+    if any(s < 1.0 and id(p) not in owner for p, s in got.sims.items()):
         return None
-    for lhs_node, s in got.sims.items():
-        # an analogue must survive into the output: substitution on a node
-        # the rhs drops would vanish silently (suppletions stay exact-only)
-        if s < 1.0 and id(lhs_node) not in rule.part_at:
+    absorbed: dict[object, list[Node]] = {}
+    for t_child, p_owner in got.remainders:
+        key = owner.get(id(p_owner))
+        if key is None:
             return None
-    absorbed: dict[int, list[Node]] = {}
-    for t_child, lhs_owner in got.remainders:
-        i = rule.part_at.get(id(lhs_owner))
-        if i is None:
-            return None  # remainder under a dropped node: content would vanish
-        absorbed.setdefault(i, []).append(t_child)
-    return Match(rule, got.binding, score, absorbed)
+        absorbed.setdefault(key, []).append(t_child)
+    return got, absorbed
 
 
 def match_rules(
     rules: RuleSet,
     lex: Lexicon,
     net: ConceptNetwork,
-    direction: str = REALIZE,
     *,
     alpha: float = DEFAULT_ALPHA,
     tau: float = DEFAULT_TAU,
 ) -> list[Match]:
-    """All matches with score >= tau, best score first, declaration order on ties.
-
-    Realize matches rule patterns against the network's root region. Parse
-    treats the network as one built fragment and matches it against rules
-    whose part sequence is a single sub-pattern (the chart parser drives
-    longer sequences through its span tiling).
-    """
+    """Rule patterns matched against the network's root region: every match
+    with score >= tau, best score first, declaration order on ties."""
+    sim = rule_node_sim(lex, alpha)
     out: list[tuple[float, int, Match]] = []
     for idx, rule in enumerate(rules):
-        if direction == REALIZE:
-            m = match_rule_realize(rule, lex, net, alpha=alpha, tau=tau)
-        else:
-            if len(rule.parts) != 1 or not isinstance(rule.parts[0], PatternPart):
-                continue
-            got = match_part(rule.parts[0], lex, net, alpha=alpha)
-            m = None
-            if got is not None and got[0].score >= tau:
-                m = Match(rule, dict(got[1]), got[0].score)
-        if m is not None:
-            out.append((-m.score, idx, m))
+        got = _match_region(rule.lhs, net, sim, tau, rule.part_at)
+        if got is not None:
+            alignment, absorbed = got
+            out.append((-alignment.score, idx, Match(rule, alignment.binding, alignment.score, absorbed)))
     out.sort(key=lambda item: (item[0], item[1]))
     return [m for _, _, m in out]
-
-
-def match_part(
-    part: PatternPart,
-    lex: Lexicon,
-    fragment: ConceptNetwork,
-    *,
-    alpha: float = DEFAULT_ALPHA,
-) -> tuple[Alignment, dict[Node, Node]] | None:
-    """Reverse-match a part pattern against a built fragment's root region.
-
-    Returns the alignment plus the composed lhs-node -> fragment-node map.
-    Fragment remainders stay attached (the whole fragment is substituted).
-    """
-    got = align_networks(part.pattern, fragment, rule_node_sim(lex, alpha), total=False)
-    if got is None:
-        return None
-    lhs_to_frag = {part.to_lhs[p]: f for p, f in got.binding.items()}
-    return got, lhs_to_frag
 
 
 # ---------------------------------------------------------------------------
@@ -306,19 +272,18 @@ def instantiate_reverse(rule: Rule, fragments: list[ConceptNetwork | None], lex:
     when some part fails to match its fragment. Uncovered lhs nodes (role
     markers, capsule shells, {implied} insertions) are copied in verbatim.
     """
-    part_frag: dict[int, dict[Node, Node]] = {}
+    sim = rule_node_sim(lex, alpha)
+    part_frag: dict[int, dict[Node, Node]] = {}  # part index -> lhs node -> fragment node
     product, count = 1.0, 0
     for i, part in enumerate(rule.parts):
         if isinstance(part, Literal):
             continue
-        fragment = fragments[i]
-        got = match_part(part, lex, fragment, alpha=alpha)
+        got = align_networks(part.pattern, fragments[i], sim, total=False)
         if got is None:
             return None
-        alignment, lhs_to_frag = got
-        product *= alignment.product
-        count += alignment.count
-        part_frag[i] = lhs_to_frag
+        product *= got.product
+        count += got.count
+        part_frag[i] = {part.to_lhs[p]: f for p, f in got.binding.items()}
 
     def part_owned(l: Node) -> Node | None:
         i = rule.part_at.get(id(l))
@@ -383,6 +348,8 @@ class TransferRule:
     line: int = 0
     # dst node -> src node it is a slot for (filled at load)
     slots: dict[Node, Node] = field(default_factory=dict)
+    # id(src node) -> that node, for each src node some slot carries
+    slot_at: dict[int, Node] = field(default_factory=dict)
 
 
 def build_transfer_rule(
@@ -414,7 +381,8 @@ def build_transfer_rule(
             )
         if candidates:
             slots[d] = candidates[0]
-    return TransferRule(src, dst, rule_id, line, slots)
+    slot_at = {id(s): s for s in slots.values()}
+    return TransferRule(src, dst, rule_id, line, slots, slot_at)
 
 
 @dataclass
@@ -435,7 +403,7 @@ class _TransferMatch:
     binding: dict[Node, Node]  # src node -> net node
     score: float
     region: frozenset[int]  # id() of aligned net nodes
-    absorbed: dict[int, list[Node]]  # id(src slot node) -> remainder subtrees
+    absorbed: dict[Node, list[Node]]  # src slot node -> remainder subtrees
 
 
 def _collect_transfer_matches(
@@ -448,24 +416,11 @@ def _collect_transfer_matches(
     sim = rule_node_sim(lex, alpha)
     out: list[_TransferMatch] = []
     for rule in trules:
-        slot_src_ids = {id(s) for s in rule.slots.values()}
         for node in net.iter_nodes():
-            got = align_networks(rule.src, ConceptNetwork((node,)), sim, total=False)
-            if got is None or got.score < tau:
+            matched = _match_region(rule.src, ConceptNetwork((node,)), sim, tau, rule.slot_at)
+            if matched is None:
                 continue
-            if any(
-                s < 1.0 and id(p) not in slot_src_ids for p, s in got.sims.items()
-            ):
-                continue  # analogue on a slotless src node would vanish
-            absorbed: dict[int, list[Node]] = {}
-            ok = True
-            for t_child, src_owner in got.remainders:
-                if id(src_owner) not in slot_src_ids:
-                    ok = False  # remainder under a non-slot node would vanish
-                    break
-                absorbed.setdefault(id(src_owner), []).append(t_child)
-            if not ok:
-                continue
+            got, absorbed = matched
             region = frozenset(id(t) for t in got.binding.values())
             out.append(_TransferMatch(rule, node, dict(got.binding), got.score, region, absorbed))
     out.sort(key=lambda m: (-m.score, m.rule.rule_id, id(m.anchor)))
@@ -578,7 +533,7 @@ def _apply_selection(
         t = m.binding[src]
         concept = _transfer_concept(t.concept, cmap) if not t.is_capsule else None
         extra: list[Node] = []
-        for sub in m.absorbed.get(id(src), ()):  # remainders travel into the slot
+        for sub in m.absorbed.get(src, ()):  # remainders travel into the slot
             extra.append(convert(sub))
         if t.is_capsule:
             body = ConceptNetwork(tuple(convert(r) for r in t.capsule.roots))

@@ -26,6 +26,7 @@ from .errors import (
     UnrealizableFragmentError,
     UntranslatableConceptError,
 )
+from .lexicon import undeclared_stemless
 from .model import ModelBundle, load_model
 from .network import canonicalize, resolve_anchors
 from .parser import parse_text
@@ -83,17 +84,13 @@ def load_pair_text(text: str, path: str = "<inline>", base_dir: str | Path = "."
             else:
                 raise ModelLoadError(f"unknown pair pragma {stmt.key!r}", path, stmt.line)
     trules = []
-    for stmt in doc.statements:
-        if isinstance(stmt, TransferRuleStmt):
-            rid = f"t{len(trules) + 1}"
-            trules.append(build_transfer_rule(stmt.src, stmt.dst, cmap, rid, stmt.line, path))
     lints: list[str] = []
-    registries = set(source.lexicon.stemless_registry) | set(receptor.lexicon.stemless_registry)
-    for rule in trules:
-        for net in (rule.src, rule.dst):
-            for c in net.concepts():
-                if c.stemless and c.label not in registries:
-                    lints.append(f"transfer rule {rule.rule_id}: undeclared stemless {{{c.label}}}")
+    registry = source.lexicon.stemless_registry | receptor.lexicon.stemless_registry
+    for stmt in doc.of_kind(TransferRuleStmt):
+        rid = f"t{len(trules) + 1}"
+        trules.append(build_transfer_rule(stmt.src, stmt.dst, cmap, rid, stmt.line, path))
+        for label in undeclared_stemless([stmt], registry):
+            lints.append(f"transfer rule {rid}: undeclared stemless {{{label}}}")
     pair = LanguagePair(source, receptor, TransferRuleSet(trules), cmap, path, lints)
     return pair
 

@@ -144,6 +144,7 @@ class TestLint:
         code, out, _ = run(capsys, monkeypatch, ["lint", "--model", str(bad)])
         assert code == 1
         assert "duplicate definition" in out
+        assert out.count("duplicate definition") == 1
         assert "mystery" in out
         assert "multi-root" in out
 
@@ -215,6 +216,7 @@ class TestFlagOverrides:
         changed = _with_overrides(model, args)
         assert (changed.pragmas.beam, changed.pragmas.tau) == (4, 0.7)
         assert (model.pragmas.beam, model.pragmas.tau) == (16, 0.5)
+        assert changed.vocab is model.vocab
 
 
 class TestLintLoadErrors:

@@ -1,9 +1,17 @@
 import pytest
 
 from conspec.errors import ModelLoadError
-from conspec.lexicon import DEFAULT_STEMLESS, Definition, Lexicon, ancestors, expand, is_a
+from conspec.lexicon import (
+    DEFAULT_STEMLESS,
+    Definition,
+    Lexicon,
+    ancestors,
+    expand,
+    is_a,
+    undeclared_stemless,
+)
 from conspec.network import Concept, equal
-from conspec.treeline import parse_network, print_network
+from conspec.treeline import parse_document, parse_network, print_network
 
 
 def make_lexicon(pairs: dict[str, str]) -> Lexicon:
@@ -111,9 +119,8 @@ class TestRegistry:
         assert set(DEFAULT_STEMLESS) == expected
 
     def test_undeclared_stemless_reported(self):
-        lex = Lexicon()
-        nets = [parse_network("x > {ta}"), parse_network("y > {past}")]
-        assert lex.undeclared_stemless(nets) == ["ta"]
+        statements = parse_document("x > {ta}\ny > {past}").statements
+        assert undeclared_stemless(statements, DEFAULT_STEMLESS) == ["ta"]
 
 
 class TestCycles:

@@ -66,6 +66,8 @@ class TestLoadModel:
     def test_undeclared_stemless_reported_as_lint(self):
         model = load_model_text("x = {mystery}")
         assert any("mystery" in l for l in model.lints)
+        model = load_model_text("jump = {verb}\n{oops}\njump > {zz} <=> [jump]")
+        assert model.lints == ["undeclared stemless label {oops}", "undeclared stemless label {zz}"]
 
     def test_map_statement_rejected_in_model_file(self):
         with pytest.raises(ModelLoadError):

@@ -135,6 +135,19 @@ class TestOrthographyPipeline:
         assert tokens[0][0] == "it"
 
 
+class TestVocabulary:
+    def test_parse_builds_no_vocabulary(self, tiny, monkeypatch):
+        import conspec.parser
+
+        calls = []
+        build = conspec.parser.build_vocabulary
+        monkeypatch.setattr(
+            conspec.parser, "build_vocabulary", lambda *a: calls.append(a) or build(*a)
+        )
+        parse_text(tiny, "he trusted John")
+        assert calls == []
+
+
 class TestDeterminism:
     def test_repeated_parses_identical(self):
         from importlib import resources

@@ -120,6 +120,15 @@ class TestMatchRules:
         parts = realize_parts(svo_rule.rule if hasattr(svo_rule, "rule") else svo_rule, matches[0])
         assert print_network(parts[2]) == "John > tall"
 
+    def test_deterministic_ordering(self, lex, past_rule):
+        net = parse_network("jump > {past}")
+        specific = rule_from_text("jump > {past} <=> ['jumped']", "jump-past")
+        rules = RuleSet([past_rule, specific])
+        first = [(m.rule.rule_id, m.score) for m in match_rules(rules, lex, net)]
+        for _ in range(5):
+            again = [(m.rule.rule_id, m.score) for m in match_rules(rules, lex, net)]
+            assert again == first
+
 
 class TestRealizeParts:
     def test_svo_rule_rewrite(self, lex, svo_rule):
@@ -254,6 +263,41 @@ class TestTransfer:
             apply_transfer(TransferRuleSet([]), ConceptMap(), net, make_lexicon({}))
         assert exc.value.concept_text == first
 
+    @pytest.mark.parametrize(
+        "defs, rule, text, want",
+        [
+            # remainder x hangs under {past}, which no dst slot carries
+            (
+                {},
+                "trust > [{past}, {agent} > he] => shinji > {agent} > kare",
+                "trust > [{past} > x, {agent} > he]",
+                "shinji > [{agent} > kare, {ta} > ex]",
+            ),
+            # analogue slowly sits on quickly, which no dst slot carries
+            (
+                {"quickly": "{adv}", "slowly": "{adv}"},
+                "trust > [{agent} > he, quickly] => shinji > {agent} > kare",
+                "trust > [{agent} > he, slowly]",
+                "shinji > [{agent} > kare, yukkuri]",
+            ),
+        ],
+    )
+    def test_rule_that_would_drop_content_is_not_applied(self, defs, rule, text, want):
+        cmap = ConceptMap(
+            {
+                Concept("trust"): Concept("shinji"),
+                Concept("he"): Concept("kare"),
+                Concept("agent", True): Concept("agent", True),
+                Concept("past", True): Concept("ta", True),
+                Concept("x"): Concept("ex"),
+                Concept("slowly"): Concept("yukkuri"),
+            }
+        )
+        stmt = parse_document(rule).statements[0]
+        trules = TransferRuleSet([build_transfer_rule(stmt.src, stmt.dst, cmap, "t1")])
+        out = apply_transfer(trules, cmap, canonicalize(parse_network(text)), make_lexicon(defs))
+        assert [print_network(n) for n in out] == [want]
+
     def test_anchor_annotations_survive(self):
         lex, cmap, trules = transfer_fixture()
         cmap.entries[Concept("dog")] = Concept("inu")
@@ -263,26 +307,3 @@ class TestTransfer:
         cmap.entries[Concept("past", True)] = Concept("ta", True)
         out = apply_transfer(TransferRuleSet([]), cmap, net, lex2)
         assert print_network(out[0]) == "inu > (tabe > [>>{agent}, {ta}])"
-
-
-class TestMatchRulesParseDirection:
-    def test_single_part_rule_matches_fragment(self, lex):
-        rule = rule_from_text("holy cow > {!} <=> [holy cow]", "emph")
-        matches = match_rules(RuleSet([rule]), lex, parse_network("holy cow"), direction="parse")
-        assert len(matches) == 1
-        assert matches[0].score == 1.0
-        # binding maps the lhs node onto the fragment node
-        (lhs_node, frag_node), = matches[0].binding.items()
-        assert lhs_node.concept.label == frag_node.concept.label == "holy cow"
-
-    def test_multi_part_rules_skipped(self, lex, past_rule):
-        assert match_rules(RuleSet([past_rule]), lex, parse_network("trust"), direction="parse") == []
-
-    def test_deterministic_ordering(self, lex, past_rule):
-        net = parse_network("jump > {past}")
-        specific = rule_from_text("jump > {past} <=> ['jumped']", "jump-past")
-        rules = RuleSet([past_rule, specific])
-        first = [(m.rule.rule_id, m.score) for m in match_rules(rules, lex, net)]
-        for _ in range(5):
-            again = [(m.rule.rule_id, m.score) for m in match_rules(rules, lex, net)]
-            assert again == first
