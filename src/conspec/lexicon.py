@@ -4,6 +4,15 @@ Definitions express a concept as a network of other concepts (girl = human >
 [young, female]). The chain of definition heads (Anne -> girl -> human) is the
 ontology behind is_a and similarity. Lexicons are immutable after load;
 reloads build a fresh object.
+
+Derived data is computed once per lexicon. The ancestor set of every defined
+concept is built at construction, right after the cycle check, and
+``ancestors`` is a lookup that returns that shared frozenset.
+``similarity.concept_sim`` memoizes its answers lazily in
+``concept_sim_memo``, only for pairs of defined concepts, so the memo is
+bounded by the square of the number of definitions whatever concepts callers
+pass in. Two readers on different threads may both fill one memo entry; both
+write the same value. Neither cache takes part in equality or repr.
 """
 
 from __future__ import annotations
@@ -65,6 +74,14 @@ class Definition:
 class Lexicon:
     definitions: dict[Concept, Definition] = field(default_factory=dict)
     stemless_registry: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_STEMLESS))
+    # defined concept -> its ancestor set, built once in __post_init__
+    ancestor_table: dict[Concept, frozenset[Concept]] = field(
+        init=False, repr=False, compare=False
+    )
+    # (a, b, alpha) -> concept_sim, both concepts defined; filled by similarity
+    concept_sim_memo: dict[tuple[Concept, Concept, float], float] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         if Concept("have", True) not in self.definitions:
@@ -72,6 +89,19 @@ class Lexicon:
                 Concept("have", True), parse_network(_HAVE_BODY_TEXT)
             )
         self._check_cycles()
+        self.ancestor_table = {c: self._ancestor_chain(c) for c in self.definitions}
+
+    def _ancestor_chain(self, concept: Concept) -> frozenset[Concept]:
+        out = {concept}
+        cur = concept
+        while True:
+            defn = self.definitions.get(cur)
+            if defn is None:
+                return frozenset(out)
+            cur = _body_head(defn.body)
+            if cur in out:  # cycle guard; _check_cycles makes this unreachable
+                return frozenset(out)
+            out.add(cur)
 
     def _check_cycles(self) -> None:
         # expansion must terminate: no definition may reach itself
@@ -136,18 +166,13 @@ def _body_head(body: ConceptNetwork) -> Concept:
     return node.concept
 
 
-def ancestors(lex: Lexicon, concept: Concept) -> set[Concept]:
-    """The definition-head chain from the concept up, plus the concept itself."""
-    out = {concept}
-    cur = concept
-    while True:
-        defn = lex.definition(cur)
-        if defn is None:
-            return out
-        cur = _body_head(defn.body)
-        if cur in out:  # cycle guard; load-time check makes this unreachable
-            return out
-        out.add(cur)
+def ancestors(lex: Lexicon, concept: Concept) -> frozenset[Concept]:
+    """The definition-head chain from the concept up, plus the concept itself.
+
+    The set is shared with the lexicon's table (built once at construction),
+    hence a frozenset; an undefined concept gets ``frozenset({concept})``.
+    """
+    return lex.ancestor_table.get(concept) or frozenset((concept,))
 
 
 def is_a(lex: Lexicon, concept: Concept, category: Concept) -> bool:

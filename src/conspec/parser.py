@@ -11,7 +11,7 @@ ranked by derivation score.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, product as iter_product
+from itertools import count, islice, product as iter_product
 
 from .errors import UnparseableTextError
 from .lexicon import Lexicon
@@ -153,6 +153,7 @@ class _Item:
     score: float
     trace: list[str]
     unary: int = 0  # consecutive same-span rule applications (cycle guard)
+    serial: int = -1  # order of entry into the chart; names the item in tried keys
 
 
 def _chart_parse(model: ModelBundle, tokens: list[str]):
@@ -161,6 +162,7 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
     frags: dict[tuple[int, int], dict[tuple, _Item]] = {
         (i, j): {} for i in range(n) for j in range(i + 1, n + 1)
     }
+    serials = count()
 
     def add(i: int, j: int, item: _Item) -> bool:
         cell = frags[(i, j)]
@@ -169,13 +171,12 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
         if prev is not None:
             if prev.score >= item.score:
                 return False
-            cell[key] = item
-            return True
-        if len(cell) >= beam:
+        elif len(cell) >= beam:
             worst_key, worst = min(cell.items(), key=lambda kv: kv[1].score)
             if worst.score >= item.score:
                 return False  # cannot displace anything: keeps the loop finite
             del cell[worst_key]
+        item.serial = next(serials)
         cell[key] = item
         return True
 
@@ -187,14 +188,27 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
     MAX_UNARY = 2
 
     def apply_rules_over(i: int, j: int) -> None:
+        # Each (rule, items) combination is instantiated once per span; items
+        # are named by serial, since an evicted item's id() can be reused. A
+        # retry would rebuild the same item with the same score, and add()
+        # would refuse it. After the first try, either its key holds a score
+        # at least as high, or the cell was full with every score at least as
+        # high. A full cell stays full and its minimum score never decreases,
+        # and a key's score drops only when the key is evicted from a full
+        # cell at that minimum.
+        tried: set[tuple] = set()
         changed = True
         while changed:
             changed = False
-            for rule in model.rules:
+            for r, rule in enumerate(model.rules):
                 for tiling in _tilings(rule, i, j):
                     same_span = tiling == [(i, j)]
                     for combo in _part_combos(rule, tiling, frags, beam):
                         items, score, trace = combo
+                        tried_key = (r, *(-1 if it is None else it.serial for it in items))
+                        if tried_key in tried:
+                            continue
+                        tried.add(tried_key)
                         picked = [it for it in items if it is not None]
                         unary = 0
                         if same_span and picked:

@@ -26,15 +26,24 @@ NodeSim = Callable[[Concept, Concept], float]
 
 
 def concept_sim(lex: Lexicon, a: Concept, b: Concept, alpha: float = DEFAULT_ALPHA) -> float:
-    """Definition-overlap similarity in [0, 1]; 1 iff identical."""
+    """Definition-overlap similarity in [0, 1]; 1 iff identical.
+
+    Answers for two defined concepts are memoized on the lexicon, which
+    bounds the memo by its definitions whatever concepts are passed in.
+    """
     if a == b:
         return 1.0
+    key = (a, b, alpha)
+    got = lex.concept_sim_memo.get(key)
+    if got is not None:
+        return got
     aa = ancestors(lex, a) - {a, b}
     bb = ancestors(lex, b) - {a, b}
     union = aa | bb
-    if not union:
-        return 0.0
-    return alpha * len(aa & bb) / len(union)
+    got = alpha * len(aa & bb) / len(union) if union else 0.0
+    if a in lex.definitions and b in lex.definitions:
+        lex.concept_sim_memo[key] = got
+    return got
 
 
 def pure_node_sim(lex: Lexicon, alpha: float = DEFAULT_ALPHA) -> NodeSim:

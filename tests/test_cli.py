@@ -148,6 +148,24 @@ class TestLint:
         assert "mystery" in out
         assert "multi-root" in out
 
+    def test_reports_only_the_unused_rule(self, capsys, monkeypatch, tmp_path):
+        model = tmp_path / "m.cn"
+        model.write_text(
+            "trust = {verb}\n"
+            "jump = {verb}\n"
+            "trust > [{past}, {agent} > he, {theme} > John] <=> [he, trust > {past}, John]\n"
+            "trust > {past} <=> [trust, '+ed']\n"
+            "jump > {present} <=> [jump, '+s']\n"
+        )
+        corpus = tmp_path / "c.tsv"
+        corpus.write_text("he trusted John\ttrust > [{past}, {agent} > he, {theme} > John]\n")
+        code, out, _ = run(
+            capsys, monkeypatch, ["lint", "--model", str(model), "--corpus", str(corpus)]
+        )
+        assert code == 1
+        unused = [l for l in out.splitlines() if "unused rule" in l]
+        assert unused == ["warning: unused rule r3 (line 5)"]
+
 
 class TestExport:
     def test_dot_round_trip_counts(self, capsys, monkeypatch):

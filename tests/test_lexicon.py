@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 
 from conspec.errors import ModelLoadError
@@ -10,7 +12,9 @@ from conspec.lexicon import (
     is_a,
     undeclared_stemless,
 )
+from conspec.model import load_model
 from conspec.network import Concept, equal
+from conspec.similarity import concept_sim
 from conspec.treeline import parse_document, parse_network, print_network
 
 
@@ -93,6 +97,59 @@ class TestAncestors:
             }
         )
         assert before <= ancestors(bigger, Concept("Anne"))
+
+
+def shipped_lexicons() -> list[tuple[Lexicon, list[Concept]]]:
+    """(lexicon, every concept its model file uses) for english.cn and sov.cn."""
+    out = []
+    for name in ("english.cn", "sov.cn"):
+        model = load_model(str(resources.files("conspec.data") / name))
+        lex = model.lexicon
+        concepts = set(lex.definitions)
+        for defn in lex.definitions.values():
+            concepts.update(defn.body.concepts())
+        for rule in model.rules:
+            concepts.update(rule.lhs.concepts())
+        out.append((lex, sorted(concepts, key=lambda c: (c.stemless, c.label))))
+    return out
+
+
+def chain_walk(lex: Lexicon, concept: Concept) -> set[Concept]:
+    """Uncached oracle: follow definition heads up from the concept."""
+    out = {concept}
+    cur = concept
+    while cur in lex.definitions:
+        node = lex.definitions[cur].body.roots[0]
+        while node.is_capsule:
+            node = node.capsule.roots[0]
+        cur = node.concept
+        if cur in out:
+            break
+        out.add(cur)
+    return out
+
+
+class TestAncestorTable:
+    def test_matches_uncached_chain_walk(self):
+        for lex, concepts in shipped_lexicons():
+            for c in concepts + [Concept("never defined anywhere")]:
+                assert ancestors(lex, c) == chain_walk(lex, c), c
+
+    def test_returns_shared_frozenset(self, anne_lex):
+        got = ancestors(anne_lex, Concept("Anne"))
+        assert isinstance(got, frozenset)
+        assert ancestors(anne_lex, Concept("Anne")) is got
+        assert ancestors(anne_lex, Concept("x")) == frozenset({Concept("x")})
+
+    def test_caches_stay_out_of_equality_and_repr(self):
+        first = make_lexicon({"Anne": "girl", "girl": "human", "Bob": "boy > human"})
+        second = Lexicon(definitions=dict(first.definitions))
+        assert first == second
+        concept_sim(first, Concept("Anne"), Concept("Bob"))
+        assert first.concept_sim_memo
+        assert not second.concept_sim_memo
+        assert first == second
+        assert repr(first) == repr(second)
 
 
 class TestIsA:

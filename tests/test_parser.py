@@ -164,3 +164,55 @@ class TestDeterminism:
                 (print_network(n), s) for n, s, _ in parse_text(model, "the rain washed the truck")
             ]
             assert again == first
+
+
+class TestChartReuse:
+    def test_no_span_instantiates_a_combination_twice(self, monkeypatch):
+        from collections import Counter
+        from importlib import resources
+
+        import conspec.parser
+        from conspec.model import load_corpus, load_model
+        from conspec.rules import Literal
+
+        data = resources.files("conspec.data")
+        model = load_model(str(data / "english.cn"))
+        charts: list[tuple[list[str], list]] = []
+        chart_parse = conspec.parser._chart_parse
+        instantiate = conspec.parser.instantiate_reverse
+
+        def record_chart(model, tokens):
+            charts.append((tokens, []))
+            return chart_parse(model, tokens)
+
+        def record_call(rule, fragments, *rest):
+            # the fragment objects stay referenced, so their ids stay unique
+            charts[-1][1].append((rule, list(fragments)))
+            return instantiate(rule, fragments, *rest)
+
+        monkeypatch.setattr(conspec.parser, "_chart_parse", record_chart)
+        monkeypatch.setattr(conspec.parser, "instantiate_reverse", record_call)
+        for surface, _, _ in load_corpus(str(data / "demo_corpus.tsv")):
+            parse_text(model, surface)
+
+        assert sum(len(calls) for _, calls in charts) > 0
+        for tokens, calls in charts:
+            # each fragment network belongs to one chart item, and so to one
+            # span; a rule whose parts are all literals has no fragment, and
+            # is tried once at each place its literals occur
+            seen = Counter(
+                (id(rule), tuple(None if f is None else id(f) for f in frags))
+                for rule, frags in calls
+            )
+            rules = {id(rule): rule for rule, _ in calls}
+            for (rule_key, frag_ids), times in seen.items():
+                rule = rules[rule_key]
+                if any(f is not None for f in frag_ids):
+                    assert times == 1, (tokens, rule.rule_id)
+                    continue
+                assert all(isinstance(p, Literal) for p in rule.parts)
+                texts = [p.text for p in rule.parts]
+                places = sum(
+                    tokens[at : at + len(texts)] == texts for at in range(len(tokens))
+                )
+                assert times == places, (tokens, rule.rule_id)

@@ -9,7 +9,7 @@ from conspec.similarity import concept_sim, network_sim
 from conspec.treeline import parse_network
 
 from .gen import gen_network, mutate_network
-from .test_lexicon import make_lexicon
+from .test_lexicon import chain_walk, make_lexicon, shipped_lexicons
 
 SQRT_09 = 0.9486832980505138  # frozen: sqrt(0.9), the trust~jump analogy score
 
@@ -111,6 +111,30 @@ class TestConceptSim:
             assert ab == concept_sim(lex, b, a)
             assert 0.0 <= ab <= 1.0
             assert concept_sim(lex, a, a) == 1.0
+
+    def test_memo_matches_literal_formula(self):
+        def formula(lex, a, b, alpha):
+            if a == b:
+                return 1.0
+            aa = chain_walk(lex, a) - {a, b}
+            bb = chain_walk(lex, b) - {a, b}
+            union = aa | bb
+            if not union:
+                return 0.0
+            return alpha * len(aa & bb) / len(union)
+
+        for lex, _ in shipped_lexicons():
+            defined = list(lex.definitions)
+            pairs = [(a, b, alpha) for alpha in (0.9, 0.5) for a in defined for b in defined]
+            # the second pass, in reverse order, reads what the first one stored
+            for a, b, alpha in pairs + pairs[::-1]:
+                assert concept_sim(lex, a, b, alpha) == formula(lex, a, b, alpha), (a, b, alpha)
+            assert len(lex.concept_sim_memo) <= 2 * len(defined) ** 2
+
+    def test_memo_skips_undefined_concepts(self, lex):
+        concept_sim(lex, Concept("nonce"), Concept("trust"))
+        concept_sim(lex, Concept("trust"), Concept("other nonce"))
+        assert not lex.concept_sim_memo
 
 
 class TestNetworkSim:
