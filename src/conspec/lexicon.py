@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ModelLoadError
-from .network import Concept, ConceptNetwork, Node, rebuild
+from .network import Concept, ConceptNetwork, Node, equal, rebuild
 from .treeline import (
     DeclareStmt,
     DefinitionStmt,
@@ -68,6 +68,14 @@ class Definition:
     name: Concept
     body: ConceptNetwork
     line: int = 0
+
+    def __eq__(self, other: object) -> bool:  # ConceptNetwork has no __eq__: compare bodies here
+        if not isinstance(other, Definition):
+            return NotImplemented
+        return (self.name, self.line) == (other.name, other.line) and equal(self.body, other.body)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.line))  # equal definitions agree on these
 
 
 @dataclass

@@ -4,21 +4,25 @@ segment() recovers token sequences (known surface forms plus affix literals
 drawn from rule right-hand sides) that re-join to the input exactly.
 parse_text() then runs a bottom-up chart over each segmentation: a rule whose
 part sequence tiles a span rebuilds its pattern around the matched fragments,
-exactly or analogically. Complete parses are canonicalized, deduplicated, and
-ranked by derivation score.
+exactly or analogically. Each rule part is aligned with each chart item once,
+and after a span's first sweep only the one-part pattern rules are tried on it
+again; apply_rules_over says why both are exact. Complete parses are
+canonicalized, deduplicated, and ranked by derivation score.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count, islice, product as iter_product
+from math import prod
 
 from .errors import UnparseableTextError
 from .lexicon import Lexicon
 from .model import ModelBundle
 from .network import ConceptNetwork, Node, canonical_key, canonicalize
 from .realizer import join_affixes, strip_orthography
-from .rules import Literal, RuleSet, instantiate_reverse
+from .rules import Literal, PatternPart, RuleSet, instantiate_reverse
+from .similarity import Alignment, align_networks, rule_node_sim
 from .treeline import print_network
 
 
@@ -153,7 +157,29 @@ class _Item:
     score: float
     trace: list[str]
     unary: int = 0  # consecutive same-span rule applications (cycle guard)
-    serial: int = -1  # order of entry into the chart; names the item in tried keys
+    serial: int = -1  # order of entry into the chart; names the item in tried and aligned keys
+
+
+def _tilings(rule, tokens: list[str], frags, i: int, j: int) -> list[list[tuple[int, int]]]:
+    parts = rule.parts
+    out: list[list[tuple[int, int]]] = []
+
+    def go(idx: int, at: int, acc: list[tuple[int, int]]):
+        if idx == len(parts):
+            if at == j:
+                out.append(list(acc))
+            return
+        part = parts[idx]
+        if isinstance(part, Literal):
+            if at < len(tokens) and tokens[at] == part.text:
+                go(idx + 1, at + 1, acc + [(at, at + 1)])
+            return
+        for end in range(at + 1, j + 1):
+            if frags[(at, end)]:
+                go(idx + 1, end, acc + [(at, end)])
+
+    go(0, i, [])
+    return out
 
 
 def _chart_parse(model: ModelBundle, tokens: list[str]):
@@ -163,6 +189,10 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
         (i, j): {} for i in range(n) for j in range(i + 1, n + 1)
     }
     serials = count()
+    sim = rule_node_sim(model.lexicon, model.pragmas.alpha)
+    aligned: dict[tuple[int, int, int], Alignment | None] = {}  # (rule, part, item serial)
+    rules = list(enumerate(model.rules))
+    regrow = [(r, rl) for r, rl in rules if [type(p) for p in rl.parts] == [PatternPart]]
 
     def add(i: int, j: int, item: _Item) -> bool:
         cell = frags[(i, j)]
@@ -187,6 +217,19 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
 
     MAX_UNARY = 2
 
+    def align_parts(r: int, rule, items) -> list[Alignment | None] | None:
+        """Each part's alignment with its item, or None once a part has none."""
+        out: list[Alignment | None] = []
+        for k, it in enumerate(items):
+            if it is not None:
+                key = (r, k, it.serial)
+                if key not in aligned:
+                    aligned[key] = align_networks(rule.parts[k].pattern, it.net, sim, total=False)
+                if aligned[key] is None:
+                    return None
+            out.append(None if it is None else aligned[key])
+        return out
+
     def apply_rules_over(i: int, j: int) -> None:
         # Each (rule, items) combination is instantiated once per span; items
         # are named by serial, since an evicted item's id() can be reused. A
@@ -196,15 +239,20 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
         # high. A full cell stays full and its minimum score never decreases,
         # and a key's score drops only when the key is evicted from a full
         # cell at that minimum.
+        #
+        # ``aligned`` is exact: an alignment depends only on the pattern, the
+        # item's network and the lexicon. Later sweeps need only ``regrow``,
+        # the one-part pattern rules: any other tiling of (i, j) covers cells
+        # that were final before this span began, so all its combinations are
+        # already in ``tried``, and skipping them changes no add() call.
         tried: set[tuple] = set()
-        changed = True
-        while changed:
+        sweep = rules
+        while sweep:
             changed = False
-            for r, rule in enumerate(model.rules):
-                for tiling in _tilings(rule, i, j):
+            for r, rule in sweep:
+                for tiling in _tilings(rule, tokens, frags, i, j):
                     same_span = tiling == [(i, j)]
-                    for combo in _part_combos(rule, tiling, frags, beam):
-                        items, score, trace = combo
+                    for items in _part_combos(rule, tiling):
                         tried_key = (r, *(-1 if it is None else it.serial for it in items))
                         if tried_key in tried:
                             continue
@@ -215,61 +263,29 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
                             unary = picked[0].unary + 1
                             if unary > MAX_UNARY:
                                 continue
-                        nets = [None if it is None else it.net for it in items]
-                        got = instantiate_reverse(rule, nets, model.lexicon, model.pragmas.alpha)
-                        if got is None:
+                        alignments = align_parts(r, rule, items)
+                        if alignments is None:
                             continue
-                        built, match_score = got
+                        built, match_score = instantiate_reverse(rule, alignments)
                         if match_score < model.pragmas.tau:
                             continue
-                        item = _Item(
-                            canonicalize(built),
-                            score * match_score,
-                            trace + [f"rule:{rule.rule_id}@{i}:{j}"],
-                            unary,
-                        )
+                        trace = [t for it in picked for t in it.trace]
+                        trace.append(f"rule:{rule.rule_id}@{i}:{j}")
+                        score = prod(it.score for it in picked) * match_score
+                        item = _Item(canonicalize(built), score, trace, unary)
                         if add(i, j, item):
                             changed = True
+            sweep = regrow if changed else []
 
-    def _tilings(rule, i: int, j: int):
-        parts = rule.parts
-        out: list[list[tuple[int, int]]] = []
-
-        def go(idx: int, at: int, acc: list[tuple[int, int]]):
-            if idx == len(parts):
-                if at == j:
-                    out.append(list(acc))
-                return
-            part = parts[idx]
-            if isinstance(part, Literal):
-                if at < n and tokens[at] == part.text:
-                    go(idx + 1, at + 1, acc + [(at, at + 1)])
-                return
-            for end in range(at + 1, j + 1):
-                if frags[(at, end)]:
-                    go(idx + 1, end, acc + [(at, end)])
-
-        go(0, i, [])
-        return out
-
-    def _part_combos(rule, tiling, frags_table, cap):
+    def _part_combos(rule, tiling):
         slots: list[list[_Item | None]] = []
         for part, (a, b) in zip(rule.parts, tiling):
             if isinstance(part, Literal):
                 slots.append([None])
             else:
-                ranked = sorted(frags_table[(a, b)].values(), key=lambda it: -it.score)
-                slots.append(list(ranked[:cap]))
-        combos = []
-        for picked in islice(iter_product(*slots), cap * 4):
-            score = 1.0
-            trace: list[str] = []
-            for it in picked:
-                if it is not None:
-                    score *= it.score
-                    trace.extend(it.trace)
-            combos.append((list(picked), score, trace))
-        return combos
+                ranked = sorted(frags[(a, b)].values(), key=lambda it: -it.score)
+                slots.append(ranked[:beam])
+        return islice(iter_product(*slots), beam * 4)
 
     for width in range(1, n + 1):
         for i in range(0, n - width + 1):

@@ -264,23 +264,19 @@ def realize_parts(rule: Rule, match: Match) -> list[str | ConceptNetwork]:
 # ---------------------------------------------------------------------------
 
 
-def instantiate_reverse(rule: Rule, fragments: list[ConceptNetwork | None], lex: Lexicon, alpha: float) -> tuple[ConceptNetwork, float] | None:
-    """Build an lhs instance from fragments matched to each pattern part.
+def instantiate_reverse(rule: Rule, alignments: list[Alignment | None]) -> tuple[ConceptNetwork, float]:
+    """Build an lhs instance around the fragments aligned with each pattern part.
 
-    ``fragments[i]`` is the fragment for parts[i] (None for literals, which
-    the caller has already verified). Returns (network, match score) or None
-    when some part fails to match its fragment. Uncovered lhs nodes (role
-    markers, capsule shells, {implied} insertions) are copied in verbatim.
+    ``alignments[i]`` aligns parts[i].pattern with its fragment, or is None for
+    a literal, which the caller has already checked. Returns (network, match
+    score). Uncovered lhs nodes (role markers, capsule shells, {implied}
+    insertions) are copied in verbatim.
     """
-    sim = rule_node_sim(lex, alpha)
     part_frag: dict[int, dict[Node, Node]] = {}  # part index -> lhs node -> fragment node
     product, count = 1.0, 0
-    for i, part in enumerate(rule.parts):
-        if isinstance(part, Literal):
-            continue
-        got = align_networks(part.pattern, fragments[i], sim, total=False)
+    for i, (part, got) in enumerate(zip(rule.parts, alignments)):
         if got is None:
-            return None
+            continue
         product *= got.product
         count += got.count
         part_frag[i] = {part.to_lhs[p]: f for p, f in got.binding.items()}

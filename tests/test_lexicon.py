@@ -152,6 +152,30 @@ class TestAncestorTable:
         assert repr(first) == repr(second)
 
 
+class TestEquality:
+    def test_empty_lexicons_are_equal(self):
+        assert Lexicon() == Lexicon()
+
+    def test_two_loads_of_english_are_equal(self):
+        path = str(resources.files("conspec.data") / "english.cn")
+        first, second = load_model(path).lexicon, load_model(path).lexicon
+        anne, anne_again = first.definitions[Concept("Anne")], second.definitions[Concept("Anne")]
+        assert anne.body is not anne_again.body
+        assert first == second
+        assert anne == anne_again and hash(anne) == hash(anne_again)
+        assert set(first.definitions.values()) == set(second.definitions.values())
+
+    def test_one_changed_body_is_unequal(self):
+        path = str(resources.files("conspec.data") / "english.cn")
+        first, second = load_model(path).lexicon, load_model(path).lexicon
+        anne = second.definitions[Concept("Anne")]
+        changed = Definition(anne.name, parse_network("girl > human"), anne.line)
+        assert not equal(changed.body, anne.body)
+        second.definitions[anne.name] = changed
+        assert first != second
+        assert changed != anne
+
+
 class TestIsA:
     def test_anne_is_human(self, anne_lex):
         assert is_a(anne_lex, Concept("Anne"), Concept("human"))

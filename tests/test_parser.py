@@ -185,10 +185,16 @@ class TestChartReuse:
             charts.append((tokens, []))
             return chart_parse(model, tokens)
 
-        def record_call(rule, fragments, *rest):
-            # the fragment objects stay referenced, so their ids stay unique
-            charts[-1][1].append((rule, list(fragments)))
-            return instantiate(rule, fragments, *rest)
+        def record_call(rule, alignments):
+            # each pattern part's alignment binds its pattern root to the root
+            # node of the item's network, which names that item; the
+            # alignments stay referenced, so those nodes' ids stay unique
+            fragments = [
+                None if got is None else got.binding[part.pattern.roots[0]]
+                for part, got in zip(rule.parts, alignments)
+            ]
+            charts[-1][1].append((rule, fragments, list(alignments)))
+            return instantiate(rule, alignments)
 
         monkeypatch.setattr(conspec.parser, "_chart_parse", record_chart)
         monkeypatch.setattr(conspec.parser, "instantiate_reverse", record_call)
@@ -202,9 +208,9 @@ class TestChartReuse:
             # is tried once at each place its literals occur
             seen = Counter(
                 (id(rule), tuple(None if f is None else id(f) for f in frags))
-                for rule, frags in calls
+                for rule, frags, _ in calls
             )
-            rules = {id(rule): rule for rule, _ in calls}
+            rules = {id(rule): rule for rule, _, _ in calls}
             for (rule_key, frag_ids), times in seen.items():
                 rule = rules[rule_key]
                 if any(f is not None for f in frag_ids):
@@ -216,3 +222,76 @@ class TestChartReuse:
                     tokens[at : at + len(texts)] == texts for at in range(len(tokens))
                 )
                 assert times == places, (tokens, rule.rule_id)
+
+    def test_no_part_is_aligned_twice_with_one_item(self, monkeypatch):
+        from collections import Counter
+
+        import conspec.parser
+
+        model, surfaces = english_and_demo_surfaces()
+        charts: list[list] = []
+        chart_parse = conspec.parser._chart_parse
+        align = conspec.parser.align_networks
+
+        def record_chart(model, tokens):
+            charts.append([])
+            return chart_parse(model, tokens)
+
+        def record_align(pattern, target, sim, *, total):
+            # each rule part owns its pattern object, and each chart item its
+            # network; the targets stay referenced, so their ids stay unique
+            charts[-1].append((pattern, target))
+            return align(pattern, target, sim, total=total)
+
+        monkeypatch.setattr(conspec.parser, "_chart_parse", record_chart)
+        monkeypatch.setattr(conspec.parser, "align_networks", record_align)
+        for surface in surfaces:
+            parse_text(model, surface)
+
+        assert sum(len(calls) for calls in charts) > 0
+        for calls in charts:
+            seen = Counter((id(pattern), id(target)) for pattern, target in calls)
+            assert max(seen.values(), default=1) == 1
+
+    def test_later_sweeps_retile_only_one_part_pattern_rules(self, monkeypatch):
+        from collections import defaultdict
+
+        import conspec.parser
+        from conspec.rules import PatternPart
+
+        model, surfaces = english_and_demo_surfaces()
+        tilings = conspec.parser._tilings
+        tiled: dict[tuple, list] = defaultdict(list)
+        charts: list = []  # keeps every chart referenced, so its id stays unique
+
+        def record_tilings(rule, tokens, frags, i, j):
+            if not charts or charts[-1] is not frags:
+                charts.append(frags)
+            tiled[(id(frags), i, j)].append(rule)
+            return tilings(rule, tokens, frags, i, j)
+
+        monkeypatch.setattr(conspec.parser, "_tilings", record_tilings)
+        for surface in surfaces:
+            parse_text(model, surface)
+
+        every = list(model.rules)
+        regrow = [r for r in every if len(r.parts) == 1 and isinstance(r.parts[0], PatternPart)]
+        assert 0 < len(regrow) < len(every)
+        swept_again = 0
+        for span, rules in tiled.items():
+            assert [id(r) for r in rules[: len(every)]] == [id(r) for r in every], span
+            later = rules[len(every) :]
+            sweeps = len(later) // len(regrow)
+            assert [id(r) for r in later] == [id(r) for r in regrow] * sweeps, span
+            swept_again += sweeps > 0
+        assert swept_again > 0
+
+
+def english_and_demo_surfaces():
+    from importlib import resources
+
+    from conspec.model import load_corpus, load_model
+
+    data = resources.files("conspec.data")
+    model = load_model(str(data / "english.cn"))
+    return model, [surface for surface, _, _ in load_corpus(str(data / "demo_corpus.tsv"))]

@@ -17,6 +17,7 @@ from conspec.rules import (
     realize_parts,
     transfer_scored,
 )
+from conspec.similarity import align_networks, rule_node_sim
 from conspec.treeline import parse_document, parse_network, print_network
 
 from .test_lexicon import make_lexicon
@@ -28,6 +29,21 @@ def rule_from_text(text: str, rule_id: str = "r1") -> Rule:
     doc = parse_document(text)
     stmt = doc.statements[0]
     return build_rule(stmt.lhs, stmt.rhs, rule_id, stmt.line)
+
+
+def reverse(rule: Rule, fragments, lex, alpha: float):
+    """instantiate_reverse on each pattern part aligned with its fragment, as
+    the chart parser does it; None when some part has no alignment."""
+    sim = rule_node_sim(lex, alpha)
+    alignments = []
+    for part, fragment in zip(rule.parts, fragments):
+        got = None
+        if fragment is not None:
+            got = align_networks(part.pattern, fragment, sim, total=False)
+            if got is None:
+                return None
+        alignments.append(got)
+    return instantiate_reverse(rule, alignments)
 
 
 @pytest.fixture
@@ -148,20 +164,20 @@ class TestRealizeParts:
 
 class TestInstantiateReverse:
     def test_past_rule_reverse_exact(self, lex, past_rule):
-        got = instantiate_reverse(past_rule, [parse_network("trust"), None], lex, 0.9)
+        got = reverse(past_rule, [parse_network("trust"), None], lex, 0.9)
         assert got is not None
         net, score = got
         assert equal(net, parse_network("trust > {past}"))
         assert score == 1.0
 
     def test_past_rule_reverse_analogical(self, lex, past_rule):
-        net, score = instantiate_reverse(past_rule, [parse_network("jump"), None], lex, 0.9)
+        net, score = reverse(past_rule, [parse_network("jump"), None], lex, 0.9)
         assert equal(net, parse_network("jump > {past}"))
         assert score == pytest.approx(0.9)
 
     def test_svo_rule_reverse_rebuilds_roles(self, lex, svo_rule):
         frags = [parse_network("he"), parse_network("trust > {past}"), parse_network("John")]
-        net, score = instantiate_reverse(svo_rule, frags, lex, 0.9)
+        net, score = reverse(svo_rule, frags, lex, 0.9)
         assert equal(net, parse_network("trust > [{past}, {agent} > he, {theme} > John]"))
         assert score == 1.0
 
@@ -173,21 +189,21 @@ class TestInstantiateReverse:
                 "he": "{noun}", "rain": "{noun}", "John": "{noun}", "truck": "{noun}",
             }
         )
-        net, score = instantiate_reverse(svo_rule, frags, lex2, 0.9)
+        net, score = reverse(svo_rule, frags, lex2, 0.9)
         assert equal(
             net,
             parse_network("wash > [{past}, {agent} > rain > the, {theme} > truck > the]"),
         )
 
     def test_reverse_failure_returns_none(self, lex, past_rule):
-        assert instantiate_reverse(past_rule, [parse_network("{future}"), None], lex, 0.9) is None
+        assert reverse(past_rule, [parse_network("{future}"), None], lex, 0.9) is None
 
     def test_capsule_rebuilt_around_parts(self, lex):
         rule = rule_from_text(
             "(go > [{present}, {agent} > she]) > can <=> [she, can, go]", "modal"
         )
         frags = [parse_network("she"), parse_network("can"), parse_network("go")]
-        net, _ = instantiate_reverse(rule, frags, lex, 0.9)
+        net, _ = reverse(rule, frags, lex, 0.9)
         assert equal(net, parse_network("(go > [{present}, {agent} > she]) > can"))
 
 
