@@ -35,10 +35,7 @@ from .rules import (
     ConceptMap,
     Match,
     Rule,
-    RuleSet,
     TransferRule,
-    TransferRuleSet,
-    apply_transfer,
     build_rule,
     build_transfer_rule,
     match_rules,
@@ -65,9 +62,7 @@ __all__ = [
     "ModelLoadError",
     "Node",
     "Rule",
-    "RuleSet",
     "TransferRule",
-    "TransferRuleSet",
     "TreelineParseError",
     "UnparseableTextError",
     "UnrealizableFragmentError",
@@ -75,7 +70,6 @@ __all__ = [
     "anchor_resolutions",
     "ancestors",
     "apply_orthography",
-    "apply_transfer",
     "build_rule",
     "build_transfer_rule",
     "canonical_key",

@@ -12,11 +12,10 @@ import json
 import os
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .errors import ConspecError, ModelLoadError, TreelineParseError
 from .lexicon import DEFAULT_STEMLESS, undeclared_stemless
-from .model import ModelBundle, Pragmas, load_corpus, load_model, load_model_text
+from .model import ModelBundle, Pragmas, _read_file, load_corpus, load_model, load_model_text
 from .network import (
     ConceptNetwork,
     Node,
@@ -37,17 +36,30 @@ EXIT_USAGE = 2
 EXIT_LOAD = 3
 
 
+class _UsageError(Exception):
+    """A command-line input the command cannot read (exit 2)."""
+
+
 def _read_input(target: str | None) -> str:
-    if target is None or target == "-":
-        return sys.stdin.read()
-    return Path(target).read_text(encoding="utf-8")
+    try:
+        if target is None or target == "-":
+            return sys.stdin.read()
+        return _read_file(target, "input")
+    except ModelLoadError as exc:
+        raise _UsageError(str(exc)) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"<stdin>: cannot read input: {exc}") from None
 
 
-def _load(args) -> ModelBundle:
+def _model_path(args) -> str:
     path = args.model or os.environ.get("CONSPEC_MODEL_PATH")
     if not path:
         raise ModelLoadError("no model: pass --model or set CONSPEC_MODEL_PATH")
-    return _with_overrides(load_model(path), args)
+    return path
+
+
+def _load(args) -> ModelBundle:
+    return _with_overrides(load_model(_model_path(args)), args)
 
 
 def _with_overrides(model: ModelBundle, args) -> ModelBundle:
@@ -216,13 +228,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    path = args.model or os.environ.get("CONSPEC_MODEL_PATH")
-    if not path:
-        raise ModelLoadError("no model: pass --model or set CONSPEC_MODEL_PATH")
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ModelLoadError(f"cannot read model: {exc}", str(path)) from exc
+    path = _model_path(args)
+    text = _read_file(path, "model")
     problems: list[str] = []
     errors: list[TreelineParseError] = []
     doc = parse_document(text, collect_errors=errors)
@@ -319,6 +326,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ModelLoadError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_LOAD

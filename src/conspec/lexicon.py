@@ -138,11 +138,6 @@ class Lexicon:
             if color.get(name, WHITE) == WHITE:
                 visit(name, [name])
 
-    # -- queries ------------------------------------------------------------
-
-    def definition(self, concept: Concept) -> Definition | None:
-        return self.definitions.get(concept)
-
 
 # The statement fields scanned for stemless labels. A rule's rhs patterns are
 # sub-chains of its lhs (build_rule checks), so the lhs covers them.
@@ -192,7 +187,7 @@ def _substitute(node: Node, lex: Lexicon) -> tuple[Node, ...]:
     if node.is_capsule:
         body_roots = tuple(n for r in node.capsule.roots for n in _substitute(r, lex))
         return (Node(capsule=ConceptNetwork(body_roots), anchor=node.anchor, specifiers=spec),)
-    defn = lex.definition(node.concept)
+    defn = lex.definitions.get(node.concept)
     if defn is None:
         return (Node(concept=node.concept, anchor=node.anchor, specifiers=spec),)
     body_roots = tuple(rebuild(r) for r in defn.body.roots)

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 from .errors import ModelLoadError, TreelineParseError
 from .lexicon import Definition, Lexicon, undeclared_stemless
 from .network import Concept, ConceptNetwork
-from .rules import DEFAULT_BEAM, DEFAULT_TAU, Rule, RuleSet, build_rule
+from .rules import DEFAULT_BEAM, DEFAULT_TAU, Rule, build_rule
 from .similarity import DEFAULT_ALPHA
 from .treeline import (
     DeclareStmt,
@@ -53,7 +53,7 @@ class Pragmas:
 @dataclass
 class ModelBundle:
     lexicon: Lexicon
-    rules: RuleSet
+    rules: tuple[Rule, ...]
     pragmas: Pragmas
     vocab: Vocabulary  # surface forms and rule literals, built once at load
     path: str = "<inline>"
@@ -125,18 +125,23 @@ def load_model_text(text: str, path: str = "<inline>") -> ModelBundle:
     for label in undeclared_stemless(doc.statements, lex.stemless_registry):
         lints.append(f"undeclared stemless label {{{label}}}")
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    rule_set = RuleSet(rules)
-    vocab = build_vocabulary(rule_set, lex)
-    return ModelBundle(lex, rule_set, pragmas, vocab, path, digest, lints)
+    rule_tuple = tuple(rules)
+    vocab = build_vocabulary(rule_tuple, lex)
+    return ModelBundle(lex, rule_tuple, pragmas, vocab, path, digest, lints)
+
+
+def _read_file(path: str | Path, what: str) -> str:
+    """The text of a UTF-8 file; one that cannot be read or decoded is a
+    ModelLoadError naming ``what`` it was meant to be."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ModelLoadError(f"cannot read {what}: {exc}", str(path)) from exc
 
 
 def load_model(path: str | Path) -> ModelBundle:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ModelLoadError(f"cannot read model: {exc}", str(path)) from exc
-    return load_model_text(text, str(path))
+    return load_model_text(_read_file(path, "model"), str(path))
 
 
 def load_corpus(path: str | Path) -> list[tuple[str, ConceptNetwork, str]]:
@@ -144,10 +149,7 @@ def load_corpus(path: str | Path) -> list[tuple[str, ConceptNetwork, str]]:
     from .treeline import parse_network
 
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ModelLoadError(f"cannot read corpus: {exc}", str(path)) from exc
+    text = _read_file(path, "corpus")
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -127,9 +127,6 @@ class ConceptNetwork:
                 stack.extend(reversed(node.capsule.roots))
             stack.extend(reversed(node.specifiers))
 
-    def size(self) -> int:
-        return sum(1 for _ in self.iter_nodes())
-
     def concepts(self) -> list[Concept]:
         """Multiset of concepts in the network (capsule shells excluded)."""
         return [n.concept for n in self.iter_nodes() if n.concept is not None]
@@ -138,11 +135,6 @@ class ConceptNetwork:
         from .treeline import print_network
 
         return f"ConceptNetwork({print_network(self)!r})"
-
-
-def single(concept: Concept) -> ConceptNetwork:
-    """Network consisting of one bare concept."""
-    return ConceptNetwork((Node(concept=concept),))
 
 
 def _same(concept: Concept) -> Concept:

@@ -21,9 +21,12 @@ from .lexicon import Lexicon
 from .model import ModelBundle
 from .network import ConceptNetwork, Node, canonical_key, canonicalize
 from .realizer import join_affixes, strip_orthography
-from .rules import Literal, PatternPart, RuleSet, instantiate_reverse
+from .rules import Literal, PatternPart, Rule, instantiate_reverse
 from .similarity import Alignment, align_networks, rule_node_sim
 from .treeline import print_network
+
+# Most affix ops undone on one word; deeper splits are not tried.
+MAX_AFFIXES_PER_WORD = 3
 
 
 @dataclass
@@ -37,7 +40,7 @@ class Vocabulary:
         return token in self.surfaces or token in self.literals
 
 
-def build_vocabulary(rules: RuleSet, lexicon: Lexicon) -> Vocabulary:
+def build_vocabulary(rules: tuple[Rule, ...], lexicon: Lexicon) -> Vocabulary:
     vocab = Vocabulary()
     concepts = set()
     for rule in rules:
@@ -60,30 +63,31 @@ def build_vocabulary(rules: RuleSet, lexicon: Lexicon) -> Vocabulary:
     return vocab
 
 
-def _decompose(word: str, vocab: Vocabulary, limit: int = 3) -> list[list[str]]:
-    """Affix splits of one word: [stem, op, ...] sequences that re-join to it."""
+def _decompose(word: str, vocab: Vocabulary) -> list[list[str]]:
+    """Affix splits of one word: [prefix, ..., stem, suffix, ...] sequences
+    that re-join to it."""
     out: list[list[str]] = []
     seen: set[tuple[str, int]] = set()
 
-    def undo(cur: str, ops: list[str], depth: int) -> None:
-        if depth > limit or (cur, depth) in seen:
+    def undo(cur: str, pre: list[str], post: list[str], depth: int) -> None:
+        if depth > MAX_AFFIXES_PER_WORD or (cur, depth) in seen:
             return
         seen.add((cur, depth))
-        if ops and cur in vocab.surfaces:
-            out.append([cur] + ops)
+        if depth and cur in vocab.surfaces:
+            out.append(pre + [cur] + post)
         for affix in vocab.affixes:
             if affix.startswith("+"):
                 tail = affix[1:]
                 if cur.endswith(tail) and len(cur) > len(tail):
-                    undo(cur[: -len(tail)], [affix] + ops, depth + 1)
+                    undo(cur[: -len(tail)], pre, [affix] + post, depth + 1)
             elif affix.startswith("-"):
-                undo(cur + affix[1:], [affix] + ops, depth + 1)
+                undo(cur + affix[1:], pre, [affix] + post, depth + 1)
             elif affix.endswith("+"):
                 head = affix[:-1]
                 if cur.startswith(head) and len(cur) > len(head):
-                    undo(cur[len(head) :], ops + [affix], depth + 1)
+                    undo(cur[len(head) :], pre + [affix], post, depth + 1)
 
-    undo(word, [], 0)
+    undo(word, [], [], 0)
     return [seq for seq in out if join_affixes(seq) == word]
 
 

@@ -115,7 +115,7 @@ def _rewrite_options(model: ModelBundle, fragment: ConceptNetwork):
         alpha=model.pragmas.alpha,
         tau=model.pragmas.tau,
     ):
-        parts = realize_parts(match.rule, match)
+        parts = realize_parts(match)
         options.append((match.score, f"rule:{match.rule.rule_id}", list(parts)))
     return options
 

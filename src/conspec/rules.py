@@ -89,9 +89,6 @@ class Rule:
     line: int = 0
     part_at: dict[int, int] = field(default_factory=dict)  # id(lhs node) -> owning part index
 
-    def pattern_parts(self) -> list[PatternPart]:
-        return [p for p in self.parts if isinstance(p, PatternPart)]
-
 
 def build_rule(
     lhs: ConceptNetwork,
@@ -133,17 +130,6 @@ def build_rule(
         part_at.update((id(t), len(parts)) for t in binding.values())
         parts.append(PatternPart(pattern, dict(binding)))
     return Rule(lhs, parts, rule_id, line, part_at)
-
-
-@dataclass
-class RuleSet:
-    rules: list[Rule] = field(default_factory=list)
-
-    def __iter__(self):
-        return iter(self.rules)
-
-    def __len__(self):
-        return len(self.rules)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +180,7 @@ def _match_region(
 
 
 def match_rules(
-    rules: RuleSet,
+    rules: tuple[Rule, ...],
     lex: Lexicon,
     net: ConceptNetwork,
     *,
@@ -219,13 +205,14 @@ def match_rules(
 # ---------------------------------------------------------------------------
 
 
-def realize_parts(rule: Rule, match: Match) -> list[str | ConceptNetwork]:
+def realize_parts(match: Match) -> list[str | ConceptNetwork]:
     """Rewrite a matched region into the rule's part sequence.
 
     Literals pass through; each sub-pattern part becomes the fragment of the
     target induced by its matched nodes plus any absorbed remainders,
     preserving the target's own concepts (which may be analogues).
     """
+    rule = match.rule
     t_of: dict[int, Node] = {id(l): t for l, t in match.binding.items()}
     part_of_t = {id(t_of[lhs_id]): i for lhs_id, i in rule.part_at.items()}
     absorbed_at: dict[int, list[Node]] = {}
@@ -382,17 +369,6 @@ def build_transfer_rule(
 
 
 @dataclass
-class TransferRuleSet:
-    rules: list[TransferRule] = field(default_factory=list)
-
-    def __iter__(self):
-        return iter(self.rules)
-
-    def __len__(self):
-        return len(self.rules)
-
-
-@dataclass
 class _TransferMatch:
     rule: TransferRule
     anchor: Node  # node in the net where the src pattern root aligned
@@ -403,7 +379,7 @@ class _TransferMatch:
 
 
 def _collect_transfer_matches(
-    trules: TransferRuleSet,
+    trules: tuple[TransferRule, ...],
     lex: Lexicon,
     net: ConceptNetwork,
     alpha: float,
@@ -458,7 +434,7 @@ def _transfer_concept(concept: Concept, cmap: ConceptMap) -> Concept:
 
 
 def transfer_scored(
-    trules: TransferRuleSet,
+    trules: tuple[TransferRule, ...],
     cmap: ConceptMap,
     net: ConceptNetwork,
     lexicon: Lexicon,
@@ -538,16 +514,3 @@ def _apply_selection(
 
     return ConceptNetwork(tuple(convert(r) for r in net.roots))
 
-
-def apply_transfer(
-    trules: TransferRuleSet,
-    cmap: ConceptMap,
-    net: ConceptNetwork,
-    lexicon: Lexicon,
-    *,
-    alpha: float = DEFAULT_ALPHA,
-    tau: float = DEFAULT_TAU,
-    beam: int = DEFAULT_BEAM,
-) -> list[ConceptNetwork]:
-    """Receptor networks for a source network, best first (see transfer_scored)."""
-    return [n for n, _ in transfer_scored(trules, cmap, net, lexicon, alpha=alpha, tau=tau, beam=beam)]

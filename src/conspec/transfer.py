@@ -27,24 +27,22 @@ from .errors import (
     UntranslatableConceptError,
 )
 from .lexicon import undeclared_stemless
-from .model import ModelBundle, load_model
+from .model import ModelBundle, _read_file, load_model
 from .network import canonicalize, resolve_anchors
 from .parser import parse_text
 from .realizer import realize
-from .rules import (
-    ConceptMap,
-    TransferRuleSet,
-    build_transfer_rule,
-    transfer_scored,
-)
+from .rules import ConceptMap, TransferRule, build_transfer_rule, transfer_scored
 from .treeline import MapStmt, PragmaStmt, TransferRuleStmt, parse_document
+
+# Best parses of the source text that go on to transfer; the rest are dropped.
+PARSE_CAP = 4
 
 
 @dataclass
 class LanguagePair:
     source_model: ModelBundle
     receptor_model: ModelBundle
-    transfer_rules: TransferRuleSet
+    transfer_rules: tuple[TransferRule, ...]
     concept_map: ConceptMap
     path: str = "<inline>"
     lints: list[str] = field(default_factory=list)
@@ -91,22 +89,15 @@ def load_pair_text(text: str, path: str = "<inline>", base_dir: str | Path = "."
         trules.append(build_transfer_rule(stmt.src, stmt.dst, cmap, rid, stmt.line, path))
         for label in undeclared_stemless([stmt], registry):
             lints.append(f"transfer rule {rid}: undeclared stemless {{{label}}}")
-    pair = LanguagePair(source, receptor, TransferRuleSet(trules), cmap, path, lints)
-    return pair
+    return LanguagePair(source, receptor, tuple(trules), cmap, path, lints)
 
 
 def load_pair(path: str | Path) -> LanguagePair:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ModelLoadError(f"cannot read pair file: {exc}", str(path)) from exc
-    return load_pair_text(text, str(path), path.parent)
+    return load_pair_text(_read_file(path, "pair file"), str(path), path.parent)
 
 
-def translate(
-    pair: LanguagePair, text: str, *, parse_cap: int = 4
-) -> list[tuple[str, float, list[str]]]:
+def translate(pair: LanguagePair, text: str) -> list[tuple[str, float, list[str]]]:
     """Ranked (text, score, trace) translations; score is the stage product.
 
     Stage errors propagate tagged with the failing stage; a stage only fails
@@ -120,7 +111,7 @@ def translate(
     transfer_error: ConspecError | None = None
     realize_error: ConspecError | None = None
     results: dict[str, tuple[str, float, list[str]]] = {}
-    for net, p_score, p_trace in parses[:parse_cap]:
+    for net, p_score, p_trace in parses[:PARSE_CAP]:
         prepared = resolve_anchors(canonicalize(net))
         try:
             receptor_nets = transfer_scored(

@@ -242,3 +242,52 @@ class TestLintLoadErrors:
         code, _, err = run(capsys, monkeypatch, ["lint", "--model", "/nonexistent.cn"])
         assert code == 3
         assert "cannot read model" in err
+
+
+@pytest.fixture
+def non_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"caf\xe9 > \xff\n")
+    return str(path)
+
+
+class TestUnreadableFiles:
+    def test_missing_input_file_is_usage_error(self, capsys, monkeypatch):
+        code, _, err = run(capsys, monkeypatch, ["canon", "/nonexistent"])
+        assert code == 2
+        assert err.startswith("usage error: /nonexistent: cannot read input")
+        assert err.count("\n") == 1
+
+    def test_non_utf8_input_file_is_usage_error(self, capsys, monkeypatch, non_utf8):
+        code, _, err = run(capsys, monkeypatch, ["realize", non_utf8, "--model", ENGLISH])
+        assert code == 2
+        assert "cannot read input" in err
+        assert err.count("\n") == 1
+
+    def test_non_utf8_stdin_is_usage_error(self, capsys, monkeypatch):
+        import io
+        import sys
+
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\n"), "utf-8"))
+        code = main(["canon", "-"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("usage error: <stdin>: cannot read input")
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["lint", "--model", "{bad}"], "model"),
+            (["parse", "-", "--model", "{bad}"], "model"),
+            (["check", "--model", ENGLISH, "--corpus", "{bad}"], "corpus"),
+            (["translate", "-", "--pair", "{bad}"], "pair file"),
+        ],
+    )
+    def test_non_utf8_model_corpus_or_pair_is_load_error(
+        self, capsys, monkeypatch, non_utf8, argv, what
+    ):
+        argv = [non_utf8 if a == "{bad}" else a for a in argv]
+        code, _, err = run(capsys, monkeypatch, argv, "Anne\n")
+        assert code == 3
+        assert err.startswith(f"model error: {non_utf8}: cannot read {what}: ")
+        assert "codec can't decode" in err

@@ -48,7 +48,7 @@ class TestLoadModel:
 
     def test_have_macro_predefined(self):
         model = load_model_text("")
-        defn = model.lexicon.definition(Concept("have", True))
+        defn = model.lexicon.definitions.get(Concept("have", True))
         assert defn is not None
         assert equal(defn.body, parse_network("(have > [<<{agent}, >>{theme}])"))
 

@@ -88,6 +88,26 @@ class TestParseText:
             outs = [s for s, _, _ in realize(seem_model, net)[:3]]
             assert sentence in outs
 
+    @pytest.mark.parametrize(
+        "tree, text, tokens",
+        [
+            ("tidy > {re}", "untidy", ["un+", "tidy"]),
+            ("tidy > [{re}, {past}]", "untidyed", ["un+", "tidy", "+ed"]),
+        ],
+    )
+    def test_prefix_affixes_round_trip(self, tree, text, tokens):
+        model = load_model_text(
+            "tidy = {adj}\n"
+            "tidy > {re} <=> ['un+', tidy]\n"
+            "tidy > [{re}, {past}] <=> ['un+', tidy, '+ed']\n"
+        )
+        net = parse_network(tree)
+        assert realize(model, net)[0][0] == text
+        assert segment(model, text) == [tokens]
+        ranked = parse_text(model, text)
+        assert equal(ranked[0][0], net)
+        assert ranked[0][1] == 1.0
+
 
 ORTHO_MODEL = """
 set orthography on

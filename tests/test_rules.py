@@ -7,9 +7,6 @@ from conspec.rules import (
     Literal,
     PatternPart,
     Rule,
-    RuleSet,
-    TransferRuleSet,
-    apply_transfer,
     build_rule,
     build_transfer_rule,
     instantiate_reverse,
@@ -65,7 +62,7 @@ def svo_rule(lex):
 
 class TestBuildRule:
     def test_parts_bind_into_lhs(self, svo_rule):
-        parts = svo_rule.pattern_parts()
+        parts = [p for p in svo_rule.parts if isinstance(p, PatternPart)]
         assert len(parts) == 3
         verb_part = parts[1]
         assert {n.concept.label for n in verb_part.to_lhs.values()} == {"trust", "past"}
@@ -84,62 +81,62 @@ class TestBuildRule:
 
     def test_part_inside_capsule_binds(self):
         rule = rule_from_text("(dress > the) <=> ['the', dress]")
-        (part,) = rule.pattern_parts()
+        (part,) = [p for p in rule.parts if isinstance(p, PatternPart)]
         assert part.lhs_root.concept.label == "dress"
 
 
 class TestMatchRules:
     def test_exact_match_scores_one(self, lex, past_rule):
-        matches = match_rules(RuleSet([past_rule]), lex, parse_network("trust > {past}"))
+        matches = match_rules((past_rule,), lex, parse_network("trust > {past}"))
         assert len(matches) == 1
         assert matches[0].score == 1.0
         assert matches[0].exact
 
     def test_analogical_match_trust_to_jump(self, lex, past_rule):
-        matches = match_rules(RuleSet([past_rule]), lex, parse_network("jump > {past}"))
+        matches = match_rules((past_rule,), lex, parse_network("jump > {past}"))
         assert len(matches) == 1
         assert matches[0].score == pytest.approx(SQRT_09, abs=1e-12)
         mapped = {l.concept.label: t.concept.label for l, t in matches[0].binding.items()}
         assert mapped["trust"] == "jump"
 
     def test_no_alignment_empty_list(self, lex, past_rule):
-        assert match_rules(RuleSet([past_rule]), lex, parse_network("Anne > quiet")) == []
+        assert match_rules((past_rule,), lex, parse_network("Anne > quiet")) == []
 
     def test_exact_outranks_analogical(self, lex, past_rule):
         specific = rule_from_text("jump > {past} <=> ['jumped']", "jump-past")
-        matches = match_rules(RuleSet([past_rule, specific]), lex, parse_network("jump > {past}"))
+        matches = match_rules((past_rule, specific), lex, parse_network("jump > {past}"))
         assert [m.rule.rule_id for m in matches] == ["jump-past", "past-ed"]
 
     def test_tau_filters(self, lex, past_rule):
-        got = match_rules(RuleSet([past_rule]), lex, parse_network("jump > {past}"), tau=0.96)
+        got = match_rules((past_rule,), lex, parse_network("jump > {past}"), tau=0.96)
         assert got == []
 
     def test_is_a_lets_category_rules_apply(self):
         lex = make_lexicon({"jump": "{verb}"})
         rule = rule_from_text("{verb} > {past} <=> [{verb}, '+ed']", "verb-past")
-        matches = match_rules(RuleSet([rule]), lex, parse_network("jump > {past}"))
+        matches = match_rules((rule,), lex, parse_network("jump > {past}"))
         assert len(matches) == 1
         assert matches[0].score == pytest.approx(0.9 ** 0.5)
 
     def test_stemless_substitution_forbidden(self, lex, past_rule):
-        assert match_rules(RuleSet([past_rule]), lex, parse_network("jump > {future}")) == []
+        assert match_rules((past_rule,), lex, parse_network("jump > {future}")) == []
 
     def test_remainder_under_dropped_node_rejected(self, lex, svo_rule):
         # extra content under the dropped {agent} role marker would vanish
         net = parse_network("trust > [{past}, {agent} > [he, x], {theme} > John]")
-        assert match_rules(RuleSet([svo_rule]), lex, net) == []
+        assert match_rules((svo_rule,), lex, net) == []
 
     def test_remainder_under_part_absorbed(self, lex, svo_rule):
         net = parse_network("trust > [{past}, {agent} > he, {theme} > John > tall]")
-        matches = match_rules(RuleSet([svo_rule]), lex, net)
+        matches = match_rules((svo_rule,), lex, net)
         assert len(matches) == 1
-        parts = realize_parts(svo_rule.rule if hasattr(svo_rule, "rule") else svo_rule, matches[0])
+        parts = realize_parts(matches[0])
         assert print_network(parts[2]) == "John > tall"
 
     def test_deterministic_ordering(self, lex, past_rule):
         net = parse_network("jump > {past}")
         specific = rule_from_text("jump > {past} <=> ['jumped']", "jump-past")
-        rules = RuleSet([past_rule, specific])
+        rules = (past_rule, specific)
         first = [(m.rule.rule_id, m.score) for m in match_rules(rules, lex, net)]
         for _ in range(5):
             again = [(m.rule.rule_id, m.score) for m in match_rules(rules, lex, net)]
@@ -149,16 +146,16 @@ class TestMatchRules:
 class TestRealizeParts:
     def test_svo_rule_rewrite(self, lex, svo_rule):
         net = parse_network("trust > [{past}, {agent} > he, {theme} > John]")
-        (match,) = match_rules(RuleSet([svo_rule]), lex, net)
-        parts = realize_parts(svo_rule, match)
+        (match,) = match_rules((svo_rule,), lex, net)
+        parts = realize_parts(match)
         assert print_network(parts[0]) == "he"
         assert print_network(parts[1]) == "trust > {past}"
         assert print_network(parts[2]) == "John"
 
     def test_analogical_fragment_carries_target_concepts(self, lex, svo_rule):
         net = parse_network("lift > [{past}, {agent} > he, {theme} > John]")
-        (match,) = match_rules(RuleSet([svo_rule]), lex, net)
-        parts = realize_parts(svo_rule, match)
+        (match,) = match_rules((svo_rule,), lex, net)
+        parts = realize_parts(match)
         assert print_network(parts[1]) == "lift > {past}"
 
 
@@ -235,21 +232,25 @@ def transfer_fixture():
     )
     stmt = doc.statements[0]
     trule = build_transfer_rule(stmt.src, stmt.dst, cmap, "t1", stmt.line)
-    return lex, cmap, TransferRuleSet([trule])
+    return lex, cmap, (trule,)
+
+
+def receptor_nets(trules, cmap, net, lex):
+    return [n for n, _ in transfer_scored(trules, cmap, net, lex)]
 
 
 class TestTransfer:
     def test_identity(self):
         lex = make_lexicon({})
         net = canonicalize(parse_network("Anne > quiet > {past}"))
-        out = apply_transfer(TransferRuleSet([]), ConceptMap(identity=True), net, lex)
+        out = receptor_nets((), ConceptMap(identity=True), net, lex)
         assert len(out) == 1
         assert equal(out[0], net)
 
     def test_exact_rule_relocates_tense(self):
         lex, cmap, trules = transfer_fixture()
         net = canonicalize(parse_network("trust > [{past}, {agent} > he, {theme} > John]"))
-        out = apply_transfer(trules, cmap, net, lex)
+        out = receptor_nets(trules, cmap, net, lex)
         assert equal(out[0], parse_network("(shinji > [{agent} > kare, {theme} > Jon]) > {ta}"))
 
     def test_analogical_rule_with_remainders(self):
@@ -267,7 +268,7 @@ class TestTransfer:
         lex, cmap, trules = transfer_fixture()
         net = canonicalize(parse_network("trust > [{past}, {agent} > he, {theme} > John > mystery]"))
         with pytest.raises(UntranslatableConceptError) as exc:
-            apply_transfer(trules, cmap, net, lex)
+            receptor_nets(trules, cmap, net, lex)
         assert "mystery" in str(exc.value)
 
     @pytest.mark.parametrize(
@@ -276,7 +277,7 @@ class TestTransfer:
     def test_first_untranslatable_in_preorder_is_named(self, text, first):
         net = canonicalize(parse_network(text))  # nothing maps
         with pytest.raises(UntranslatableConceptError) as exc:
-            apply_transfer(TransferRuleSet([]), ConceptMap(), net, make_lexicon({}))
+            receptor_nets((), ConceptMap(), net, make_lexicon({}))
         assert exc.value.concept_text == first
 
     @pytest.mark.parametrize(
@@ -310,8 +311,8 @@ class TestTransfer:
             }
         )
         stmt = parse_document(rule).statements[0]
-        trules = TransferRuleSet([build_transfer_rule(stmt.src, stmt.dst, cmap, "t1")])
-        out = apply_transfer(trules, cmap, canonicalize(parse_network(text)), make_lexicon(defs))
+        trules = (build_transfer_rule(stmt.src, stmt.dst, cmap, "t1"),)
+        out = receptor_nets(trules, cmap, canonicalize(parse_network(text)), make_lexicon(defs))
         assert [print_network(n) for n in out] == [want]
 
     def test_anchor_annotations_survive(self):
@@ -321,5 +322,5 @@ class TestTransfer:
         lex2 = make_lexicon({})
         net = canonicalize(resolve_anchors(parse_network("dog > (eat > [{past}, >>{agent}])")))
         cmap.entries[Concept("past", True)] = Concept("ta", True)
-        out = apply_transfer(TransferRuleSet([]), cmap, net, lex2)
+        out = receptor_nets((), cmap, net, lex2)
         assert print_network(out[0]) == "inu > (tabe > [>>{agent}, {ta}])"
