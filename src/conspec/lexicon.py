@@ -106,7 +106,7 @@ class Lexicon:
             defn = self.definitions.get(cur)
             if defn is None:
                 return frozenset(out)
-            cur = _body_head(defn.body)
+            cur = defn.body.roots[0].head_concept()
             if cur in out:  # cycle guard; _check_cycles makes this unreachable
                 return frozenset(out)
             out.add(cur)
@@ -160,13 +160,6 @@ def undeclared_stemless(statements: list[Statement], registry: dict[str, str]) -
                 if c.stemless and c.label not in declared and c.label not in out:
                     out.append(c.label)
     return out
-
-
-def _body_head(body: ConceptNetwork) -> Concept:
-    node = body.roots[0]
-    while node.is_capsule:
-        node = node.capsule.roots[0]
-    return node.concept
 
 
 def ancestors(lex: Lexicon, concept: Concept) -> frozenset[Concept]:

@@ -198,10 +198,6 @@ def _node_key(node: Node):
     return (2, leaf, body, ak, kids)
 
 
-def _network_key(net: ConceptNetwork):
-    return tuple(_node_key(r) for r in net.roots)
-
-
 def _canonical_node(node: Node) -> Node:
     spec = tuple(sorted((_canonical_node(s) for s in node.specifiers), key=_node_key))
     capsule = None
@@ -228,12 +224,12 @@ def equal(a: ConceptNetwork, b: ConceptNetwork) -> bool:
     possession macro, whose anchors resolve only once substituted into a
     host) compare fine; canonicalize is where resolvability is enforced.
     """
-    return _network_key(a) == _network_key(b)
+    return canonical_key(a) == canonical_key(b)
 
 
 def canonical_key(net: ConceptNetwork):
     """Hashable identity usable for dedup; equal() iff keys match."""
-    return _network_key(net)
+    return tuple(_node_key(r) for r in net.roots)
 
 
 # ---------------------------------------------------------------------------

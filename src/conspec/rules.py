@@ -160,15 +160,16 @@ def _match_region(
     """Align a rule pattern with the target's root region, keeping content.
 
     ``owner`` maps id(pattern node) to the output part or slot that carries
-    it. The match is dropped below ``tau``, and when an analogue sits on a
-    node no owner carries or a remainder hangs under one: that content would
+    it. The match is dropped below ``tau``, and when an analogue (a pattern
+    concept bound to a different target concept) sits on a node no owner
+    carries or a remainder hangs under one: that content would
     vanish silently (suppletions stay exact-only). Otherwise returns the
     alignment and the remainder subtrees grouped by owner.
     """
     got = align_networks(pattern, target, sim, total=False)
     if got is None or got.score < tau:
         return None
-    if any(s < 1.0 and id(p) not in owner for p, s in got.sims.items()):
+    if any(p.concept != t.concept and id(p) not in owner for p, t in got.binding.items()):
         return None
     absorbed: dict[object, list[Node]] = {}
     for t_child, p_owner in got.remainders:

@@ -84,7 +84,6 @@ class Alignment:
     product: float
     count: int
     binding: dict[Node, Node] = field(default_factory=dict)
-    sims: dict[Node, float] = field(default_factory=dict)  # pattern node -> sim
     # (target child subtree, pattern node owning its matched parent)
     remainders: list[tuple[Node, Node]] = field(default_factory=list)
 
@@ -101,49 +100,37 @@ def _combine(parts: list[Alignment]) -> Alignment:
         out.product *= p.product
         out.count += p.count
         out.binding.update(p.binding)
-        out.sims.update(p.sims)
         out.remainders.extend(p.remainders)
     return out
 
 
 def _align_node(pattern: Node, target: Node, sim: NodeSim, total: bool, memo) -> Alignment | None:
     key = (id(pattern), id(target))
-    if key in memo:
-        return memo[key]
-    result = _align_node_uncached(pattern, target, sim, total, memo)
-    memo[key] = result
-    return result
-
-
-def _align_node_uncached(
-    pattern: Node, target: Node, sim: NodeSim, total: bool, memo
-) -> Alignment | None:
-    if pattern.is_capsule != target.is_capsule:
-        return None
-    pa = (pattern.anchor.direction, pattern.anchor.depth) if pattern.anchor else None
-    ta = (target.anchor.direction, target.anchor.depth) if target.anchor else None
-    if pa != ta:
-        return None
-    parts: list[Alignment] = []
-    if pattern.is_capsule:
-        proots, troots = pattern.capsule.roots, target.capsule.roots
-        if len(proots) != len(troots):
+    if key not in memo:
+        memo[key] = None  # until the pair is found to align
+        if pattern.is_capsule != target.is_capsule or pattern.anchor != target.anchor:
             return None
-        for p, t in zip(proots, troots):
-            sub = _align_node(p, t, sim, total, memo)
-            if sub is None:
+        parts: list[Alignment] = []
+        if pattern.is_capsule:
+            proots, troots = pattern.capsule.roots, target.capsule.roots
+            if len(proots) != len(troots):
                 return None
-            parts.append(sub)
-        self_part = Alignment(1.0, 0, {pattern: target})
-    else:
-        s = sim(pattern.concept, target.concept)
-        if s <= 0.0:
+            for p, t in zip(proots, troots):
+                sub = _align_node(p, t, sim, total, memo)
+                if sub is None:
+                    return None
+                parts.append(sub)
+            self_part = Alignment(1.0, 0, {pattern: target})
+        else:
+            s = sim(pattern.concept, target.concept)
+            if s <= 0.0:
+                return None
+            self_part = Alignment(s, 1, {pattern: target})
+        children = _align_children(pattern, target, sim, total, memo)
+        if children is None:
             return None
-        self_part = Alignment(s, 1, {pattern: target}, {pattern: s})
-    children = _align_children(pattern, target, sim, total, memo)
-    if children is None:
-        return None
-    return _combine([self_part, children] + parts)
+        memo[key] = _combine([self_part, children] + parts)
+    return memo[key]
 
 
 def _align_children(

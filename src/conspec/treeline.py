@@ -1,18 +1,23 @@
 """Tree-line notation: tokenizer, parser, printer, and model-file statements.
 
-Grammar of a network expression::
+Grammar of a network expression, and of the part list on the right of a
+realization rule::
 
-    network := chain ("," chain)*
-    chain   := item (">" item | ">" "[" network "]")*
-    item    := anchor* (concept | "{" name "}" | "(" network ")")
-    anchor  := ">>"... | "<<"
+    network   := chain ("," chain)*
+    chain     := item (">" item | ">" "[" network "]")*
+    item      := anchor* (label sense? | "{" label "}" sense? | "(" network ")")
+    anchor    := ">>"... | "<<"
+    sense     := "#" ("0".."9")+
+    part_list := "[" part ("," part)* "]"
+    part      := "'" literal "'" | chain
 
 Each item after ``>`` specifies the previous item; a bracketed group attaches
 every root inside it as a specifier of the item before the bracket (the chain
 position stays on that item). Parentheses build an encapsulation whose head is
 the left-most root. Labels may contain internal spaces ("pick up"); a run of
-words is one label until a structural character. ``label#2`` selects sense 2.
-``#`` otherwise starts a comment.
+words is one label until a structural character. ``label#2`` selects sense 2:
+a sense is ``#`` and ASCII digits, at most one per concept (``{label#2}``
+counts as that one). ``#`` otherwise starts a comment.
 
 Model files hold one statement per line:
 
@@ -27,6 +32,7 @@ Model files hold one statement per line:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import TreelineParseError
@@ -38,22 +44,47 @@ from .network import (
     Concept,
     ConceptNetwork,
     Node,
-    rebuild,
 )
-
-_LABEL_STOP = set(">[](){},=<'#\n")
 
 # Deepest nesting level a parsed network may reach (see _Parser). Tree walks
 # across the package recurse a few frames per level; this bound keeps every
 # one of them well inside Python's default recursion limit.
 MAX_NESTING = 128
 
+# Spellings of "either or" that parsing normalizes to it.
+_EITHER_OR_SPELLINGS = {"either...or", "either.. .or", "either. ..or"}
+
+# A sense annotation: '#' and ASCII digits, once per concept.
+_SENSE = re.compile(r"#([0-9]+)")
+
+# One alternative per token kind, the common kinds first. Every character
+# starts some alternative, so the matches tile the text; "bad" catches the
+# characters that start no well-formed token.
+_TOKEN = re.compile(
+    r"(?P<label>(?![ \t\r])(?:[^\n>\[\](){},=<'#-]|-(?!>))+)"
+    r"|(?P<space>[ \t\r]+)"
+    r"|(?P<punct><=>|=>|->|<<(?!<)|[\[\](),=])"
+    r"|(?P<gt>>+)"
+    r"|(?P<brace>\{[^}]*\})"
+    r"|(?P<literal>'[^']*')"
+    rf"|(?P<sense>{_SENSE.pattern})"
+    r"|(?P<comment>#[^\n]*)"
+    r"|(?P<newline>\n)"
+    r"|(?P<bad><<<|[<{'}])"
+)
+_BAD_TOKEN = {
+    "<<<": "'<<' anchors deeper than one boundary are not supported",
+    "<": "stray '<'",
+    "{": "unterminated '{'",
+    "'": "unterminated quoted literal",
+    "}": "unmatched '}'",
+}
+
 
 @dataclass
 class Token:
-    kind: str  # 'label' 'brace' 'literal' '>' '[' ']' '(' ')' ',' '=' '<=>' '=>' '->' 'up' 'down'
+    kind: str  # 'label' 'brace' 'literal' '>' '[' ']' '(' ')' ',' '=' '<=>' '=>' '->' 'up' '<<'
     value: str
-    depth: int
     line: int
     col: int
 
@@ -63,141 +94,58 @@ def _normalize_label(raw: str) -> str:
 
 
 def _split_sense(label: str, line: int, col: int) -> tuple[str, int]:
-    if "#" in label:
-        base, _, tail = label.rpartition("#")
-        if base and tail.isdigit():
-            return base.rstrip(), int(tail)
-        raise TreelineParseError(f"bad sense annotation in {label!r}", line, col)
-    return label, 1
+    base, sep, _ = label.partition("#")
+    if not sep:
+        return label, 1
+    sense = _SENSE.fullmatch(label, len(base))
+    if base and sense:
+        try:
+            return base.rstrip(), int(sense[1])
+        except ValueError:  # more digits than int() converts
+            pass
+    raise TreelineParseError(f"bad sense annotation in {label!r}", line, col)
 
 
 def tokenize(text: str, start_line: int = 1) -> list[Token]:
     tokens: list[Token] = []
-    line, col = start_line, 1
-    i, n = 0, len(text)
+    line, line_start = start_line, 0
 
-    def err(msg: str):
+    def err(msg: str) -> TreelineParseError:
         return TreelineParseError(msg, line, col)
 
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        tline, tcol = line, col
-        if ch == "#":
-            if i + 1 < n and text[i + 1].isdigit():
-                j = i + 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                if tokens and tokens[-1].kind in ("label", "brace"):
-                    prev = tokens[-1]
-                    prev.value = f"{prev.value}#{text[i + 1:j]}"
-                    col += j - i
-                    i = j
-                    continue
-                raise err("sense annotation must follow a concept")
-            # comment: skip to end of line
-            j = text.find("\n", i)
-            if j == -1:
-                break
-            col += j - i
-            i = j
-            continue
-        if ch == "'":
-            j = text.find("'", i + 1)
-            if j == -1:
-                raise err("unterminated quoted literal")
-            tokens.append(Token("literal", text[i + 1 : j], 0, tline, tcol))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch == "{":
-            j = text.find("}", i + 1)
-            if j == -1:
-                raise err("unterminated '{'")
-            label = _normalize_label(text[i + 1 : j])
+    for m in _TOKEN.finditer(text):
+        kind, value, col = m.lastgroup, m[0], m.start() - line_start + 1
+        if kind == "label":
+            label = _normalize_label(value)
+            if not label:  # a run of whitespace that str.split() knows, such as '\f'
+                raise err(f"unexpected character {value[0]!r}")
+            tokens.append(Token("label", label, line, col))
+        elif kind == "punct":
+            tokens.append(Token(value, value, line, col))
+        elif kind == "gt":
+            if len(value) > 1 and len(value) % 2:
+                raise err(f"ambiguous run of {len(value)} '>' characters")
+            tokens.append(Token(">" if value == ">" else "up", value, line, col))
+        elif kind == "brace":
+            label = _normalize_label(value[1:-1])
             if not label:
                 raise err("empty stemless label '{}'")
             bad = STRUCTURAL_CHARS.intersection(label) - {"#"}
             if bad:
                 raise err(f"stemless label contains {sorted(bad)[0]!r}")
-            tokens.append(Token("brace", label, 0, tline, tcol))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch == "<":
-            if text.startswith("<=>", i):
-                tokens.append(Token("<=>", "<=>", 0, tline, tcol))
-                i += 3
-                col += 3
-                continue
-            j = i
-            while j < n and text[j] == "<":
-                j += 1
-            run = j - i
-            if run == 2:
-                tokens.append(Token("down", "<<", 1, tline, tcol))
-                i = j
-                col += run
-                continue
-            if run > 2:
-                raise err("'<<' anchors deeper than one boundary are not supported")
-            raise err("stray '<'")
-        if ch == ">":
-            j = i
-            while j < n and text[j] == ">":
-                j += 1
-            run = j - i
-            if run == 1:
-                tokens.append(Token(">", ">", 0, tline, tcol))
-            elif run % 2 == 0:
-                tokens.append(Token("up", ">" * run, run // 2, tline, tcol))
-            else:
-                raise err(f"ambiguous run of {run} '>' characters")
-            i = j
-            col += run
-            continue
-        if ch == "=":
-            if text.startswith("=>", i):
-                tokens.append(Token("=>", "=>", 0, tline, tcol))
-                i += 2
-                col += 2
-                continue
-            tokens.append(Token("=", "=", 0, tline, tcol))
-            i += 1
-            col += 1
-            continue
-        if ch == "-" and text.startswith("->", i):
-            tokens.append(Token("->", "->", 0, tline, tcol))
-            i += 2
-            col += 2
-            continue
-        if ch in "[](),":
-            tokens.append(Token(ch, ch, 0, tline, tcol))
-            i += 1
-            col += 1
-            continue
-        if ch == "}":
-            raise err("unmatched '}'")
-        # label run
-        j = i
-        while j < n and text[j] not in _LABEL_STOP:
-            if text[j] == "-" and text.startswith("->", j):
-                break
-            j += 1
-        label = _normalize_label(text[i:j])
-        if not label:
-            raise err(f"unexpected character {ch!r}")
-        tokens.append(Token("label", label, 0, tline, tcol))
-        col += j - i
-        i = j
+            tokens.append(Token("brace", label, line, col))
+        elif kind == "literal":
+            tokens.append(Token("literal", value[1:-1], line, col))
+        elif kind == "sense":
+            if not tokens or tokens[-1].kind not in ("label", "brace"):
+                raise err("sense annotation must follow a concept")
+            if "#" in tokens[-1].value:
+                raise err("a concept takes one sense annotation")
+            tokens[-1].value += value
+        elif kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise err(_BAD_TOKEN[value])
     return tokens
 
 
@@ -234,7 +182,7 @@ class _Parser:
     # ``level`` is the nesting level of the node being built: 1 for a root,
     # one more per specifier step and per step into a capsule body.
 
-    def network(self, capsule_depth: int, level: int) -> ConceptNetwork:
+    def network(self, capsule_depth: int = 0, level: int = 1) -> ConceptNetwork:
         roots = [self.chain(capsule_depth, level)]
         while self.peek() is not None and self.peek().kind == ",":
             self.next()
@@ -267,12 +215,12 @@ class _Parser:
         tok = self.peek()
         if level > MAX_NESTING:
             raise self.err(f"network nested deeper than {MAX_NESTING} levels")
-        while tok is not None and tok.kind in ("up", "down"):
+        while tok is not None and tok.kind in ("up", "<<"):
             self.next()
             if anchor is not None and anchor.direction != (UP if tok.kind == "up" else DOWN):
                 raise self.err("mixed '>>' and '<<' prefixes", tok)
             if tok.kind == "up":
-                depth = (anchor.depth if anchor else 0) + tok.depth
+                depth = (anchor.depth if anchor else 0) + len(tok.value) // 2
                 anchor = Anchor(UP, depth)
             else:
                 if anchor is not None:
@@ -283,14 +231,12 @@ class _Parser:
             raise self.err("anchor outside any encapsulation", tok)
         if tok is None:
             raise self.err("expected a concept")
-        if tok.kind == "label":
+        if tok.kind in ("label", "brace"):
             self.next()
             label, sense = _split_sense(tok.value, tok.line, tok.col)
-            return Node(concept=Concept(label, False, sense), anchor=anchor)
-        if tok.kind == "brace":
-            self.next()
-            label, sense = _split_sense(tok.value, tok.line, tok.col)
-            return Node(concept=Concept(label, True, sense), anchor=anchor)
+            if label in _EITHER_OR_SPELLINGS:
+                label = "either or"
+            return Node(concept=Concept(label, tok.kind == "brace", sense), anchor=anchor)
         if tok.kind == "(":
             self.next()
             body = self.network(capsule_depth + 1, level + 1)
@@ -302,14 +248,32 @@ class _Parser:
             raise self.err("quoted literal not allowed inside a network", tok)
         raise self.err(f"unexpected {tok.value!r}", tok)
 
+    # -- rule part list ----------------------------------------------------
 
-def _parse_tokens_network(tokens: list[Token], end_line: int = 1) -> ConceptNetwork:
+    def part_list(self) -> list[tuple[str, object]]:
+        self.expect("[")
+        parts: list[tuple[str, object]] = []
+        while True:
+            tok = self.peek()
+            if tok is not None and tok.kind == "literal":
+                parts.append(("lit", self.next().value))
+            else:
+                parts.append(("pat", ConceptNetwork((self.chain(0, 1),))))
+            tok = self.next()
+            if tok.kind == "]":
+                return parts
+            if tok.kind != ",":
+                raise self.err(f"expected ',' or ']', found {tok.value!r}", tok)
+
+
+def _parse_tokens(tokens: list[Token], end_line: int, production=_Parser.network):
+    """Parse all of ``tokens`` as one ``production`` of the grammar."""
     parser = _Parser(tokens, end_line)
-    net = parser.network(0, 1)
+    result = production(parser)
     tok = parser.peek()
     if tok is not None:
         raise TreelineParseError(f"unexpected trailing {tok.value!r}", tok.line, tok.col)
-    return _normalize_either_or(net)
+    return result
 
 
 def parse_network(text: str) -> ConceptNetwork:
@@ -322,7 +286,7 @@ def parse_network(text: str) -> ConceptNetwork:
     tokens = tokenize(text)
     if not tokens:
         raise TreelineParseError("empty network", end_line, 1)
-    return _parse_tokens_network(tokens, end_line)
+    return _parse_tokens(tokens, end_line)
 
 
 # ---------------------------------------------------------------------------
@@ -441,50 +405,6 @@ def _parse_concept_tokens(tokens: list[Token], line: int) -> Concept:
     return Concept(label, tok.kind == "brace", sense)
 
 
-def _parse_rule_rhs(tokens: list[Token], line: int) -> list[tuple[str, object]]:
-    parser = _Parser(tokens, line)
-    parser.expect("[")
-    parts: list[tuple[str, object]] = []
-    while True:
-        tok = parser.peek()
-        if tok is None:
-            raise TreelineParseError("unterminated rule part list", line, 1)
-        if tok.kind == "literal":
-            parser.next()
-            parts.append(("lit", tok.value))
-        else:
-            start = parser.pos
-            depth = 0
-            while parser.peek() is not None:
-                t = parser.peek()
-                if t.kind in ("(", "["):
-                    depth += 1
-                elif t.kind == ")":
-                    depth -= 1
-                elif t.kind == "]":
-                    if depth == 0:
-                        break
-                    depth -= 1
-                elif t.kind == "," and depth == 0:
-                    break
-                parser.next()
-            segment = parser.tokens[start : parser.pos]
-            if not segment:
-                raise parser.err("empty rule part")
-            parts.append(("pat", _parse_tokens_network(segment, line)))
-        tok = parser.next()
-        if tok.kind == "]":
-            break
-        if tok.kind != ",":
-            raise TreelineParseError(f"expected ',' or ']', found {tok.value!r}", tok.line, tok.col)
-    if parser.peek() is not None:
-        tok = parser.peek()
-        raise TreelineParseError(f"unexpected trailing {tok.value!r}", tok.line, tok.col)
-    if not parts:
-        raise TreelineParseError("rule needs at least one part", line, 1)
-    return parts
-
-
 def _strip_comment(line: str) -> str:
     in_quote = None
     for i, ch in enumerate(line):
@@ -494,23 +414,9 @@ def _strip_comment(line: str) -> str:
             continue
         if ch in "'\"":
             in_quote = ch
-        elif ch == "#" and not (i + 1 < len(line) and line[i + 1].isdigit()):
+        elif ch == "#" and not _SENSE.match(line, i):
             return line[:i]
     return line
-
-
-_EITHER_OR_SPELLINGS = {"either...or", "either.. .or", "either. ..or"}
-
-
-def _normalize_either_or(net: ConceptNetwork) -> ConceptNetwork:
-    def fix(c: Concept) -> Concept:
-        if c.label in _EITHER_OR_SPELLINGS:
-            return Concept("either or", c.stemless, c.sense)
-        return c
-
-    if any(n.concept is not None and n.concept.label in _EITHER_OR_SPELLINGS for n in net.iter_nodes()):
-        return ConceptNetwork(tuple(rebuild(r, fix) for r in net.roots))
-    return net
 
 
 def parse_document(text: str, *, collect_errors: list | None = None) -> TreelineDocument:
@@ -572,18 +478,18 @@ def parse_document(text: str, *, collect_errors: list | None = None) -> Treeline
                 continue
             if (split := _split_on(tokens, "<=>")) is not None:
                 lhs_toks, rhs_toks = split
-                lhs = _parse_tokens_network(lhs_toks, lineno)
-                rhs = _parse_rule_rhs(rhs_toks, lineno)
+                lhs = _parse_tokens(lhs_toks, lineno)
+                rhs = _parse_tokens(rhs_toks, lineno, _Parser.part_list)
                 statements.append(RuleStmt(lhs, rhs, lineno))
                 continue
             if (split := _split_on(tokens, "=>")) is not None:
-                src_net = _parse_tokens_network(split[0], lineno)
-                dst_net = _parse_tokens_network(split[1], lineno)
+                src_net = _parse_tokens(split[0], lineno)
+                dst_net = _parse_tokens(split[1], lineno)
                 statements.append(TransferRuleStmt(src_net, dst_net, lineno))
                 continue
             if (split := _split_on(tokens, "=")) is not None:
                 name = _parse_concept_tokens(split[0], lineno)
-                body = _parse_tokens_network(split[1], lineno)
+                body = _parse_tokens(split[1], lineno)
                 if name in seen_defs:
                     problem(
                         TreelineParseError(
@@ -597,7 +503,7 @@ def parse_document(text: str, *, collect_errors: list | None = None) -> Treeline
                     seen_defs[name] = lineno
                 statements.append(DefinitionStmt(name, body, lineno))
                 continue
-            net = _parse_tokens_network(tokens, lineno)
+            net = _parse_tokens(tokens, lineno)
             if len(net.roots) > 1:
                 lints.append(f"line {lineno}: multi-root network statement")
             statements.append(NetworkStmt(net, lineno))

@@ -244,6 +244,30 @@ class TestLintLoadErrors:
         assert "cannot read model" in err
 
 
+class TestSenseAnnotationErrors:
+    def test_second_sense_in_model_is_load_error(self, capsys, monkeypatch, tmp_path):
+        model = tmp_path / "m.cn"
+        model.write_text("x#2#3 = y\n")
+        code, _, err = run(capsys, monkeypatch, ["parse", "-", "--model", str(model)], "y\n")
+        assert code == 3
+        assert err == f"model error: {model}:1: a concept takes one sense annotation\n"
+
+    def test_lint_reports_second_sense_with_its_column(self, capsys, monkeypatch, tmp_path):
+        model = tmp_path / "m.cn"
+        model.write_text("x#2#3 = y\n")
+        code, out, err = run(capsys, monkeypatch, ["lint", "--model", str(model)])
+        assert code == 1
+        assert "error: a concept takes one sense annotation (line 1, column 4)" in out
+        assert "Traceback" not in err
+
+    def test_non_ascii_digit_after_hash_is_a_comment(self, capsys, monkeypatch, tmp_path):
+        model = tmp_path / "m.cn"
+        model.write_text("x = y #² note\n")
+        code, _, err = run(capsys, monkeypatch, ["lint", "--model", str(model)])
+        assert code == 0
+        assert "Traceback" not in err
+
+
 @pytest.fixture
 def non_utf8(tmp_path):
     path = tmp_path / "latin1.txt"

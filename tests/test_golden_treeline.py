@@ -66,7 +66,7 @@ def inputs() -> list[str]:
 def _outcome(run) -> str:
     try:
         return run()
-    except Exception as exc:  # noqa: BLE001 - the fixture pins every failure
+    except Exception as exc:  # the fixture pins failures of every type
         message = exc.args[0] if exc.args else ""
         line, col = getattr(exc, "line", "-"), getattr(exc, "col", "-")
         return f"{type(exc).__name__} | {message} | {line} | {col}"

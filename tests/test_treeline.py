@@ -1,5 +1,6 @@
 import random
 import string
+import sys
 from importlib import resources
 
 import pytest
@@ -226,10 +227,51 @@ class TestParseDocument:
         assert stmt.name.sense == 2
 
 
+class TestSenseAnnotation:
+    @pytest.mark.parametrize("text", ["a#² > b", "a#١ > b", "a#²3"])
+    def test_hash_before_a_non_ascii_digit_starts_a_comment(self, text):
+        assert print_network(parse_network(text)) == "a"
+
+    @pytest.mark.parametrize(
+        "text, col", [("a > b#2#3", 8), ("{b#2}#3", 6), ("b#2 #3", 5), ("{b}#2\n#3", 1)]
+    )
+    def test_second_sense_is_a_parse_error_at_its_column(self, text, col):
+        with pytest.raises(TreelineParseError, match="one sense annotation") as exc:
+            parse_network(text)
+        assert exc.value.col == col
+
+    @pytest.mark.parametrize("text", ["{b#2#3}", "{b#x}", "{b#²}", "{#2}"])
+    def test_bad_sense_inside_braces_is_a_parse_error(self, text):
+        with pytest.raises(TreelineParseError, match="bad sense annotation"):
+            parse_network(text)
+
+    def test_sense_inside_braces(self):
+        assert parse_network("{b #2}").roots[0].concept.sense == 2
+
+    def test_sense_with_more_digits_than_int_converts(self):
+        text = "a#" + "1" * 5000
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if 0 < limit < 5000:
+            with pytest.raises(TreelineParseError, match="bad sense annotation"):
+                parse_network(text)
+        else:
+            assert parse_network(text).roots[0].concept.sense == int(text[2:])
+
+    def test_set_and_declare_comments_follow_the_same_rule(self):
+        doc = parse_document('set beam 4 #² note\ndeclare {y} "d" #١ note')
+        assert doc.of_kind(PragmaStmt)[0].value == "4"
+        assert doc.of_kind(DeclareStmt)[0].description == "d"
+
+    def test_second_sense_in_a_model_line_is_a_parse_error(self):
+        with pytest.raises(TreelineParseError) as exc:
+            parse_document("x#2#3 = y")
+        assert (exc.value.line, exc.value.col) == (1, 4)
+
+
 class TestFuzz:
     def test_parser_never_panics(self):
         rng = random.Random(5)
-        alphabet = "ab {}[]()><,='#" + string.ascii_lowercase[:4]
+        alphabet = "ab {}[]()><,='#0123456789²" + string.ascii_lowercase[:4]
         for _ in range(1500):
             text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
             try:
