@@ -37,13 +37,22 @@ class TreelineParseError(ConspecError):
 class ModelLoadError(ConspecError):
     """A model, corpus, or pair file failed validation while loading."""
 
-    def __init__(self, message: str, path: str = "<inline>", line: int | None = None):
+    def __init__(
+        self,
+        message: str,
+        path: str = "<inline>",
+        line: int | None = None,
+        col: int | None = None,
+    ):
         super().__init__(message)
         self.path = path
         self.line = line
+        self.col = col
 
     def __str__(self) -> str:
         where = self.path if self.line is None else f"{self.path}:{self.line}"
+        if self.line is not None and self.col is not None:
+            where += f":{self.col}"
         return f"{where}: {self.args[0]}"
 
 

@@ -95,7 +95,7 @@ def load_model_text(text: str, path: str = "<inline>") -> ModelBundle:
     try:
         doc = parse_document(text)
     except TreelineParseError as exc:
-        raise ModelLoadError(str(exc.args[0]), path, exc.line) from exc
+        raise ModelLoadError(str(exc.args[0]), path, exc.line, exc.col) from exc
     definitions: dict[Concept, Definition] = {}
     declares: dict[str, str] = {}
     pragmas = Pragmas()
@@ -161,6 +161,8 @@ def load_corpus(path: str | Path) -> list[tuple[str, ConceptNetwork, str]]:
         try:
             net = parse_network(fields[1])
         except TreelineParseError as exc:
-            raise ModelLoadError(str(exc.args[0]), str(path), lineno) from exc
+            # the network field starts after the surface, its tab and any indent
+            start = len(raw) - len(raw.lstrip()) + len(fields[0]) + 1
+            raise ModelLoadError(str(exc.args[0]), str(path), lineno, start + exc.col) from exc
         rows.append((fields[0], net, fields[1]))
     return rows

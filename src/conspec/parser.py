@@ -4,9 +4,12 @@ segment() recovers token sequences (known surface forms plus affix literals
 drawn from rule right-hand sides) that re-join to the input exactly.
 parse_text() then runs a bottom-up chart over each segmentation: a rule whose
 part sequence tiles a span rebuilds its pattern around the matched fragments,
-exactly or analogically. Each rule part is aligned with each chart item once,
-and after a span's first sweep only the one-part pattern rules are tried on it
-again; apply_rules_over says why both are exact. Complete parses are
+exactly or analogically. Each rule part is aligned with each chart item once.
+A span's first sweep visits only the rules a corner filter admits: at most as
+many parts as the span has tokens, and any literal first or last part equal to
+the span's first or last token; any other rule has no tiling of the span.
+After the first sweep only the one-part pattern rules are tried on the span
+again. apply_rules_over says why all three are exact. Complete parses are
 canonicalized, deduplicated, and ranked by derivation score.
 """
 
@@ -249,8 +252,20 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
         # the one-part pattern rules: any other tiling of (i, j) covers cells
         # that were final before this span began, so all its combinations are
         # already in ``tried``, and skipping them changes no add() call.
+        #
+        # The first sweep visits only the rules the corner filter admits, in
+        # declaration order. ``_tilings`` is empty for every other rule: each
+        # part covers at least one token, a literal first part must be
+        # tokens[i], and a literal last part must be tokens[j - 1].
+        first, last = tokens[i], tokens[j - 1]
         tried: set[tuple] = set()
-        sweep = rules
+        sweep = [
+            (r, rule)
+            for r, rule in rules
+            if len(rule.parts) <= j - i
+            and rule.first_literal in (None, first)
+            and rule.last_literal in (None, last)
+        ]
         while sweep:
             changed = False
             for r, rule in sweep:

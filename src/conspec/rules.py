@@ -88,6 +88,10 @@ class Rule:
     rule_id: str
     line: int = 0
     part_at: dict[int, int] = field(default_factory=dict)  # id(lhs node) -> owning part index
+    # text of a literal first / last part, None for a pattern part: the chart's
+    # corner filter admits the rule on a span only where its tokens agree
+    first_literal: str | None = None
+    last_literal: str | None = None
 
 
 def build_rule(
@@ -129,7 +133,8 @@ def build_rule(
             raise ModelLoadError("rule parts overlap on the pattern", path, line)
         part_at.update((id(t), len(parts)) for t in binding.values())
         parts.append(PatternPart(pattern, dict(binding)))
-    return Rule(lhs, parts, rule_id, line, part_at)
+    first, last = (part.text if isinstance(part, Literal) else None for part in (parts[0], parts[-1]))
+    return Rule(lhs, parts, rule_id, line, part_at, first, last)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +170,21 @@ def _match_region(
     carries or a remainder hangs under one: that content would
     vanish silently (suppletions stay exact-only). Otherwise returns the
     alignment and the remainder subtrees grouped by owner.
+
+    Before any alignment work, a root-shape gate makes the checks that
+    ``align_networks(total=False)`` makes first: root count, then the first
+    root pair's capsule flag, anchor, specifier count and similarity. It
+    therefore drops only matches the alignment would reject.
     """
+    p, t = pattern.roots[0], target.roots[0]
+    if (
+        len(pattern.roots) != len(target.roots)
+        or p.is_capsule != t.is_capsule
+        or p.anchor != t.anchor
+        or len(p.specifiers) > len(t.specifiers)
+        or (not p.is_capsule and sim(p.concept, t.concept) <= 0.0)
+    ):
+        return None
     got = align_networks(pattern, target, sim, total=False)
     if got is None or got.score < tau:
         return None

@@ -71,7 +71,7 @@ def load_pair_text(text: str, path: str = "<inline>", base_dir: str | Path = "."
     try:
         doc = parse_document("\n".join(rest))
     except TreelineParseError as exc:
-        raise ModelLoadError(str(exc.args[0]), path, exc.line) from exc
+        raise ModelLoadError(str(exc.args[0]), path, exc.line, exc.col) from exc
     cmap = ConceptMap()
     for stmt in doc.statements:
         if isinstance(stmt, MapStmt):

@@ -250,7 +250,24 @@ class TestSenseAnnotationErrors:
         model.write_text("x#2#3 = y\n")
         code, _, err = run(capsys, monkeypatch, ["parse", "-", "--model", str(model)], "y\n")
         assert code == 3
-        assert err == f"model error: {model}:1: a concept takes one sense annotation\n"
+        assert err == f"model error: {model}:1:4: a concept takes one sense annotation\n"
+
+    def test_second_sense_in_pair_file_has_its_column(self, capsys, monkeypatch, tmp_path):
+        pair = tmp_path / "p.pair"
+        pair.write_text(f"source: {ENGLISH}\nreceptor: {ENGLISH}\n\nmap he -> x#2#3\n")
+        code, _, err = run(capsys, monkeypatch, ["translate", "-", "--pair", str(pair)], "he\n")
+        assert code == 3
+        assert err == f"model error: {pair}:4:14: a concept takes one sense annotation\n"
+
+    def test_second_sense_in_corpus_has_its_file_column(self, capsys, monkeypatch, tmp_path):
+        corpus = tmp_path / "c.tsv"
+        corpus.write_text("# comment\n  he sleeps\tsleep > [{agent} > x#2#3]\n")
+        argv = ["check", "--model", ENGLISH, "--corpus", str(corpus)]
+        code, _, err = run(capsys, monkeypatch, argv)
+        assert code == 3
+        # the second "#" is column 23 of the network field, which starts after
+        # two spaces, "he sleeps" and a tab
+        assert err == f"model error: {corpus}:2:35: a concept takes one sense annotation\n"
 
     def test_lint_reports_second_sense_with_its_column(self, capsys, monkeypatch, tmp_path):
         model = tmp_path / "m.cn"

@@ -277,18 +277,28 @@ class TestChartReuse:
         from collections import defaultdict
 
         import conspec.parser
-        from conspec.rules import PatternPart
+        from conspec.rules import Literal, PatternPart
 
         model, surfaces = english_and_demo_surfaces()
         tilings = conspec.parser._tilings
         tiled: dict[tuple, list] = defaultdict(list)
+        span_tokens: dict[tuple, list[str]] = {}
         charts: list = []  # keeps every chart referenced, so its id stays unique
 
         def record_tilings(rule, tokens, frags, i, j):
             if not charts or charts[-1] is not frags:
                 charts.append(frags)
             tiled[(id(frags), i, j)].append(rule)
+            span_tokens[(id(frags), i, j)] = tokens
             return tilings(rule, tokens, frags, i, j)
+
+        def admitted(rule, tokens, i, j) -> bool:
+            first, last = rule.parts[0], rule.parts[-1]
+            return (
+                len(rule.parts) <= j - i
+                and (not isinstance(first, Literal) or first.text == tokens[i])
+                and (not isinstance(last, Literal) or last.text == tokens[j - 1])
+            )
 
         monkeypatch.setattr(conspec.parser, "_tilings", record_tilings)
         for surface in surfaces:
@@ -297,14 +307,19 @@ class TestChartReuse:
         every = list(model.rules)
         regrow = [r for r in every if len(r.parts) == 1 and isinstance(r.parts[0], PatternPart)]
         assert 0 < len(regrow) < len(every)
-        swept_again = 0
+        swept_again = skipped = 0
         for span, rules in tiled.items():
-            assert [id(r) for r in rules[: len(every)]] == [id(r) for r in every], span
-            later = rules[len(every) :]
+            _, i, j = span
+            first = [r for r in every if admitted(r, span_tokens[span], i, j)]
+            assert set(map(id, regrow)) <= set(map(id, first)), span
+            assert [id(r) for r in rules[: len(first)]] == [id(r) for r in first], span
+            later = rules[len(first) :]
             sweeps = len(later) // len(regrow)
             assert [id(r) for r in later] == [id(r) for r in regrow] * sweeps, span
             swept_again += sweeps > 0
+            skipped += len(first) < len(every)
         assert swept_again > 0
+        assert skipped > 0
 
 
 def english_and_demo_surfaces():
