@@ -7,11 +7,12 @@ a part sequence (realization), backward they rebuild the lhs around matched
 fragments (parsing).
 
 Matching is exact or analogical. The lhs embeds prefix-closed into the
-target: every lhs node maps to a distinct target node, and unmatched target
-children ("remainders") are absorbed into the rhs part that owns their
-matched parent, so a determiner or adverb hanging off a matched noun flows
-into that part's fragment instead of blocking the rule. A match is rejected
-when a remainder hangs under a dropped lhs node (silent content loss).
+target: every lhs node maps to a distinct target node. A match is its
+binding: a target child the binding leaves unbound (a "remainder") stays
+with the rhs part that carries its bound parent, so a determiner or adverb
+hanging off a matched noun flows into that part's fragment instead of
+blocking the rule. A match is rejected when a remainder hangs under a
+dropped lhs node (silent content loss).
 
 Transfer rules rewrite source-language regions into receptor-language
 templates. A dst node is a slot when the bilingual map (or label identity)
@@ -24,6 +25,7 @@ the untransferred region and the match set is finite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Container
 
 from .errors import ModelLoadError, UntranslatableConceptError
 from .lexicon import Lexicon
@@ -42,6 +44,7 @@ from .similarity import (
     align_networks,
     rule_node_sim,
 )
+from .treeline import print_network
 
 DEFAULT_TAU = 0.5
 DEFAULT_BEAM = 16
@@ -112,16 +115,12 @@ def build_rule(
             raise ModelLoadError("rule part must be a single chain", path, line)
         embeddings = _find_embeddings(pattern, lhs)
         if not embeddings:
-            from .treeline import print_network
-
             raise ModelLoadError(
                 f"rule part {print_network(pattern)!r} does not occur in the rule pattern",
                 path,
                 line,
             )
         if len(embeddings) > 1:
-            from .treeline import print_network
-
             raise ModelLoadError(
                 f"rule part {print_network(pattern)!r} is ambiguous in the rule pattern"
                 " (annotate senses to disambiguate)",
@@ -147,8 +146,6 @@ class Match:
     rule: Rule
     binding: dict[Node, Node]  # lhs node -> target node
     score: float
-    # remainder target subtrees routed to the part that absorbed them
-    absorbed: dict[int, list[Node]] = field(default_factory=dict)  # part index -> subtrees
 
     @property
     def exact(self) -> bool:
@@ -160,16 +157,18 @@ def _match_region(
     target: ConceptNetwork,
     sim: NodeSim,
     tau: float,
-    owner: dict[int, object],
-) -> tuple[Alignment, dict[object, list[Node]]] | None:
+    owner: Container[int],
+) -> Alignment | None:
     """Align a rule pattern with the target's root region, keeping content.
 
-    ``owner`` maps id(pattern node) to the output part or slot that carries
-    it. The match is dropped below ``tau``, and when an analogue (a pattern
-    concept bound to a different target concept) sits on a node no owner
-    carries or a remainder hangs under one: that content would
-    vanish silently (suppletions stay exact-only). Otherwise returns the
-    alignment and the remainder subtrees grouped by owner.
+    ``owner`` holds id(pattern node) for each pattern node that an output
+    part or slot carries. The match is dropped below ``tau``, and when a
+    pattern node outside ``owner`` holds an analogue (a target of another
+    concept) or a target with a remainder (a specifier child that is not
+    itself bound): that content would vanish silently (suppletions stay
+    exact-only). Otherwise returns the alignment. Each remainder goes with
+    the part or slot that carries its bound parent; readers work it out from
+    the binding.
 
     Before any alignment work, a root-shape gate makes the checks that
     ``align_networks(total=False)`` makes first: root count, then the first
@@ -188,15 +187,12 @@ def _match_region(
     got = align_networks(pattern, target, sim, total=False)
     if got is None or got.score < tau:
         return None
-    if any(p.concept != t.concept and id(p) not in owner for p, t in got.binding.items()):
-        return None
-    absorbed: dict[object, list[Node]] = {}
-    for t_child, p_owner in got.remainders:
-        key = owner.get(id(p_owner))
-        if key is None:
+    for p, t in got.binding.items():
+        # p's children bind distinct children of t, so t has an unbound child
+        # exactly when it has more children than p
+        if id(p) not in owner and (p.concept != t.concept or len(t.specifiers) > len(p.specifiers)):
             return None
-        absorbed.setdefault(key, []).append(t_child)
-    return got, absorbed
+    return got
 
 
 def match_rules(
@@ -214,8 +210,7 @@ def match_rules(
     for idx, rule in enumerate(rules):
         got = _match_region(rule.lhs, net, sim, tau, rule.part_at)
         if got is not None:
-            alignment, absorbed = got
-            out.append((-alignment.score, idx, Match(rule, alignment.binding, alignment.score, absorbed)))
+            out.append((-got.score, idx, Match(rule, got.binding, got.score)))
     out.sort(key=lambda item: (item[0], item[1]))
     return [m for _, _, m in out]
 
@@ -229,27 +224,24 @@ def realize_parts(match: Match) -> list[str | ConceptNetwork]:
     """Rewrite a matched region into the rule's part sequence.
 
     Literals pass through; each sub-pattern part becomes the fragment of the
-    target induced by its matched nodes plus any absorbed remainders,
-    preserving the target's own concepts (which may be analogues).
+    target induced by its matched nodes plus the remainders (unbound
+    children) under them, preserving the target's own concepts (which may be
+    analogues).
     """
     rule = match.rule
-    t_of: dict[int, Node] = {id(l): t for l, t in match.binding.items()}
-    part_of_t = {id(t_of[lhs_id]): i for lhs_id, i in rule.part_at.items()}
-    absorbed_at: dict[int, list[Node]] = {}
-    for i, subtrees in match.absorbed.items():
-        for sub in subtrees:
-            absorbed_at.setdefault(id(sub), []).append(i)
+    # bound target node -> index of the part carrying its lhs node, or None
+    part_of = {t: rule.part_at.get(id(l)) for l, t in match.binding.items()}
 
     def build(t: Node, part_idx: int) -> Node:
         kept: list[Node] = []
         for child in t.specifiers:
-            if part_of_t.get(id(child)) == part_idx:
+            if child not in part_of:
+                kept.append(child)  # remainder: verbatim
+            elif part_of[child] == part_idx:
                 kept.append(build(child, part_idx))
-            elif part_idx in absorbed_at.get(id(child), ()):  # remainder: verbatim
-                kept.append(child)
         capsule = None
         if t.is_capsule:
-            roots = [build(r, part_idx) for r in t.capsule.roots if part_of_t.get(id(r)) == part_idx]
+            roots = [build(r, part_idx) for r in t.capsule.roots if part_of.get(r) == part_idx]
             capsule = ConceptNetwork(tuple(roots)) if roots else None
             if capsule is None:
                 # body fully consumed elsewhere; degenerate, keep original body
@@ -261,8 +253,7 @@ def realize_parts(match: Match) -> list[str | ConceptNetwork]:
         if isinstance(part, Literal):
             out.append(part.text)
         else:
-            root_t = t_of[id(part.lhs_root)]
-            out.append(ConceptNetwork((build(root_t, i),)))
+            out.append(ConceptNetwork((build(match.binding[part.lhs_root], i),)))
     return out
 
 
@@ -351,8 +342,8 @@ class TransferRule:
     line: int = 0
     # dst node -> src node it is a slot for (filled at load)
     slots: dict[Node, Node] = field(default_factory=dict)
-    # id(src node) -> that node, for each src node some slot carries
-    slot_at: dict[int, Node] = field(default_factory=dict)
+    # id() of each src node some slot carries
+    slot_ids: frozenset[int] = frozenset()
 
 
 def build_transfer_rule(
@@ -384,8 +375,8 @@ def build_transfer_rule(
             )
         if candidates:
             slots[d] = candidates[0]
-    slot_at = {id(s): s for s in slots.values()}
-    return TransferRule(src, dst, rule_id, line, slots, slot_at)
+    slot_ids = frozenset(id(s) for s in slots.values())
+    return TransferRule(src, dst, rule_id, line, slots, slot_ids)
 
 
 @dataclass
@@ -394,8 +385,7 @@ class _TransferMatch:
     anchor: Node  # node in the net where the src pattern root aligned
     binding: dict[Node, Node]  # src node -> net node
     score: float
-    region: frozenset[int]  # id() of aligned net nodes
-    absorbed: dict[Node, list[Node]]  # src slot node -> remainder subtrees
+    region: frozenset[Node]  # aligned net nodes
 
 
 def _collect_transfer_matches(
@@ -406,16 +396,16 @@ def _collect_transfer_matches(
     tau: float,
 ) -> list[_TransferMatch]:
     sim = rule_node_sim(lex, alpha)
+    targets = [(node, ConceptNetwork((node,))) for node in net.iter_nodes()]
     out: list[_TransferMatch] = []
     for rule in trules:
-        for node in net.iter_nodes():
-            matched = _match_region(rule.src, ConceptNetwork((node,)), sim, tau, rule.slot_at)
-            if matched is None:
-                continue
-            got, absorbed = matched
-            region = frozenset(id(t) for t in got.binding.values())
-            out.append(_TransferMatch(rule, node, dict(got.binding), got.score, region, absorbed))
-    out.sort(key=lambda m: (-m.score, m.rule.rule_id, id(m.anchor)))
+        for node, target in targets:
+            got = _match_region(rule.src, target, sim, tau, rule.slot_ids)
+            if got is not None:
+                region = frozenset(got.binding.values())
+                out.append(_TransferMatch(rule, node, got.binding, got.score, region))
+    # stable sort: a rule's matches of equal score stay in the net's preorder
+    out.sort(key=lambda m: (-m.score, m.rule.rule_id))
     return out
 
 
@@ -524,9 +514,8 @@ def _apply_selection(
             return Node(concept=d.concept, anchor=d.anchor, specifiers=tuple(spec))
         t = m.binding[src]
         concept = _transfer_concept(t.concept, cmap) if not t.is_capsule else None
-        extra: list[Node] = []
-        for sub in m.absorbed.get(src, ()):  # remainders travel into the slot
-            extra.append(convert(sub))
+        # remainders (children of t the match left unbound) travel into the slot
+        extra = [convert(c) for c in t.specifiers if c not in m.region]
         if t.is_capsule:
             body = ConceptNetwork(tuple(convert(r) for r in t.capsule.roots))
             return Node(capsule=body, anchor=t.anchor, specifiers=tuple(extra + spec))

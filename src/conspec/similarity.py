@@ -7,8 +7,10 @@ similarities. Exact matches score 1; anything involving substitution is
 capped by the alpha discount so exact rules always dominate analogues.
 
 The alignment engine here is shared with the rules module, which plugs in a
-richer node scorer (is_a pre-test) and allows prefix alignments that leave
-target remainders attached.
+richer node scorer (is_a pre-test) and allows prefix alignments. An
+alignment is its binding and score alone: a remainder, a specifier child of
+a bound target node that is not itself bound, is worked out from the
+binding by whoever reads it.
 """
 
 from __future__ import annotations
@@ -84,8 +86,6 @@ class Alignment:
     product: float
     count: int
     binding: dict[Node, Node] = field(default_factory=dict)
-    # (target child subtree, pattern node owning its matched parent)
-    remainders: list[tuple[Node, Node]] = field(default_factory=list)
 
     @property
     def score(self) -> float:
@@ -100,7 +100,6 @@ def _combine(parts: list[Alignment]) -> Alignment:
         out.product *= p.product
         out.count += p.count
         out.binding.update(p.binding)
-        out.remainders.extend(p.remainders)
     return out
 
 
@@ -142,9 +141,7 @@ def _align_children(
     if len(pc) > len(tc):
         return None
     if not pc:
-        out = Alignment(1.0, 0)
-        out.remainders = [(t, pattern) for t in tc]
-        return out
+        return Alignment(1.0, 0)
     options: list[list[Alignment | None]] = [
         [_align_node(p, t, sim, total, memo) for t in tc] for p in pc
     ]
@@ -161,8 +158,6 @@ def _align_children(
         if not ok:
             continue
         combined = _combine(picked)
-        leftover = [tc[j] for j in range(len(tc)) if j not in assign]
-        combined.remainders.extend((t, pattern) for t in leftover)
         if best is None or combined.product > best.product:
             best = combined
     return best
@@ -179,8 +174,9 @@ def align_networks(
 
     Root lists are paired index-wise (root order is significant). With
     ``total`` every target node must be matched (a bijection); otherwise the
-    pattern must embed prefix-closed and unmatched target children are
-    returned as remainders tagged with the pattern node that absorbed them.
+    pattern must embed prefix-closed, and a target child left unbound is a
+    remainder of its bound parent. Only the binding is returned: no remainder
+    list is kept.
     """
     if len(pattern.roots) != len(target.roots):
         return None

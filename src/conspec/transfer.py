@@ -27,7 +27,7 @@ from .errors import (
     UntranslatableConceptError,
 )
 from .lexicon import undeclared_stemless
-from .model import ModelBundle, _read_file, load_model
+from .model import _BOOL, ModelBundle, _read_file, load_model
 from .network import canonicalize, resolve_anchors
 from .parser import parse_text
 from .realizer import realize
@@ -78,7 +78,12 @@ def load_pair_text(text: str, path: str = "<inline>", base_dir: str | Path = "."
             cmap.entries[stmt.src] = stmt.dst
         elif isinstance(stmt, PragmaStmt):
             if stmt.key == "identity-map":
-                cmap.identity = stmt.value.lower() in ("on", "true")
+                identity = _BOOL.get(stmt.value.lower())
+                if identity is None:
+                    raise ModelLoadError(
+                        f"bad value {stmt.value!r} for pair pragma 'identity-map'", path, stmt.line
+                    )
+                cmap.identity = identity
             else:
                 raise ModelLoadError(f"unknown pair pragma {stmt.key!r}", path, stmt.line)
     trules = []

@@ -1,12 +1,17 @@
+import random
+from importlib import resources
+
 import pytest
 
 from conspec.errors import ModelLoadError, UntranslatableConceptError
-from conspec.network import Concept, canonicalize, equal, resolve_anchors
+from conspec.model import load_corpus, load_model
+from conspec.network import Concept, ConceptNetwork, canonicalize, equal, resolve_anchors
 from conspec.rules import (
     ConceptMap,
     Literal,
     PatternPart,
     Rule,
+    _collect_transfer_matches,
     build_rule,
     build_transfer_rule,
     instantiate_reverse,
@@ -17,7 +22,10 @@ from conspec.rules import (
 from conspec.similarity import align_networks, rule_node_sim
 from conspec.treeline import parse_document, parse_network, print_network
 
+from .gen import gen_network
 from .test_lexicon import make_lexicon
+
+DATA = resources.files("conspec.data")
 
 SQRT_09 = 0.9486832980505138
 
@@ -159,6 +167,39 @@ class TestRealizeParts:
         assert print_network(parts[1]) == "lift > {past}"
 
 
+    def test_remainders_go_to_the_part_carrying_their_parent(self):
+        # a remainder is an unbound specifier child of a bound target node; it
+        # must reach the fragment of the part that carries that node, verbatim
+        model = load_model(str(DATA / "english.cn"))
+        lex, pragmas = model.lexicon, model.pragmas
+        nets = [net for _, net, _ in load_corpus(str(DATA / "demo_corpus.tsv"))]
+        rng = random.Random(9)
+        nets += [gen_network(rng, max_nodes=8) for _ in range(300)]
+        checked = 0
+        for net in nets:
+            for node in net.iter_nodes():
+                region = ConceptNetwork((node,))
+                for match in match_rules(model.rules, lex, region, alpha=pragmas.alpha, tau=pragmas.tau):
+                    bound = set(match.binding.values())
+                    fragments = realize_parts(match)
+                    for l, t in match.binding.items():
+                        unbound = [c for c in t.specifiers if c not in bound]
+                        i = match.rule.part_at.get(id(l))
+                        if i is None:
+                            assert unbound == []  # content under a dropped node
+                            continue
+                        for child in unbound:
+                            checked += 1
+                            holders = [
+                                k
+                                for k, frag in enumerate(fragments)
+                                if isinstance(frag, ConceptNetwork)
+                                and any(n is child for n in frag.iter_nodes())
+                            ]
+                            assert holders == [i]
+        assert checked > 0
+
+
 class TestInstantiateReverse:
     def test_past_rule_reverse_exact(self, lex, past_rule):
         got = reverse(past_rule, [parse_network("trust"), None], lex, 0.9)
@@ -240,6 +281,16 @@ def receptor_nets(trules, cmap, net, lex):
 
 
 class TestTransfer:
+    def test_matches_of_equal_score_come_in_preorder(self):
+        cmap = ConceptMap({Concept("x"): Concept("y")})
+        stmt = parse_document("x => y").statements[0]
+        trules = (build_transfer_rule(stmt.src, stmt.dst, cmap, "t1"),)
+        net = parse_network("x > [a, x > x]")
+        matches = _collect_transfer_matches(trules, make_lexicon({}), net, 0.9, 0.5)
+        want = [n for n in net.iter_nodes() if n.concept == Concept("x")]
+        assert len(want) == 3
+        assert [m.anchor for m in matches] == want
+
     def test_identity(self):
         lex = make_lexicon({})
         net = canonicalize(parse_network("Anne > quiet > {past}"))

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import json
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -26,3 +27,16 @@ def test_traced_layer_functions_exist():
         module, attr = name.split(".")
         fn = getattr(importlib.import_module(f"conspec.{module}"), attr, None)
         assert inspect.isfunction(fn), f"{name} is not a function in conspec.{module}"
+
+
+def test_benchmark_digests_pin_every_workload():
+    """CI compares each workload's printed digest with this fixture."""
+    root = Path(__file__).resolve().parent.parent
+    workloads = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    pinned = {}
+    for line in (root / "tests" / "benchmark_digests.txt").read_text(encoding="utf-8").splitlines():
+        if line.strip() and not line.startswith("#"):
+            name, digest = line.split()
+            pinned[name] = digest
+    assert sorted(pinned) == sorted(workloads)
+    assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for d in pinned.values())

@@ -11,6 +11,7 @@ from conspec.transfer import load_pair, load_pair_text, translate
 from conspec.treeline import parse_network
 
 DATA = resources.files("conspec.data")
+PAIR_HEAD = f"source: {DATA / 'english.cn'}\nreceptor: {DATA / 'english.cn'}\n"
 
 
 def fixture_rows() -> list[tuple[str, str, str]]:
@@ -41,6 +42,21 @@ class TestLoadPair:
     def test_missing_source_rejected(self, tmp_path):
         with pytest.raises(ModelLoadError):
             load_pair_text("receptor: x.cn", base_dir=tmp_path)
+
+    @pytest.mark.parametrize(
+        "value, identity", [("on", True), ("True", True), ("off", False), ("FALSE", False)]
+    )
+    def test_identity_map_values(self, value, identity):
+        text = PAIR_HEAD + f"set identity-map {value}\n"
+        got = load_pair_text(text, "p.pair")
+        assert got.concept_map.identity is identity
+
+    @pytest.mark.parametrize("value", ["yes", "of", "garbage"])
+    def test_bad_identity_map_value_rejected(self, value):
+        text = PAIR_HEAD + f"set identity-map {value}\n"
+        with pytest.raises(ModelLoadError) as exc:
+            load_pair_text(text, "p.pair")
+        assert str(exc.value) == f"p.pair:3: bad value {value!r} for pair pragma 'identity-map'"
 
 
 class TestTranslate:
