@@ -92,10 +92,11 @@ class Lexicon:
     )
 
     def __post_init__(self):
-        if Concept("have", True) not in self.definitions:
-            self.definitions[Concept("have", True)] = Definition(
-                Concept("have", True), parse_network(_HAVE_BODY_TEXT)
-            )
+        have = Concept("have", True)
+        if have not in self.definitions:
+            # a copy: the caller's dict is left as it was passed
+            have_def = Definition(have, parse_network(_HAVE_BODY_TEXT))
+            self.definitions = {**self.definitions, have: have_def}
         self._check_cycles()
         self.ancestor_table = {c: self._ancestor_chain(c) for c in self.definitions}
 

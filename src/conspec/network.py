@@ -10,11 +10,21 @@ Networks are immutable after construction by convention: nothing in this
 package mutates a node once it is part of a returned network, so networks are
 safe to share between threads. ``resolve_anchors`` wires the single mutable
 slot (``Node.ref``) exactly once on freshly built nodes.
+
+A node that ``canonicalize`` builds carries its canonical key in
+``Node.key``, computed once from its children's stored keys; every other
+node has ``key`` None. A node with a key is canonical and is never copied:
+``canonicalize`` returns it as is, so a network built around canonical
+fragments (a chart item around the items it took in) shares their subtrees.
+Sharing is safe because ``ref`` is the only slot ever written after
+construction, and only ``resolve_anchors`` writes it, on a fresh ``rebuild``
+copy, which has no key. A node with a key therefore never has a ``ref``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterator
 
 from .errors import MalformedNetworkError
@@ -31,6 +41,7 @@ class Concept:
     """An atomic unit of meaning: a stem, or a stemless operator like {past}.
 
     ``sense`` discriminates homographs; unannotated concepts are sense 1.
+    The hash is ``hash((label, stemless, sense))``, computed once here.
     """
 
     label: str
@@ -45,6 +56,15 @@ class Concept:
             raise MalformedNetworkError(
                 f"concept label {self.label!r} contains structural character {sorted(bad)[0]!r}"
             )
+        object.__setattr__(self, "_hash", hash((self.label, self.stemless, self.sense)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__: a stored string hash is only valid in the
+        # interpreter that computed it
+        return (Concept, (self.label, self.stemless, self.sense))
 
     def text(self) -> str:
         base = self.label if self.sense == 1 else f"{self.label}#{self.sense}"
@@ -70,10 +90,11 @@ class Node:
 
     ``ref`` is the resolved target of this node's anchor (shared object, not a
     copy), populated by ``resolve_anchors``; it is ignored by equality and
-    printing, which work on the anchor annotation itself.
+    printing, which work on the anchor annotation itself. ``key`` is the
+    canonical key, set only on nodes that ``canonicalize`` builds.
     """
 
-    __slots__ = ("concept", "capsule", "anchor", "specifiers", "ref")
+    __slots__ = ("concept", "capsule", "anchor", "specifiers", "ref", "key")
 
     def __init__(
         self,
@@ -89,6 +110,7 @@ class Node:
         self.anchor = anchor
         self.specifiers = tuple(specifiers)
         self.ref: Node | None = None
+        self.key: tuple | None = None
 
     @property
     def is_capsule(self) -> bool:
@@ -188,9 +210,15 @@ _ANCHOR_NONE = ("", 0)
 
 
 def _node_key(node: Node):
+    if node.key is not None:
+        return node.key
+    return _key_of(node, tuple(sorted(_node_key(s) for s in node.specifiers)))
+
+
+def _key_of(node: Node, kids: tuple):
+    """The key of ``node`` given its children's keys, already sorted."""
     ak = (node.anchor.direction, node.anchor.depth) if node.anchor else _ANCHOR_NONE
-    leaf = 0 if not node.specifiers else 1
-    kids = tuple(sorted(_node_key(s) for s in node.specifiers))
+    leaf = 0 if not kids else 1
     if node.concept is not None:
         kind = 0 if node.concept.stemless else 1
         return (kind, leaf, node.concept.label, node.concept.sense, ak, kids)
@@ -198,20 +226,32 @@ def _node_key(node: Node):
     return (2, leaf, body, ak, kids)
 
 
+_stored_key = attrgetter("key")
+
+
 def _canonical_node(node: Node) -> Node:
-    spec = tuple(sorted((_canonical_node(s) for s in node.specifiers), key=_node_key))
+    # bottom-up: children first, sorted by their stored keys (a stable sort,
+    # and children with equal keys are interchangeable), then this node's key
+    # from theirs
+    if node.key is not None:
+        return node
+    spec = tuple(sorted(map(_canonical_node, node.specifiers), key=_stored_key))
     capsule = None
     if node.is_capsule:
-        capsule = ConceptNetwork(tuple(_canonical_node(r) for r in node.capsule.roots))
-    return Node(concept=node.concept, capsule=capsule, anchor=node.anchor, specifiers=spec)
+        capsule = ConceptNetwork(tuple(map(_canonical_node, node.capsule.roots)))
+    out = Node(concept=node.concept, capsule=capsule, anchor=node.anchor, specifiers=spec)
+    out.key = _key_of(out, tuple(map(_stored_key, spec)))
+    return out
 
 
 def canonicalize(net: ConceptNetwork) -> ConceptNetwork:
     """Order-normalize a network; idempotent.
 
     Also validates that every anchor annotation resolves to exactly one node,
-    raising MalformedNetworkError otherwise. Any previously wired reference
-    edges are dropped (canonicalize, then resolve).
+    raising MalformedNetworkError otherwise; the whole network is checked,
+    shared canonical subtrees included. Any previously wired reference edges
+    are dropped (canonicalize, then resolve). Nodes that already carry a key
+    are kept as they are.
     """
     _resolve(net, assign=False)
     return ConceptNetwork(tuple(_canonical_node(r) for r in net.roots))
@@ -228,7 +268,8 @@ def equal(a: ConceptNetwork, b: ConceptNetwork) -> bool:
 
 
 def canonical_key(net: ConceptNetwork):
-    """Hashable identity usable for dedup; equal() iff keys match."""
+    """Hashable identity usable for dedup; equal() iff keys match. Stored
+    keys are read, not recomputed."""
     return tuple(_node_key(r) for r in net.roots)
 
 

@@ -168,25 +168,30 @@ class _Item:
 
 
 def _tilings(rule, tokens: list[str], frags, i: int, j: int) -> list[list[tuple[int, int]]]:
+    """Every way the rule's parts cover tokens[i:j], in lexicographic order.
+
+    Partial tilings grow one part at a time, in order. Each part covers at
+    least one token, so part k ends no later than j minus the parts still to
+    come, and the last part ends at j.
+    """
     parts = rule.parts
-    out: list[list[tuple[int, int]]] = []
-
-    def go(idx: int, at: int, acc: list[tuple[int, int]]):
-        if idx == len(parts):
-            if at == j:
-                out.append(list(acc))
-            return
-        part = parts[idx]
-        if isinstance(part, Literal):
-            if at < len(tokens) and tokens[at] == part.text:
-                go(idx + 1, at + 1, acc + [(at, at + 1)])
-            return
-        for end in range(at + 1, j + 1):
-            if frags[(at, end)]:
-                go(idx + 1, end, acc + [(at, end)])
-
-    go(0, i, [])
-    return out
+    partial: list[tuple[list[tuple[int, int]], int]] = [([], i)]  # (tiling so far, next start)
+    for k, part in enumerate(parts):
+        hi = j - (len(parts) - 1 - k)
+        grown = []
+        for acc, at in partial:
+            lo = j if k == len(parts) - 1 else at + 1
+            if isinstance(part, Literal):
+                if lo <= at + 1 <= hi and tokens[at] == part.text:
+                    grown.append((acc + [(at, at + 1)], at + 1))
+                continue
+            for end in range(lo, hi + 1):
+                if frags[(at, end)]:
+                    grown.append((acc + [(at, end)], end))
+        if not grown:
+            return []
+        partial = grown
+    return [acc for acc, _ in partial]
 
 
 def _chart_parse(model: ModelBundle, tokens: list[str]):

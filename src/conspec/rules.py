@@ -59,9 +59,21 @@ def _exact_sim(a: Concept, b: Concept) -> float:
 
 
 def _find_embeddings(pattern: ConceptNetwork, lhs: ConceptNetwork) -> list[Alignment]:
-    """All exact prefix embeddings of a (single-root) pattern into lhs."""
+    """All exact prefix embeddings of a (single-root) pattern into lhs.
+
+    An lhs node is aligned only if it passes the first checks
+    ``align_networks`` makes under ``_exact_sim``: the same concept (None for
+    both capsules), the same anchor and at least as many specifiers.
+    """
+    root = pattern.roots[0]
     out = []
     for anchor_node in lhs.iter_nodes():
+        if (
+            anchor_node.concept != root.concept
+            or anchor_node.anchor != root.anchor
+            or len(anchor_node.specifiers) < len(root.specifiers)
+        ):
+            continue
         target = ConceptNetwork((anchor_node,))
         got = align_networks(pattern, target, _exact_sim, total=False)
         if got is not None:

@@ -125,6 +125,9 @@ def _align_node(pattern: Node, target: Node, sim: NodeSim, total: bool, memo) ->
             if s <= 0.0:
                 return None
             self_part = Alignment(s, 1, {pattern: target})
+            if not pattern.specifiers and not (total and target.specifiers):
+                memo[key] = self_part  # a leaf: its children align trivially
+                return self_part
         children = _align_children(pattern, target, sim, total, memo)
         if children is None:
             return None

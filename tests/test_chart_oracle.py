@@ -7,17 +7,24 @@ column of translations.tsv, at several beams, each cell of the new chart must
 hold the same items in the same insertion order, with the same serials,
 ``repr(score)``, traces and unary counts. Small beams make cells evict items,
 which is where an ordering slip would show.
+
+``parser._tilings`` grows tilings part by part; it must give the same list,
+in the same order, as the recursive tiler inside the oracle's chart.
 """
 
 from __future__ import annotations
 
+import random
+import types
 from dataclasses import replace
 from importlib import resources
 
 import pytest
 
+import conspec.parser
 from conspec.model import load_corpus, load_model
 from conspec.parser import _chart_parse, segment
+from conspec.rules import Literal, PatternPart
 
 from . import chart_oracle
 
@@ -50,3 +57,72 @@ def test_chart_matches_oracle(beam):
             assert got == cells(chart_oracle._chart_parse(model, tokens)), (beam, tokens)
             charts += 1
     assert charts >= len(surfaces())
+
+
+def oracle_tilings(tokens: list[str], frags):
+    """The oracle chart's recursive ``_tilings(rule, i, j)``, bound to one
+    chart: its code object with the closure cells it reads from the chart."""
+    code = next(
+        c for c in chart_oracle._chart_parse.__code__.co_consts
+        if isinstance(c, types.CodeType) and c.co_name == "_tilings"
+    )
+    scope = {"frags": frags, "n": len(tokens), "tokens": tokens}
+    closure = tuple(types.CellType(scope[name]) for name in code.co_freevars)
+    return types.FunctionType(code, vars(chart_oracle), "_tilings", None, closure)
+
+
+def test_tilings_match_recursive_tiler_on_first_sweeps(monkeypatch):
+    model = load_model(str(DATA / "english.cn"))
+    tilings = conspec.parser._tilings
+    seen: set[tuple] = set()
+    charts: list = []  # keeps every chart referenced, so its id stays unique
+    found = 0
+
+    def compare(rule, tokens, frags, i, j):
+        nonlocal found
+        if not charts or charts[-1] is not frags:
+            charts.append(frags)
+        span = (id(frags), i, j)
+        if span not in seen:
+            # the span's first sweep: every rule, admitted by the corner
+            # filter or not
+            seen.add(span)
+            oracle = oracle_tilings(tokens, frags)
+            for other in model.rules:
+                got = tilings(other, tokens, frags, i, j)
+                assert got == oracle(other, i, j), (tokens, i, j, other.rule_id)
+                found += bool(got)
+        return tilings(rule, tokens, frags, i, j)
+
+    monkeypatch.setattr(conspec.parser, "_tilings", compare)
+    for surface in surfaces():
+        for tokens in segment(model, surface):
+            _chart_parse(model, tokens)
+    assert found > 0
+
+
+def test_tilings_match_recursive_tiler_on_random_cells():
+    rng = random.Random(12)
+    found = 0
+    for _ in range(500):
+        tokens = [rng.choice("abc") for _ in range(rng.randint(1, 7))]
+        n = len(tokens)
+        full = rng.random()
+        frags = {
+            (a, b): ({"item": None} if rng.random() < full else {})
+            for a in range(n)
+            for b in range(a + 1, n + 1)
+        }
+        oracle = oracle_tilings(tokens, frags)
+        for _ in range(4):
+            parts = [
+                Literal(rng.choice("abc")) if rng.random() < 0.4 else PatternPart(None, {})
+                for _ in range(rng.randint(1, 4))
+            ]
+            rule = types.SimpleNamespace(parts=parts)
+            for i in range(n):
+                for j in range(i + 1, n + 1):
+                    got = conspec.parser._tilings(rule, tokens, frags, i, j)
+                    assert got == oracle(rule, i, j), (tokens, frags, parts, i, j)
+                    found += len(got) > 1
+    assert found > 0

@@ -152,6 +152,18 @@ class TestAncestorTable:
         assert repr(first) == repr(second)
 
 
+class TestConstruction:
+    def test_caller_definitions_are_left_as_passed(self):
+        empty: dict = {}
+        lex = Lexicon(definitions=empty)
+        assert empty == {}
+        assert Concept("have", True) in lex.definitions
+        anne = Concept("Anne")
+        defs = {anne: Definition(anne, parse_network("girl"))}
+        assert list(Lexicon(definitions=defs).definitions) == [anne, Concept("have", True)]
+        assert list(defs) == [anne]
+
+
 class TestEquality:
     def test_empty_lexicons_are_equal(self):
         assert Lexicon() == Lexicon()

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import fields, replace
 
 import pytest
 
@@ -123,6 +124,37 @@ class TestEqual:
             a = gen_network(rng, max_nodes=5)
             b = gen_network(rng, max_nodes=5)
             assert (canonical_key(a) == canonical_key(b)) == equal(a, b)
+
+
+class TestConceptHash:
+    CASES = [
+        ("trust", False, 1),
+        ("past", True, 1),
+        ("bank", False, 2),
+        ("past cont.", True, 3),
+    ]
+
+    def test_hash_is_the_hash_of_the_fields(self):
+        for label, stemless, sense in self.CASES:
+            assert hash(Concept(label, stemless, sense)) == hash((label, stemless, sense))
+
+    def test_replace_hashes_the_new_fields(self):
+        bank = Concept("bank")
+        other = replace(bank, sense=2)
+        assert hash(other) == hash(("bank", False, 2))
+        assert other != bank and other == Concept("bank", False, 2)
+        assert {other: 1}[Concept("bank", False, 2)] == 1
+
+    def test_non_concepts_compare_unequal(self):
+        trust = Concept("trust")
+        assert (trust == "trust") is False
+        assert (trust == ("trust", False, 1)) is False
+        assert trust != None  # noqa: E711
+
+    def test_fields_repr_and_pickling_see_only_the_fields(self):
+        assert [f.name for f in fields(Concept)] == ["label", "stemless", "sense"]
+        assert repr(Concept("past", True)) == "Concept({past})"
+        assert Concept("bank", False, 2).__reduce__() == (Concept, ("bank", False, 2))
 
 
 class TestResolveAnchors:

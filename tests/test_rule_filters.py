@@ -9,6 +9,10 @@ under ``align_networks(total=False)``. Inputs are every segmentation of
 demo_corpus.tsv and of the English column of translations.tsv, the realize and
 translate passes over those corpora, and seeded generated networks against the
 english.cn rules and the english_sov.pair transfer rules.
+
+``rules._find_embeddings`` skips an lhs node before aligning a rule part with
+it; every node it skips must have no exact alignment, for every part of the
+shipped models and for seeded generated (sub-chain, lhs) pairs.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ import pytest
 import conspec.parser
 import conspec.rules
 from conspec.model import load_corpus, load_model
-from conspec.network import ConceptNetwork
+from conspec.network import ConceptNetwork, Node
 from conspec.parser import _chart_parse, segment
 from conspec.realizer import realize
-from conspec.rules import _collect_transfer_matches, match_rules
+from conspec.rules import PatternPart, _collect_transfer_matches, _exact_sim, match_rules
 from conspec.similarity import align_networks
 from conspec.transfer import load_pair, translate
 
@@ -127,3 +131,66 @@ def test_gate_skips_only_unalignable_generated_matches(gate_checks):
         _collect_transfer_matches(pair.transfer_rules, lex, net, pragmas.alpha, pragmas.tau)
     gated, aligned = gate_checks
     assert gated > 0 and aligned > 0
+
+
+@pytest.fixture
+def embedding_checks(monkeypatch):
+    """A check(pattern, lhs) that runs ``_find_embeddings`` and asserts that
+    every lhs node it does not align has no exact alignment; returns it with
+    the running [skipped, aligned] counts."""
+    aligned_roots: set[int] = set()
+    counts = [0, 0]
+
+    def record_align(pattern, target, sim, *, total):
+        aligned_roots.add(id(target.roots[0]))
+        return align_networks(pattern, target, sim, total=total)
+
+    def check(pattern, lhs):
+        aligned_roots.clear()
+        got = conspec.rules._find_embeddings(pattern, lhs)
+        for node in lhs.iter_nodes():
+            if id(node) in aligned_roots:
+                counts[1] += 1
+                continue
+            counts[0] += 1
+            assert align_networks(pattern, ConceptNetwork((node,)), _exact_sim, total=False) is None
+        return got
+
+    monkeypatch.setattr(conspec.rules, "align_networks", record_align)
+    return check, counts
+
+
+def test_embedding_gate_skips_only_unalignable_model_parts(embedding_checks):
+    check, counts = embedding_checks
+    models = [load_model(str(DATA / name)) for name in ("english.cn", "sov.cn")]
+    for name in ("english_sov.pair", "english_identity.pair"):
+        pair = load_pair(str(DATA / name))
+        models += [pair.source_model, pair.receptor_model]
+    for model in models:
+        for rule in model.rules:
+            for part in rule.parts:
+                if isinstance(part, PatternPart):
+                    assert len(check(part.pattern, rule.lhs)) == 1
+    skipped, aligned = counts
+    assert skipped > 0 and aligned > 0
+
+
+def sub_chain(rng: random.Random, node: Node) -> Node:
+    """A fresh copy of ``node`` keeping a random prefix-closed part of its
+    specifiers (every capsule body root is kept)."""
+    spec = tuple(sub_chain(rng, s) for s in node.specifiers if rng.random() < 0.6)
+    capsule = None
+    if node.is_capsule:
+        capsule = ConceptNetwork(tuple(sub_chain(rng, r) for r in node.capsule.roots))
+    return Node(concept=node.concept, capsule=capsule, anchor=node.anchor, specifiers=spec)
+
+
+def test_embedding_gate_skips_only_unalignable_generated_parts(embedding_checks):
+    check, counts = embedding_checks
+    rng = random.Random(9)
+    for _ in range(300):
+        lhs = gen_network(rng, max_nodes=8)
+        node = rng.choice(list(lhs.iter_nodes()))
+        assert check(ConceptNetwork((sub_chain(rng, node),)), lhs)
+    skipped, aligned = counts
+    assert skipped > 0 and aligned > 0
