@@ -92,9 +92,10 @@ class Node:
     copy), populated by ``resolve_anchors``; it is ignored by equality and
     printing, which work on the anchor annotation itself. ``key`` is the
     canonical key, set only on nodes that ``canonicalize`` builds.
+    ``is_capsule`` is set once here: ``capsule`` is never reassigned.
     """
 
-    __slots__ = ("concept", "capsule", "anchor", "specifiers", "ref", "key")
+    __slots__ = ("concept", "capsule", "is_capsule", "anchor", "specifiers", "ref", "key")
 
     def __init__(
         self,
@@ -107,14 +108,11 @@ class Node:
             raise MalformedNetworkError("node must hold exactly one of concept or capsule")
         self.concept = concept
         self.capsule = capsule
+        self.is_capsule = capsule is not None
         self.anchor = anchor
         self.specifiers = tuple(specifiers)
         self.ref: Node | None = None
         self.key: tuple | None = None
-
-    @property
-    def is_capsule(self) -> bool:
-        return self.capsule is not None
 
     def head_concept(self) -> Concept:
         """The concept this node exposes: itself, or the capsule head."""

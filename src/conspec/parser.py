@@ -1,22 +1,34 @@
 """Parsing: generation run in reverse.
 
 segment() recovers token sequences (known surface forms plus affix literals
-drawn from rule right-hand sides) that re-join to the input exactly.
-parse_text() then runs a bottom-up chart over each segmentation: a rule whose
-part sequence tiles a span rebuilds its pattern around the matched fragments,
-exactly or analogically. Each rule part is aligned with each chart item once.
-A span's first sweep visits only the rules a corner filter admits: at most as
-many parts as the span has tokens, and any literal first or last part equal to
-the span's first or last token; any other rule has no tiling of the span.
-After the first sweep only the one-part pattern rules are tried on the span
-again. apply_rules_over says why all three are exact. Complete parses are
-canonicalized, deduplicated, and ranked by derivation score.
+drawn from rule right-hand sides) that re-join to the input exactly; input of
+more than MAX_WORDS words is refused before any work. parse_text() then runs a
+bottom-up chart over each segmentation: a rule whose part sequence tiles a
+span rebuilds its pattern around the matched fragments, exactly or
+analogically.
+
+The chart decides before it builds:
+
+- A span's first sweep visits only the rules a corner filter admits: at most
+  as many parts as the span has tokens, and any literal first or last part
+  equal to the span's first or last token; any other rule has no tiling of
+  the span. After the first sweep only the one-part pattern rules are tried
+  on the span again.
+- A tiling's part combinations are walked depth-first in product order, and
+  part k is aligned only with items whose earlier parts aligned. Each rule
+  part is aligned with each chart item once, behind the root-shape gate the
+  rules module applies, and the walk stops at the ``beam*4`` cap.
+- An item's score is known from its alignments, so an item below ``tau``, or
+  one a full cell would refuse whatever its key, is never built.
+
+apply_rules_over says why each is exact. Complete parses are canonicalized,
+deduplicated, and ranked by derivation score.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count, islice, product as iter_product
+from itertools import count
 from math import prod
 
 from .errors import UnparseableTextError
@@ -24,12 +36,17 @@ from .lexicon import Lexicon
 from .model import ModelBundle
 from .network import ConceptNetwork, Node, canonical_key, canonicalize
 from .realizer import join_affixes, strip_orthography
-from .rules import Literal, PatternPart, Rule, instantiate_reverse
+from .rules import Literal, PatternPart, Rule, instantiate_reverse, reverse_score, roots_can_align
 from .similarity import Alignment, align_networks, rule_node_sim
 from .treeline import print_network
 
 # Most affix ops undone on one word; deeper splits are not tried.
 MAX_AFFIXES_PER_WORD = 3
+
+# Most words in one parse_text input; longer input is an UnparseableTextError
+# before any work. The chart's work grows about as n**3: with english.cn, 64
+# words that do not parse fail after 0.3 to 1.4 s, 128 words after 1.9 to 8 s.
+MAX_WORDS = 64
 
 
 @dataclass
@@ -118,26 +135,29 @@ def _segment_raw(model: ModelBundle, text: str) -> list[list[str]]:
     words = text.split()
     if not words:
         raise UnparseableTextError("empty input")
+    if len(words) > MAX_WORDS:
+        raise UnparseableTextError(
+            f"input has {len(words)} words; the parser takes at most {MAX_WORDS}"
+        )
     vocab = model.vocab
 
-    table: dict[int, list[tuple[list[str], int]]] = {len(words): [([], 0)]}
-
-    def seg(i: int) -> list[tuple[list[str], int]]:
-        if i in table:
-            return table[i]
-        options: list[tuple[list[str], int]] = []
-        for j in range(min(len(words), i + vocab.max_words), i, -1):
+    # table[i]: (tokens, affix splits) for each way to cover words[i:], filled
+    # from the last position back; longer known tokens come first, then the
+    # affix splits of words[i]
+    n = len(words)
+    table: list[list[tuple[list[str], int]]] = [[] for _ in range(n)] + [[([], 0)]]
+    for i in range(n - 1, -1, -1):
+        options = table[i]
+        for j in range(min(n, i + vocab.max_words), i, -1):
             token = " ".join(words[i:j])
             if vocab.knows(token):
-                for rest, splits in seg(j):
+                for rest, splits in table[j]:
                     options.append(([token] + rest, splits))
         for decomp in _decompose(words[i], vocab):
-            for rest, splits in seg(i + 1):
+            for rest, splits in table[i + 1]:
                 options.append((decomp + rest, splits + 1))
-        table[i] = options
-        return options
 
-    results = seg(0)
+    results = table[0]
     if not results:
         prefix = []
         for w in words:
@@ -194,12 +214,66 @@ def _tilings(rule, tokens: list[str], frags, i: int, j: int) -> list[list[tuple[
     return [acc for acc, _ in partial]
 
 
+def _aligned_combos(slots: list[list], align, cap: int) -> list[tuple[tuple, list]]:
+    """(items, alignments) for each combination of one entry per slot, in
+    ``product(*slots)`` order, whose every item aligns; a None entry is a
+    literal and aligns as None.
+
+    The walk is depth-first: ``align(k, item)`` is asked for part k only
+    with items whose earlier parts aligned, and a None answer prunes the
+    combinations below. The walk stops at the first combination whose
+    position in the full product (mixed radix, the last slot fastest) is
+    ``cap`` or more, so it reaches exactly the aligned combinations of
+    ``islice(product(*slots), cap)``.
+    """
+    last = len(slots)
+    strides = [1] * last
+    for k in range(last - 1, 0, -1):
+        strides[k - 1] = strides[k] * len(slots[k])
+    out: list[tuple[tuple, list]] = []
+    items: list = []
+    alignments: list = []
+
+    def walk(k: int, at: int) -> bool:  # False once the cap is reached
+        if k == last:
+            out.append((tuple(items), list(alignments)))
+            return True
+        for c, it in enumerate(slots[k]):
+            pos = at + c * strides[k]
+            if pos >= cap:
+                return False
+            got = None
+            if it is not None:
+                got = align(k, it)
+                if got is None:
+                    continue
+            items.append(it)
+            alignments.append(got)
+            going = walk(k + 1, pos)
+            items.pop()
+            alignments.pop()
+            if not going:
+                return False
+        return True
+
+    walk(0, 0)
+    return out
+
+
+def _may_admit(cell: dict, beam: int, score: float) -> bool:
+    """False where add() would refuse an item of this score whatever its key:
+    the cell is full and its lowest score is at least the item's, so a new
+    key displaces nothing and a key the cell holds already scores as high."""
+    return len(cell) < beam or min(it.score for it in cell.values()) < score
+
+
 def _chart_parse(model: ModelBundle, tokens: list[str]):
     n = len(tokens)
-    beam = model.pragmas.beam
+    beam, tau = model.pragmas.beam, model.pragmas.tau
     frags: dict[tuple[int, int], dict[tuple, _Item]] = {
         (i, j): {} for i in range(n) for j in range(i + 1, n + 1)
     }
+    ranked: dict[tuple[int, int], list[_Item]] = {}  # final cells, best score first
     serials = count()
     sim = rule_node_sim(model.lexicon, model.pragmas.alpha)
     aligned: dict[tuple[int, int, int], Alignment | None] = {}  # (rule, part, item serial)
@@ -229,18 +303,24 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
 
     MAX_UNARY = 2
 
-    def align_parts(r: int, rule, items) -> list[Alignment | None] | None:
-        """Each part's alignment with its item, or None once a part has none."""
-        out: list[Alignment | None] = []
-        for k, it in enumerate(items):
-            if it is not None:
-                key = (r, k, it.serial)
-                if key not in aligned:
-                    aligned[key] = align_networks(rule.parts[k].pattern, it.net, sim, total=False)
-                if aligned[key] is None:
-                    return None
-            out.append(None if it is None else aligned[key])
-        return out
+    def rank(a: int, b: int) -> list[_Item]:
+        got = ranked.get((a, b))
+        if got is None:  # the span being filled: its cell still changes
+            got = sorted(frags[(a, b)].values(), key=lambda it: -it.score)[:beam]
+        return got
+
+    def aligner(r: int, rule: Rule, same_span: bool):
+        def align(k: int, it: _Item) -> Alignment | None:
+            if same_span and it.unary >= MAX_UNARY:
+                return None  # the cycle guard refuses a third unary step
+            key = (r, k, it.serial)
+            if key not in aligned:
+                pattern = rule.parts[k].pattern
+                fits = roots_can_align(pattern, it.net, sim)
+                aligned[key] = align_networks(pattern, it.net, sim, total=False) if fits else None
+            return aligned[key]
+
+        return align
 
     def apply_rules_over(i: int, j: int) -> None:
         # Each (rule, items) combination is instantiated once per span; items
@@ -253,8 +333,11 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
         # cell at that minimum.
         #
         # ``aligned`` is exact: an alignment depends only on the pattern, the
-        # item's network and the lexicon. Later sweeps need only ``regrow``,
-        # the one-part pattern rules: any other tiling of (i, j) covers cells
+        # item's network and the lexicon, and the root-shape gate refuses
+        # only what align_networks would. A combination with a part that does
+        # not align, or one the cycle guard refuses, was never instantiated,
+        # so _aligned_combos skips it. Later sweeps need only ``regrow``, the
+        # one-part pattern rules: any other tiling of (i, j) covers cells
         # that were final before this span began, so all its combinations are
         # already in ``tried``, and skipping them changes no add() call.
         #
@@ -262,7 +345,13 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
         # declaration order. ``_tilings`` is empty for every other rule: each
         # part covers at least one token, a literal first part must be
         # tokens[i], and a literal last part must be tokens[j - 1].
+        #
+        # An item is built only if add() could admit it. Its score is known
+        # from the alignments alone, so one below ``tau``, or one that a full
+        # cell with no lower score would refuse whatever its key, is skipped
+        # unbuilt. Serials are handed out only in add(), so none moves.
         first, last = tokens[i], tokens[j - 1]
+        cell = frags[(i, j)]
         tried: set[tuple] = set()
         sweep = [
             (r, rule)
@@ -276,40 +365,32 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
             for r, rule in sweep:
                 for tiling in _tilings(rule, tokens, frags, i, j):
                     same_span = tiling == [(i, j)]
-                    for items in _part_combos(rule, tiling):
+                    slots = [
+                        [None] if isinstance(part, Literal) else rank(a, b)
+                        for part, (a, b) in zip(rule.parts, tiling)
+                    ]
+                    align = aligner(r, rule, same_span)
+                    for items, alignments in _aligned_combos(slots, align, beam * 4):
                         tried_key = (r, *(-1 if it is None else it.serial for it in items))
                         if tried_key in tried:
                             continue
                         tried.add(tried_key)
+                        match_score = reverse_score(alignments)
+                        if match_score < tau:
+                            continue
                         picked = [it for it in items if it is not None]
-                        unary = 0
-                        if same_span and picked:
-                            unary = picked[0].unary + 1
-                            if unary > MAX_UNARY:
-                                continue
-                        alignments = align_parts(r, rule, items)
-                        if alignments is None:
+                        score = prod(it.score for it in picked) * match_score
+                        if not _may_admit(cell, beam, score):
                             continue
-                        built, match_score = instantiate_reverse(rule, alignments)
-                        if match_score < model.pragmas.tau:
-                            continue
+                        built, _ = instantiate_reverse(rule, alignments)
                         trace = [t for it in picked for t in it.trace]
                         trace.append(f"rule:{rule.rule_id}@{i}:{j}")
-                        score = prod(it.score for it in picked) * match_score
+                        unary = picked[0].unary + 1 if same_span and picked else 0
                         item = _Item(canonicalize(built), score, trace, unary)
                         if add(i, j, item):
                             changed = True
             sweep = regrow if changed else []
-
-    def _part_combos(rule, tiling):
-        slots: list[list[_Item | None]] = []
-        for part, (a, b) in zip(rule.parts, tiling):
-            if isinstance(part, Literal):
-                slots.append([None])
-            else:
-                ranked = sorted(frags[(a, b)].values(), key=lambda it: -it.score)
-                slots.append(ranked[:beam])
-        return islice(iter_product(*slots), beam * 4)
+        ranked[(i, j)] = rank(i, j)
 
     for width in range(1, n + 1):
         for i in range(0, n - width + 1):

@@ -164,6 +164,24 @@ class Match:
         return self.score == 1.0
 
 
+def roots_can_align(pattern: ConceptNetwork, target: ConceptNetwork, sim: NodeSim) -> bool:
+    """The root-shape gate: False only where ``align_networks(pattern,
+    target, sim, total=False)`` is None.
+
+    It makes the checks the alignment makes first: root count, then the
+    first root pair's capsule flag, anchor, specifier count and similarity.
+    Realize, transfer and the chart all apply it before aligning.
+    """
+    p, t = pattern.roots[0], target.roots[0]
+    return (
+        len(pattern.roots) == len(target.roots)
+        and p.is_capsule == t.is_capsule
+        and p.anchor == t.anchor
+        and len(p.specifiers) <= len(t.specifiers)
+        and (p.is_capsule or sim(p.concept, t.concept) > 0.0)
+    )
+
+
 def _match_region(
     pattern: ConceptNetwork,
     target: ConceptNetwork,
@@ -182,19 +200,10 @@ def _match_region(
     the part or slot that carries its bound parent; readers work it out from
     the binding.
 
-    Before any alignment work, a root-shape gate makes the checks that
-    ``align_networks(total=False)`` makes first: root count, then the first
-    root pair's capsule flag, anchor, specifier count and similarity. It
-    therefore drops only matches the alignment would reject.
+    Before any alignment work, ``roots_can_align`` gates the match on its
+    root shape, so it drops only matches the alignment would reject.
     """
-    p, t = pattern.roots[0], target.roots[0]
-    if (
-        len(pattern.roots) != len(target.roots)
-        or p.is_capsule != t.is_capsule
-        or p.anchor != t.anchor
-        or len(p.specifiers) > len(t.specifiers)
-        or (not p.is_capsule and sim(p.concept, t.concept) <= 0.0)
-    ):
+    if not roots_can_align(pattern, target, sim):
         return None
     got = align_networks(pattern, target, sim, total=False)
     if got is None or got.score < tau:
@@ -274,22 +283,33 @@ def realize_parts(match: Match) -> list[str | ConceptNetwork]:
 # ---------------------------------------------------------------------------
 
 
+def reverse_score(alignments: list[Alignment | None]) -> float:
+    """The match score of a reverse application: the geometric mean of the
+    concept similarities over every part's alignment (None for a literal),
+    1 when no concept is aligned. The chart reads it before building the
+    item; ``instantiate_reverse`` returns the same value."""
+    product, count = 1.0, 0
+    for got in alignments:
+        if got is not None:
+            product *= got.product
+            count += got.count
+    return product ** (1.0 / count) if count else 1.0
+
+
 def instantiate_reverse(rule: Rule, alignments: list[Alignment | None]) -> tuple[ConceptNetwork, float]:
     """Build an lhs instance around the fragments aligned with each pattern part.
 
     ``alignments[i]`` aligns parts[i].pattern with its fragment, or is None for
-    a literal, which the caller has already checked. Returns (network, match
-    score). Uncovered lhs nodes (role markers, capsule shells, {implied}
-    insertions) are copied in verbatim.
+    a literal, which the caller has already checked. Returns (network,
+    ``reverse_score(alignments)``). Uncovered lhs nodes (role markers, capsule
+    shells, {implied} insertions) are copied in verbatim. A fragment node
+    with nothing changed beneath it is shared, not copied.
     """
-    part_frag: dict[int, dict[Node, Node]] = {}  # part index -> lhs node -> fragment node
-    product, count = 1.0, 0
-    for i, (part, got) in enumerate(zip(rule.parts, alignments)):
-        if got is None:
-            continue
-        product *= got.product
-        count += got.count
-        part_frag[i] = {part.to_lhs[p]: f for p, f in got.binding.items()}
+    part_frag: dict[int, dict[Node, Node]] = {  # part index -> lhs node -> fragment node
+        i: {part.to_lhs[p]: f for p, f in got.binding.items()}
+        for i, (part, got) in enumerate(zip(rule.parts, alignments))
+        if got is not None
+    }
 
     def part_owned(l: Node) -> Node | None:
         i = rule.part_at.get(id(l))
@@ -312,19 +332,22 @@ def instantiate_reverse(rule: Rule, alignments: list[Alignment | None]) -> tuple
         for lc in l.specifiers:
             if rule.part_at.get(id(lc)) != part_idx and lhs_to_frag.get(lc) is None:
                 kept.append(rebuild(lc, swap=part_owned))
-        capsule = None
+        capsule = f.capsule
         if f.is_capsule:
             body_of = {id(lhs_to_frag[r]): r for r in l.capsule.roots if lhs_to_frag.get(r) is not None}
             roots = []
             for fr in f.capsule.roots:
                 lr = body_of.get(id(fr))
                 roots.append(graft(fr, lr, lhs_to_frag, part_idx) if lr is not None else fr)
-            capsule = ConceptNetwork(tuple(roots))
-        return Node(concept=f.concept, capsule=capsule, anchor=f.anchor, specifiers=tuple(kept))
+            if roots != list(capsule.roots):  # nodes compare by identity
+                capsule = ConceptNetwork(tuple(roots))
+        spec = tuple(kept)
+        if spec == f.specifiers and capsule is f.capsule:
+            return f  # nothing beneath f changed
+        return Node(concept=f.concept, capsule=capsule, anchor=f.anchor, specifiers=spec)
 
     net = ConceptNetwork(tuple(rebuild(r, swap=part_owned) for r in rule.lhs.roots))
-    score = product ** (1.0 / count) if count else 1.0
-    return net, score
+    return net, reverse_score(alignments)
 
 
 # ---------------------------------------------------------------------------

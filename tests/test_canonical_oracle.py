@@ -2,9 +2,9 @@
 
 ``tests/canonical_oracle.py`` holds ``canonicalize`` as it was before nodes
 stored their key. For every network the chart canonicalizes on the shipped
-corpora (at several beams), and for seeded generated networks, some of them
-built around canonical subtrees, the new ``canonicalize`` must print the same
-network and give the same key. Its output must also keep the key invariant:
+English and SOV corpora (at several beams), and for seeded generated
+networks, some of them built around canonical subtrees, the new
+``canonicalize`` must print the same network and give the same key. Its output must also keep the key invariant:
 every node carries a key equal to one computed from scratch, no node object
 appears twice in one network, and no node with a key has a ``ref``, even after
 ``resolve_anchors`` has wired a copy.
@@ -30,12 +30,16 @@ from .gen import gen_concept, gen_network, shuffle_specifiers
 DATA = resources.files("conspec.data")
 
 
-def english_surfaces() -> list[str]:
-    out = [surface for surface, _, _ in load_corpus(str(DATA / "demo_corpus.tsv"))]
-    for raw in (DATA / "translations.tsv").read_text(encoding="utf-8").splitlines():
-        if raw.strip() and not raw.startswith("#"):
-            out.append(raw.split("\t")[0])
-    return out
+def translation_columns(column: int) -> list[str]:
+    rows = (DATA / "translations.tsv").read_text(encoding="utf-8").splitlines()
+    return [raw.split("\t")[column] for raw in rows if raw.strip() and not raw.startswith("#")]
+
+
+def surfaces_by_model() -> list[tuple[str, list[str]]]:
+    """english.cn over demo_corpus.tsv and the English column of
+    translations.tsv, and sov.cn over its SOV column."""
+    demo = [surface for surface, _, _ in load_corpus(str(DATA / "demo_corpus.tsv"))]
+    return [("english.cn", demo + translation_columns(0)), ("sov.cn", translation_columns(2))]
 
 
 def oracle_key(net: ConceptNetwork) -> tuple:
@@ -60,8 +64,6 @@ def check_canonical(source: ConceptNetwork, got: ConceptNetwork) -> None:
 
 @pytest.mark.parametrize("beam", [1, 2, 16])
 def test_chart_items_match_oracle(beam, monkeypatch):
-    english = load_model(str(DATA / "english.cn"))
-    model = replace(english, pragmas=replace(english.pragmas, beam=beam))
     built: list[tuple[ConceptNetwork, ConceptNetwork]] = []
 
     def record(net):
@@ -70,9 +72,12 @@ def test_chart_items_match_oracle(beam, monkeypatch):
         return got
 
     monkeypatch.setattr(conspec.parser, "canonicalize", record)
-    for surface in english_surfaces():
-        for tokens in segment(model, surface):
-            _chart_parse(model, tokens)
+    for name, surfaces in surfaces_by_model():
+        loaded = load_model(str(DATA / name))
+        model = replace(loaded, pragmas=replace(loaded.pragmas, beam=beam))
+        for surface in surfaces:
+            for tokens in segment(model, surface):
+                _chart_parse(model, tokens)
     assert len(built) > 100
     for source, got in built:
         check_canonical(source, got)

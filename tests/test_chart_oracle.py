@@ -10,6 +10,11 @@ which is where an ordering slip would show.
 
 ``parser._tilings`` grows tilings part by part; it must give the same list,
 in the same order, as the recursive tiler inside the oracle's chart.
+
+No tiling on the shipped corpora has more than ``beam*4`` part combinations,
+so a constructed model checks the cap: its four-part rules meet cells of two
+items each at beam 2, and only the combinations past the cap align with the
+first rule.
 """
 
 from __future__ import annotations
@@ -18,11 +23,12 @@ import random
 import types
 from dataclasses import replace
 from importlib import resources
+from math import prod
 
 import pytest
 
 import conspec.parser
-from conspec.model import load_corpus, load_model
+from conspec.model import load_corpus, load_model, load_model_text
 from conspec.parser import _chart_parse, segment
 from conspec.rules import Literal, PatternPart
 
@@ -57,6 +63,39 @@ def test_chart_matches_oracle(beam):
             assert got == cells(chart_oracle._chart_parse(model, tokens)), (beam, tokens)
             charts += 1
     assert charts >= len(surfaces())
+
+
+# Each one-part rule gives its token a second item at the same score, after
+# the shift item. Part ``a > {plural}`` of rule r5 aligns only with that
+# second item, so r5's aligned combinations all sit at product positions 8
+# to 15, past the cap of 8; r6's parts align with every item.
+CAP_MODEL = """
+set beam 2
+a > {plural} <=> [a]
+b > {plural} <=> [b]
+c > {plural} <=> [c]
+d > {plural} <=> [d]
+go > [{agent} > a > {plural}, {theme} > b, {recipient} > c, {object 1} > d] <=> [a > {plural}, b, c, d]
+stay > [{agent} > a, {theme} > b, {recipient} > c, {object 1} > d] <=> [a, b, c, d]
+"""
+
+
+def test_combination_cap_matches_oracle(monkeypatch):
+    model = load_model_text(CAP_MODEL)
+    cap = model.pragmas.beam * 4
+    products: list[int] = []  # the full product size of each oracle tiling
+    iter_product = chart_oracle.iter_product
+
+    def record(*slots):
+        products.append(prod(map(len, slots)))
+        return iter_product(*slots)
+
+    monkeypatch.setattr(chart_oracle, "iter_product", record)
+    tokens = "a b c d".split()
+    want = cells(chart_oracle._chart_parse(model, tokens))
+    assert cells(_chart_parse(model, tokens)) == want
+    assert max(products) > cap  # the cap cut a tiling's combinations
+    assert len(want[(0, 4)]) == model.pragmas.beam
 
 
 def oracle_tilings(tokens: list[str], frags):

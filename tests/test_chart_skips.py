@@ -1,0 +1,162 @@
+"""Every combination and item the chart skips, against the logic it replaced.
+
+The chart enumerates only the part combinations whose parts all align
+(``parser._aligned_combos``), and builds an item only where ``add()`` could
+admit it (``parser._may_admit``). This file keeps what those replaced, as it
+stood in ``parser._chart_parse``: ``_part_combos``, ``align_parts``, the
+unary cycle guard and ``add()``. For every segmentation of demo_corpus.tsv and
+of the English column of translations.tsv, at beams 1, 2 and 16:
+
+- ``_aligned_combos`` gives, in order and with the same alignments, exactly
+  the combinations of ``_part_combos`` that pass the unary guard and whose
+  every part aligns under ``align_parts`` with a memo of its own. So each
+  combination it skips has a part whose ``align_networks`` is None, fails the
+  guard, or sits at product position ``beam*4`` or later.
+- Each item ``_may_admit`` refuses is built here anyway, and ``add()``, run on
+  a copy of the cell as it stands, refuses it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from importlib import resources
+from itertools import count, islice, product as iter_product
+from math import prod
+
+import pytest
+
+import conspec.parser
+from conspec.model import load_model
+from conspec.network import canonical_key, canonicalize
+from conspec.parser import _chart_parse, _Item, segment
+from conspec.rules import Literal, instantiate_reverse
+from conspec.similarity import align_networks, rule_node_sim
+
+from .test_rule_filters import english_surfaces
+
+DATA = resources.files("conspec.data")
+
+MAX_UNARY = 2
+
+
+def old_chart(frags, beam, sim):
+    """``align_parts``, ``_part_combos`` and ``add()`` as they stood in
+    ``_chart_parse``, bound to one chart and a fresh alignment memo."""
+    aligned = {}
+    serials = count()
+
+    def add(i: int, j: int, item: _Item) -> bool:
+        cell = frags[(i, j)]
+        key = canonical_key(item.net)
+        prev = cell.get(key)
+        if prev is not None:
+            if prev.score >= item.score:
+                return False
+        elif len(cell) >= beam:
+            worst_key, worst = min(cell.items(), key=lambda kv: kv[1].score)
+            if worst.score >= item.score:
+                return False  # cannot displace anything: keeps the loop finite
+            del cell[worst_key]
+        item.serial = next(serials)
+        cell[key] = item
+        return True
+
+    def align_parts(r: int, rule, items):
+        """Each part's alignment with its item, or None once a part has none."""
+        out = []
+        for k, it in enumerate(items):
+            if it is not None:
+                key = (r, k, it.serial)
+                if key not in aligned:
+                    aligned[key] = align_networks(rule.parts[k].pattern, it.net, sim, total=False)
+                if aligned[key] is None:
+                    return None
+            out.append(None if it is None else aligned[key])
+        return out
+
+    def _part_combos(rule, tiling):
+        slots = []
+        for part, (a, b) in zip(rule.parts, tiling):
+            if isinstance(part, Literal):
+                slots.append([None])
+            else:
+                ranked = sorted(frags[(a, b)].values(), key=lambda it: -it.score)
+                slots.append(ranked[:beam])
+        return islice(iter_product(*slots), beam * 4)
+
+    return add, align_parts, _part_combos
+
+
+def same_alignment(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return (a.product, a.count, a.binding) == (b.product, b.count, b.binding)
+
+
+@pytest.mark.parametrize("beam", [1, 2, 16])
+def test_chart_skips_only_what_the_old_chart_refuses(beam, monkeypatch):
+    english = load_model(str(DATA / "english.cn"))
+    model = replace(english, pragmas=replace(english.pragmas, beam=beam))
+    sim = rule_node_sim(model.lexicon, model.pragmas.alpha)
+    index = {id(rule): r for r, rule in enumerate(model.rules)}
+    tilings = conspec.parser._tilings
+    aligned_combos = conspec.parser._aligned_combos
+    may_admit = conspec.parser._may_admit
+    olds: dict[int, tuple] = {}  # id(chart) -> its old helpers
+    charts: list = []  # keeps every chart referenced, so its id stays unique
+    now: dict = {}  # the rule being tiled, its span and tilings, the combination
+    counts = {"combos": 0, "unaligned": 0, "refused": 0}
+
+    def record_tilings(rule, tokens, frags, i, j):
+        if id(frags) not in olds:
+            charts.append(frags)
+            olds[id(frags)] = old_chart(frags, beam, sim)
+        got = tilings(rule, tokens, frags, i, j)
+        now.update(rule=rule, frags=frags, span=(i, j), tilings=list(got))
+        return got
+
+    def checked_combos(slots, align, cap):
+        rule, frags, (i, j) = now["rule"], now["frags"], now["span"]
+        tiling = now["tilings"].pop(0)
+        _, align_parts, _part_combos = olds[id(frags)]
+        old = list(_part_combos(rule, tiling))
+        assert cap == beam * 4
+        assert list(islice(iter_product(*slots), cap)) == old
+        want = []
+        for items in old:
+            picked = [it for it in items if it is not None]
+            if tiling == [(i, j)] and picked and picked[0].unary + 1 > MAX_UNARY:
+                continue
+            alignments = align_parts(index[id(rule)], rule, items)
+            if alignments is not None:
+                want.append((items, alignments))
+        got = aligned_combos(slots, align, cap)
+        assert [items for items, _ in got] == [items for items, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert all(map(same_alignment, a, b))
+        counts["combos"] += len(got)
+        counts["unaligned"] += len(old) - len(got)
+        for combo in got:
+            now["combo"] = combo
+            yield combo
+
+    def checked_admit(cell, beam_, score):
+        got = may_admit(cell, beam_, score)
+        if not got:
+            rule, (i, j) = now["rule"], now["span"]
+            items, alignments = now["combo"]
+            built, match_score = instantiate_reverse(rule, alignments)
+            assert prod(it.score for it in items if it is not None) * match_score == score
+            item = _Item(canonicalize(built), score, [])
+            add = old_chart({(i, j): dict(cell)}, beam, sim)[0]  # on a copy
+            assert add(i, j, item) is False
+            counts["refused"] += 1
+        return got
+
+    monkeypatch.setattr(conspec.parser, "_tilings", record_tilings)
+    monkeypatch.setattr(conspec.parser, "_aligned_combos", checked_combos)
+    monkeypatch.setattr(conspec.parser, "_may_admit", checked_admit)
+    for surface in english_surfaces():
+        for tokens in segment(model, surface):
+            _chart_parse(model, tokens)
+    assert min(counts.values()) > 0, counts

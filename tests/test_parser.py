@@ -1,9 +1,11 @@
+import time
+
 import pytest
 
-from conspec.errors import UnparseableTextError
+from conspec.errors import ConspecError, UnparseableTextError
 from conspec.model import load_model_text
 from conspec.network import equal
-from conspec.parser import parse_text, segment
+from conspec.parser import MAX_WORDS, _decompose, _segment_raw, parse_text, segment
 from conspec.realizer import join_affixes, realize
 from conspec.treeline import parse_network
 
@@ -47,6 +49,65 @@ class TestSegment:
     def test_multiword_surface_forms(self):
         model = load_model_text("holy cow > {!} <=> [holy cow]")
         assert segment(model, "holy cow") == [["holy cow"]]
+
+    def test_word_limit(self, tiny):
+        assert segment(tiny, " ".join(["he"] * MAX_WORDS)) == [["he"] * MAX_WORDS]
+        with pytest.raises(UnparseableTextError, match=f"at most {MAX_WORDS}"):
+            segment(tiny, " ".join(["he"] * (MAX_WORDS + 1)))
+
+    def test_long_input_fails_fast_as_a_conspec_error(self, tiny):
+        # 1,200 words once overflowed the recursive segmenter's stack
+        start = time.perf_counter()
+        with pytest.raises(ConspecError):
+            parse_text(tiny, " ".join(["he"] * 1200))
+        assert time.perf_counter() - start < 1.0
+
+    def test_same_options_as_the_recursive_segmenter(self):
+        from importlib import resources
+
+        from conspec.model import load_corpus, load_model
+
+        data = resources.files("conspec.data")
+        model = load_model(str(data / "english.cn"))
+        texts = [surface for surface, _, _ in load_corpus(str(data / "demo_corpus.tsv"))]
+        texts += [" ".join(["it seems that"] * k + ["Fred seems happy"]) for k in range(4)]
+        texts += ["he himself bought the car", "the eggs " * 5, "flew ran trusted"]
+        for text in texts:
+            assert _segment_raw(model, text) == recursive_segment_raw(model, text), text
+
+
+def recursive_segment_raw(model, text: str) -> list[list[str]]:
+    """``parser._segment_raw`` as it was before it filled its table with a
+    loop, kept verbatim but for the error branch."""
+    words = text.split()
+    vocab = model.vocab
+
+    table: dict[int, list[tuple[list[str], int]]] = {len(words): [([], 0)]}
+
+    def seg(i: int) -> list[tuple[list[str], int]]:
+        if i in table:
+            return table[i]
+        options: list[tuple[list[str], int]] = []
+        for j in range(min(len(words), i + vocab.max_words), i, -1):
+            token = " ".join(words[i:j])
+            if vocab.knows(token):
+                for rest, splits in seg(j):
+                    options.append(([token] + rest, splits))
+        for decomp in _decompose(words[i], vocab):
+            for rest, splits in seg(i + 1):
+                options.append((decomp + rest, splits + 1))
+        table[i] = options
+        return options
+
+    results = seg(0)
+    ordered = sorted(results, key=lambda r: (r[1], len(r[0])))
+    out, seen = [], set()
+    for tokens, _ in ordered:
+        key = tuple(tokens)
+        if key not in seen:
+            seen.add(key)
+            out.append(tokens)
+    return out[:32]
 
 
 class TestParseText:
