@@ -16,8 +16,9 @@ The chart decides before it builds:
   on the span again.
 - A tiling's part combinations are walked depth-first in product order, and
   part k is aligned only with items whose earlier parts aligned. Each rule
-  part is aligned with each chart item once, behind the root-shape gate the
-  rules module applies, and the walk stops at the ``beam*4`` cap.
+  part is aligned with each chart item once, and the walk stops at the
+  ``beam*4`` cap. An item of the wrong root shape fails at the alignment's
+  own first checks, before any similarity is computed.
 - An item's score is known from its alignments, so an item below ``tau``, or
   one a full cell would refuse whatever its key, is never built.
 
@@ -34,9 +35,9 @@ from math import prod
 from .errors import UnparseableTextError
 from .lexicon import Lexicon
 from .model import ModelBundle
-from .network import ConceptNetwork, Node, canonical_key, canonicalize
+from .network import Concept, ConceptNetwork, Node, canonical_key, canonicalize
 from .realizer import join_affixes, strip_orthography
-from .rules import Literal, PatternPart, Rule, instantiate_reverse, reverse_score, roots_can_align
+from .rules import Literal, PatternPart, Rule, instantiate_reverse, reverse_score
 from .similarity import Alignment, align_networks, rule_node_sim
 from .treeline import print_network
 
@@ -51,9 +52,9 @@ MAX_WORDS = 64
 
 @dataclass
 class Vocabulary:
-    surfaces: dict[str, list] = field(default_factory=dict)  # surface -> [Concept]
+    surfaces: dict[str, list] = field(default_factory=dict)  # surface -> [Concept], in sense order
     literals: set[str] = field(default_factory=set)  # every rule literal
-    affixes: set[str] = field(default_factory=set)  # marker-carrying literals
+    affixes: list[str] = field(default_factory=list)  # marker-carrying literals, in rule order
     max_words: int = 1  # words in the longest surface form
 
     def knows(self, token: str) -> bool:
@@ -62,24 +63,26 @@ class Vocabulary:
 
 def build_vocabulary(rules: tuple[Rule, ...], lexicon: Lexicon) -> Vocabulary:
     vocab = Vocabulary()
-    concepts = set()
+    concepts: dict[Concept, None] = {}  # first-seen order, so no hash order leaks
     for rule in rules:
         for part in rule.parts:
             if isinstance(part, Literal):
-                vocab.literals.add(part.text)
                 t = part.text
-                if (t.startswith("+") or t.startswith("-") or t.endswith("+")) and len(t) > 1:
-                    vocab.affixes.add(t)
+                vocab.literals.add(t)
+                affix = (t.startswith("+") or t.startswith("-") or t.endswith("+")) and len(t) > 1
+                if affix and t not in vocab.affixes:
+                    vocab.affixes.append(t)
         for node in rule.lhs.iter_nodes():
             if node.concept is not None:
-                concepts.add(node.concept)
-    for name in lexicon.definitions:
-        concepts.add(name)
+                concepts.setdefault(node.concept)
+    concepts.update(dict.fromkeys(lexicon.definitions))
     for concept in concepts:
         if concept.stemless:
             continue
         vocab.surfaces.setdefault(concept.label, []).append(concept)
         vocab.max_words = max(vocab.max_words, concept.label.count(" ") + 1)
+    for senses in vocab.surfaces.values():
+        senses.sort(key=lambda c: c.sense)
     return vocab
 
 
@@ -315,9 +318,7 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
                 return None  # the cycle guard refuses a third unary step
             key = (r, k, it.serial)
             if key not in aligned:
-                pattern = rule.parts[k].pattern
-                fits = roots_can_align(pattern, it.net, sim)
-                aligned[key] = align_networks(pattern, it.net, sim, total=False) if fits else None
+                aligned[key] = align_networks(rule.parts[k].pattern, it.net, sim, total=False)
             return aligned[key]
 
         return align
@@ -333,8 +334,7 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
         # cell at that minimum.
         #
         # ``aligned`` is exact: an alignment depends only on the pattern, the
-        # item's network and the lexicon, and the root-shape gate refuses
-        # only what align_networks would. A combination with a part that does
+        # item's network and the lexicon. A combination with a part that does
         # not align, or one the cycle guard refuses, was never instantiated,
         # so _aligned_combos skips it. Later sweeps need only ``regrow``, the
         # one-part pattern rules: any other tiling of (i, j) covers cells

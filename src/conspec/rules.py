@@ -12,7 +12,8 @@ binding: a target child the binding leaves unbound (a "remainder") stays
 with the rhs part that carries its bound parent, so a determiner or adverb
 hanging off a matched noun flows into that part's fragment instead of
 blocking the rule. A match is rejected when a remainder hangs under a
-dropped lhs node (silent content loss).
+dropped lhs node (silent content loss). Rules are aligned with no gate of
+their own: a root of the wrong shape fails at the alignment's first checks.
 
 Transfer rules rewrite source-language regions into receptor-language
 templates. A dst node is a slot when the bilingual map (or label identity)
@@ -61,18 +62,13 @@ def _exact_sim(a: Concept, b: Concept) -> float:
 def _find_embeddings(pattern: ConceptNetwork, lhs: ConceptNetwork) -> list[Alignment]:
     """All exact prefix embeddings of a (single-root) pattern into lhs.
 
-    An lhs node is aligned only if it passes the first checks
-    ``align_networks`` makes under ``_exact_sim``: the same concept (None for
-    both capsules), the same anchor and at least as many specifiers.
+    An lhs node is aligned only if it has the root's concept (None for both
+    capsules): ``_exact_sim`` is 0 on any other pair.
     """
     root = pattern.roots[0]
     out = []
     for anchor_node in lhs.iter_nodes():
-        if (
-            anchor_node.concept != root.concept
-            or anchor_node.anchor != root.anchor
-            or len(anchor_node.specifiers) < len(root.specifiers)
-        ):
+        if anchor_node.concept != root.concept:
             continue
         target = ConceptNetwork((anchor_node,))
         got = align_networks(pattern, target, _exact_sim, total=False)
@@ -164,24 +160,6 @@ class Match:
         return self.score == 1.0
 
 
-def roots_can_align(pattern: ConceptNetwork, target: ConceptNetwork, sim: NodeSim) -> bool:
-    """The root-shape gate: False only where ``align_networks(pattern,
-    target, sim, total=False)`` is None.
-
-    It makes the checks the alignment makes first: root count, then the
-    first root pair's capsule flag, anchor, specifier count and similarity.
-    Realize, transfer and the chart all apply it before aligning.
-    """
-    p, t = pattern.roots[0], target.roots[0]
-    return (
-        len(pattern.roots) == len(target.roots)
-        and p.is_capsule == t.is_capsule
-        and p.anchor == t.anchor
-        and len(p.specifiers) <= len(t.specifiers)
-        and (p.is_capsule or sim(p.concept, t.concept) > 0.0)
-    )
-
-
 def _match_region(
     pattern: ConceptNetwork,
     target: ConceptNetwork,
@@ -198,13 +176,9 @@ def _match_region(
     itself bound): that content would vanish silently (suppletions stay
     exact-only). Otherwise returns the alignment. Each remainder goes with
     the part or slot that carries its bound parent; readers work it out from
-    the binding.
-
-    Before any alignment work, ``roots_can_align`` gates the match on its
-    root shape, so it drops only matches the alignment would reject.
+    the binding. A target of the wrong root shape fails at the alignment's
+    first checks, before ``sim`` is called.
     """
-    if not roots_can_align(pattern, target, sim):
-        return None
     got = align_networks(pattern, target, sim, total=False)
     if got is None or got.score < tau:
         return None

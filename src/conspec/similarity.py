@@ -7,10 +7,11 @@ similarities. Exact matches score 1; anything involving substitution is
 capped by the alpha discount so exact rules always dominate analogues.
 
 The alignment engine here is shared with the rules module, which plugs in a
-richer node scorer (is_a pre-test) and allows prefix alignments. An
-alignment is its binding and score alone: a remainder, a specifier child of
-a bound target node that is not itself bound, is worked out from the
-binding by whoever reads it.
+richer node scorer (is_a pre-test) and allows prefix alignments; callers
+need no gate of their own, since align_networks makes its first checks
+before it calls the scorer. An alignment is its binding and score alone: a
+remainder, a specifier child of a bound target node that is not itself
+bound, is worked out from the binding by whoever reads it.
 """
 
 from __future__ import annotations
@@ -103,67 +104,59 @@ def _combine(parts: list[Alignment]) -> Alignment:
     return out
 
 
-def _align_node(pattern: Node, target: Node, sim: NodeSim, total: bool, memo) -> Alignment | None:
-    key = (id(pattern), id(target))
-    if key not in memo:
-        memo[key] = None  # until the pair is found to align
-        if pattern.is_capsule != target.is_capsule or pattern.anchor != target.anchor:
+def _align_node(pattern: Node, target: Node, sim: NodeSim, total: bool) -> Alignment | None:
+    pc, tc = pattern.specifiers, target.specifiers
+    if (
+        pattern.is_capsule != target.is_capsule
+        or pattern.anchor != target.anchor
+        or len(pc) > len(tc)
+        or (total and len(pc) != len(tc))
+    ):
+        return None
+    parts: list[Alignment] = []
+    if pattern.is_capsule:
+        proots, troots = pattern.capsule.roots, target.capsule.roots
+        if len(proots) != len(troots):
             return None
-        parts: list[Alignment] = []
-        if pattern.is_capsule:
-            proots, troots = pattern.capsule.roots, target.capsule.roots
-            if len(proots) != len(troots):
+        for p, t in zip(proots, troots):
+            sub = _align_node(p, t, sim, total)
+            if sub is None:
                 return None
-            for p, t in zip(proots, troots):
-                sub = _align_node(p, t, sim, total, memo)
-                if sub is None:
-                    return None
-                parts.append(sub)
-            self_part = Alignment(1.0, 0, {pattern: target})
-        else:
-            s = sim(pattern.concept, target.concept)
-            if s <= 0.0:
-                return None
-            self_part = Alignment(s, 1, {pattern: target})
-            if not pattern.specifiers and not (total and target.specifiers):
-                memo[key] = self_part  # a leaf: its children align trivially
-                return self_part
-        children = _align_children(pattern, target, sim, total, memo)
-        if children is None:
+            parts.append(sub)
+        self_part = Alignment(1.0, 0, {pattern: target})
+    else:
+        s = sim(pattern.concept, target.concept)
+        if s <= 0.0:
             return None
-        memo[key] = _combine([self_part, children] + parts)
-    return memo[key]
+        self_part = Alignment(s, 1, {pattern: target})
+        if not pc:
+            return self_part  # a leaf: under total the target is one too
+    children = _align_children(pc, tc, sim, total)
+    if children is None:
+        return None
+    return _combine([self_part, children] + parts)
 
 
 def _align_children(
-    pattern: Node, target: Node, sim: NodeSim, total: bool, memo
+    pc: tuple[Node, ...], tc: tuple[Node, ...], sim: NodeSim, total: bool
 ) -> Alignment | None:
-    pc, tc = pattern.specifiers, target.specifiers
-    if total and len(pc) != len(tc):
-        return None
-    if len(pc) > len(tc):
-        return None
-    if not pc:
-        return Alignment(1.0, 0)
-    options: list[list[Alignment | None]] = [
-        [_align_node(p, t, sim, total, memo) for t in tc] for p in pc
-    ]
-    best: Alignment | None = None
+    """Best assignment of the pattern children to distinct target children:
+    the first, in permutation order, whose product is strictly greatest."""
+    options = [[_align_node(p, t, sim, total) for t in tc] for p in pc]
+    best, best_product = None, 0.0
     for assign in permutations(range(len(tc)), len(pc)):
-        picked = []
-        ok = True
+        product = 1.0  # multiplied left to right, as _combine does
         for i, j in enumerate(assign):
             sub = options[i][j]
             if sub is None:
-                ok = False
                 break
-            picked.append(sub)
-        if not ok:
-            continue
-        combined = _combine(picked)
-        if best is None or combined.product > best.product:
-            best = combined
-    return best
+            product *= sub.product
+        else:
+            if best is None or product > best_product:
+                best, best_product = assign, product
+    if best is None:
+        return None
+    return _combine([options[i][j] for i, j in enumerate(best)])
 
 
 def align_networks(
@@ -179,14 +172,14 @@ def align_networks(
     ``total`` every target node must be matched (a bijection); otherwise the
     pattern must embed prefix-closed, and a target child left unbound is a
     remainder of its bound parent. Only the binding is returned: no remainder
-    list is kept.
+    list is kept. A node pair fails on capsule flag, anchor or specifier
+    count before ``sim`` is called on it.
     """
     if len(pattern.roots) != len(target.roots):
         return None
-    memo: dict = {}
     parts = []
     for p, t in zip(pattern.roots, target.roots):
-        sub = _align_node(p, t, sim, total, memo)
+        sub = _align_node(p, t, sim, total)
         if sub is None:
             return None
         parts.append(sub)

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import conspec
 from conspec.errors import ConspecError, UnparseableTextError
 from conspec.model import load_model_text
 from conspec.network import equal
@@ -245,6 +250,36 @@ class TestDeterminism:
                 (print_network(n), s) for n, s, _ in parse_text(model, "the rain washed the truck")
             ]
             assert again == first
+
+    def test_output_independent_of_hash_seed(self):
+        # three splits of one word, and three senses of one label that a
+        # beam of 1 cannot all keep: their order must come from the model text
+        script = """
+from conspec.model import load_model_text
+from conspec.parser import parse_text, segment
+from conspec.treeline import print_network
+affixes = load_model_text(
+    "walk > {past} <=> [walk, '+ed']\\n"
+    "walke > {plural} <=> [walke, '+d']\\n"
+    "wal > {past} <=> [wal, '+ked']\\n"
+)
+senses = load_model_text("set beam 1\\nbank = place\\nbank#2 = thing\\nbank#3 = act\\n")
+print(segment(affixes, "walked"))
+print([(print_network(n), s) for n, s, _ in parse_text(senses, "bank")])
+"""
+        src = str(Path(conspec.__file__).parent.parent)
+        outputs = set()
+        for seed in range(1, 7):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            outputs.add(run.stdout)
+        assert len(outputs) == 1
+        assert outputs.pop().splitlines() == [
+            "[['walk', '+ed'], ['walke', '+d'], ['wal', '+ked']]",
+            "[('bank', 1.0)]",
+        ]
 
 
 class TestChartReuse:

@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 
 from conspec.network import Concept, ConceptNetwork, Node
-from conspec.similarity import concept_sim, network_sim
+from conspec.similarity import align_networks, concept_sim, network_sim
 from conspec.treeline import parse_network
 
 from .gen import gen_network, mutate_network
@@ -186,3 +186,37 @@ class TestNetworkSim:
             sa, _ = network_sim(lex, a, b)
             sb, _ = network_sim(lex, b, a)
             assert sa == pytest.approx(sb, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "pattern, target, total",
+        [
+            ("trust > [dog, rock]", "trust > dog", False),
+            ("trust > [dog, rock]", "trust > dog", True),
+            ("trust > dog", "trust > [dog, rock]", True),
+        ],
+    )
+    def test_specifier_counts_checked_before_sim(self, pattern, target, total):
+        calls = []
+
+        def sim(a, b):
+            calls.append((a, b))
+            return 1.0
+
+        assert align_networks(parse_network(pattern), parse_network(target), sim, total=total) is None
+        assert calls == []
+
+    def test_shared_node_scores_as_its_tree_copy(self, lex):
+        # a network holding one node object twice, beside its tree copy
+        def shared(root: str, child: str, grandchild: str) -> ConceptNetwork:
+            node = Node(concept=Concept(child), specifiers=(Node(concept=Concept(grandchild)),))
+            return ConceptNetwork((Node(concept=Concept(root), specifiers=(node, node)),))
+
+        dag = shared("trust", "teacher", "rock")
+        tree = parse_network("trust > [teacher > rock, teacher > rock]")
+        other = shared("jump", "Anne", "berry")
+        other_tree = parse_network("jump > [Anne > berry, Anne > berry]")
+        mixed = parse_network("jump > [Anne > berry, teacher > rock]")
+        assert network_sim(lex, dag, dag)[0] == network_sim(lex, tree, tree)[0] == 1.0
+        assert 0.0 < network_sim(lex, dag, other)[0] == network_sim(lex, tree, other_tree)[0] < 1.0
+        assert 0.0 < network_sim(lex, dag, mixed)[0] == network_sim(lex, tree, mixed)[0] < 1.0
+        assert network_sim(lex, other, dag)[0] == network_sim(lex, other_tree, tree)[0]
