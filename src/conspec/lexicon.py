@@ -113,31 +113,30 @@ class Lexicon:
             out.add(cur)
 
     def _check_cycles(self) -> None:
-        # expansion must terminate: no definition may reach itself
+        # expansion must terminate: no definition may reach itself. Depth-first
+        # over a stack of edge iterators (the roots, then each open
+        # definition's), so a deep chain needs no recursion.
         WHITE, GRAY, BLACK = 0, 1, 2
         color: dict[Concept, int] = {}
-
-        def edges(name: Concept) -> list[Concept]:
-            body = self.definitions[name].body
-            return [c for c in body.concepts() if c in self.definitions]
-
-        def visit(name: Concept, trail: list[Concept]) -> None:
-            color[name] = GRAY
-            for nxt in edges(name):
-                if color.get(nxt, WHITE) == GRAY:
-                    cycle = trail[trail.index(nxt) :] if nxt in trail else trail
-                    names = " -> ".join(c.text() for c in cycle + [nxt])
-                    raise ModelLoadError(
-                        f"definition cycle: {names}",
-                        line=self.definitions[nxt].line or None,
-                    )
-                if color.get(nxt, WHITE) == WHITE:
-                    visit(nxt, trail + [nxt])
-            color[name] = BLACK
-
-        for name in self.definitions:
-            if color.get(name, WHITE) == WHITE:
-                visit(name, [name])
+        trail: list[Concept] = []  # the open (gray) definitions, outermost first
+        stack = [iter(self.definitions)]
+        while stack:
+            nxt = next(stack[-1], None)
+            if nxt is None:
+                stack.pop()
+                if trail:
+                    color[trail.pop()] = BLACK
+            elif color.get(nxt, WHITE) == GRAY:
+                names = " -> ".join(c.text() for c in trail[trail.index(nxt) :] + [nxt])
+                raise ModelLoadError(
+                    f"definition cycle: {names}",
+                    line=self.definitions[nxt].line or None,
+                )
+            elif color.get(nxt, WHITE) == WHITE:
+                color[nxt] = GRAY
+                trail.append(nxt)
+                body = self.definitions[nxt].body
+                stack.append(c for c in body.concepts() if c in self.definitions)
 
 
 # The statement fields scanned for stemless labels. A rule's rhs patterns are

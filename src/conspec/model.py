@@ -119,7 +119,10 @@ def load_model_text(text: str, path: str = "<inline>") -> ModelBundle:
                 path,
                 stmt.line,
             )
-    lex = Lexicon(definitions=definitions)
+    try:
+        lex = Lexicon(definitions=definitions)
+    except ModelLoadError as exc:  # a definition cycle: name the model file
+        raise ModelLoadError(exc.args[0], path, exc.line) from None
     lex.stemless_registry.update(declares)
     lints = list(doc.lints)
     for label in undeclared_stemless(doc.statements, lex.stemless_registry):

@@ -1,11 +1,11 @@
 """Parsing: generation run in reverse.
 
-segment() recovers token sequences (known surface forms plus affix literals
-drawn from rule right-hand sides) that re-join to the input exactly; input of
-more than MAX_WORDS words is refused before any work. parse_text() then runs a
-bottom-up chart over each segmentation: a rule whose part sequence tiles a
-span rebuilds its pattern around the matched fragments, exactly or
-analogically.
+segment() recovers the 32 best token sequences (known surface forms plus
+affix literals from rule right-hand sides) that re-join to the input exactly,
+keeping the 32 best covers at each word position. To bound the chart, input
+of over MAX_WORDS words is refused before any work. parse_text() then charts
+each segmentation bottom-up: a rule whose part sequence tiles a span rebuilds
+its pattern around the matched fragments, exactly or analogically.
 
 The chart decides before it builds:
 
@@ -90,12 +90,13 @@ def _decompose(word: str, vocab: Vocabulary) -> list[list[str]]:
     """Affix splits of one word: [prefix, ..., stem, suffix, ...] sequences
     that re-join to it."""
     out: list[list[str]] = []
-    seen: set[tuple[str, int]] = set()
+    seen: set[tuple[str, tuple[str, ...], tuple[str, ...]]] = set()
 
     def undo(cur: str, pre: list[str], post: list[str], depth: int) -> None:
-        if depth > MAX_AFFIXES_PER_WORD or (cur, depth) in seen:
+        state = (cur, tuple(pre), tuple(post))  # one stem is reached by several splits
+        if depth > MAX_AFFIXES_PER_WORD or state in seen:
             return
-        seen.add((cur, depth))
+        seen.add(state)
         if depth and cur in vocab.surfaces:
             out.append(pre + [cur] + post)
         for affix in vocab.affixes:
@@ -115,7 +116,8 @@ def _decompose(word: str, vocab: Vocabulary) -> list[list[str]]:
 
 
 def segment(model: ModelBundle, text: str) -> list[list[str]]:
-    """All token sequences covering the text; whitespace-only splits first.
+    """The 32 best distinct token sequences covering the text: fewest affix
+    splits, then fewest tokens, first; longer known tokens win ties.
 
     Every token is a known surface form or a known rule literal; each
     sequence re-joins to the input exactly. With orthography on, terminal
@@ -144,13 +146,13 @@ def _segment_raw(model: ModelBundle, text: str) -> list[list[str]]:
         )
     vocab = model.vocab
 
-    # table[i]: (tokens, affix splits) for each way to cover words[i:], filled
-    # from the last position back; longer known tokens come first, then the
-    # affix splits of words[i]
+    # table[i]: the 32 best distinct (tokens, affix splits) covers of words[i:],
+    # stably sorted from options of longer known tokens, then words[i]'s affix
+    # splits. Exact: a cover whose rest was cut has 32 distinct covers ahead.
     n = len(words)
     table: list[list[tuple[list[str], int]]] = [[] for _ in range(n)] + [[([], 0)]]
     for i in range(n - 1, -1, -1):
-        options = table[i]
+        options: list[tuple[list[str], int]] = []
         for j in range(min(n, i + vocab.max_words), i, -1):
             token = " ".join(words[i:j])
             if vocab.knows(token):
@@ -159,9 +161,12 @@ def _segment_raw(model: ModelBundle, text: str) -> list[list[str]]:
         for decomp in _decompose(words[i], vocab):
             for rest, splits in table[i + 1]:
                 options.append((decomp + rest, splits + 1))
+        firsts: dict[tuple[str, ...], tuple[list[str], int]] = {}
+        for tokens, splits in sorted(options, key=lambda r: (r[1], len(r[0]))):
+            firsts.setdefault(tuple(tokens), (tokens, splits))
+        table[i] = list(firsts.values())[:32]
 
-    results = table[0]
-    if not results:
+    if not table[0]:
         prefix = []
         for w in words:
             if not vocab.knows(w) and not _decompose(w, vocab):
@@ -171,14 +176,7 @@ def _segment_raw(model: ModelBundle, text: str) -> list[list[str]]:
             f"no segmentation of {text!r}; longest known prefix: {' '.join(prefix)!r}",
             best_spans=[" ".join(prefix)] if prefix else [],
         )
-    ordered = sorted(results, key=lambda r: (r[1], len(r[0])))
-    out, seen = [], set()
-    for tokens, _ in ordered:
-        key = tuple(tokens)
-        if key not in seen:
-            seen.add(key)
-            out.append(tokens)
-    return out[:32]
+    return [tokens for tokens, _ in table[0]]
 
 
 @dataclass
@@ -382,7 +380,7 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
                         score = prod(it.score for it in picked) * match_score
                         if not _may_admit(cell, beam, score):
                             continue
-                        built, _ = instantiate_reverse(rule, alignments)
+                        built = instantiate_reverse(rule, alignments)
                         trace = [t for it in picked for t in it.trace]
                         trace.append(f"rule:{rule.rule_id}@{i}:{j}")
                         unary = picked[0].unary + 1 if same_span and picked else 0

@@ -261,7 +261,7 @@ def reverse_score(alignments: list[Alignment | None]) -> float:
     """The match score of a reverse application: the geometric mean of the
     concept similarities over every part's alignment (None for a literal),
     1 when no concept is aligned. The chart reads it before building the
-    item; ``instantiate_reverse`` returns the same value."""
+    item."""
     product, count = 1.0, 0
     for got in alignments:
         if got is not None:
@@ -270,14 +270,14 @@ def reverse_score(alignments: list[Alignment | None]) -> float:
     return product ** (1.0 / count) if count else 1.0
 
 
-def instantiate_reverse(rule: Rule, alignments: list[Alignment | None]) -> tuple[ConceptNetwork, float]:
+def instantiate_reverse(rule: Rule, alignments: list[Alignment | None]) -> ConceptNetwork:
     """Build an lhs instance around the fragments aligned with each pattern part.
 
     ``alignments[i]`` aligns parts[i].pattern with its fragment, or is None for
-    a literal, which the caller has already checked. Returns (network,
-    ``reverse_score(alignments)``). Uncovered lhs nodes (role markers, capsule
-    shells, {implied} insertions) are copied in verbatim. A fragment node
-    with nothing changed beneath it is shared, not copied.
+    a literal, which the caller has already checked; ``reverse_score`` gives
+    the match score. Uncovered lhs nodes (role markers, capsule shells,
+    {implied} insertions) are copied in verbatim. A fragment node with
+    nothing changed beneath it is shared, not copied.
     """
     part_frag: dict[int, dict[Node, Node]] = {  # part index -> lhs node -> fragment node
         i: {part.to_lhs[p]: f for p, f in got.binding.items()}
@@ -320,8 +320,7 @@ def instantiate_reverse(rule: Rule, alignments: list[Alignment | None]) -> tuple
             return f  # nothing beneath f changed
         return Node(concept=f.concept, capsule=capsule, anchor=f.anchor, specifiers=spec)
 
-    net = ConceptNetwork(tuple(rebuild(r, swap=part_owned) for r in rule.lhs.roots))
-    return net, reverse_score(alignments)
+    return ConceptNetwork(tuple(rebuild(r, swap=part_owned) for r in rule.lhs.roots))
 
 
 # ---------------------------------------------------------------------------

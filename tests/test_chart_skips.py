@@ -29,7 +29,7 @@ import conspec.parser
 from conspec.model import load_model
 from conspec.network import canonical_key, canonicalize
 from conspec.parser import _chart_parse, _Item, segment
-from conspec.rules import Literal, instantiate_reverse
+from conspec.rules import Literal, instantiate_reverse, reverse_score
 from conspec.similarity import align_networks, rule_node_sim
 
 from .test_rule_filters import english_surfaces
@@ -145,8 +145,8 @@ def test_chart_skips_only_what_the_old_chart_refuses(beam, monkeypatch):
         if not got:
             rule, (i, j) = now["rule"], now["span"]
             items, alignments = now["combo"]
-            built, match_score = instantiate_reverse(rule, alignments)
-            assert prod(it.score for it in items if it is not None) * match_score == score
+            built = instantiate_reverse(rule, alignments)
+            assert prod(it.score for it in items if it is not None) * reverse_score(alignments) == score
             item = _Item(canonicalize(built), score, [])
             add = old_chart({(i, j): dict(cell)}, beam, sim)[0]  # on a copy
             assert add(i, j, item) is False

@@ -244,6 +244,21 @@ class TestLintLoadErrors:
         assert "cannot read model" in err
 
 
+class TestDefinitionChains:
+    def test_deep_chain_realizes(self, capsys, monkeypatch, tmp_path):
+        model = tmp_path / "m.cn"
+        model.write_text("".join(f"c{i} = c{i + 1}\n" for i in range(1500)))
+        code, out, _ = run(capsys, monkeypatch, ["realize", "-", "--model", str(model)], "c0\n")
+        assert (code, out) == (0, "c0\n")
+
+    def test_cycle_names_the_model_file(self, capsys, monkeypatch, tmp_path):
+        model = tmp_path / "m.cn"
+        model.write_text("x = y\ny = z > w\nz = x\n")
+        code, _, err = run(capsys, monkeypatch, ["realize", "-", "--model", str(model)], "x\n")
+        assert code == 3
+        assert err == f"model error: {model}:1: definition cycle: x -> y -> z -> x\n"
+
+
 class TestSenseAnnotationErrors:
     def test_second_sense_in_model_is_load_error(self, capsys, monkeypatch, tmp_path):
         model = tmp_path / "m.cn"

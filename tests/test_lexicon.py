@@ -1,3 +1,4 @@
+import random
 from importlib import resources
 
 import pytest
@@ -226,6 +227,72 @@ class TestCycles:
     def test_self_cycle_rejected(self):
         with pytest.raises(ModelLoadError):
             make_lexicon({"a": "a > x"})
+
+    def test_deep_chain_loads(self):
+        # 1,500 definitions deep once exhausted the recursive walk's stack
+        lex = make_lexicon({f"c{i}": f"c{i + 1}" for i in range(1500)})
+        assert is_a(lex, Concept("c0"), Concept("c1500"))
+
+    def test_same_first_cycle_as_the_recursive_check(self):
+        rng = random.Random(13)
+        cycles = 0
+        for _ in range(400):
+            defs = seeded_definitions(rng)
+            want = recursive_cycle_error(defs)
+            try:
+                Lexicon(definitions=defs)
+                got = None
+            except ModelLoadError as exc:
+                got = (str(exc), exc.line)
+            assert got == want
+            cycles += want is not None
+        assert 50 < cycles < 350  # both outcomes are well represented
+
+
+def seeded_definitions(rng: random.Random) -> dict[Concept, Definition]:
+    """Up to 8 definitions, each naming up to 3 others or primitives."""
+    names = [f"c{i}" for i in range(rng.randint(1, 8))]
+    defs = {}
+    for line, name in enumerate(rng.sample(names, len(names)), 1):
+        refs = [rng.choice(names + ["p", "q", "r"]) for _ in range(rng.randint(1, 3))]
+        body = refs[0] if len(refs) == 1 else f"{refs[0]} > [{', '.join(refs[1:])}]"
+        defs[Concept(name)] = Definition(Concept(name), parse_network(body), line)
+    return defs
+
+
+def recursive_cycle_error(definitions: dict[Concept, Definition]) -> tuple[str, int | None] | None:
+    """``Lexicon._check_cycles`` as it was before it walked with an explicit
+    stack, kept verbatim but for returning the error's text and line. The
+    {have} macro a Lexicon adds last neither reaches nor is reached from
+    these definitions, so it is left out."""
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color: dict[Concept, int] = {}
+
+    def edges(name: Concept) -> list[Concept]:
+        body = definitions[name].body
+        return [c for c in body.concepts() if c in definitions]
+
+    def visit(name: Concept, trail: list[Concept]) -> None:
+        color[name] = GRAY
+        for nxt in edges(name):
+            if color.get(nxt, WHITE) == GRAY:
+                cycle = trail[trail.index(nxt) :] if nxt in trail else trail
+                names = " -> ".join(c.text() for c in cycle + [nxt])
+                raise ModelLoadError(
+                    f"definition cycle: {names}",
+                    line=definitions[nxt].line or None,
+                )
+            if color.get(nxt, WHITE) == WHITE:
+                visit(nxt, trail + [nxt])
+        color[name] = BLACK
+
+    try:
+        for name in definitions:
+            if color.get(name, WHITE) == WHITE:
+                visit(name, [name])
+    except ModelLoadError as exc:
+        return str(exc), exc.line
+    return None
 
 
 class TestHaveMacroIntegration:

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import time
@@ -22,6 +23,24 @@ happy = {adj}
 seem = {verb}
 Fred > happy > seem > {present} <=> [Fred, 'seems', happy]
 Fred > happy > seem > {present} <=> ['it', 'seems', 'that', Fred, 'is', happy]
+"""
+
+
+# Prefixes, suffixes and a '-y' strip, with words that split several ways:
+# "abab" as ab+'+ab' or 'ab+'+ab, "walked" at three places, "walk up" as one
+# surface form or two.
+AFFIX_MODEL = """
+walk up = {verb}
+up = ab
+ab > {plural} <=> [ab, '+ab']
+ab > {past} <=> ['ab+', ab]
+walk > {past} <=> [walk, '+ed']
+walke > {past} <=> [walke, '+d']
+wal > {past} <=> [wal, '+ked']
+walk > {plural} <=> [walk, '+s']
+berry > {plural} <=> [berry, '-y', '+ies']
+walk > {re} <=> ['re+', walk]
+ab > [{agent} > walk] <=> [walk, ab]
 """
 
 
@@ -73,12 +92,68 @@ class TestSegment:
         from conspec.model import load_corpus, load_model
 
         data = resources.files("conspec.data")
-        model = load_model(str(data / "english.cn"))
+        english = load_model(str(data / "english.cn"))
         texts = [surface for surface, _, _ in load_corpus(str(data / "demo_corpus.tsv"))]
         texts += [" ".join(["it seems that"] * k + ["Fred seems happy"]) for k in range(4)]
         texts += ["he himself bought the car", "the eggs " * 5, "flew ran trusted"]
-        for text in texts:
-            assert _segment_raw(model, text) == recursive_segment_raw(model, text), text
+        cases = [(english, text) for text in texts]
+        # seeded affix-heavy texts of 1 to 14 words, drawn from units of one or
+        # two words; each pool has a few words its model does not know
+        english_units = (["seems"] * 12 + [
+            "seemed", "trusted", "eggs", "pick up", "holy cow", "either or", "either", "it", "that",
+        ]) * 3 + ["walked", "abab"]
+        affix_units = (["abab", "ababab", "walked", "rewalked", "walk up"] * 2 + [
+            "walks", "berries", "walk", "up", "ab", "reab", "abwalk",
+        ]) * 3 + ["seems"]
+        rng = random.Random(13)
+        for model, units in ((english, english_units), (load_model_text(AFFIX_MODEL), affix_units)):
+            for _ in range(420):
+                k = rng.randint(1, 14)
+                text = " ".join(" ".join(rng.choice(units) for _ in range(k)).split()[:k])
+                if cover_count(model, text) <= 20000:  # bounds the exhaustive oracle's time
+                    cases.append((model, text))
+        assert sum(cover_count(model, text) > 32 for model, text in cases) > 200
+        for model, text in cases:
+            want = recursive_segment_raw(model, text)  # [] where nothing covers the text
+            try:
+                got = _segment_raw(model, text)
+            except UnparseableTextError:
+                got = []
+            assert got == want, text
+
+    def test_many_ambiguous_words_segment_fast(self):
+        from importlib import resources
+
+        from conspec.model import load_model
+
+        model = load_model(str(resources.files("conspec.data") / "english.cn"))
+        start = time.perf_counter()
+        got = segment(model, " ".join(["seems"] * 64))
+        assert time.perf_counter() - start < 0.1
+        assert len(got) == 32 and got[0] == ["seems"] * 64
+
+    def test_one_stem_reached_by_two_affix_splits(self):
+        from conspec.treeline import print_network
+
+        model = load_model_text(AFFIX_MODEL)
+        assert segment(model, "abab") == [["ab", "+ab"], ["ab+", "ab"]]
+        ranked = [print_network(net) for net, _, _ in parse_text(model, "abab")]
+        assert sorted(ranked) == ["ab > {past}", "ab > {plural}"]
+
+
+def cover_count(model, text: str) -> int:
+    """How many covers (duplicates included) the recursive segmenter builds
+    for the text: the size of its list at position 0."""
+    words = text.split()
+    vocab = model.vocab
+    n = len(words)
+    count = [0] * n + [1]
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, min(n, i + vocab.max_words) + 1):
+            if vocab.knows(" ".join(words[i:j])):
+                count[i] += count[j]
+        count[i] += len(_decompose(words[i], vocab)) * count[i + 1]
+    return count[0]
 
 
 def recursive_segment_raw(model, text: str) -> list[list[str]]:

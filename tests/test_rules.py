@@ -17,6 +17,7 @@ from conspec.rules import (
     instantiate_reverse,
     match_rules,
     realize_parts,
+    reverse_score,
     transfer_scored,
 )
 from conspec.similarity import align_networks, rule_node_sim
@@ -37,8 +38,9 @@ def rule_from_text(text: str, rule_id: str = "r1") -> Rule:
 
 
 def reverse(rule: Rule, fragments, lex, alpha: float):
-    """instantiate_reverse on each pattern part aligned with its fragment, as
-    the chart parser does it; None when some part has no alignment."""
+    """(instantiate_reverse, reverse_score) on each pattern part aligned with
+    its fragment, as the chart parser does it; None when some part has no
+    alignment."""
     sim = rule_node_sim(lex, alpha)
     alignments = []
     for part, fragment in zip(rule.parts, fragments):
@@ -48,7 +50,7 @@ def reverse(rule: Rule, fragments, lex, alpha: float):
             if got is None:
                 return None
         alignments.append(got)
-    return instantiate_reverse(rule, alignments)
+    return instantiate_reverse(rule, alignments), reverse_score(alignments)
 
 
 @pytest.fixture
