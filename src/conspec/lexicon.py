@@ -59,8 +59,9 @@ DEFAULT_STEMLESS: dict[str, str] = {
     "have": "possession macro",
 }
 
-# Predefined {have} macro so possessives can be written tersely.
-_HAVE_BODY_TEXT = "(have > [<<{agent}, >>{theme}])"
+# Predefined {have} macro so possessives can be written tersely; every
+# Lexicon shares this one body, as networks are never mutated.
+_HAVE_BODY = parse_network("(have > [<<{agent}, >>{theme}])")
 
 
 @dataclass(frozen=True)
@@ -95,22 +96,20 @@ class Lexicon:
         have = Concept("have", True)
         if have not in self.definitions:
             # a copy: the caller's dict is left as it was passed
-            have_def = Definition(have, parse_network(_HAVE_BODY_TEXT))
+            have_def = Definition(have, _HAVE_BODY)
             self.definitions = {**self.definitions, have: have_def}
-        self._check_cycles()
-        self.ancestor_table = {c: self._ancestor_chain(c) for c in self.definitions}
-
-    def _ancestor_chain(self, concept: Concept) -> frozenset[Concept]:
-        out = {concept}
-        cur = concept
-        while True:
-            defn = self.definitions.get(cur)
-            if defn is None:
-                return frozenset(out)
-            cur = defn.body.roots[0].head_concept()
-            if cur in out:  # cycle guard; _check_cycles makes this unreachable
-                return frozenset(out)
-            out.add(cur)
+        self._check_cycles()  # so each walk up below ends
+        # top-down: walk up to the first concept with a set (or undefined),
+        # then give each concept on the way its parent's set plus itself
+        table = self.ancestor_table = {}
+        for concept in self.definitions:
+            trail, cur = [], concept
+            while cur not in table and cur in self.definitions:
+                trail.append(cur)
+                cur = self.definitions[cur].body.roots[0].head_concept()
+            above = table.get(cur) or frozenset((cur,))
+            for c in reversed(trail):
+                above = table[c] = above | {c}
 
     def _check_cycles(self) -> None:
         # expansion must terminate: no definition may reach itself. Depth-first

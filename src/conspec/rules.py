@@ -59,17 +59,23 @@ def _exact_sim(a: Concept, b: Concept) -> float:
     return 1.0 if a == b else 0.0
 
 
-def _find_embeddings(pattern: ConceptNetwork, lhs: ConceptNetwork) -> list[Alignment]:
-    """All exact prefix embeddings of a (single-root) pattern into lhs.
+def _nodes_by_concept(lhs: ConceptNetwork) -> dict[Concept | None, list[Node]]:
+    """The lhs nodes under their concept (None for capsules), in preorder."""
+    out: dict[Concept | None, list[Node]] = {}
+    for node in lhs.iter_nodes():
+        out.setdefault(node.concept, []).append(node)
+    return out
+
+
+def _find_embeddings(pattern: ConceptNetwork, lhs_nodes: dict) -> list[Alignment]:
+    """All exact prefix embeddings of a (single-root) pattern into the lhs
+    whose nodes ``_nodes_by_concept`` indexed, in lhs preorder.
 
     An lhs node is aligned only if it has the root's concept (None for both
     capsules): ``_exact_sim`` is 0 on any other pair.
     """
-    root = pattern.roots[0]
     out = []
-    for anchor_node in lhs.iter_nodes():
-        if anchor_node.concept != root.concept:
-            continue
+    for anchor_node in lhs_nodes.get(pattern.roots[0].concept, ()):
         target = ConceptNetwork((anchor_node,))
         got = align_networks(pattern, target, _exact_sim, total=False)
         if got is not None:
@@ -114,6 +120,7 @@ def build_rule(
 ) -> Rule:
     parts: list[Literal | PatternPart] = []
     part_at: dict[int, int] = {}
+    lhs_nodes = _nodes_by_concept(lhs)
     for kind, value in rhs:
         if kind == "lit":
             parts.append(Literal(str(value)))
@@ -121,7 +128,7 @@ def build_rule(
         pattern: ConceptNetwork = value  # type: ignore[assignment]
         if len(pattern.roots) != 1:
             raise ModelLoadError("rule part must be a single chain", path, line)
-        embeddings = _find_embeddings(pattern, lhs)
+        embeddings = _find_embeddings(pattern, lhs_nodes)
         if not embeddings:
             raise ModelLoadError(
                 f"rule part {print_network(pattern)!r} does not occur in the rule pattern",

@@ -143,6 +143,8 @@ def _align_children(
     """Best assignment of the pattern children to distinct target children:
     the first, in permutation order, whose product is strictly greatest."""
     options = [[_align_node(p, t, sim, total) for t in tc] for p in pc]
+    if not all(map(any, options)):  # some pattern child aligns with no target child
+        return None
     best, best_product = None, 0.0
     for assign in permutations(range(len(tc)), len(pc)):
         product = 1.0  # multiplied left to right, as _combine does

@@ -57,12 +57,12 @@ _EITHER_OR_SPELLINGS = {"either...or", "either.. .or", "either. ..or"}
 # A sense annotation: '#' and ASCII digits, once per concept.
 _SENSE = re.compile(r"#([0-9]+)")
 
-# One alternative per token kind, the common kinds first. Every character
-# starts some alternative, so the matches tile the text; "bad" catches the
-# characters that start no well-formed token.
+# One alternative per token kind, the common kinds first, each taking the
+# whitespace after it, so only leading whitespace is a "space" match. Every
+# character starts some alternative, so the matches tile the text; "bad"
+# catches the characters that start no well-formed token.
 _TOKEN = re.compile(
-    r"(?P<label>(?![ \t\r])(?:[^\n>\[\](){},=<'#-]|-(?!>))+)"
-    r"|(?P<space>[ \t\r]+)"
+    r"(?:(?P<label>(?![ \t\r])(?:[^\n>\[\](){},=<'#-]+|-(?!>))+)"
     r"|(?P<punct><=>|=>|->|<<(?!<)|[\[\](),=])"
     r"|(?P<gt>>+)"
     r"|(?P<brace>\{[^}]*\})"
@@ -70,7 +70,8 @@ _TOKEN = re.compile(
     rf"|(?P<sense>{_SENSE.pattern})"
     r"|(?P<comment>#[^\n]*)"
     r"|(?P<newline>\n)"
-    r"|(?P<bad><<<|[<{'}])"
+    r"|(?P<bad><<<|[<{'}]))[ \t\r]*"
+    r"|(?P<space>[ \t\r]+)"
 )
 _BAD_TOKEN = {
     "<<<": "'<<' anchors deeper than one boundary are not supported",
@@ -81,7 +82,7 @@ _BAD_TOKEN = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str  # 'label' 'brace' 'literal' '>' '[' ']' '(' ')' ',' '=' '<=>' '=>' '->' 'up' '<<'
     value: str
@@ -106,62 +107,72 @@ def _split_sense(label: str, line: int, col: int) -> tuple[str, int]:
     raise TreelineParseError(f"bad sense annotation in {label!r}", line, col)
 
 
+def _concept(concepts: dict, label: str, stemless: bool, sense: int) -> Concept:
+    """Concept(label, stemless, sense), built and validated once per table."""
+    key = (label, stemless, sense)
+    if key not in concepts:
+        concepts[key] = Concept(label, stemless, sense)
+    return concepts[key]
+
+
 def tokenize(text: str, start_line: int = 1) -> list[Token]:
     tokens: list[Token] = []
     line, line_start = start_line, 0
 
-    def err(msg: str) -> TreelineParseError:
-        return TreelineParseError(msg, line, col)
-
     for m in _TOKEN.finditer(text):
-        kind, value, col = m.lastgroup, m[0], m.start() - line_start + 1
+        kind = m.lastgroup
+        if kind == "space":
+            continue
+        value, col = m[kind], m.start() - line_start + 1
         if kind == "label":
             label = _normalize_label(value)
             if not label:  # a run of whitespace that str.split() knows, such as '\f'
-                raise err(f"unexpected character {value[0]!r}")
+                raise TreelineParseError(f"unexpected character {value[0]!r}", line, col)
             tokens.append(Token("label", label, line, col))
         elif kind == "punct":
             tokens.append(Token(value, value, line, col))
         elif kind == "gt":
             if len(value) > 1 and len(value) % 2:
-                raise err(f"ambiguous run of {len(value)} '>' characters")
+                raise TreelineParseError(f"ambiguous run of {len(value)} '>' characters", line, col)
             tokens.append(Token(">" if value == ">" else "up", value, line, col))
         elif kind == "brace":
             label = _normalize_label(value[1:-1])
             if not label:
-                raise err("empty stemless label '{}'")
+                raise TreelineParseError("empty stemless label '{}'", line, col)
             bad = STRUCTURAL_CHARS.intersection(label) - {"#"}
             if bad:
-                raise err(f"stemless label contains {sorted(bad)[0]!r}")
+                raise TreelineParseError(f"stemless label contains {sorted(bad)[0]!r}", line, col)
             tokens.append(Token("brace", label, line, col))
         elif kind == "literal":
             tokens.append(Token("literal", value[1:-1], line, col))
         elif kind == "sense":
             if not tokens or tokens[-1].kind not in ("label", "brace"):
-                raise err("sense annotation must follow a concept")
+                raise TreelineParseError("sense annotation must follow a concept", line, col)
             if "#" in tokens[-1].value:
-                raise err("a concept takes one sense annotation")
+                raise TreelineParseError("a concept takes one sense annotation", line, col)
             tokens[-1].value += value
         elif kind == "newline":
-            line, line_start = line + 1, m.end()
+            line, line_start = line + 1, m.start() + 1
         elif kind == "bad":
-            raise err(_BAD_TOKEN[value])
+            raise TreelineParseError(_BAD_TOKEN[value], line, col)
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], end_line: int = 1):
-        self.tokens = tokens
+    # the tokens end in an 'end' sentinel at (end_line, 1), so peek and next
+    # need no bounds check; concepts come from the caller's table (_concept)
+    def __init__(self, tokens: list[Token], end_line: int, concepts: dict):
+        self.tokens = tokens + [Token("end", "", end_line, 1)]
         self.pos = 0
-        self.end_line = end_line
+        self.concepts = concepts
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise TreelineParseError("unexpected end of input", self.end_line, 1)
+        tok = self.tokens[self.pos]
+        if tok.kind == "end":
+            raise TreelineParseError("unexpected end of input", tok.line, tok.col)
         self.pos += 1
         return tok
 
@@ -173,8 +184,6 @@ class _Parser:
 
     def err(self, msg: str, tok: Token | None = None) -> TreelineParseError:
         tok = tok or self.peek()
-        if tok is None:
-            return TreelineParseError(msg, self.end_line, 1)
         return TreelineParseError(msg, tok.line, tok.col)
 
     # -- network grammar ---------------------------------------------------
@@ -184,21 +193,21 @@ class _Parser:
 
     def network(self, capsule_depth: int = 0, level: int = 1) -> ConceptNetwork:
         roots = [self.chain(capsule_depth, level)]
-        while self.peek() is not None and self.peek().kind == ",":
-            self.next()
+        while self.tokens[self.pos].kind == ",":
+            self.pos += 1
             roots.append(self.chain(capsule_depth, level))
         return ConceptNetwork(tuple(roots))
 
     def chain(self, capsule_depth: int, level: int) -> Node:
         root = self.item(capsule_depth, level)
         current = root
-        while self.peek() is not None and self.peek().kind == ">":
-            self.next()
-            tok = self.peek()
-            if tok is None:
+        while self.tokens[self.pos].kind == ">":
+            self.pos += 1
+            tok = self.tokens[self.pos]
+            if tok.kind == "end":
                 raise self.err("trailing '>'")
             if tok.kind == "[":
-                self.next()
+                self.pos += 1
                 group = self.network(capsule_depth, level + 1)  # commas consumed inside
                 self.expect("]")
                 current.specifiers = current.specifiers + group.roots
@@ -212,11 +221,11 @@ class _Parser:
 
     def item(self, capsule_depth: int, level: int) -> Node:
         anchor: Anchor | None = None
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if level > MAX_NESTING:
             raise self.err(f"network nested deeper than {MAX_NESTING} levels")
-        while tok is not None and tok.kind in ("up", "<<"):
-            self.next()
+        while tok.kind in ("up", "<<"):
+            self.pos += 1
             if anchor is not None and anchor.direction != (UP if tok.kind == "up" else DOWN):
                 raise self.err("mixed '>>' and '<<' prefixes", tok)
             if tok.kind == "up":
@@ -226,22 +235,22 @@ class _Parser:
                 if anchor is not None:
                     raise self.err("repeated '<<' prefix", tok)
                 anchor = Anchor(DOWN, 1)
-            tok = self.peek()
+            tok = self.tokens[self.pos]
         if anchor is not None and capsule_depth == 0:
             raise self.err("anchor outside any encapsulation", tok)
-        if tok is None:
-            raise self.err("expected a concept")
         if tok.kind in ("label", "brace"):
-            self.next()
+            self.pos += 1
             label, sense = _split_sense(tok.value, tok.line, tok.col)
             if label in _EITHER_OR_SPELLINGS:
                 label = "either or"
-            return Node(concept=Concept(label, tok.kind == "brace", sense), anchor=anchor)
+            return Node(_concept(self.concepts, label, tok.kind == "brace", sense), None, anchor)
         if tok.kind == "(":
-            self.next()
+            self.pos += 1
             body = self.network(capsule_depth + 1, level + 1)
             self.expect(")")
             return Node(capsule=body, anchor=anchor)
+        if tok.kind == "end":
+            raise self.err("expected a concept")
         if tok.kind == "[":
             raise self.err("specifier group must follow a concept", tok)
         if tok.kind == "literal":
@@ -255,8 +264,9 @@ class _Parser:
         parts: list[tuple[str, object]] = []
         while True:
             tok = self.peek()
-            if tok is not None and tok.kind == "literal":
-                parts.append(("lit", self.next().value))
+            if tok.kind == "literal":
+                self.pos += 1
+                parts.append(("lit", tok.value))
             else:
                 parts.append(("pat", ConceptNetwork((self.chain(0, 1),))))
             tok = self.next()
@@ -266,12 +276,12 @@ class _Parser:
                 raise self.err(f"expected ',' or ']', found {tok.value!r}", tok)
 
 
-def _parse_tokens(tokens: list[Token], end_line: int, production=_Parser.network):
+def _parse_tokens(tokens: list[Token], end_line: int, concepts: dict, production=_Parser.network):
     """Parse all of ``tokens`` as one ``production`` of the grammar."""
-    parser = _Parser(tokens, end_line)
+    parser = _Parser(tokens, end_line, concepts)
     result = production(parser)
     tok = parser.peek()
-    if tok is not None:
+    if tok.kind != "end":
         raise TreelineParseError(f"unexpected trailing {tok.value!r}", tok.line, tok.col)
     return result
 
@@ -286,7 +296,7 @@ def parse_network(text: str) -> ConceptNetwork:
     tokens = tokenize(text)
     if not tokens:
         raise TreelineParseError("empty network", end_line, 1)
-    return _parse_tokens(tokens, end_line)
+    return _parse_tokens(tokens, end_line, {})
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +404,7 @@ def _split_on(tokens: list[Token], kind: str) -> tuple[list[Token], list[Token]]
     return None
 
 
-def _parse_concept_tokens(tokens: list[Token], line: int) -> Concept:
+def _parse_concept_tokens(tokens: list[Token], line: int, concepts: dict) -> Concept:
     if len(tokens) != 1 or tokens[0].kind not in ("label", "brace"):
         where = tokens[0] if tokens else None
         raise TreelineParseError(
@@ -402,7 +412,7 @@ def _parse_concept_tokens(tokens: list[Token], line: int) -> Concept:
         )
     tok = tokens[0]
     label, sense = _split_sense(tok.value, tok.line, tok.col)
-    return Concept(label, tok.kind == "brace", sense)
+    return _concept(concepts, label, tok.kind == "brace", sense)
 
 
 def _strip_comment(line: str) -> str:
@@ -429,6 +439,7 @@ def parse_document(text: str, *, collect_errors: list | None = None) -> Treeline
     statements: list[Statement] = []
     lints: list[str] = []
     seen_defs: dict[Concept, int] = {}
+    concepts: dict[tuple, Concept] = {}  # see _concept; lives for this call only
 
     def problem(exc: TreelineParseError):
         if collect_errors is not None:
@@ -469,8 +480,8 @@ def parse_document(text: str, *, collect_errors: list | None = None) -> Treeline
                 split = _split_on(tokenize(body, start_line=lineno), "->")
                 if split is None:
                     raise TreelineParseError("map needs 'src -> dst'", lineno, 1)
-                src = _parse_concept_tokens(split[0], lineno)
-                dst = _parse_concept_tokens(split[1], lineno)
+                src = _parse_concept_tokens(split[0], lineno, concepts)
+                dst = _parse_concept_tokens(split[1], lineno, concepts)
                 statements.append(MapStmt(src, dst, lineno))
                 continue
             tokens = tokenize(raw, start_line=lineno)
@@ -478,18 +489,18 @@ def parse_document(text: str, *, collect_errors: list | None = None) -> Treeline
                 continue
             if (split := _split_on(tokens, "<=>")) is not None:
                 lhs_toks, rhs_toks = split
-                lhs = _parse_tokens(lhs_toks, lineno)
-                rhs = _parse_tokens(rhs_toks, lineno, _Parser.part_list)
+                lhs = _parse_tokens(lhs_toks, lineno, concepts)
+                rhs = _parse_tokens(rhs_toks, lineno, concepts, _Parser.part_list)
                 statements.append(RuleStmt(lhs, rhs, lineno))
                 continue
             if (split := _split_on(tokens, "=>")) is not None:
-                src_net = _parse_tokens(split[0], lineno)
-                dst_net = _parse_tokens(split[1], lineno)
+                src_net = _parse_tokens(split[0], lineno, concepts)
+                dst_net = _parse_tokens(split[1], lineno, concepts)
                 statements.append(TransferRuleStmt(src_net, dst_net, lineno))
                 continue
             if (split := _split_on(tokens, "=")) is not None:
-                name = _parse_concept_tokens(split[0], lineno)
-                body = _parse_tokens(split[1], lineno)
+                name = _parse_concept_tokens(split[0], lineno, concepts)
+                body = _parse_tokens(split[1], lineno, concepts)
                 if name in seen_defs:
                     problem(
                         TreelineParseError(
@@ -503,7 +514,7 @@ def parse_document(text: str, *, collect_errors: list | None = None) -> Treeline
                     seen_defs[name] = lineno
                 statements.append(DefinitionStmt(name, body, lineno))
                 continue
-            net = _parse_tokens(tokens, lineno)
+            net = _parse_tokens(tokens, lineno, concepts)
             if len(net.roots) > 1:
                 lints.append(f"line {lineno}: multi-root network statement")
             statements.append(NetworkStmt(net, lineno))

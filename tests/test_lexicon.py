@@ -1,4 +1,5 @@
 import random
+import time
 from importlib import resources
 
 import pytest
@@ -13,7 +14,7 @@ from conspec.lexicon import (
     is_a,
     undeclared_stemless,
 )
-from conspec.model import load_model
+from conspec.model import load_model, load_model_text
 from conspec.network import Concept, equal
 from conspec.similarity import concept_sim
 from conspec.treeline import parse_document, parse_network, print_network
@@ -135,6 +136,29 @@ class TestAncestorTable:
         for lex, concepts in shipped_lexicons():
             for c in concepts + [Concept("never defined anywhere")]:
                 assert ancestors(lex, c) == chain_walk(lex, c), c
+
+    def test_seeded_graphs_match_uncached_chain_walk(self):
+        rng = random.Random(14)
+        checked = 0
+        for _ in range(500):
+            try:
+                lex = Lexicon(definitions=seeded_definitions(rng))
+            except ModelLoadError:
+                continue  # a definition cycle
+            assert set(lex.ancestor_table) == set(lex.definitions)
+            for c in list(lex.definitions) + [Concept("p"), Concept("q"), Concept("r")]:
+                assert ancestors(lex, c) == chain_walk(lex, c), c
+            checked += 1
+        assert checked > 60
+
+    def test_deep_chain_loads_in_linear_time(self):
+        # a walk up the whole chain from every concept made this take seconds
+        text = "\n".join(f"c{i} = c{i + 1}" for i in range(3000))
+        start = time.perf_counter()
+        lex = load_model_text(text).lexicon
+        assert time.perf_counter() - start < 2.0
+        assert ancestors(lex, Concept("c0")) == {Concept(f"c{i}") for i in range(3001)}
+        assert ancestors(lex, Concept("c2999")) == {Concept("c2999"), Concept("c3000")}
 
     def test_returns_shared_frozenset(self, anne_lex):
         got = ancestors(anne_lex, Concept("Anne"))

@@ -1,0 +1,162 @@
+"""``load_model_text`` against its oracle, model by model.
+
+``tests/load_oracle.py`` keeps the load path as it was before it was made
+cheaper: the tokenizer, the parser, rule construction and the ancestor walk.
+On every input both loads must give the same error (type, message and
+position), or the same:
+
+- statements, printed;
+- rules: printed lhs and parts, each part's ``to_lhs`` and the rule's
+  ``part_at`` as lhs preorder positions, and the first and last literals;
+- vocabulary: surfaces in order, literals, affixes and ``max_words``;
+- lexicon, ancestor table, pragmas, lints and content hash.
+
+The inputs are the shipped .cn files, the statements of the shipped .pair
+files, and 200 seeded models. Each seeded model holds a few definitions and
+one rule whose lhs is a ``tests/gen.py`` network; its parts are cut from the
+lhs as ``sub_chain`` in ``tests/test_rule_filters.py`` cuts them, with
+literals between. Some parts are ambiguous or overlap, some definitions
+form a cycle or name a stemless concept with a stem's label, and some rule
+lines are cut short.
+"""
+
+from __future__ import annotations
+
+import random
+from importlib import resources
+
+import pytest
+
+from conspec.errors import ConspecError
+from conspec.model import load_model_text
+from conspec.network import ConceptNetwork
+from conspec.rules import Literal
+from conspec.treeline import parse_document, print_network
+
+from . import load_oracle
+from .gen import LABELS, STEMLESS, gen_network
+from .test_rule_filters import sub_chain
+
+DATA = resources.files("conspec.data")
+
+
+def _preorder(net: ConceptNetwork) -> dict[int, int]:
+    return {id(node): i for i, node in enumerate(net.iter_nodes())}
+
+
+def _rule_view(rule) -> tuple:
+    at = _preorder(rule.lhs)
+    parts = []
+    for part in rule.parts:
+        if isinstance(part, Literal):
+            parts.append(("lit", part.text))
+        else:
+            pat = _preorder(part.pattern)
+            to_lhs = [(pat[id(p)], at[id(t)]) for p, t in part.to_lhs.items()]
+            parts.append(("pat", print_network(part.pattern), to_lhs))
+    part_at = [(at[node_id], index) for node_id, index in rule.part_at.items()]
+    return (
+        rule.rule_id,
+        rule.line,
+        print_network(rule.lhs),
+        parts,
+        part_at,
+        rule.first_literal,
+        rule.last_literal,
+    )
+
+
+def _outcome(load, text: str):
+    """What ``load(text)`` gives, as plain comparable data."""
+    try:
+        model = load(text, "m.cn")
+    except ConspecError as exc:
+        where = tuple(getattr(exc, name, None) for name in ("path", "line", "col"))
+        return (type(exc).__name__, str(exc), where)
+    vocab = model.vocab
+    return {
+        "rules": [_rule_view(rule) for rule in model.rules],
+        "surfaces": [(s, [c.text() for c in senses]) for s, senses in vocab.surfaces.items()],
+        "literals": vocab.literals,
+        "affixes": vocab.affixes,
+        "max_words": vocab.max_words,
+        "lexicon": model.lexicon,
+        "ancestors": model.lexicon.ancestor_table,
+        "pragmas": model.pragmas,
+        "lints": model.lints,
+        "hash": model.content_hash,
+    }
+
+
+def _document(parse, text: str) -> str:
+    try:
+        doc = parse(text)
+    except ConspecError as exc:
+        return f"{type(exc).__name__} | {exc.args[0]} | {exc.line} | {exc.col}"
+    return f"{doc.statements!r} lints {doc.lints!r}"
+
+
+def check(text: str) -> object:
+    assert _document(parse_document, text) == _document(load_oracle.parse_document, text)
+    got = _outcome(load_model_text, text)
+    assert got == _outcome(load_oracle.load_model_text, text)
+    return got
+
+
+@pytest.mark.parametrize("name", ["english.cn", "sov.cn"])
+def test_shipped_models(name):
+    got = check((DATA / name).read_text(encoding="utf-8"))
+    assert isinstance(got, dict) and got["rules"]
+
+
+@pytest.mark.parametrize("name", ["english_sov.pair", "english_identity.pair"])
+def test_shipped_pair_statements(name):
+    # the pair's own lines, as load_pair_text parses them
+    lines = (DATA / name).read_text(encoding="utf-8").splitlines()
+    blank = ("source:", "receptor:")
+    rest = "\n".join("" if line.strip().startswith(blank) else line for line in lines)
+    got = _document(parse_document, rest)
+    assert got == _document(load_oracle.parse_document, rest)
+    assert "Stmt(" in got
+
+
+def seeded_model(rng: random.Random) -> str:
+    names = rng.sample(LABELS, rng.randint(0, 3))
+    lines = [f"{name} = {rng.choice([x for x in LABELS if x != name])}" for name in names]
+    if rng.random() < 0.3:  # a stemless concept that shares a stem's label
+        lines.append(f"{{{rng.choice(LABELS)}}} = {rng.choice(LABELS)}")
+    lhs = gen_network(rng, max_nodes=8)
+    nodes = list(lhs.iter_nodes())
+    # each part root is mostly a node that no earlier part root lies above or
+    # below, so that most rules load and some still overlap
+    taken: list[set[int]] = []
+    parts = []
+    for _ in range(rng.randint(1, 3)):
+        free = [n for n in nodes if not any(_subtree(n) & t for t in taken)]
+        if not free:
+            break
+        node = rng.choice(free if rng.random() < 0.9 else nodes)
+        taken.append(_subtree(node))
+        if rng.random() < 0.25:
+            parts.append(rng.choice(["'the'", "'+s'", "'ed+'"]))
+        parts.append(print_network(ConceptNetwork((sub_chain(rng, node),))))
+    rule = f"{print_network(lhs)} <=> [{', '.join(parts)}]"
+    if rng.random() < 0.1:  # cut short: the parse fails at the end of the line
+        rule = rule[: rng.randrange(len(rule))]
+    return "\n".join(lines + [rule])
+
+
+def _subtree(node) -> set[int]:
+    return {id(n) for n in ConceptNetwork((node,)).iter_nodes()}
+
+
+def test_seeded_models():
+    rng = random.Random(11)
+    loaded = failed = 0
+    for _ in range(200):
+        got = check(seeded_model(rng))
+        if isinstance(got, dict):
+            loaded += 1
+        else:
+            failed += 1
+    assert loaded > 100 and failed > 20  # both outcomes are well represented

@@ -90,7 +90,7 @@ def embedding_checks(monkeypatch):
 
     def check(pattern, lhs):
         aligned_roots.clear()
-        got = conspec.rules._find_embeddings(pattern, lhs)
+        got = conspec.rules._find_embeddings(pattern, conspec.rules._nodes_by_concept(lhs))
         for node in lhs.iter_nodes():
             if id(node) in aligned_roots:
                 counts[1] += 1

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+import conspec.similarity
 from conspec.network import Concept, ConceptNetwork, Node
 from conspec.similarity import align_networks, concept_sim, network_sim
 from conspec.treeline import parse_network
@@ -204,6 +205,26 @@ class TestNetworkSim:
 
         assert align_networks(parse_network(pattern), parse_network(target), sim, total=total) is None
         assert calls == []
+
+    @pytest.mark.parametrize("total", [False, True])
+    def test_child_without_partner_skips_the_permutation_walk(self, monkeypatch, total):
+        walks = []
+
+        def recorded(*args):
+            walks.append(args)
+            return permutations(*args)
+
+        def exact(a, b):
+            return 1.0 if a == b else 0.0
+
+        monkeypatch.setattr(conspec.similarity, "permutations", recorded)
+        pattern = parse_network("trust > [dog, rock]")
+        # rock aligns with no child of the target: no assignment can complete
+        target = parse_network("trust > [dog, berry]")
+        assert align_networks(pattern, target, exact, total=total) is None
+        assert walks == []
+        assert align_networks(pattern, parse_network("trust > [rock, dog]"), exact, total=total)
+        assert walks == [(range(2), 2)]
 
     def test_shared_node_scores_as_its_tree_copy(self, lex):
         # a network holding one node object twice, beside its tree copy
