@@ -13,7 +13,8 @@ The chart decides before it builds:
   as many parts as the span has tokens, and any literal first or last part
   equal to the span's first or last token; any other rule has no tiling of
   the span. After the first sweep only the one-part pattern rules are tried
-  on the span again.
+  on the span again. A tiling's pattern parts walk only the ends of the
+  non-empty final cells at their start, which the chart keeps per start.
 - A tiling's part combinations are walked depth-first in product order, and
   part k is aligned only with items whose earlier parts aligned. Each rule
   part is aligned with each chart item once, and the walk stops at the
@@ -23,13 +24,13 @@ The chart decides before it builds:
   one a full cell would refuse whatever its key, is never built.
 
 apply_rules_over says why each is exact. Complete parses are canonicalized,
-deduplicated, and ranked by derivation score.
+deduplicated, and ranked by derivation score, then by printed network.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import count, groupby
 from math import prod
 
 from .errors import UnparseableTextError
@@ -72,9 +73,7 @@ def build_vocabulary(rules: tuple[Rule, ...], lexicon: Lexicon) -> Vocabulary:
                 affix = (t.startswith("+") or t.startswith("-") or t.endswith("+")) and len(t) > 1
                 if affix and t not in vocab.affixes:
                     vocab.affixes.append(t)
-        for node in rule.lhs.iter_nodes():
-            if node.concept is not None:
-                concepts.setdefault(node.concept)
+        concepts.update(dict.fromkeys(c for c in rule.lhs_nodes if c is not None))
     concepts.update(dict.fromkeys(lexicon.definitions))
     for concept in concepts:
         if concept.stemless:
@@ -188,12 +187,16 @@ class _Item:
     serial: int = -1  # order of entry into the chart; names the item in tried and aligned keys
 
 
-def _tilings(rule, tokens: list[str], frags, i: int, j: int) -> list[list[tuple[int, int]]]:
+def _tilings(rule, tokens: list[str], frags, ends, i: int, j: int) -> list[list[tuple[int, int]]]:
     """Every way the rule's parts cover tokens[i:j], in lexicographic order.
 
     Partial tilings grow one part at a time, in order. Each part covers at
     least one token, so part k ends no later than j minus the parts still to
-    come, and the last part ends at j.
+    come, and the last part ends at j. A pattern part starting at ``at``
+    ends only where a cell holds items: ``ends[at]`` lists, in increasing
+    order, the ends of the non-empty final cells that start there. Every
+    cell a part can cover is final but (i, j) itself, which only a one-part
+    rule covers; it reads that cell, the one being filled, as it stands.
     """
     parts = rule.parts
     partial: list[tuple[list[tuple[int, int]], int]] = [([], i)]  # (tiling so far, next start)
@@ -206,8 +209,14 @@ def _tilings(rule, tokens: list[str], frags, i: int, j: int) -> list[list[tuple[
                 if lo <= at + 1 <= hi and tokens[at] == part.text:
                     grown.append((acc + [(at, at + 1)], at + 1))
                 continue
-            for end in range(lo, hi + 1):
-                if frags[(at, end)]:
+            if at == i and hi == j:  # the one part covers the span being filled
+                if frags[(i, j)]:
+                    grown.append((acc + [(i, j)], j))
+                continue
+            for end in ends[at]:
+                if end > hi:
+                    break
+                if end >= lo:
                     grown.append((acc + [(at, end)], end))
         if not grown:
             return []
@@ -275,6 +284,8 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
         (i, j): {} for i in range(n) for j in range(i + 1, n + 1)
     }
     ranked: dict[tuple[int, int], list[_Item]] = {}  # final cells, best score first
+    # start -> the ends of its non-empty final cells, in increasing order
+    ends: list[list[int]] = [[] for _ in range(n)]
     serials = count()
     sim = rule_node_sim(model.lexicon, model.pragmas.alpha)
     aligned: dict[tuple[int, int, int], Alignment | None] = {}  # (rule, part, item serial)
@@ -361,7 +372,7 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
         while sweep:
             changed = False
             for r, rule in sweep:
-                for tiling in _tilings(rule, tokens, frags, i, j):
+                for tiling in _tilings(rule, tokens, frags, ends, i, j):
                     same_span = tiling == [(i, j)]
                     slots = [
                         [None] if isinstance(part, Literal) else rank(a, b)
@@ -389,6 +400,8 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
                             changed = True
             sweep = regrow if changed else []
         ranked[(i, j)] = rank(i, j)
+        if cell:
+            ends[i].append(j)
 
     for width in range(1, n + 1):
         for i in range(0, n - width + 1):
@@ -430,9 +443,14 @@ def parse_text(model: ModelBundle, text: str) -> list[tuple[ConceptNetwork, floa
         raise UnparseableTextError(
             f"no complete parse of {text!r}", best_spans=sorted(set(best_partial))
         )
-    ranked = sorted(
-        results.values(), key=lambda r: (-r[1], print_network(r[0]))
-    )
+    # best score first, then by printed network: printed only to order a run
+    # of equal scores
+    ranked = []
+    for _, run in groupby(sorted(results.values(), key=lambda r: -r[1]), key=lambda r: r[1]):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=lambda r: print_network(r[0]))
+        ranked += run
     if punct in ("?", "!"):
         wanted = punct
         marked = [

@@ -125,9 +125,14 @@ def realize(model: ModelBundle, net: ConceptNetwork) -> list[tuple[str, float, l
 
     Ties rank shorter output first, then lexicographic. Raises
     UnrealizableFragmentError only when every hypothesis got stuck.
+
+    A fragment's options are computed once per call. They are memoized by
+    the fragment's ordered print, not its canonical key, because the order
+    of tied options follows the order of its children.
     """
     prepared = resolve_anchors(canonicalize(net))
     beam = model.pragmas.beam
+    options_of: dict[str, list[tuple[float, str, list[Part]]]] = {}
     hypotheses = [Hypothesis([prepared], 1.0)]
     best_seen: dict[tuple, float] = {hypotheses[0].key(): 1.0}
     results: dict[str, tuple[str, float, list[list[str]]]] = {}
@@ -155,9 +160,12 @@ def realize(model: ModelBundle, net: ConceptNetwork) -> list[tuple[str, float, l
             per_slot = []
             dead = False
             for i in slots:
-                options = _rewrite_options(model, h.parts[i])
+                printed = print_network(h.parts[i])
+                options = options_of.get(printed)
+                if options is None:
+                    options = options_of[printed] = _rewrite_options(model, h.parts[i])
                 if not options:
-                    stuck.append(print_network(h.parts[i]))
+                    stuck.append(printed)
                     dead = True
                     break
                 per_slot.append(options[:beam])

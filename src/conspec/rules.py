@@ -12,8 +12,9 @@ binding: a target child the binding leaves unbound (a "remainder") stays
 with the rhs part that carries its bound parent, so a determiner or adverb
 hanging off a matched noun flows into that part's fragment instead of
 blocking the rule. A match is rejected when a remainder hangs under a
-dropped lhs node (silent content loss). Rules are aligned with no gate of
-their own: a root of the wrong shape fails at the alignment's first checks.
+dropped lhs node (silent content loss). Each rule stores its pattern root's
+shape at load; matching skips, unaligned, a rule whose shape fails the
+alignment's first checks on the target (``similarity.can_align``).
 
 Transfer rules rewrite source-language regions into receptor-language
 templates. A dst node is a slot when the bilingual map (or label identity)
@@ -42,7 +43,10 @@ from .similarity import (
     DEFAULT_ALPHA,
     Alignment,
     NodeSim,
+    Shape,
     align_networks,
+    can_align,
+    root_shape,
     rule_node_sim,
 )
 from .treeline import print_network
@@ -109,6 +113,13 @@ class Rule:
     # corner filter admits the rule on a span only where its tokens agree
     first_literal: str | None = None
     last_literal: str | None = None
+    # the lhs nodes under their concept, from the one walk of the lhs
+    lhs_nodes: dict[Concept | None, list[Node]] = field(init=False, repr=False, compare=False)
+    shape: Shape = field(init=False, repr=False, compare=False)  # root_shape(lhs)
+
+    def __post_init__(self):
+        self.lhs_nodes = _nodes_by_concept(self.lhs)
+        self.shape = root_shape(self.lhs)
 
 
 def build_rule(
@@ -118,9 +129,8 @@ def build_rule(
     line: int = 0,
     path: str = "<inline>",
 ) -> Rule:
-    parts: list[Literal | PatternPart] = []
-    part_at: dict[int, int] = {}
-    lhs_nodes = _nodes_by_concept(lhs)
+    rule = Rule(lhs, [], rule_id, line)
+    parts, part_at = rule.parts, rule.part_at
     for kind, value in rhs:
         if kind == "lit":
             parts.append(Literal(str(value)))
@@ -128,7 +138,7 @@ def build_rule(
         pattern: ConceptNetwork = value  # type: ignore[assignment]
         if len(pattern.roots) != 1:
             raise ModelLoadError("rule part must be a single chain", path, line)
-        embeddings = _find_embeddings(pattern, lhs_nodes)
+        embeddings = _find_embeddings(pattern, rule.lhs_nodes)
         if not embeddings:
             raise ModelLoadError(
                 f"rule part {print_network(pattern)!r} does not occur in the rule pattern",
@@ -147,8 +157,10 @@ def build_rule(
             raise ModelLoadError("rule parts overlap on the pattern", path, line)
         part_at.update((id(t), len(parts)) for t in binding.values())
         parts.append(PatternPart(pattern, dict(binding)))
-    first, last = (part.text if isinstance(part, Literal) else None for part in (parts[0], parts[-1]))
-    return Rule(lhs, parts, rule_id, line, part_at, first, last)
+    rule.first_literal, rule.last_literal = (
+        part.text if isinstance(part, Literal) else None for part in (parts[0], parts[-1])
+    )
+    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +218,13 @@ def match_rules(
     tau: float = DEFAULT_TAU,
 ) -> list[Match]:
     """Rule patterns matched against the network's root region: every match
-    with score >= tau, best score first, declaration order on ties."""
+    with score >= tau, best score first, declaration order on ties. A rule
+    whose stored root shape fails ``can_align`` is skipped unaligned."""
     sim = rule_node_sim(lex, alpha)
     out: list[tuple[float, int, Match]] = []
     for idx, rule in enumerate(rules):
+        if not can_align(rule.shape, net, total=False):
+            continue
         got = _match_region(rule.lhs, net, sim, tau, rule.part_at)
         if got is not None:
             out.append((-got.score, idx, Match(rule, got.binding, got.score)))
@@ -359,6 +374,10 @@ class TransferRule:
     slots: dict[Node, Node] = field(default_factory=dict)
     # id() of each src node some slot carries
     slot_ids: frozenset[int] = frozenset()
+    shape: Shape = field(init=False, repr=False, compare=False)  # root_shape(src)
+
+    def __post_init__(self):
+        self.shape = root_shape(self.src)
 
 
 def build_transfer_rule(
@@ -415,6 +434,8 @@ def _collect_transfer_matches(
     out: list[_TransferMatch] = []
     for rule in trules:
         for node, target in targets:
+            if not can_align(rule.shape, target, total=False):
+                continue
             got = _match_region(rule.src, target, sim, tau, rule.slot_ids)
             if got is not None:
                 region = frozenset(got.binding.values())

@@ -7,11 +7,15 @@ similarities. Exact matches score 1; anything involving substitution is
 capped by the alpha discount so exact rules always dominate analogues.
 
 The alignment engine here is shared with the rules module, which plugs in a
-richer node scorer (is_a pre-test) and allows prefix alignments; callers
-need no gate of their own, since align_networks makes its first checks
-before it calls the scorer. An alignment is its binding and score alone: a
-remainder, a specifier child of a bound target node that is not itself
-bound, is worked out from the binding by whoever reads it.
+richer node scorer (is_a pre-test, memoized on the lexicon like
+concept_sim) and allows prefix alignments. align_networks makes its first
+checks (capsule flag, anchor, specifier count) before it calls the scorer,
+and ``can_align`` makes the same checks on a pattern root shape stored at
+load, so rule matching skips a rule of the wrong shape unaligned. The
+kernel passes plain (product, count, pairs) results up the tree; only
+align_networks builds an Alignment. An alignment is its binding and score
+alone: a remainder, a specifier child of a bound target node that is not
+itself bound, is worked out from the binding by whoever reads it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from itertools import permutations
 from typing import Callable
 
 from .lexicon import Lexicon, ancestors, is_a
-from .network import Concept, ConceptNetwork, Node
+from .network import Anchor, Concept, ConceptNetwork, Node
 
 DEFAULT_ALPHA = 0.9
 
@@ -66,16 +70,31 @@ def pure_node_sim(lex: Lexicon, alpha: float = DEFAULT_ALPHA) -> NodeSim:
 def rule_node_sim(lex: Lexicon, alpha: float = DEFAULT_ALPHA) -> NodeSim:
     """Rule-matching scorer: is_a is tested before falling back to
     similarity, so a rule written over a definition-level concept (a rule
-    over {verb}, or over tool) applies to anything defined beneath it."""
+    over {verb}, or over tool) applies to anything defined beneath it.
+
+    Answers for two defined concepts are memoized on the lexicon, one memo
+    per alpha, so like ``concept_sim``'s the memo is bounded by the
+    definitions whatever concepts are passed in.
+    """
+    memo = lex.rule_sim_memo.setdefault(alpha, {})
+    defined = lex.definitions
 
     def sim(pattern: Concept, target: Concept) -> float:
         if pattern == target:
             return 1.0
+        key = (pattern, target)
+        got = memo.get(key)
+        if got is not None:
+            return got
         if is_a(lex, target, pattern):
-            return alpha
-        if pattern.stemless or target.stemless:
-            return 0.0
-        return concept_sim(lex, pattern, target, alpha)
+            got = alpha
+        elif pattern.stemless or target.stemless:
+            got = 0.0
+        else:
+            got = concept_sim(lex, pattern, target, alpha)
+        if pattern in defined and target in defined:
+            memo[key] = got
+        return got
 
     return sim
 
@@ -95,25 +114,52 @@ class Alignment:
         return self.product ** (1.0 / self.count)
 
 
-def _combine(parts: list[Alignment]) -> Alignment:
-    out = Alignment(1.0, 0)
-    for p in parts:
-        out.product *= p.product
-        out.count += p.count
-        out.binding.update(p.binding)
-    return out
+# (root count, capsule flag, anchor, specifier count) of a pattern's first root
+Shape = tuple[int, bool, Anchor | None, int]
 
 
-def _align_node(pattern: Node, target: Node, sim: NodeSim, total: bool) -> Alignment | None:
-    pc, tc = pattern.specifiers, target.specifiers
-    if (
-        pattern.is_capsule != target.is_capsule
-        or pattern.anchor != target.anchor
-        or len(pc) > len(tc)
-        or (total and len(pc) != len(tc))
-    ):
+def root_shape(pattern: ConceptNetwork) -> Shape:
+    """What the first checks of ``align_networks`` read of a pattern."""
+    root = pattern.roots[0]
+    return (len(pattern.roots), root.is_capsule, root.anchor, len(root.specifiers))
+
+
+def _fits(
+    capsule: bool, anchor: Anchor | None, n_specifiers: int, target: Node, total: bool
+) -> bool:
+    """The first checks of a node alignment: a pattern node with this capsule
+    flag, anchor and specifier count can align with ``target`` only if they
+    pass. They read no similarity."""
+    n = len(target.specifiers)
+    return (
+        capsule == target.is_capsule
+        and anchor == target.anchor
+        and (n_specifiers == n if total else n_specifiers <= n)
+    )
+
+
+def can_align(shape: Shape, target: ConceptNetwork, *, total: bool) -> bool:
+    """Whether a pattern of this root shape can pass the first checks of
+    ``align_networks`` on ``target``. Where it is False, ``align_networks``
+    is None before it computes any similarity, so rule matching skips the
+    rule unaligned. The node test is the one ``_align_node`` makes."""
+    roots, capsule, anchor, n_specifiers = shape
+    return roots == len(target.roots) and _fits(
+        capsule, anchor, n_specifiers, target.roots[0], total
+    )
+
+
+# A node alignment as the kernel passes it up: (product, count, pairs), the
+# pairs (pattern node, target node) in binding order. Only align_networks
+# builds an Alignment.
+_Aligned = tuple[float, int, list[tuple[Node, Node]]]
+
+
+def _align_node(pattern: Node, target: Node, sim: NodeSim, total: bool) -> _Aligned | None:
+    pc = pattern.specifiers
+    if not _fits(pattern.is_capsule, pattern.anchor, len(pc), target, total):
         return None
-    parts: list[Alignment] = []
+    body: list[_Aligned] = []
     if pattern.is_capsule:
         proots, troots = pattern.capsule.roots, target.capsule.roots
         if len(proots) != len(troots):
@@ -122,43 +168,62 @@ def _align_node(pattern: Node, target: Node, sim: NodeSim, total: bool) -> Align
             sub = _align_node(p, t, sim, total)
             if sub is None:
                 return None
-            parts.append(sub)
-        self_part = Alignment(1.0, 0, {pattern: target})
+            body.append(sub)
+        product, count = 1.0, 0
     else:
         s = sim(pattern.concept, target.concept)
         if s <= 0.0:
             return None
-        self_part = Alignment(s, 1, {pattern: target})
         if not pc:
-            return self_part  # a leaf: under total the target is one too
-    children = _align_children(pc, tc, sim, total)
+            return s, 1, [(pattern, target)]  # a leaf: under total the target is one too
+        product, count = s, 1
+    children = _align_children(pc, target.specifiers, sim, total)
     if children is None:
         return None
-    return _combine([self_part, children] + parts)
+    # the node, then its children, then its capsule body: products in that
+    # order, and pairs in that binding order
+    pairs = [(pattern, target)]
+    for sub_product, sub_count, sub_pairs in (children, *body):
+        product *= sub_product
+        count += sub_count
+        pairs += sub_pairs
+    return product, count, pairs
 
 
 def _align_children(
     pc: tuple[Node, ...], tc: tuple[Node, ...], sim: NodeSim, total: bool
-) -> Alignment | None:
+) -> _Aligned | None:
     """Best assignment of the pattern children to distinct target children:
     the first, in permutation order, whose product is strictly greatest."""
+    if len(pc) == 1:  # the permutations are the target children in order
+        best = None
+        for t in tc:
+            sub = _align_node(pc[0], t, sim, total)
+            if sub is not None and (best is None or sub[0] > best[0]):
+                best = sub
+        return best
     options = [[_align_node(p, t, sim, total) for t in tc] for p in pc]
     if not all(map(any, options)):  # some pattern child aligns with no target child
         return None
     best, best_product = None, 0.0
     for assign in permutations(range(len(tc)), len(pc)):
-        product = 1.0  # multiplied left to right, as _combine does
+        product = 1.0  # multiplied left to right
         for i, j in enumerate(assign):
             sub = options[i][j]
             if sub is None:
                 break
-            product *= sub.product
+            product *= sub[0]
         else:
             if best is None or product > best_product:
                 best, best_product = assign, product
     if best is None:
         return None
-    return _combine([options[i][j] for i, j in enumerate(best)])
+    count, pairs = 0, []
+    for i, j in enumerate(best):
+        _, sub_count, sub_pairs = options[i][j]
+        count += sub_count
+        pairs += sub_pairs
+    return best_product, count, pairs
 
 
 def align_networks(
@@ -179,13 +244,15 @@ def align_networks(
     """
     if len(pattern.roots) != len(target.roots):
         return None
-    parts = []
+    product, count, binding = 1.0, 0, {}
     for p, t in zip(pattern.roots, target.roots):
         sub = _align_node(p, t, sim, total)
         if sub is None:
             return None
-        parts.append(sub)
-    return _combine(parts)
+        product *= sub[0]
+        count += sub[1]
+        binding.update(sub[2])
+    return Alignment(product, count, binding)
 
 
 def network_sim(

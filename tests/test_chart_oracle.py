@@ -117,7 +117,7 @@ def test_tilings_match_recursive_tiler_on_first_sweeps(monkeypatch):
     charts: list = []  # keeps every chart referenced, so its id stays unique
     found = 0
 
-    def compare(rule, tokens, frags, i, j):
+    def compare(rule, tokens, frags, ends, i, j):
         nonlocal found
         if not charts or charts[-1] is not frags:
             charts.append(frags)
@@ -128,10 +128,10 @@ def test_tilings_match_recursive_tiler_on_first_sweeps(monkeypatch):
             seen.add(span)
             oracle = oracle_tilings(tokens, frags)
             for other in model.rules:
-                got = tilings(other, tokens, frags, i, j)
+                got = tilings(other, tokens, frags, ends, i, j)
                 assert got == oracle(other, i, j), (tokens, i, j, other.rule_id)
                 found += bool(got)
-        return tilings(rule, tokens, frags, i, j)
+        return tilings(rule, tokens, frags, ends, i, j)
 
     monkeypatch.setattr(conspec.parser, "_tilings", compare)
     for surface in surfaces():
@@ -153,6 +153,7 @@ def test_tilings_match_recursive_tiler_on_random_cells():
             for b in range(a + 1, n + 1)
         }
         oracle = oracle_tilings(tokens, frags)
+        ends = [[b for b in range(a + 1, n + 1) if frags[(a, b)]] for a in range(n)]
         for _ in range(4):
             parts = [
                 Literal(rng.choice("abc")) if rng.random() < 0.4 else PatternPart(None, {})
@@ -161,7 +162,7 @@ def test_tilings_match_recursive_tiler_on_random_cells():
             rule = types.SimpleNamespace(parts=parts)
             for i in range(n):
                 for j in range(i + 1, n + 1):
-                    got = conspec.parser._tilings(rule, tokens, frags, i, j)
+                    got = conspec.parser._tilings(rule, tokens, frags, ends, i, j)
                     assert got == oracle(rule, i, j), (tokens, frags, parts, i, j)
                     found += len(got) > 1
     assert found > 0

@@ -107,11 +107,11 @@ def test_chart_skips_only_what_the_old_chart_refuses(beam, monkeypatch):
     now: dict = {}  # the rule being tiled, its span and tilings, the combination
     counts = {"combos": 0, "unaligned": 0, "refused": 0}
 
-    def record_tilings(rule, tokens, frags, i, j):
+    def record_tilings(rule, tokens, frags, ends, i, j):
         if id(frags) not in olds:
             charts.append(frags)
             olds[id(frags)] = old_chart(frags, beam, sim)
-        got = tilings(rule, tokens, frags, i, j)
+        got = tilings(rule, tokens, frags, ends, i, j)
         now.update(rule=rule, frags=frags, span=(i, j), tilings=list(got))
         return got
 

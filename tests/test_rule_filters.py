@@ -48,7 +48,7 @@ def test_corner_filter_skips_only_rules_without_a_tiling(monkeypatch):
     tileable: dict[tuple, list] = {}  # span -> rules with a tiling at its first sweep
     charts: list = []  # keeps every chart referenced, so its id stays unique
 
-    def record_tilings(rule, tokens, frags, i, j):
+    def record_tilings(rule, tokens, frags, ends, i, j):
         if not charts or charts[-1] is not frags:
             charts.append(frags)
         span = (id(frags), i, j)
@@ -56,9 +56,9 @@ def test_corner_filter_skips_only_rules_without_a_tiling(monkeypatch):
             # cells below (i, j) are final here; only the one-part pattern
             # rules, which are never skipped, read the cell being filled
             tiled[span] = set()
-            tileable[span] = [r for r in model.rules if tilings(r, tokens, frags, i, j)]
+            tileable[span] = [r for r in model.rules if tilings(r, tokens, frags, ends, i, j)]
         tiled[span].add(id(rule))
-        return tilings(rule, tokens, frags, i, j)
+        return tilings(rule, tokens, frags, ends, i, j)
 
     monkeypatch.setattr(conspec.parser, "_tilings", record_tilings)
     spans = 0
