@@ -14,13 +14,12 @@ concept is built at construction, right after the cycle check, and
 concepts, so each memo is bounded by the square of the number of definitions
 whatever concepts callers pass in. Two readers on different threads may both
 fill one memo entry; both write the same value. No cache takes part in
-equality or repr. A ``Definition`` walks its body once, at construction.
+equality or repr.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Container, Iterable
 
 from .errors import ModelLoadError
 from .network import Concept, ConceptNetwork, Node, equal, rebuild
@@ -62,16 +61,16 @@ DEFAULT_STEMLESS: dict[str, str] = {
     "have": "possession macro",
 }
 
+# Predefined {have} macro so possessives can be written tersely; every
+# Lexicon shares this one body, as networks are never mutated.
+_HAVE_BODY = parse_network("(have > [<<{agent}, >>{theme}])")
+
+
 @dataclass(frozen=True)
 class Definition:
     name: Concept
     body: ConceptNetwork
     line: int = 0
-    # body.concepts(), from the one walk of the body
-    concepts: tuple[Concept, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "concepts", tuple(self.body.concepts()))
 
     def __eq__(self, other: object) -> bool:  # ConceptNetwork has no __eq__: compare bodies here
         if not isinstance(other, Definition):
@@ -80,12 +79,6 @@ class Definition:
 
     def __hash__(self) -> int:
         return hash((self.name, self.line))  # equal definitions agree on these
-
-
-# Predefined {have} macro so possessives can be written tersely; every
-# Lexicon shares this one definition, as networks are never mutated.
-_HAVE = Concept("have", True)
-_HAVE_DEF = Definition(_HAVE, parse_network("(have > [<<{agent}, >>{theme}])"))
 
 
 @dataclass
@@ -107,9 +100,11 @@ class Lexicon:
     )
 
     def __post_init__(self):
-        if _HAVE not in self.definitions:
+        have = Concept("have", True)
+        if have not in self.definitions:
             # a copy: the caller's dict is left as it was passed
-            self.definitions = {**self.definitions, _HAVE: _HAVE_DEF}
+            have_def = Definition(have, _HAVE_BODY)
+            self.definitions = {**self.definitions, have: have_def}
         self._check_cycles()  # so each walk up below ends
         # top-down: walk up to the first concept with a set (or undefined),
         # then give each concept on the way its parent's set plus itself
@@ -146,8 +141,8 @@ class Lexicon:
             elif color.get(nxt, WHITE) == WHITE:
                 color[nxt] = GRAY
                 trail.append(nxt)
-                concepts = self.definitions[nxt].concepts
-                stack.append(c for c in concepts if c in self.definitions)
+                body = self.definitions[nxt].body
+                stack.append(c for c in body.concepts() if c in self.definitions)
 
 
 # The statement fields scanned for stemless labels. A rule's rhs patterns are
@@ -164,25 +159,12 @@ def undeclared_stemless(statements: list[Statement], registry: dict[str, str]) -
     """Stemless labels the statements use that neither ``registry`` nor their
     own ``declare`` lines name, in order of first use."""
     declared = set(registry) | {s.label for s in statements if isinstance(s, DeclareStmt)}
-    walks = (
-        getattr(stmt, name).concepts()
-        for stmt in statements
-        for name in _NETWORK_FIELDS.get(type(stmt), ())
-    )
-    return first_undeclared(walks, declared)
-
-
-def first_undeclared(
-    walks: Iterable[Iterable[Concept | None]], declared: Container[str]
-) -> list[str]:
-    """The stemless labels outside ``declared`` in the concepts of each walk,
-    in order of first use; a None (a capsule's concept) is passed over. Model
-    load gives it the walks it has already made."""
     out: list[str] = []
-    for walk in walks:
-        for c in walk:
-            if c is not None and c.stemless and c.label not in declared and c.label not in out:
-                out.append(c.label)
+    for stmt in statements:
+        for name in _NETWORK_FIELDS.get(type(stmt), ()):
+            for c in getattr(stmt, name).concepts():
+                if c.stemless and c.label not in declared and c.label not in out:
+                    out.append(c.label)
     return out
 
 

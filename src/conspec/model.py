@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ModelLoadError, TreelineParseError
-from .lexicon import Definition, Lexicon, first_undeclared
+from .lexicon import Definition, Lexicon, undeclared_stemless
 from .network import Concept, ConceptNetwork
 from .rules import DEFAULT_BEAM, DEFAULT_TAU, Rule, build_rule
 from .similarity import DEFAULT_ALPHA
@@ -100,14 +100,9 @@ def load_model_text(text: str, path: str = "<inline>") -> ModelBundle:
     declares: dict[str, str] = {}
     pragmas = Pragmas()
     rules: list[Rule] = []
-    # each network statement's concepts, in statement order, from the one
-    # walk that building its definition or rule makes: the stemless lint reads
-    # these, as undeclared_stemless would read the statements
-    walks: list = []
     for stmt in doc.statements:
         if isinstance(stmt, DefinitionStmt):
-            defn = definitions[stmt.name] = Definition(stmt.name, stmt.body, stmt.line)
-            walks.append(defn.concepts)
+            definitions[stmt.name] = Definition(stmt.name, stmt.body, stmt.line)
         elif isinstance(stmt, DeclareStmt):
             declares[stmt.label] = stmt.description
         elif isinstance(stmt, PragmaStmt):
@@ -115,10 +110,8 @@ def load_model_text(text: str, path: str = "<inline>") -> ModelBundle:
         elif isinstance(stmt, RuleStmt):
             rid = f"r{len(rules) + 1}"
             rules.append(build_rule(stmt.lhs, stmt.rhs, rid, stmt.line, path))
-            walks.append(rules[-1].lhs_nodes)
         elif isinstance(stmt, NetworkStmt):
-            # bare networks are allowed in model files but carry no behavior
-            walks.append(stmt.network.concepts())
+            continue  # bare networks are allowed in model files but carry no behavior
         else:
             raise ModelLoadError(
                 f"{type(stmt).__name__} not allowed in a model file (pair files take"
@@ -132,7 +125,7 @@ def load_model_text(text: str, path: str = "<inline>") -> ModelBundle:
         raise ModelLoadError(exc.args[0], path, exc.line) from None
     lex.stemless_registry.update(declares)
     lints = list(doc.lints)
-    for label in first_undeclared(walks, lex.stemless_registry):
+    for label in undeclared_stemless(doc.statements, lex.stemless_registry):
         lints.append(f"undeclared stemless label {{{label}}}")
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     rule_tuple = tuple(rules)

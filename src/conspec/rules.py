@@ -12,9 +12,9 @@ binding: a target child the binding leaves unbound (a "remainder") stays
 with the rhs part that carries its bound parent, so a determiner or adverb
 hanging off a matched noun flows into that part's fragment instead of
 blocking the rule. A match is rejected when a remainder hangs under a
-dropped lhs node (silent content loss). Each rule stores its pattern root's
-shape at load; matching skips, unaligned, a rule whose shape fails the
-alignment's first checks on the target (``similarity.can_align``).
+dropped lhs node (silent content loss). Matching skips, unaligned, a rule
+whose pattern root fails the alignment's first checks on the target
+(``similarity.can_align``).
 
 Transfer rules rewrite source-language regions into receptor-language
 templates. A dst node is a slot when the bilingual map (or label identity)
@@ -43,10 +43,8 @@ from .similarity import (
     DEFAULT_ALPHA,
     Alignment,
     NodeSim,
-    Shape,
     align_networks,
     can_align,
-    root_shape,
     rule_node_sim,
 )
 from .treeline import print_network
@@ -115,11 +113,9 @@ class Rule:
     last_literal: str | None = None
     # the lhs nodes under their concept, from the one walk of the lhs
     lhs_nodes: dict[Concept | None, list[Node]] = field(init=False, repr=False, compare=False)
-    shape: Shape = field(init=False, repr=False, compare=False)  # root_shape(lhs)
 
     def __post_init__(self):
         self.lhs_nodes = _nodes_by_concept(self.lhs)
-        self.shape = root_shape(self.lhs)
 
 
 def build_rule(
@@ -219,11 +215,11 @@ def match_rules(
 ) -> list[Match]:
     """Rule patterns matched against the network's root region: every match
     with score >= tau, best score first, declaration order on ties. A rule
-    whose stored root shape fails ``can_align`` is skipped unaligned."""
+    whose lhs fails ``can_align`` on the network is skipped unaligned."""
     sim = rule_node_sim(lex, alpha)
     out: list[tuple[float, int, Match]] = []
     for idx, rule in enumerate(rules):
-        if not can_align(rule.shape, net, total=False):
+        if not can_align(rule.lhs, net):
             continue
         got = _match_region(rule.lhs, net, sim, tau, rule.part_at)
         if got is not None:
@@ -374,10 +370,6 @@ class TransferRule:
     slots: dict[Node, Node] = field(default_factory=dict)
     # id() of each src node some slot carries
     slot_ids: frozenset[int] = frozenset()
-    shape: Shape = field(init=False, repr=False, compare=False)  # root_shape(src)
-
-    def __post_init__(self):
-        self.shape = root_shape(self.src)
 
 
 def build_transfer_rule(
@@ -434,7 +426,7 @@ def _collect_transfer_matches(
     out: list[_TransferMatch] = []
     for rule in trules:
         for node, target in targets:
-            if not can_align(rule.shape, target, total=False):
+            if not can_align(rule.src, target):
                 continue
             got = _match_region(rule.src, target, sim, tau, rule.slot_ids)
             if got is not None:

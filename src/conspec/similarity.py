@@ -10,8 +10,8 @@ The alignment engine here is shared with the rules module, which plugs in a
 richer node scorer (is_a pre-test, memoized on the lexicon like
 concept_sim) and allows prefix alignments. align_networks makes its first
 checks (capsule flag, anchor, specifier count) before it calls the scorer,
-and ``can_align`` makes the same checks on a pattern root shape stored at
-load, so rule matching skips a rule of the wrong shape unaligned. The
+and ``can_align`` makes the same checks on a pattern's first root, so rule
+matching skips a rule of the wrong root shape unaligned. The
 kernel passes plain (product, count, pairs) results up the tree; only
 align_networks builds an Alignment. An alignment is its binding and score
 alone: a remainder, a specifier child of a bound target node that is not
@@ -25,7 +25,7 @@ from itertools import permutations
 from typing import Callable
 
 from .lexicon import Lexicon, ancestors, is_a
-from .network import Anchor, Concept, ConceptNetwork, Node
+from .network import Concept, ConceptNetwork, Node
 
 DEFAULT_ALPHA = 0.9
 
@@ -114,38 +114,26 @@ class Alignment:
         return self.product ** (1.0 / self.count)
 
 
-# (root count, capsule flag, anchor, specifier count) of a pattern's first root
-Shape = tuple[int, bool, Anchor | None, int]
-
-
-def root_shape(pattern: ConceptNetwork) -> Shape:
-    """What the first checks of ``align_networks`` read of a pattern."""
-    root = pattern.roots[0]
-    return (len(pattern.roots), root.is_capsule, root.anchor, len(root.specifiers))
-
-
-def _fits(
-    capsule: bool, anchor: Anchor | None, n_specifiers: int, target: Node, total: bool
-) -> bool:
-    """The first checks of a node alignment: a pattern node with this capsule
-    flag, anchor and specifier count can align with ``target`` only if they
-    pass. They read no similarity."""
-    n = len(target.specifiers)
+def _fits(pattern: Node, target: Node, total: bool) -> bool:
+    """The first checks of a node alignment: capsule flag, anchor and
+    specifier count. ``pattern`` can align with ``target`` only if they pass.
+    They read no similarity."""
+    m, n = len(pattern.specifiers), len(target.specifiers)
     return (
-        capsule == target.is_capsule
-        and anchor == target.anchor
-        and (n_specifiers == n if total else n_specifiers <= n)
+        pattern.is_capsule == target.is_capsule
+        and pattern.anchor == target.anchor
+        and (m == n if total else m <= n)
     )
 
 
-def can_align(shape: Shape, target: ConceptNetwork, *, total: bool) -> bool:
-    """Whether a pattern of this root shape can pass the first checks of
-    ``align_networks`` on ``target``. Where it is False, ``align_networks``
-    is None before it computes any similarity, so rule matching skips the
-    rule unaligned. The node test is the one ``_align_node`` makes."""
-    roots, capsule, anchor, n_specifiers = shape
-    return roots == len(target.roots) and _fits(
-        capsule, anchor, n_specifiers, target.roots[0], total
+def can_align(pattern: ConceptNetwork, target: ConceptNetwork) -> bool:
+    """Whether ``pattern`` can pass the first checks of a prefix
+    ``align_networks`` on ``target``: the root counts agree and the first
+    roots pass ``_align_node``'s own node test. Where it is False,
+    ``align_networks`` is None before it computes any similarity, so rule
+    matching skips the rule unaligned."""
+    return len(pattern.roots) == len(target.roots) and _fits(
+        pattern.roots[0], target.roots[0], False
     )
 
 
@@ -156,9 +144,9 @@ _Aligned = tuple[float, int, list[tuple[Node, Node]]]
 
 
 def _align_node(pattern: Node, target: Node, sim: NodeSim, total: bool) -> _Aligned | None:
-    pc = pattern.specifiers
-    if not _fits(pattern.is_capsule, pattern.anchor, len(pc), target, total):
+    if not _fits(pattern, target, total):
         return None
+    pc = pattern.specifiers
     body: list[_Aligned] = []
     if pattern.is_capsule:
         proots, troots = pattern.capsule.roots, target.capsule.roots
