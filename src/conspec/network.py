@@ -11,12 +11,13 @@ package mutates a node once it is part of a returned network, so networks are
 safe to share between threads. ``resolve_anchors`` wires the single mutable
 slot (``Node.ref``) exactly once on freshly built nodes.
 
-A node that ``canonicalize`` builds carries its canonical key in
-``Node.key``, computed once from its children's stored keys; every other
-node has ``key`` None. A node with a key is canonical and is never copied:
-``canonicalize`` returns it as is, so a network built around canonical
-fragments (a chart item around the items it took in) shares their subtrees.
-Sharing is safe because ``ref`` is the only slot ever written after
+A node that ``keyed_node`` builds carries its canonical key in ``Node.key``,
+computed once from its children's stored keys; every other node has ``key``
+None. ``canonicalize``, the chart and transfer all build through it, so they
+make canonical networks in one pass. A node with a key is canonical and is
+never copied: ``canonicalize`` returns it as is, so a network built around
+canonical fragments (a chart item around the items it took in) shares their
+subtrees. Sharing is safe because ``ref`` is the only slot ever written after
 construction, and only ``resolve_anchors`` writes it, on a fresh ``rebuild``
 copy, which has no key. A node with a key therefore never has a ``ref``.
 """
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import MalformedNetworkError
 
@@ -91,7 +92,7 @@ class Node:
     ``ref`` is the resolved target of this node's anchor (shared object, not a
     copy), populated by ``resolve_anchors``; it is ignored by equality and
     printing, which work on the anchor annotation itself. ``key`` is the
-    canonical key, set only on nodes that ``canonicalize`` builds.
+    canonical key, set only on nodes that ``keyed_node`` builds.
     ``is_capsule`` is set once here: ``capsule`` is never reassigned.
     """
 
@@ -157,41 +158,14 @@ class ConceptNetwork:
         return f"ConceptNetwork({print_network(self)!r})"
 
 
-def _same(concept: Concept) -> Concept:
-    return concept
-
-
-def rebuild(
-    node: Node,
-    concept: Callable[[Concept], Concept] = _same,
-    swap: Callable[[Node], Node | None] | None = None,
-) -> Node:
+def rebuild(node: Node) -> Node:
     """Fresh copy of the tree under ``node``, descending into capsule bodies.
-
-    Where ``swap(n)`` returns a node, that node stands in for n's whole
-    subtree as is; every other node is copied with ``concept`` applied to its
-    concept. Nodes are visited in preorder (a node's concept, then its capsule
-    body, then its specifiers), which fixes which error ``concept`` raises
-    first.
-    """
-
-    def copy(n: Node) -> Node:
-        if swap is not None:
-            got = swap(n)
-            if got is not None:
-                return got
-        mapped = concept(n.concept) if n.concept is not None else None
-        capsule = None
-        if n.is_capsule:
-            capsule = ConceptNetwork(tuple(copy(r) for r in n.capsule.roots))
-        return Node(
-            concept=mapped,
-            capsule=capsule,
-            anchor=n.anchor,
-            specifiers=tuple(copy(s) for s in n.specifiers),
-        )
-
-    return copy(node)
+    The copy carries no key."""
+    capsule = None
+    if node.is_capsule:
+        capsule = ConceptNetwork(tuple(map(rebuild, node.capsule.roots)))
+    spec = tuple(map(rebuild, node.specifiers))
+    return Node(concept=node.concept, capsule=capsule, anchor=node.anchor, specifiers=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -227,19 +201,32 @@ def _key_of(node: Node, kids: tuple):
 _stored_key = attrgetter("key")
 
 
-def _canonical_node(node: Node) -> Node:
-    # bottom-up: children first, sorted by their stored keys (a stable sort,
-    # and children with equal keys are interchangeable), then this node's key
-    # from theirs
-    if node.key is not None:
-        return node
-    spec = tuple(sorted(map(_canonical_node, node.specifiers), key=_stored_key))
-    capsule = None
-    if node.is_capsule:
-        capsule = ConceptNetwork(tuple(map(_canonical_node, node.capsule.roots)))
-    out = Node(concept=node.concept, capsule=capsule, anchor=node.anchor, specifiers=spec)
+def keyed_node(
+    concept: Concept | None = None,
+    capsule: ConceptNetwork | None = None,
+    anchor: Anchor | None = None,
+    specifiers: Iterable[Node] = (),
+) -> Node:
+    """A new canonical node over children (and capsule roots) that carry
+    their keys: the specifiers sorted by stored key (a stable sort; equal keys
+    are interchangeable), and the node's key computed from theirs."""
+    spec = tuple(specifiers)
+    if len(spec) > 1:
+        spec = tuple(sorted(spec, key=_stored_key))
+    out = Node(concept=concept, capsule=capsule, anchor=anchor, specifiers=spec)
     out.key = _key_of(out, tuple(map(_stored_key, spec)))
     return out
+
+
+def canonical_node(node: Node) -> Node:
+    """``node`` itself if it carries a key, else its canonical copy: every
+    node beneath that has no key is copied by ``keyed_node``, bottom-up."""
+    if node.key is not None:
+        return node
+    capsule = None
+    if node.is_capsule:
+        capsule = ConceptNetwork(tuple(map(canonical_node, node.capsule.roots)))
+    return keyed_node(node.concept, capsule, node.anchor, map(canonical_node, node.specifiers))
 
 
 def canonicalize(net: ConceptNetwork) -> ConceptNetwork:
@@ -249,10 +236,11 @@ def canonicalize(net: ConceptNetwork) -> ConceptNetwork:
     raising MalformedNetworkError otherwise; the whole network is checked,
     shared canonical subtrees included. Any previously wired reference edges
     are dropped (canonicalize, then resolve). Nodes that already carry a key
-    are kept as they are.
+    are kept as they are, so on a network that ``keyed_node`` built this only
+    validates the anchors.
     """
     _resolve(net, assign=False)
-    return ConceptNetwork(tuple(_canonical_node(r) for r in net.roots))
+    return ConceptNetwork(tuple(map(canonical_node, net.roots)))
 
 
 def equal(a: ConceptNetwork, b: ConceptNetwork) -> bool:

@@ -23,8 +23,9 @@ The chart decides before it builds:
 - An item's score is known from its alignments, so an item below ``tau``, or
   one a full cell would refuse whatever its key, is never built.
 
-apply_rules_over says why each is exact. Complete parses are canonicalized,
-deduplicated, and ranked by derivation score, then by printed network.
+apply_rules_over says why each is exact. An item is built canonical and keyed
+by ``instantiate_reverse``: ``canonicalize`` only validates its anchors. Parses
+are deduplicated by key and ranked by derivation score, then printed network.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from math import prod
 from .errors import UnparseableTextError
 from .lexicon import Lexicon
 from .model import ModelBundle
-from .network import Concept, ConceptNetwork, Node, canonical_key, canonicalize
+from .network import Concept, ConceptNetwork, canonical_key, canonicalize, keyed_node
 from .realizer import join_affixes, strip_orthography
 from .rules import Literal, PatternPart, Rule, instantiate_reverse, reverse_score
 from .similarity import Alignment, align_networks, rule_node_sim
@@ -310,7 +311,7 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
 
     for i, token in enumerate(tokens):
         for concept in model.vocab.surfaces.get(token, ()):  # shift: token -> concept
-            net = ConceptNetwork((Node(concept=concept),))
+            net = ConceptNetwork((keyed_node(concept),))
             add(i, i + 1, _Item(net, 1.0, [f"shift:{token}"]))
 
     MAX_UNARY = 2

@@ -4,7 +4,8 @@ A realization rule pairs a network pattern (lhs) with an ordered sequence of
 parts (rhs): quoted surface literals and sub-patterns that point back into
 the lhs. Rules are bidirectional: forward they rewrite a network region into
 a part sequence (realization), backward they rebuild the lhs around matched
-fragments (parsing).
+fragments (parsing). That rebuild and transfer's make each node once with
+``network.keyed_node``: their output is canonical and keyed as built.
 
 Matching is exact or analogical. The lhs embeds prefix-closed into the
 target: every lhs node maps to a distinct target node. A match is its
@@ -36,8 +37,9 @@ from .network import (
     ConceptNetwork,
     Node,
     canonical_key,
+    canonical_node,
     canonicalize,
-    rebuild,
+    keyed_node,
 )
 from .similarity import (
     DEFAULT_ALPHA,
@@ -293,52 +295,55 @@ def instantiate_reverse(rule: Rule, alignments: list[Alignment | None]) -> Conce
 
     ``alignments[i]`` aligns parts[i].pattern with its fragment, or is None for
     a literal, which the caller has already checked; ``reverse_score`` gives
-    the match score. Uncovered lhs nodes (role markers, capsule shells,
-    {implied} insertions) are copied in verbatim. A fragment node with
-    nothing changed beneath it is shared, not copied.
+    the match score. Every new node is made by ``keyed_node``, so the result
+    is canonical as built. Uncovered lhs nodes (role markers, capsule shells,
+    {implied} insertions) are copied in fresh, never shared between builds. A
+    fragment node with nothing changed beneath it is shared (its canonical
+    copy if it has no key).
     """
-    part_frag: dict[int, dict[Node, Node]] = {  # part index -> lhs node -> fragment node
-        i: {part.to_lhs[p]: f for p, f in got.binding.items()}
-        for i, (part, got) in enumerate(zip(rule.parts, alignments))
-        if got is not None
-    }
+    parts, part_at = rule.parts, rule.part_at
 
-    def part_owned(l: Node) -> Node | None:
-        i = rule.part_at.get(id(l))
-        if i is None:
-            return None
-        lhs_to_frag = part_frag[i]
-        return graft(lhs_to_frag[l], l, lhs_to_frag, i)
+    def copy(l: Node) -> Node:
+        # lhs node l lies outside every part, or is the lhs root of part i:
+        # a part is a prefix-closed embedding, entered only at its root
+        i = part_at.get(id(l))
+        if i is not None:
+            p = parts[i].pattern.roots[0]
+            return graft(alignments[i].binding[p], p, l, i)
+        capsule = None
+        if l.is_capsule:
+            capsule = ConceptNetwork(tuple(map(copy, l.capsule.roots)))
+        return keyed_node(l.concept, capsule, l.anchor, map(copy, l.specifiers))
 
-    def graft(f: Node, l: Node, lhs_to_frag: dict[Node, Node], part_idx: int) -> Node:
-        # fragment node f is aligned with lhs node l; fragment remainders stay
-        frag_of = {id(lhs_to_frag[c]): c for c in l.specifiers if lhs_to_frag.get(c) is not None}
-        kept: list[Node] = []
-        for child in f.specifiers:
-            lc = frag_of.get(id(child))
-            if lc is not None:
-                kept.append(graft(child, lc, lhs_to_frag, part_idx))
-            else:
-                kept.append(child)  # fragment remainder, verbatim
-        # lhs children outside the part are inserted from the pattern
-        for lc in l.specifiers:
-            if rule.part_at.get(id(lc)) != part_idx and lhs_to_frag.get(lc) is None:
-                kept.append(rebuild(lc, swap=part_owned))
+    def graft(f: Node, p: Node, l: Node, i: int) -> Node:
+        # fragment node f is aligned with pattern node p of part i, which
+        # stands for lhs node l; every pattern node is bound
+        binding, to_lhs = alignments[i].binding, parts[i].to_lhs
+        spec = []
+        same = True
+        for pc in p.specifiers:
+            fc = binding[pc]
+            got = graft(fc, pc, to_lhs[pc], i)
+            spec.append(got)
+            same = same and got is fc
+        if len(l.specifiers) > len(p.specifiers):
+            # lhs children outside the part are inserted from the pattern
+            spec += [copy(lc) for lc in l.specifiers if part_at.get(id(lc)) != i]
+            same = False
         capsule = f.capsule
         if f.is_capsule:
-            body_of = {id(lhs_to_frag[r]): r for r in l.capsule.roots if lhs_to_frag.get(r) is not None}
-            roots = []
-            for fr in f.capsule.roots:
-                lr = body_of.get(id(fr))
-                roots.append(graft(fr, lr, lhs_to_frag, part_idx) if lr is not None else fr)
-            if roots != list(capsule.roots):  # nodes compare by identity
-                capsule = ConceptNetwork(tuple(roots))
-        spec = tuple(kept)
-        if spec == f.specifiers and capsule is f.capsule:
-            return f  # nothing beneath f changed
-        return Node(concept=f.concept, capsule=capsule, anchor=f.anchor, specifiers=spec)
+            roots = tuple(graft(binding[pr], pr, to_lhs[pr], i) for pr in p.capsule.roots)
+            if roots != capsule.roots:  # nodes compare by identity
+                capsule = ConceptNetwork(roots)
+                same = False
+        if same:
+            return canonical_node(f)  # nothing beneath f changed
+        if len(f.specifiers) > len(p.specifiers):  # fragment remainders stay
+            bound = [binding[pc] for pc in p.specifiers]
+            spec += [canonical_node(c) for c in f.specifiers if c not in bound]
+        return keyed_node(f.concept, capsule, f.anchor, spec)
 
-    return ConceptNetwork(tuple(rebuild(r, swap=part_owned) for r in rule.lhs.roots))
+    return ConceptNetwork(tuple(map(copy, rule.lhs.roots)))
 
 
 # ---------------------------------------------------------------------------
@@ -519,35 +524,36 @@ def _apply_selection(
     """Rebuild the net applying each selected match at its anchor.
 
     Selections are disjoint, so each slot fill is deterministic. Concepts
-    outside every match go through the concept map.
+    outside every match go through the concept map. Every node is new, made
+    by ``keyed_node`` in preorder (concept, capsule body, specifiers), which
+    fixes which untranslatable concept is reported first.
     """
 
-    def transfer(concept: Concept) -> Concept:
-        return _transfer_concept(concept, cmap)
-
-    def at_anchor(node: Node) -> Node | None:
-        m = match_at.get(id(node))
-        return None if m is None else build_dst(m.rule.dst.roots[0], m)
-
     def convert(node: Node) -> Node:
-        return rebuild(node, transfer, at_anchor)
+        m = match_at.get(id(node))
+        if m is not None:
+            return build_dst(m.rule.dst.roots[0], m)
+        concept = _transfer_concept(node.concept, cmap) if node.concept is not None else None
+        capsule = None
+        if node.is_capsule:
+            capsule = ConceptNetwork(tuple(map(convert, node.capsule.roots)))
+        return keyed_node(concept, capsule, node.anchor, [convert(s) for s in node.specifiers])
 
     def build_dst(d: Node, m: _TransferMatch) -> Node:
         spec = [build_dst(s, m) for s in d.specifiers]
         if d.is_capsule:
             body = ConceptNetwork(tuple(build_dst(r, m) for r in d.capsule.roots))
-            return Node(capsule=body, anchor=d.anchor, specifiers=tuple(spec))
+            return keyed_node(capsule=body, anchor=d.anchor, specifiers=spec)
         src = m.rule.slots.get(d)
         if src is None:
-            return Node(concept=d.concept, anchor=d.anchor, specifiers=tuple(spec))
+            return keyed_node(d.concept, anchor=d.anchor, specifiers=spec)
         t = m.binding[src]
         concept = _transfer_concept(t.concept, cmap) if not t.is_capsule else None
         # remainders (children of t the match left unbound) travel into the slot
-        extra = [convert(c) for c in t.specifiers if c not in m.region]
+        spec += [convert(c) for c in t.specifiers if c not in m.region]
         if t.is_capsule:
             body = ConceptNetwork(tuple(convert(r) for r in t.capsule.roots))
-            return Node(capsule=body, anchor=t.anchor, specifiers=tuple(extra + spec))
-        return Node(concept=concept, anchor=t.anchor, specifiers=tuple(extra + spec))
+            return keyed_node(capsule=body, anchor=t.anchor, specifiers=spec)
+        return keyed_node(concept, anchor=t.anchor, specifiers=spec)
 
-    return ConceptNetwork(tuple(convert(r) for r in net.roots))
-
+    return ConceptNetwork(tuple(map(convert, net.roots)))

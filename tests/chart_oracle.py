@@ -14,9 +14,11 @@ from itertools import count, islice, product as iter_product
 
 from conspec.lexicon import Lexicon
 from conspec.model import ModelBundle
-from conspec.network import ConceptNetwork, Node, canonical_key, canonicalize, rebuild
+from conspec.network import ConceptNetwork, Node, canonical_key, canonicalize
 from conspec.rules import Literal, Rule
 from conspec.similarity import align_networks, rule_node_sim
+
+from .canonical_oracle import rebuild
 
 
 def instantiate_reverse(rule: Rule, fragments: list[ConceptNetwork | None], lex: Lexicon, alpha: float) -> tuple[ConceptNetwork, float] | None:
