@@ -249,7 +249,7 @@ def _cmd_lint(args) -> int:
             used: set[str] = set()
             for surface, net, _raw in load_corpus(args.corpus):
                 try:
-                    for _, _, trace in realize(model, canonicalize(net)):
+                    for _, _, trace in realize(model, net):
                         for step in trace:
                             for entry in step:
                                 if entry.startswith("rule:"):

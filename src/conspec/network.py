@@ -13,13 +13,21 @@ slot (``Node.ref``) exactly once on freshly built nodes.
 
 A node that ``keyed_node`` builds carries its canonical key in ``Node.key``,
 computed once from its children's stored keys; every other node has ``key``
-None. ``canonicalize``, the chart and transfer all build through it, so they
-make canonical networks in one pass. A node with a key is canonical and is
-never copied: ``canonicalize`` returns it as is, so a network built around
-canonical fragments (a chart item around the items it took in) shares their
-subtrees. Sharing is safe because ``ref`` is the only slot ever written after
-construction, and only ``resolve_anchors`` writes it, on a fresh ``rebuild``
-copy, which has no key. A node with a key therefore never has a ``ref``.
+None. ``canonicalize``, the chart's rule builds and transfer's outputs all make
+their nodes with it, so they make canonical networks in one pass. A node with
+a key is canonical and is never copied: ``canonicalize`` returns it as is, so
+a network built around canonical fragments (a chart item around the items it
+took in) shares their subtrees. Sharing is safe because ``ref`` is the only
+slot ever written after construction, and only ``resolve_anchors`` writes it,
+on a fresh ``rebuild`` copy, which has no key. A node with a key therefore
+never has a ``ref``. No engine code reads ``ref``; ``anchor_resolutions`` and
+the exports do.
+
+Anchors are checked where a network enters or leaves the engine, by
+``canonicalize`` (on a keyed network that check is all it does): ``realize``
+checks its input, ``parse_text`` each complete parse and ``transfer_scored``
+each output. A chart item is not checked on its own, because its anchor may
+resolve only once a later rule embeds it.
 """
 
 from __future__ import annotations

@@ -24,8 +24,11 @@ The chart decides before it builds:
   one a full cell would refuse whatever its key, is never built.
 
 apply_rules_over says why each is exact. An item is built canonical and keyed
-by ``instantiate_reverse``: ``canonicalize`` only validates its anchors. Parses
-are deduplicated by key and ranked by derivation score, then printed network.
+by ``instantiate_reverse`` and is not checked on its own: an anchor may resolve
+only once a later rule embeds the item. Complete parses are deduplicated by
+key, and each is checked once by ``canonicalize``; one whose anchors do not
+resolve is dropped. The rest are ranked by derivation score, then printed
+network.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 from itertools import count, groupby
 from math import prod
 
-from .errors import UnparseableTextError
+from .errors import MalformedNetworkError, UnparseableTextError
 from .lexicon import Lexicon
 from .model import ModelBundle
 from .network import Concept, ConceptNetwork, canonical_key, canonicalize, keyed_node
@@ -396,7 +399,7 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
                         trace = [t for it in picked for t in it.trace]
                         trace.append(f"rule:{rule.rule_id}@{i}:{j}")
                         unary = picked[0].unary + 1 if same_span and picked else 0
-                        item = _Item(canonicalize(built), score, trace, unary)
+                        item = _Item(built, score, trace, unary)
                         if add(i, j, item):
                             changed = True
             sweep = regrow if changed else []
@@ -440,14 +443,21 @@ def parse_text(model: ModelBundle, text: str) -> list[tuple[ConceptNetwork, floa
             if spans:
                 w, i, j = max(spans)
                 best_partial.append(" ".join(tokens[i:j]))
-    if not results:
+    checked = []
+    why = ""  # the first anchor error, when a complete parse is dropped
+    for net, score, trace in results.values():
+        try:
+            checked.append((canonicalize(net), score, trace))
+        except MalformedNetworkError as exc:
+            why = why or f": {exc}"
+    if not checked:
         raise UnparseableTextError(
-            f"no complete parse of {text!r}", best_spans=sorted(set(best_partial))
+            f"no complete parse of {text!r}{why}", best_spans=sorted(set(best_partial))
         )
     # best score first, then by printed network: printed only to order a run
     # of equal scores
     ranked = []
-    for _, run in groupby(sorted(results.values(), key=lambda r: -r[1]), key=lambda r: r[1]):
+    for _, run in groupby(sorted(checked, key=lambda r: -r[1]), key=lambda r: r[1]):
         run = list(run)
         if len(run) > 1:
             run.sort(key=lambda r: print_network(r[0]))

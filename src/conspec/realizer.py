@@ -20,7 +20,7 @@ from itertools import islice, product as iter_product
 
 from .errors import AffixError, UnrealizableFragmentError
 from .model import ModelBundle
-from .network import ConceptNetwork, canonical_key, canonicalize, resolve_anchors
+from .network import ConceptNetwork, canonical_key, canonicalize
 from .rules import match_rules, realize_parts
 from .treeline import print_network
 
@@ -130,7 +130,7 @@ def realize(model: ModelBundle, net: ConceptNetwork) -> list[tuple[str, float, l
     the fragment's ordered print, not its canonical key, because the order
     of tied options follows the order of its children.
     """
-    prepared = resolve_anchors(canonicalize(net))
+    prepared = canonicalize(net)
     beam = model.pragmas.beam
     options_of: dict[str, list[tuple[float, str, list[Part]]]] = {}
     hypotheses = [Hypothesis([prepared], 1.0)]

@@ -9,8 +9,10 @@ concept map. Pair files::
     trust > [{past}, {agent} > he, {theme} > John] => (shinji > [{agent} > kare, {theme} > Jon]) > {ta}
     map he -> kare
 
-Transfer operates on anchor-resolved canonical networks so co-reference
-survives into the receptor language.
+Transfer takes each parse as ``parse_text`` returns it, canonical and with
+its anchors checked. Co-reference survives into the receptor language because
+each node's anchor annotation is copied into the output, where
+``transfer_scored`` checks it again.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .errors import (
 )
 from .lexicon import undeclared_stemless
 from .model import _BOOL, ModelBundle, _read_file, load_model
-from .network import canonicalize, resolve_anchors
 from .parser import parse_text
 from .realizer import realize
 from .rules import ConceptMap, TransferRule, build_transfer_rule, transfer_scored
@@ -117,12 +118,11 @@ def translate(pair: LanguagePair, text: str) -> list[tuple[str, float, list[str]
     realize_error: ConspecError | None = None
     results: dict[str, tuple[str, float, list[str]]] = {}
     for net, p_score, p_trace in parses[:PARSE_CAP]:
-        prepared = resolve_anchors(canonicalize(net))
         try:
             receptor_nets = transfer_scored(
                 pair.transfer_rules,
                 pair.concept_map,
-                prepared,
+                net,
                 src.lexicon,
                 alpha=src.pragmas.alpha,
                 tau=src.pragmas.tau,

@@ -13,7 +13,7 @@ from conspec.model import load_model_text
 from conspec.network import equal
 from conspec.parser import MAX_WORDS, _decompose, _segment_raw, parse_text, segment
 from conspec.realizer import join_affixes, realize
-from conspec.treeline import parse_network
+from conspec.treeline import parse_network, print_network
 
 from .test_realizer import TINY_MODEL
 
@@ -262,6 +262,37 @@ a = {det}
 break > [{past}, {agent} > it, {theme} > window > the] <=> [it, 'broke', window > the]
 rock > a <=> [a, rock]
 """
+
+
+# The participle's '>>' resolves only once the noun rule embeds its capsule,
+# so the item for "trembling" alone has an anchor that does not resolve.
+PARTICIPLE_MODEL = """
+bird = noun
+tremble = {verb}
+trembling = adj
+(tremble > >>{agent}) <=> ['trembling']
+bird > (tremble) <=> [(tremble), bird]
+"""
+
+
+class TestAnchorsCheckedOnCompleteParses:
+    def test_anchor_resolved_by_a_later_rule(self):
+        model = load_model_text(PARTICIPLE_MODEL)
+        ranked = parse_text(model, "trembling bird")
+        assert [print_network(net) for net, _, _ in ranked] == ["bird > (tremble > >>{agent})"]
+        assert realize(model, ranked[0][0])[0][0] == "trembling bird"
+
+    def test_parse_with_an_open_anchor_is_dropped(self):
+        model = load_model_text(PARTICIPLE_MODEL)
+        ranked = parse_text(model, "trembling")
+        assert [print_network(net) for net, _, _ in ranked] == ["trembling"]
+
+    def test_only_open_anchor_parses_is_unparseable(self):
+        # an UnparseableTextError, not the anchor's MalformedNetworkError
+        model = load_model_text(PARTICIPLE_MODEL.replace("trembling = adj\n", ""))
+        with pytest.raises(UnparseableTextError) as exc:
+            parse_text(model, "trembling")
+        assert "resolves to an encapsulation with no parent" in str(exc.value)
 
 
 class TestOrthographyPipeline:

@@ -95,6 +95,27 @@ class TestRealize:
         net = parse_network("trust > [{past}, {agent} > he, {theme} > John]")
         assert realize(tiny, net) == realize(tiny, net)
 
+    def test_one_node_object_at_two_places(self):
+        # realize reads its input's nodes uncopied: a parse-output node put
+        # under both roles must realize as the reparsed print does
+        from importlib import resources
+
+        from conspec.model import load_model
+        from conspec.network import ConceptNetwork, Node, canonicalize
+        from conspec.parser import parse_text
+        from conspec.treeline import print_network
+
+        model = load_model(str(resources.files("conspec.data") / "english.cn"))
+        root = parse_text(model, "he trusted John")[0][0].roots[0]
+        past, agent, theme = root.specifiers
+        he = agent.specifiers[0]
+        theme_he = Node(concept=theme.concept, specifiers=(he,))
+        net = ConceptNetwork((Node(concept=root.concept, specifiers=(past, agent, theme_he)),))
+        assert sum(n is he for n in canonicalize(net).iter_nodes()) == 2
+        ranked = realize(model, net)
+        assert ranked == realize(model, parse_network(print_network(net)))
+        assert ranked[0][0] == "he trusted he"
+
     def test_exact_rule_dominates_analogical(self):
         model = load_model_text(
             TINY_MODEL + "\njump > {past} <=> ['sprang']\n"

@@ -3,12 +3,12 @@ from importlib import resources
 import pytest
 
 from conspec.errors import ModelLoadError, UnparseableTextError, UntranslatableConceptError
-from conspec.network import canonicalize, equal, resolve_anchors
+from conspec.network import ConceptNetwork, Node, equal
 from conspec.parser import parse_text
 from conspec.realizer import realize
 from conspec.rules import transfer_scored
 from conspec.transfer import load_pair, load_pair_text, translate
-from conspec.treeline import parse_network
+from conspec.treeline import parse_network, print_network
 
 DATA = resources.files("conspec.data")
 PAIR_HEAD = f"source: {DATA / 'english.cn'}\nreceptor: {DATA / 'english.cn'}\n"
@@ -68,11 +68,30 @@ class TestTranslate:
     def test_receptor_networks_match_fixtures(self, pair):
         for eng, receptor_tl, _sov in fixture_rows():
             net = parse_text(pair.source_model, eng)[0][0]
-            prepared = resolve_anchors(canonicalize(net))
-            nets = transfer_scored(
-                pair.transfer_rules, pair.concept_map, prepared, pair.source_model.lexicon
-            )
+            nets = transfer_scored(pair.transfer_rules, pair.concept_map, net, pair.source_model.lexicon)
             assert equal(nets[0][0], parse_network(receptor_tl)), eng
+
+    def test_one_node_object_at_two_places(self, pair):
+        # transfer keys its matches by node object and reads its input
+        # uncopied: a parse-output node put under both roles must transfer
+        # as the reparsed print does
+        root = parse_text(pair.source_model, "he trusted John")[0][0].roots[0]
+        past, agent, theme = root.specifiers
+        he = agent.specifiers[0]
+        theme_he = Node(concept=theme.concept, specifiers=(he,))
+        net = ConceptNetwork((Node(concept=root.concept, specifiers=(past, agent, theme_he)),))
+
+        def receptor(source):
+            return [
+                (print_network(n), score)
+                for n, score in transfer_scored(
+                    pair.transfer_rules, pair.concept_map, source, pair.source_model.lexicon
+                )
+            ]
+
+        got = receptor(net)
+        assert got == receptor(parse_network(print_network(net)))
+        assert got[0][0] == "(shinji > [{agent} > kare, {theme} > kare]) > {ta}"
 
     def test_identity_pair_string_preserving(self, identity_pair):
         for eng, _receptor, _sov in fixture_rows():
@@ -82,9 +101,8 @@ class TestTranslate:
     def test_score_is_stage_product(self, pair):
         eng = "he trusted John"
         net, p_score, _ = parse_text(pair.source_model, eng)[0]
-        prepared = resolve_anchors(canonicalize(net))
         (receptor, t_score), *_ = transfer_scored(
-            pair.transfer_rules, pair.concept_map, prepared, pair.source_model.lexicon
+            pair.transfer_rules, pair.concept_map, net, pair.source_model.lexicon
         )
         r_score = realize(pair.receptor_model, receptor)[0][1]
         total = translate(pair, eng)[0][1]
