@@ -98,34 +98,36 @@ def to_dot(net: ConceptNetwork) -> str:
     names = {pid: f"n{i}" for i, pid in enumerate(paths)}
     lines = ["digraph network {", "  rankdir=TB;", "  node [shape=ellipse];"]
     edges: list[str] = []
-
-    def walk(node: Node, cluster: list[str]) -> None:
-        name = names[id(node)]
-        if node.is_capsule:
-            cluster.append(f'  subgraph cluster_{name} {{ label=""; style=dashed;')
-            cluster.append(f'    {name} [label="( )", shape=point];')
-            for r in node.capsule.roots:
-                walk(r, cluster)
-                edges.append(f"  {name} -> {names[id(r)]} [style=dotted, arrowhead=none];")
-            cluster.append("  }")
-        else:
-            label = node.concept.text()
-            if node.anchor:
-                label = node.anchor.text() + label
-            cluster.append(f'  {name} [label="{_dot_escape(label)}"];')
-        for s in node.specifiers:
-            walk(s, cluster)
-            edges.append(f"  {name} -> {names[id(s)]};")
-        if node.ref is not None:
-            edges.append(f"  {name} -> {names[id(node.ref)]} [style=dashed, color=gray];")
-
     body: list[str] = []
     for r in net.roots:
-        walk(r, body)
+        _dot_node(r, body, edges, names)
     lines.extend(body)
     lines.extend(edges)
     lines.append("}")
     return "\n".join(lines)
+
+
+def _dot_node(node: Node, cluster: list[str], edges: list[str], names: dict[int, str]) -> None:
+    """Append the node statements under ``node`` to ``cluster`` and its edges
+    to ``edges``."""
+    name = names[id(node)]
+    if node.is_capsule:
+        cluster.append(f'  subgraph cluster_{name} {{ label=""; style=dashed;')
+        cluster.append(f'    {name} [label="( )", shape=point];')
+        for r in node.capsule.roots:
+            _dot_node(r, cluster, edges, names)
+            edges.append(f"  {name} -> {names[id(r)]} [style=dotted, arrowhead=none];")
+        cluster.append("  }")
+    else:
+        label = node.concept.text()
+        if node.anchor:
+            label = node.anchor.text() + label
+        cluster.append(f'  {name} [label="{_dot_escape(label)}"];')
+    for s in node.specifiers:
+        _dot_node(s, cluster, edges, names)
+        edges.append(f"  {name} -> {names[id(s)]};")
+    if node.ref is not None:
+        edges.append(f"  {name} -> {names[id(node.ref)]} [style=dashed, color=gray];")
 
 
 def _cmd_canon(args) -> int:
@@ -208,15 +210,16 @@ def _cmd_check(args) -> int:
     failures = 0
     print(f"{'status':6}  {'parse':5}  {'realize':7}  surface")
     for surface, net, _raw in corpus:
-        want = canonicalize(net)
+        # a row whose anchors do not resolve equals no parse, and realize
+        # refuses it: the row fails and the check goes on
         parse_ok = realize_ok = False
         try:
             parses = parse_text(model, surface)
-            parse_ok = any(equal(n, want) for n, _, _ in parses[:3])
+            parse_ok = any(equal(n, net) for n, _, _ in parses[:3])
         except ConspecError:
             parse_ok = False
         try:
-            outs = realize(model, want)
+            outs = realize(model, net)
             realize_ok = surface in [s for s, _, _ in outs[:3]]
         except ConspecError:
             realize_ok = False

@@ -28,6 +28,12 @@ Anchors are checked where a network enters or leaves the engine, by
 checks its input, ``parse_text`` each complete parse and ``transfer_scored``
 each output. A chart item is not checked on its own, because its anchor may
 resolve only once a later rule embeds it.
+
+No engine call leaves a reference cycle, so each call's garbage is freed by
+reference counting and none waits for the cycle collector. Recursive helpers
+are module-level functions, never nested closures (a closure that calls
+itself holds itself through its cell), and no caught exception is kept with
+its traceback, which holds the frame that keeps it.
 """
 
 from __future__ import annotations
@@ -280,20 +286,21 @@ def canonical_key(net: ConceptNetwork):
 
 
 def _resolve(net: ConceptNetwork, assign: bool) -> None:
-    # frames: innermost-last list of (capsule_node, parent_of_capsule or None)
-    def walk(nodes: tuple[Node, ...], parent: Node | None, frames) -> None:
-        for node in nodes:
-            if node.anchor is not None and not node.is_capsule:
-                target = _target(node, frames)
-                if assign:
-                    node.ref = target
-            if node.anchor is not None and node.is_capsule and node.anchor.direction == DOWN:
-                raise MalformedNetworkError("'<<' cannot prefix an encapsulation")
-            if node.is_capsule:
-                walk(node.capsule.roots, None, frames + [(node, parent)])
-            walk(node.specifiers, node, frames)
+    _resolve_walk(net.roots, None, [], assign)
 
-    walk(net.roots, None, [])
+
+def _resolve_walk(nodes: tuple[Node, ...], parent: Node | None, frames: list, assign: bool) -> None:
+    # frames: innermost-last list of (capsule_node, parent_of_capsule or None)
+    for node in nodes:
+        if node.anchor is not None and not node.is_capsule:
+            target = _target(node, frames)
+            if assign:
+                node.ref = target
+        if node.anchor is not None and node.is_capsule and node.anchor.direction == DOWN:
+            raise MalformedNetworkError("'<<' cannot prefix an encapsulation")
+        if node.is_capsule:
+            _resolve_walk(node.capsule.roots, None, frames + [(node, parent)], assign)
+        _resolve_walk(node.specifiers, node, frames, assign)
 
 
 def _target(node: Node, frames) -> Node:
@@ -356,18 +363,18 @@ def resolve_anchors(net: ConceptNetwork) -> ConceptNetwork:
 def node_paths(net: ConceptNetwork) -> dict[int, tuple]:
     """Map id(node) -> path for every node in the network."""
     paths: dict[int, tuple] = {}
-
-    def walk(node: Node, path: tuple) -> None:
-        paths[id(node)] = path
-        if node.is_capsule:
-            for i, r in enumerate(node.capsule.roots):
-                walk(r, path + (("b", i),))
-        for i, s in enumerate(node.specifiers):
-            walk(s, path + (("s", i),))
-
     for i, r in enumerate(net.roots):
-        walk(r, (("r", i),))
+        _add_paths(r, (("r", i),), paths)
     return paths
+
+
+def _add_paths(node: Node, path: tuple, paths: dict[int, tuple]) -> None:
+    paths[id(node)] = path
+    if node.is_capsule:
+        for i, r in enumerate(node.capsule.roots):
+            _add_paths(r, path + (("b", i),), paths)
+    for i, s in enumerate(node.specifiers):
+        _add_paths(s, path + (("s", i),), paths)
 
 
 def anchor_resolutions(net: ConceptNetwork) -> list[tuple[tuple, tuple]]:
@@ -386,20 +393,20 @@ def anchor_resolutions(net: ConceptNetwork) -> list[tuple[tuple, tuple]]:
 def to_json_dict(net: ConceptNetwork) -> dict:
     """Nested-graph export; format documented in docs/formats.md."""
     paths = node_paths(net)
+    return {"roots": [_json_node(r, paths) for r in net.roots]}
 
-    def conv(node: Node) -> dict:
-        d: dict = {}
-        if node.concept is not None:
-            d["label"] = node.concept.label
-            d["stemless"] = node.concept.stemless
-            d["sense"] = node.concept.sense
-        else:
-            d["capsule"] = {"roots": [conv(r) for r in node.capsule.roots]}
-        if node.anchor is not None:
-            d["anchor"] = {"dir": node.anchor.direction, "depth": node.anchor.depth}
-        if node.ref is not None:
-            d["ref"] = [list(step) for step in paths[id(node.ref)]]
-        d["specifiers"] = [conv(s) for s in node.specifiers]
-        return d
 
-    return {"roots": [conv(r) for r in net.roots]}
+def _json_node(node: Node, paths: dict[int, tuple]) -> dict:
+    d: dict = {}
+    if node.concept is not None:
+        d["label"] = node.concept.label
+        d["stemless"] = node.concept.stemless
+        d["sense"] = node.concept.sense
+    else:
+        d["capsule"] = {"roots": [_json_node(r, paths) for r in node.capsule.roots]}
+    if node.anchor is not None:
+        d["anchor"] = {"dir": node.anchor.direction, "depth": node.anchor.depth}
+    if node.ref is not None:
+        d["ref"] = [list(step) for step in paths[id(node.ref)]]
+    d["specifiers"] = [_json_node(s, paths) for s in node.specifiers]
+    return d

@@ -93,29 +93,32 @@ def _decompose(word: str, vocab: Vocabulary) -> list[list[str]]:
     """Affix splits of one word: [prefix, ..., stem, suffix, ...] sequences
     that re-join to it."""
     out: list[list[str]] = []
-    seen: set[tuple[str, tuple[str, ...], tuple[str, ...]]] = set()
-
-    def undo(cur: str, pre: list[str], post: list[str], depth: int) -> None:
-        state = (cur, tuple(pre), tuple(post))  # one stem is reached by several splits
-        if depth > MAX_AFFIXES_PER_WORD or state in seen:
-            return
-        seen.add(state)
-        if depth and cur in vocab.surfaces:
-            out.append(pre + [cur] + post)
-        for affix in vocab.affixes:
-            if affix.startswith("+"):
-                tail = affix[1:]
-                if cur.endswith(tail) and len(cur) > len(tail):
-                    undo(cur[: -len(tail)], pre, [affix] + post, depth + 1)
-            elif affix.startswith("-"):
-                undo(cur + affix[1:], pre, [affix] + post, depth + 1)
-            elif affix.endswith("+"):
-                head = affix[:-1]
-                if cur.startswith(head) and len(cur) > len(head):
-                    undo(cur[len(head) :], pre + [affix], post, depth + 1)
-
-    undo(word, [], [], 0)
+    _undo(vocab, set(), out, word, [], [], 0)
     return [seq for seq in out if join_affixes(seq) == word]
+
+
+def _undo(
+    vocab: Vocabulary, seen: set, out: list, cur: str, pre: list, post: list, depth: int
+) -> None:
+    """Append to ``out`` each [pre, stem, post] split of ``cur`` that undoing
+    up to MAX_AFFIXES_PER_WORD affixes reaches, depth-first."""
+    state = (cur, tuple(pre), tuple(post))  # one stem is reached by several splits
+    if depth > MAX_AFFIXES_PER_WORD or state in seen:
+        return
+    seen.add(state)
+    if depth and cur in vocab.surfaces:
+        out.append(pre + [cur] + post)
+    for affix in vocab.affixes:
+        if affix.startswith("+"):
+            tail = affix[1:]
+            if cur.endswith(tail) and len(cur) > len(tail):
+                _undo(vocab, seen, out, cur[: -len(tail)], pre, [affix] + post, depth + 1)
+        elif affix.startswith("-"):
+            _undo(vocab, seen, out, cur + affix[1:], pre, [affix] + post, depth + 1)
+        elif affix.endswith("+"):
+            head = affix[:-1]
+            if cur.startswith(head) and len(cur) > len(head):
+                _undo(vocab, seen, out, cur[len(head) :], pre + [affix], post, depth + 1)
 
 
 def segment(model: ModelBundle, text: str) -> list[list[str]]:
@@ -238,39 +241,46 @@ def _aligned_combos(slots: list[list], align, cap: int) -> list[tuple[tuple, lis
     combinations below. The walk stops at the first combination whose
     position in the full product (mixed radix, the last slot fastest) is
     ``cap`` or more, so it reaches exactly the aligned combinations of
-    ``islice(product(*slots), cap)``.
+    ``islice(product(*slots), cap)``. The walk keeps its own stack of open
+    slots instead of recursing.
     """
     last = len(slots)
     strides = [1] * last
     for k in range(last - 1, 0, -1):
         strides[k - 1] = strides[k] * len(slots[k])
     out: list[tuple[tuple, list]] = []
-    items: list = []
+    items: list = []  # the entry chosen in each slot before the open one
     alignments: list = []
-
-    def walk(k: int, at: int) -> bool:  # False once the cap is reached
+    nexts = [0]  # per open slot: the index of its next entry to try
+    ats = [0]  # per open slot: the product position of the entries before it
+    while nexts:
+        k = len(items)
         if k == last:
             out.append((tuple(items), list(alignments)))
-            return True
-        for c, it in enumerate(slots[k]):
-            pos = at + c * strides[k]
-            if pos >= cap:
-                return False
-            got = None
-            if it is not None:
-                got = align(k, it)
-                if got is None:
-                    continue
-            items.append(it)
-            alignments.append(got)
-            going = walk(k + 1, pos)
+        else:
+            slot, c = slots[k], nexts[k]
+            if c < len(slot):
+                nexts[k] = c + 1
+                pos = ats[k] + c * strides[k]
+                if pos >= cap:
+                    break  # positions only grow from here on
+                it = slot[c]
+                got = None
+                if it is not None:
+                    got = align(k, it)
+                    if got is None:
+                        continue
+                items.append(it)
+                alignments.append(got)
+                nexts.append(0)
+                ats.append(pos)
+                continue
+        # every combination below the chosen entries is done: back up one slot
+        nexts.pop()
+        ats.pop()
+        if items:
             items.pop()
             alignments.pop()
-            if not going:
-                return False
-        return True
-
-    walk(0, 0)
     return out
 
 

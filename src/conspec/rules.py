@@ -246,30 +246,33 @@ def realize_parts(match: Match) -> list[str | ConceptNetwork]:
     rule = match.rule
     # bound target node -> index of the part carrying its lhs node, or None
     part_of = {t: rule.part_at.get(id(l)) for l, t in match.binding.items()}
-
-    def build(t: Node, part_idx: int) -> Node:
-        kept: list[Node] = []
-        for child in t.specifiers:
-            if child not in part_of:
-                kept.append(child)  # remainder: verbatim
-            elif part_of[child] == part_idx:
-                kept.append(build(child, part_idx))
-        capsule = None
-        if t.is_capsule:
-            roots = [build(r, part_idx) for r in t.capsule.roots if part_of.get(r) == part_idx]
-            capsule = ConceptNetwork(tuple(roots)) if roots else None
-            if capsule is None:
-                # body fully consumed elsewhere; degenerate, keep original body
-                capsule = t.capsule
-        return Node(concept=t.concept, capsule=capsule, anchor=t.anchor, specifiers=tuple(kept))
-
     out: list[str | ConceptNetwork] = []
     for i, part in enumerate(rule.parts):
         if isinstance(part, Literal):
             out.append(part.text)
         else:
-            out.append(ConceptNetwork((build(match.binding[part.lhs_root], i),)))
+            out.append(ConceptNetwork((_build_part(match.binding[part.lhs_root], i, part_of),)))
     return out
+
+
+def _build_part(t: Node, part_idx: int, part_of: dict[Node, int | None]) -> Node:
+    """The fragment of part ``part_idx`` under bound target node ``t``."""
+    kept: list[Node] = []
+    for child in t.specifiers:
+        if child not in part_of:
+            kept.append(child)  # remainder: verbatim
+        elif part_of[child] == part_idx:
+            kept.append(_build_part(child, part_idx, part_of))
+    capsule = None
+    if t.is_capsule:
+        roots = [
+            _build_part(r, part_idx, part_of) for r in t.capsule.roots if part_of.get(r) == part_idx
+        ]
+        capsule = ConceptNetwork(tuple(roots)) if roots else None
+        if capsule is None:
+            # body fully consumed elsewhere; degenerate, keep original body
+            capsule = t.capsule
+    return Node(concept=t.concept, capsule=capsule, anchor=t.anchor, specifiers=tuple(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -301,49 +304,55 @@ def instantiate_reverse(rule: Rule, alignments: list[Alignment | None]) -> Conce
     fragment node with nothing changed beneath it is shared (its canonical
     copy if it has no key).
     """
-    parts, part_at = rule.parts, rule.part_at
+    return ConceptNetwork(tuple(_copy_lhs(l, rule, alignments) for l in rule.lhs.roots))
 
-    def copy(l: Node) -> Node:
-        # lhs node l lies outside every part, or is the lhs root of part i:
-        # a part is a prefix-closed embedding, entered only at its root
-        i = part_at.get(id(l))
-        if i is not None:
-            p = parts[i].pattern.roots[0]
-            return graft(alignments[i].binding[p], p, l, i)
-        capsule = None
-        if l.is_capsule:
-            capsule = ConceptNetwork(tuple(map(copy, l.capsule.roots)))
-        return keyed_node(l.concept, capsule, l.anchor, map(copy, l.specifiers))
 
-    def graft(f: Node, p: Node, l: Node, i: int) -> Node:
-        # fragment node f is aligned with pattern node p of part i, which
-        # stands for lhs node l; every pattern node is bound
-        binding, to_lhs = alignments[i].binding, parts[i].to_lhs
-        spec = []
-        same = True
-        for pc in p.specifiers:
-            fc = binding[pc]
-            got = graft(fc, pc, to_lhs[pc], i)
-            spec.append(got)
-            same = same and got is fc
-        if len(l.specifiers) > len(p.specifiers):
-            # lhs children outside the part are inserted from the pattern
-            spec += [copy(lc) for lc in l.specifiers if part_at.get(id(lc)) != i]
+def _copy_lhs(l: Node, rule: Rule, alignments: list[Alignment | None]) -> Node:
+    # lhs node l lies outside every part, or is the lhs root of part i: a
+    # part is a prefix-closed embedding, entered only at its root
+    i = rule.part_at.get(id(l))
+    if i is not None:
+        p = rule.parts[i].pattern.roots[0]
+        return _graft(alignments[i].binding[p], p, l, i, rule, alignments)
+    capsule = None
+    if l.is_capsule:
+        capsule = ConceptNetwork(tuple(_copy_lhs(r, rule, alignments) for r in l.capsule.roots))
+    spec = [_copy_lhs(s, rule, alignments) for s in l.specifiers]
+    return keyed_node(l.concept, capsule, l.anchor, spec)
+
+
+def _graft(
+    f: Node, p: Node, l: Node, i: int, rule: Rule, alignments: list[Alignment | None]
+) -> Node:
+    # fragment node f is aligned with pattern node p of part i, which stands
+    # for lhs node l; every pattern node is bound
+    binding, to_lhs = alignments[i].binding, rule.parts[i].to_lhs
+    spec = []
+    same = True
+    for pc in p.specifiers:
+        fc = binding[pc]
+        got = _graft(fc, pc, to_lhs[pc], i, rule, alignments)
+        spec.append(got)
+        same = same and got is fc
+    if len(l.specifiers) > len(p.specifiers):
+        # lhs children outside the part are inserted from the pattern
+        part_at = rule.part_at
+        spec += [_copy_lhs(lc, rule, alignments) for lc in l.specifiers if part_at.get(id(lc)) != i]
+        same = False
+    capsule = f.capsule
+    if f.is_capsule:
+        roots = tuple(
+            _graft(binding[pr], pr, to_lhs[pr], i, rule, alignments) for pr in p.capsule.roots
+        )
+        if roots != capsule.roots:  # nodes compare by identity
+            capsule = ConceptNetwork(roots)
             same = False
-        capsule = f.capsule
-        if f.is_capsule:
-            roots = tuple(graft(binding[pr], pr, to_lhs[pr], i) for pr in p.capsule.roots)
-            if roots != capsule.roots:  # nodes compare by identity
-                capsule = ConceptNetwork(roots)
-                same = False
-        if same:
-            return canonical_node(f)  # nothing beneath f changed
-        if len(f.specifiers) > len(p.specifiers):  # fragment remainders stay
-            bound = [binding[pc] for pc in p.specifiers]
-            spec += [canonical_node(c) for c in f.specifiers if c not in bound]
-        return keyed_node(f.concept, capsule, f.anchor, spec)
-
-    return ConceptNetwork(tuple(map(copy, rule.lhs.roots)))
+    if same:
+        return canonical_node(f)  # nothing beneath f changed
+    if len(f.specifiers) > len(p.specifiers):  # fragment remainders stay
+        bound = [binding[pc] for pc in p.specifiers]
+        spec += [canonical_node(c) for c in f.specifiers if c not in bound]
+    return keyed_node(f.concept, capsule, f.anchor, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -445,28 +454,26 @@ def _collect_transfer_matches(
 def _select_match_sets(matches: list[_TransferMatch], beam: int) -> list[tuple[_TransferMatch, ...]]:
     """Fork a hypothesis per overlapping alternative; apply disjoint sets together."""
     selections: list[tuple[_TransferMatch, ...]] = []
-    seen: set[frozenset[int]] = set()
-
-    def overlap(a: _TransferMatch, b: _TransferMatch) -> bool:
-        return bool(a.region & b.region)
-
-    def go(remaining: list[_TransferMatch], chosen: list[_TransferMatch]):
-        if len(selections) >= beam * 4:
-            return
-        if not remaining:
-            key = frozenset(id(m) for m in chosen)
-            if key not in seen:
-                seen.add(key)
-                selections.append(tuple(chosen))
-            return
-        head = remaining[0]
-        rivals = [m for m in remaining if overlap(m, head)]
-        for pick in [head] + [m for m in rivals if m is not head]:
-            rest = [m for m in remaining if m is not pick and not overlap(m, pick)]
-            go(rest, chosen + [pick])
-
-    go(matches, [])
+    _select(matches, [], beam * 4, selections, set())
     return selections
+
+
+def _select(remaining: list, chosen: list, cap: int, selections: list, seen: set) -> None:
+    """Extend ``chosen`` by each disjoint way to cover ``remaining``, adding
+    each new set to ``selections`` until it holds ``cap``."""
+    if len(selections) >= cap:
+        return
+    if not remaining:
+        key = frozenset(id(m) for m in chosen)
+        if key not in seen:
+            seen.add(key)
+            selections.append(tuple(chosen))
+        return
+    head = remaining[0]
+    rivals = [m for m in remaining if not m.region.isdisjoint(head.region)]
+    for pick in [head] + [m for m in rivals if m is not head]:
+        rest = [m for m in remaining if m is not pick and m.region.isdisjoint(pick.region)]
+        _select(rest, chosen + [pick], cap, selections, seen)
 
 
 def _transfer_concept(concept: Concept, cmap: ConceptMap) -> Concept:
@@ -490,13 +497,13 @@ def transfer_scored(
     matches = _collect_transfer_matches(trules, lexicon, net, alpha, tau)
     selections = _select_match_sets(matches, beam) if matches else [()]
     results: dict[tuple, tuple[ConceptNetwork, float]] = {}
-    errors: list[UntranslatableConceptError] = []
+    missing = None  # the concept text of the first selection's untranslatable concept
     for selection in selections:
         match_at = {id(m.anchor): m for m in selection}
         try:
             built = _apply_selection(net, match_at, cmap)
         except UntranslatableConceptError as exc:
-            errors.append(exc)
+            missing = missing or exc.concept_text
             continue
         score = 1.0
         for m in selection:
@@ -507,10 +514,9 @@ def transfer_scored(
         if prev is None or score > prev[1]:
             results[key] = (out_net, score)
     if not results:
-        if errors:
-            raise errors[0]
+        # a fresh error: one caught above would carry its traceback
         raise UntranslatableConceptError(
-            ", ".join(sorted({c.text() for c in net.concepts()}))
+            missing or ", ".join(sorted({c.text() for c in net.concepts()}))
         )
     ranked = sorted(results.values(), key=lambda item: (-item[1], canonical_key(item[0])))
     return ranked[: beam]
@@ -528,32 +534,36 @@ def _apply_selection(
     by ``keyed_node`` in preorder (concept, capsule body, specifiers), which
     fixes which untranslatable concept is reported first.
     """
+    return ConceptNetwork(tuple(_convert(r, match_at, cmap) for r in net.roots))
 
-    def convert(node: Node) -> Node:
-        m = match_at.get(id(node))
-        if m is not None:
-            return build_dst(m.rule.dst.roots[0], m)
-        concept = _transfer_concept(node.concept, cmap) if node.concept is not None else None
-        capsule = None
-        if node.is_capsule:
-            capsule = ConceptNetwork(tuple(map(convert, node.capsule.roots)))
-        return keyed_node(concept, capsule, node.anchor, [convert(s) for s in node.specifiers])
 
-    def build_dst(d: Node, m: _TransferMatch) -> Node:
-        spec = [build_dst(s, m) for s in d.specifiers]
-        if d.is_capsule:
-            body = ConceptNetwork(tuple(build_dst(r, m) for r in d.capsule.roots))
-            return keyed_node(capsule=body, anchor=d.anchor, specifiers=spec)
-        src = m.rule.slots.get(d)
-        if src is None:
-            return keyed_node(d.concept, anchor=d.anchor, specifiers=spec)
-        t = m.binding[src]
-        concept = _transfer_concept(t.concept, cmap) if not t.is_capsule else None
-        # remainders (children of t the match left unbound) travel into the slot
-        spec += [convert(c) for c in t.specifiers if c not in m.region]
-        if t.is_capsule:
-            body = ConceptNetwork(tuple(convert(r) for r in t.capsule.roots))
-            return keyed_node(capsule=body, anchor=t.anchor, specifiers=spec)
-        return keyed_node(concept, anchor=t.anchor, specifiers=spec)
+def _convert(node: Node, match_at: dict[int, _TransferMatch], cmap: ConceptMap) -> Node:
+    m = match_at.get(id(node))
+    if m is not None:
+        return _build_dst(m.rule.dst.roots[0], m, match_at, cmap)
+    concept = _transfer_concept(node.concept, cmap) if node.concept is not None else None
+    capsule = None
+    if node.is_capsule:
+        capsule = ConceptNetwork(tuple(_convert(r, match_at, cmap) for r in node.capsule.roots))
+    spec = [_convert(s, match_at, cmap) for s in node.specifiers]
+    return keyed_node(concept, capsule, node.anchor, spec)
 
-    return ConceptNetwork(tuple(map(convert, net.roots)))
+
+def _build_dst(
+    d: Node, m: _TransferMatch, match_at: dict[int, _TransferMatch], cmap: ConceptMap
+) -> Node:
+    spec = [_build_dst(s, m, match_at, cmap) for s in d.specifiers]
+    if d.is_capsule:
+        body = ConceptNetwork(tuple(_build_dst(r, m, match_at, cmap) for r in d.capsule.roots))
+        return keyed_node(capsule=body, anchor=d.anchor, specifiers=spec)
+    src = m.rule.slots.get(d)
+    if src is None:
+        return keyed_node(d.concept, anchor=d.anchor, specifiers=spec)
+    t = m.binding[src]
+    concept = _transfer_concept(t.concept, cmap) if not t.is_capsule else None
+    # remainders (children of t the match left unbound) travel into the slot
+    spec += [_convert(c, match_at, cmap) for c in t.specifiers if c not in m.region]
+    if t.is_capsule:
+        body = ConceptNetwork(tuple(_convert(r, match_at, cmap) for r in t.capsule.roots))
+        return keyed_node(capsule=body, anchor=t.anchor, specifiers=spec)
+    return keyed_node(concept, anchor=t.anchor, specifiers=spec)

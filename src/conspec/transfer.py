@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import (
-    ConspecError,
     ModelLoadError,
     TreelineParseError,
     UnparseableTextError,
@@ -114,8 +113,10 @@ def translate(pair: LanguagePair, text: str) -> list[tuple[str, float, list[str]
         parses = parse_text(src, text)
     except UnparseableTextError as exc:
         raise exc.with_stage("parse")
-    transfer_error: ConspecError | None = None
-    realize_error: ConspecError | None = None
+    # the text of the last failure at each stage; the error itself is not
+    # kept, since its traceback holds this frame
+    untranslatable: str | None = None
+    unrealizable: str | None = None
     results: dict[str, tuple[str, float, list[str]]] = {}
     for net, p_score, p_trace in parses[:PARSE_CAP]:
         try:
@@ -129,13 +130,13 @@ def translate(pair: LanguagePair, text: str) -> list[tuple[str, float, list[str]
                 beam=src.pragmas.beam,
             )
         except UntranslatableConceptError as exc:
-            transfer_error = exc
+            untranslatable = exc.concept_text
             continue
         for receptor_net, t_score in receptor_nets:
             try:
                 realized = realize(pair.receptor_model, receptor_net)
             except UnrealizableFragmentError as exc:
-                realize_error = exc
+                unrealizable = exc.fragment_text
                 continue
             for out_text, r_score, r_trace in realized:
                 score = p_score * t_score * r_score
@@ -148,9 +149,9 @@ def translate(pair: LanguagePair, text: str) -> list[tuple[str, float, list[str]
                 if prev is None or score > prev[1]:
                     results[out_text] = (out_text, score, trace)
     if not results:
-        if transfer_error is not None:
-            raise transfer_error.with_stage("transfer")
-        if realize_error is not None:
-            raise realize_error.with_stage("realize")
+        if untranslatable is not None:
+            raise UntranslatableConceptError(untranslatable).with_stage("transfer")
+        if unrealizable is not None:
+            raise UnrealizableFragmentError(unrealizable).with_stage("realize")
         raise UnparseableTextError(f"no translation of {text!r}").with_stage("parse")
     return sorted(results.values(), key=lambda r: (-r[1], len(r[0]), r[0]))

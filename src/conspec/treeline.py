@@ -434,19 +434,13 @@ def parse_document(text: str, *, collect_errors: list | None = None) -> Treeline
 
     Duplicate definition names raise (listing both lines) unless
     ``collect_errors`` is given, in which case problems are appended there and
-    parsing continues (lint mode).
+    parsing continues (lint mode). A collected error carries no traceback,
+    which would hold this call's frame and so the list that holds the error.
     """
     statements: list[Statement] = []
     lints: list[str] = []
     seen_defs: dict[Concept, int] = {}
     concepts: dict[tuple, Concept] = {}  # see _concept; lives for this call only
-
-    def problem(exc: TreelineParseError):
-        if collect_errors is not None:
-            collect_errors.append(exc)
-        else:
-            raise exc
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped:
@@ -502,14 +496,13 @@ def parse_document(text: str, *, collect_errors: list | None = None) -> Treeline
                 name = _parse_concept_tokens(split[0], lineno, concepts)
                 body = _parse_tokens(split[1], lineno, concepts)
                 if name in seen_defs:
-                    problem(
-                        TreelineParseError(
-                            f"duplicate definition of {name.text()} "
-                            f"(lines {seen_defs[name]} and {lineno})",
-                            lineno,
-                            1,
-                        )
+                    why = (
+                        f"duplicate definition of {name.text()} "
+                        f"(lines {seen_defs[name]} and {lineno})"
                     )
+                    if collect_errors is None:
+                        raise TreelineParseError(why, lineno, 1)
+                    collect_errors.append(TreelineParseError(why, lineno, 1))
                 else:
                     seen_defs[name] = lineno
                 statements.append(DefinitionStmt(name, body, lineno))
@@ -519,5 +512,7 @@ def parse_document(text: str, *, collect_errors: list | None = None) -> Treeline
                 lints.append(f"line {lineno}: multi-root network statement")
             statements.append(NetworkStmt(net, lineno))
         except TreelineParseError as exc:
-            problem(exc)
+            if collect_errors is None:
+                raise
+            collect_errors.append(exc.with_traceback(None))
     return TreelineDocument(statements, lints)

@@ -130,6 +130,23 @@ class TestCheck:
         assert code == 1
         assert "FAIL" in out
 
+    def test_row_with_unresolved_anchor_fails_and_check_goes_on(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        corpus = tmp_path / "c.tsv"
+        corpus.write_text("he\the\nhe\t(he > >>{agent})\nJohn\tJohn\n")
+        code, out, err = run(
+            capsys, monkeypatch, ["check", "--model", ENGLISH, "--corpus", str(corpus)]
+        )
+        assert code == 1
+        assert err == ""
+        assert [l.split() for l in out.splitlines()[1:]] == [
+            ["pass", "True", "True", "he"],
+            ["FAIL", "False", "False", "he"],
+            ["pass", "True", "True", "John"],
+            ["2/3", "lines", "pass"],
+        ]
+
 
 class TestLint:
     def test_clean_model(self, capsys, monkeypatch):
