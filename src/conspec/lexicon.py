@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ModelLoadError
+from .errors import MalformedNetworkError, ModelLoadError
 from .network import Concept, ConceptNetwork, Node, equal, rebuild
 from .treeline import (
+    MAX_NESTING,
     DeclareStmt,
     DefinitionStmt,
     NetworkStmt,
@@ -220,4 +221,22 @@ def expand(lex: Lexicon, concept: Concept, depth: int) -> ConceptNetwork:
     net = ConceptNetwork((Node(concept=concept),))
     for _ in range(depth):
         net = ConceptNetwork(tuple(n for r in net.roots for n in _substitute(r, lex)))
+        if _nesting(net) > MAX_NESTING:  # as deep as a parsed network may be
+            raise MalformedNetworkError(
+                f"expanding {concept.text()} nests deeper than {MAX_NESTING} levels"
+            )
     return net
+
+
+def _nesting(net: ConceptNetwork) -> int:
+    """Deepest nesting level in ``net``: 1 for a root, one more per specifier
+    step and per step into a capsule body, as the tree-line parser counts."""
+    deepest = 0
+    stack = [(root, 1) for root in net.roots]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        if node.is_capsule:
+            stack.extend((root, level + 1) for root in node.capsule.roots)
+        stack.extend((spec, level + 1) for spec in node.specifiers)
+    return deepest

@@ -113,8 +113,9 @@ def translate(pair: LanguagePair, text: str) -> list[tuple[str, float, list[str]
         parses = parse_text(src, text)
     except UnparseableTextError as exc:
         raise exc.with_stage("parse")
-    # the text of the last failure at each stage; the error itself is not
-    # kept, since its traceback holds this frame
+    # the text of the first failure at each stage, which comes from the
+    # best-ranked parse that failed there; the error itself is not kept,
+    # since its traceback holds this frame
     untranslatable: str | None = None
     unrealizable: str | None = None
     results: dict[str, tuple[str, float, list[str]]] = {}
@@ -130,13 +131,15 @@ def translate(pair: LanguagePair, text: str) -> list[tuple[str, float, list[str]
                 beam=src.pragmas.beam,
             )
         except UntranslatableConceptError as exc:
-            untranslatable = exc.concept_text
+            if untranslatable is None:
+                untranslatable = exc.concept_text
             continue
         for receptor_net, t_score in receptor_nets:
             try:
                 realized = realize(pair.receptor_model, receptor_net)
             except UnrealizableFragmentError as exc:
-                unrealizable = exc.fragment_text
+                if unrealizable is None:
+                    unrealizable = exc.fragment_text
                 continue
             for out_text, r_score, r_trace in realized:
                 score = p_score * t_score * r_score

@@ -28,12 +28,20 @@ Model files hold one statement per line:
     declare {past} "past tense"             stemless registry entry
     set alpha 0.9                           pragma
     <network>                               bare network statement
+
+Reading a text takes one scan by the regex engine per model-file line (per
+text for parse_network): one ``findall`` gives the token strings, and _lex
+reads each token's kind from its text into parallel lists of kinds and
+values that the parser walks. No token carries a position: a token's line
+and column are worked out only when an error is raised, by scanning its
+text again with the same pattern.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import TreelineParseError
 from .network import (
@@ -58,20 +66,21 @@ _EITHER_OR_SPELLINGS = {"either...or", "either.. .or", "either. ..or"}
 _SENSE = re.compile(r"#([0-9]+)")
 
 # One alternative per token kind, the common kinds first, each taking the
-# whitespace after it, so only leading whitespace is a "space" match. Every
-# character starts some alternative, so the matches tile the text; "bad"
-# catches the characters that start no well-formed token.
+# whitespace after it, so only leading whitespace matches the last
+# alternative. Every character starts some alternative, so the matches tile
+# the text. The one group is a token's text, empty for leading whitespace;
+# _lex reads the token's kind from that text.
 _TOKEN = re.compile(
-    r"(?:(?P<label>(?![ \t\r])(?:[^\n>\[\](){},=<'#-]+|-(?!>))+)"
-    r"|(?P<punct><=>|=>|->|<<(?!<)|[\[\](),=])"
-    r"|(?P<gt>>+)"
-    r"|(?P<brace>\{[^}]*\})"
-    r"|(?P<literal>'[^']*')"
-    rf"|(?P<sense>{_SENSE.pattern})"
-    r"|(?P<comment>#[^\n]*)"
-    r"|(?P<newline>\n)"
-    r"|(?P<bad><<<|[<{'}]))[ \t\r]*"
-    r"|(?P<space>[ \t\r]+)"
+    r"((?![ \t\r])(?:[^\n>\[\](){},=<'#-]+|-(?!>))+"  # label
+    r"|<=>|=>|->|<<(?!<)|[\[\](),=]"  # punctuation
+    r"|>+"  # '>', or an up anchor
+    r"|\{[^}]*\}"  # stemless label
+    r"|'[^']*'"  # quoted literal
+    r"|#[0-9]+"  # sense (_SENSE)
+    r"|#[^\n]*"  # comment
+    r"|\n"
+    r"|<<<|[<{'}]"  # the characters that start no well-formed token
+    r")[ \t\r]*|[ \t\r]+"
 )
 _BAD_TOKEN = {
     "<<<": "'<<' anchors deeper than one boundary are not supported",
@@ -80,31 +89,16 @@ _BAD_TOKEN = {
     "'": "unterminated quoted literal",
     "}": "unmatched '}'",
 }
-
-
-@dataclass(slots=True)
-class Token:
-    kind: str  # 'label' 'brace' 'literal' '>' '[' ']' '(' ')' ',' '=' '<=>' '=>' '->' 'up' '<<'
-    value: str
-    line: int
-    col: int
+# Tokens whose kind is their text; a run of two or more '>' is an up anchor.
+_PUNCT = frozenset(["[", "]", "(", ")", ",", "=", "=>", "<=>", "->", "<<", ">"])
+# First characters of the tokens that are not labels: "" (leading whitespace)
+# is in every string, and a token that starts with '-' is a label unless it
+# is '->'.
+_NOT_LABEL = "\n>[](){},=<'#"
 
 
 def _normalize_label(raw: str) -> str:
     return " ".join(raw.split())
-
-
-def _split_sense(label: str, line: int, col: int) -> tuple[str, int]:
-    base, sep, _ = label.partition("#")
-    if not sep:
-        return label, 1
-    sense = _SENSE.fullmatch(label, len(base))
-    if base and sense:
-        try:
-            return base.rstrip(), int(sense[1])
-        except ValueError:  # more digits than int() converts
-            pass
-    raise TreelineParseError(f"bad sense annotation in {label!r}", line, col)
 
 
 def _concept(concepts: dict, label: str, stemless: bool, sense: int) -> Concept:
@@ -115,76 +109,145 @@ def _concept(concepts: dict, label: str, stemless: bool, sense: int) -> Concept:
     return concepts[key]
 
 
-def tokenize(text: str, start_line: int = 1) -> list[Token]:
-    tokens: list[Token] = []
+def _error(msg: str, text: str, start_line: int, index: int) -> TreelineParseError:
+    """An error at the ``index``-th match of _TOKEN in ``text``, whose first
+    line is ``start_line``; the match's line and column are worked out here."""
     line, line_start = start_line, 0
+    matches = _TOKEN.finditer(text)
+    for m in islice(matches, index):
+        if m[1] == "\n":
+            line, line_start = line + 1, m.start() + 1
+    return TreelineParseError(msg, line, next(matches).start() - line_start + 1)
 
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "space":
-            continue
-        value, col = m[kind], m.start() - line_start + 1
-        if kind == "label":
-            label = _normalize_label(value)
+
+def _lex(text: str, start_line: int) -> tuple[list[str], list[str]]:
+    """The kinds and values of the tokens of ``text``, ending in an 'end'.
+
+    A kind is 'label', 'brace', 'literal', 'up' or the punctuation itself.
+    A sense annotation joins the value of the concept before it; whitespace,
+    newlines and comments make no token. ``start_line`` is the line number
+    of the text's first line, for error positions.
+    """
+    kinds: list[str] = []
+    values: list[str] = []
+    for index, tok in enumerate(_TOKEN.findall(text)):
+        first = tok[:1]
+        if first not in _NOT_LABEL and tok != "->":
+            label = " ".join(tok.split())
             if not label:  # a run of whitespace that str.split() knows, such as '\f'
-                raise TreelineParseError(f"unexpected character {value[0]!r}", line, col)
-            tokens.append(Token("label", label, line, col))
-        elif kind == "punct":
-            tokens.append(Token(value, value, line, col))
-        elif kind == "gt":
-            if len(value) > 1 and len(value) % 2:
-                raise TreelineParseError(f"ambiguous run of {len(value)} '>' characters", line, col)
-            tokens.append(Token(">" if value == ">" else "up", value, line, col))
-        elif kind == "brace":
-            label = _normalize_label(value[1:-1])
+                raise _error(f"unexpected character {first!r}", text, start_line, index)
+            kinds.append("label")
+            values.append(label)
+        elif tok in _PUNCT:
+            kinds.append(tok)
+            values.append(tok)
+        elif first == ">":
+            if len(tok) % 2:
+                msg = f"ambiguous run of {len(tok)} '>' characters"
+                raise _error(msg, text, start_line, index)
+            kinds.append("up")
+            values.append(tok)
+        elif first == "'" and tok != "'":
+            kinds.append("literal")
+            values.append(tok[1:-1])
+        elif first == "{" and tok != "{":
+            label = " ".join(tok[1:-1].split())
             if not label:
-                raise TreelineParseError("empty stemless label '{}'", line, col)
+                raise _error("empty stemless label '{}'", text, start_line, index)
             bad = STRUCTURAL_CHARS.intersection(label) - {"#"}
             if bad:
-                raise TreelineParseError(f"stemless label contains {sorted(bad)[0]!r}", line, col)
-            tokens.append(Token("brace", label, line, col))
-        elif kind == "literal":
-            tokens.append(Token("literal", value[1:-1], line, col))
-        elif kind == "sense":
-            if not tokens or tokens[-1].kind not in ("label", "brace"):
-                raise TreelineParseError("sense annotation must follow a concept", line, col)
-            if "#" in tokens[-1].value:
-                raise TreelineParseError("a concept takes one sense annotation", line, col)
-            tokens[-1].value += value
-        elif kind == "newline":
-            line, line_start = line + 1, m.start() + 1
-        elif kind == "bad":
-            raise TreelineParseError(_BAD_TOKEN[value], line, col)
-    return tokens
+                msg = f"stemless label contains {sorted(bad)[0]!r}"
+                raise _error(msg, text, start_line, index)
+            kinds.append("brace")
+            values.append(label)
+        elif first == "#" and _SENSE.match(tok):
+            if not kinds or kinds[-1] not in ("label", "brace"):
+                raise _error("sense annotation must follow a concept", text, start_line, index)
+            if "#" in values[-1]:
+                raise _error("a concept takes one sense annotation", text, start_line, index)
+            values[-1] += tok
+        elif tok in _BAD_TOKEN:
+            raise _error(_BAD_TOKEN[tok], text, start_line, index)
+        # anything else is leading whitespace, a newline or a comment
+    kinds.append("end")
+    values.append("")
+    return kinds, values
 
 
 class _Parser:
-    # the tokens end in an 'end' sentinel at (end_line, 1), so peek and next
-    # need no bounds check; concepts come from the caller's table (_concept)
-    def __init__(self, tokens: list[Token], end_line: int, concepts: dict):
-        self.tokens = tokens + [Token("end", "", end_line, 1)]
+    """Recursive descent over the tokens of one text (see _lex).
+
+    Parsing stops at an 'end' token, so peeking needs no bounds check; a
+    statement's separator is turned into one. Concepts come from the
+    caller's tables: ``interned`` maps a concept token's (kind, value) to
+    its Concept and ``concepts`` is _concept's. A token's line and column are
+    worked out only for an error, from the token's index.
+    """
+
+    def __init__(self, text: str, start_line: int, end_line: int, concepts: dict, interned: dict):
+        self.text = text
+        self.start_line = start_line
+        self.end_line = end_line
+        self.kinds, self.values = _lex(text, start_line)
         self.pos = 0
         self.concepts = concepts
+        self.interned = interned
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def err(self, msg: str, at: int | None = None) -> TreelineParseError:
+        """An error at token ``at``, by default the next one; 'end' is at
+        column 1 of the last line."""
+        at = self.pos if at is None else at
+        if self.kinds[at] == "end":
+            return TreelineParseError(msg, self.end_line, 1)
+        # the tokens are the matches that are not whitespace, a newline, a
+        # comment or a sense annotation
+        matches = enumerate(_TOKEN.findall(self.text))
+        index = next(islice((i for i, tok in matches if tok and tok[0] not in "\n#"), at, None))
+        return _error(msg, self.text, self.start_line, index)
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind == "end":
-            raise TreelineParseError("unexpected end of input", tok.line, tok.col)
-        self.pos += 1
-        return tok
+    def next(self) -> int:
+        """Consume the next token; return its index."""
+        at = self.pos
+        if self.kinds[at] == "end":
+            raise self.err("unexpected end of input")
+        self.pos = at + 1
+        return at
 
-    def expect(self, kind: str) -> Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise TreelineParseError(f"expected {kind!r}, found {tok.value!r}", tok.line, tok.col)
-        return tok
+    def expect(self, kind: str) -> None:
+        at = self.next()
+        if self.kinds[at] != kind:
+            raise self.err(f"expected {kind!r}, found {self.values[at]!r}", at)
 
-    def err(self, msg: str, tok: Token | None = None) -> TreelineParseError:
-        tok = tok or self.peek()
-        return TreelineParseError(msg, tok.line, tok.col)
+    def parse(self, production, start: int = 0):
+        """Parse the tokens from ``start`` up to the next 'end' as one
+        ``production`` of the grammar."""
+        self.pos = start
+        result = production(self)
+        if self.kinds[self.pos] != "end":
+            raise self.err(f"unexpected trailing {self.values[self.pos]!r}")
+        return result
+
+    def split_sense(self, at: int) -> tuple[str, int]:
+        """(label, sense) of the concept token ``at``."""
+        value = self.values[at]
+        base, sep, _ = value.partition("#")
+        if not sep:
+            return value, 1
+        sense = _SENSE.fullmatch(value, len(base))
+        if base and sense:
+            try:
+                return base.rstrip(), int(sense[1])
+            except ValueError:  # more digits than int() converts
+                pass
+        raise self.err(f"bad sense annotation in {value!r}", at)
+
+    def single_concept(self, at: int) -> Concept:
+        """The concept of token ``at``, which must be followed by an 'end'."""
+        kind = self.kinds[at]
+        if kind not in ("label", "brace") or self.kinds[at + 1] != "end":
+            raise self.err("expected a single concept", at)
+        label, sense = self.split_sense(at)
+        return _concept(self.concepts, label, kind == "brace", sense)
 
     # -- network grammar ---------------------------------------------------
     #
@@ -193,7 +256,7 @@ class _Parser:
 
     def network(self, capsule_depth: int = 0, level: int = 1) -> ConceptNetwork:
         roots = [self.chain(capsule_depth, level)]
-        while self.tokens[self.pos].kind == ",":
+        while self.kinds[self.pos] == ",":
             self.pos += 1
             roots.append(self.chain(capsule_depth, level))
         return ConceptNetwork(tuple(roots))
@@ -201,12 +264,13 @@ class _Parser:
     def chain(self, capsule_depth: int, level: int) -> Node:
         root = self.item(capsule_depth, level)
         current = root
-        while self.tokens[self.pos].kind == ">":
+        kinds = self.kinds
+        while kinds[self.pos] == ">":
             self.pos += 1
-            tok = self.tokens[self.pos]
-            if tok.kind == "end":
+            kind = kinds[self.pos]
+            if kind == "end":
                 raise self.err("trailing '>'")
-            if tok.kind == "[":
+            if kind == "[":
                 self.pos += 1
                 group = self.network(capsule_depth, level + 1)  # commas consumed inside
                 self.expect("]")
@@ -220,42 +284,50 @@ class _Parser:
         return root
 
     def item(self, capsule_depth: int, level: int) -> Node:
-        anchor: Anchor | None = None
-        tok = self.tokens[self.pos]
         if level > MAX_NESTING:
             raise self.err(f"network nested deeper than {MAX_NESTING} levels")
-        while tok.kind in ("up", "<<"):
+        anchor: Anchor | None = None
+        kind = self.kinds[self.pos]
+        while kind == "up" or kind == "<<":
+            at = self.pos
             self.pos += 1
-            if anchor is not None and anchor.direction != (UP if tok.kind == "up" else DOWN):
-                raise self.err("mixed '>>' and '<<' prefixes", tok)
-            if tok.kind == "up":
-                depth = (anchor.depth if anchor else 0) + len(tok.value) // 2
+            if anchor is not None and anchor.direction != (UP if kind == "up" else DOWN):
+                raise self.err("mixed '>>' and '<<' prefixes", at)
+            if kind == "up":
+                depth = (anchor.depth if anchor else 0) + len(self.values[at]) // 2
                 anchor = Anchor(UP, depth)
             else:
                 if anchor is not None:
-                    raise self.err("repeated '<<' prefix", tok)
+                    raise self.err("repeated '<<' prefix", at)
                 anchor = Anchor(DOWN, 1)
-            tok = self.tokens[self.pos]
+            kind = self.kinds[self.pos]
         if anchor is not None and capsule_depth == 0:
-            raise self.err("anchor outside any encapsulation", tok)
-        if tok.kind in ("label", "brace"):
-            self.pos += 1
-            label, sense = _split_sense(tok.value, tok.line, tok.col)
-            if label in _EITHER_OR_SPELLINGS:
-                label = "either or"
-            return Node(_concept(self.concepts, label, tok.kind == "brace", sense), None, anchor)
-        if tok.kind == "(":
+            raise self.err("anchor outside any encapsulation")
+        if kind == "label" or kind == "brace":
+            at = self.pos
+            key = (kind, self.values[at])
+            concept = self.interned.get(key)
+            if concept is None:
+                label, sense = self.split_sense(at)
+                if label in _EITHER_OR_SPELLINGS:
+                    label = "either or"
+                concept = self.interned[key] = _concept(
+                    self.concepts, label, kind == "brace", sense
+                )
+            self.pos = at + 1
+            return Node(concept, None, anchor)
+        if kind == "(":
             self.pos += 1
             body = self.network(capsule_depth + 1, level + 1)
             self.expect(")")
             return Node(capsule=body, anchor=anchor)
-        if tok.kind == "end":
+        if kind == "end":
             raise self.err("expected a concept")
-        if tok.kind == "[":
-            raise self.err("specifier group must follow a concept", tok)
-        if tok.kind == "literal":
-            raise self.err("quoted literal not allowed inside a network", tok)
-        raise self.err(f"unexpected {tok.value!r}", tok)
+        if kind == "[":
+            raise self.err("specifier group must follow a concept")
+        if kind == "literal":
+            raise self.err("quoted literal not allowed inside a network")
+        raise self.err(f"unexpected {self.values[self.pos]!r}")
 
     # -- rule part list ----------------------------------------------------
 
@@ -263,27 +335,16 @@ class _Parser:
         self.expect("[")
         parts: list[tuple[str, object]] = []
         while True:
-            tok = self.peek()
-            if tok.kind == "literal":
+            if self.kinds[self.pos] == "literal":
+                parts.append(("lit", self.values[self.pos]))
                 self.pos += 1
-                parts.append(("lit", tok.value))
             else:
                 parts.append(("pat", ConceptNetwork((self.chain(0, 1),))))
-            tok = self.next()
-            if tok.kind == "]":
+            at = self.next()
+            if self.kinds[at] == "]":
                 return parts
-            if tok.kind != ",":
-                raise self.err(f"expected ',' or ']', found {tok.value!r}", tok)
-
-
-def _parse_tokens(tokens: list[Token], end_line: int, concepts: dict, production=_Parser.network):
-    """Parse all of ``tokens`` as one ``production`` of the grammar."""
-    parser = _Parser(tokens, end_line, concepts)
-    result = production(parser)
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise TreelineParseError(f"unexpected trailing {tok.value!r}", tok.line, tok.col)
-    return result
+            if self.kinds[at] != ",":
+                raise self.err(f"expected ',' or ']', found {self.values[at]!r}", at)
 
 
 def parse_network(text: str) -> ConceptNetwork:
@@ -293,10 +354,10 @@ def parse_network(text: str) -> ConceptNetwork:
     parse_document adds a lint note when a line uses it.
     """
     end_line = text.count("\n") + 1
-    tokens = tokenize(text)
-    if not tokens:
+    parser = _Parser(text, 1, end_line, {}, {})
+    if len(parser.kinds) == 1:
         raise TreelineParseError("empty network", end_line, 1)
-    return _parse_tokens(tokens, end_line, {})
+    return parser.parse(_Parser.network)
 
 
 # ---------------------------------------------------------------------------
@@ -397,24 +458,6 @@ class TreelineDocument:
         return [s for s in self.statements if isinstance(s, kind)]
 
 
-def _split_on(tokens: list[Token], kind: str) -> tuple[list[Token], list[Token]] | None:
-    for i, tok in enumerate(tokens):
-        if tok.kind == kind:
-            return tokens[:i], tokens[i + 1 :]
-    return None
-
-
-def _parse_concept_tokens(tokens: list[Token], line: int, concepts: dict) -> Concept:
-    if len(tokens) != 1 or tokens[0].kind not in ("label", "brace"):
-        where = tokens[0] if tokens else None
-        raise TreelineParseError(
-            "expected a single concept", where.line if where else line, where.col if where else 1
-        )
-    tok = tokens[0]
-    label, sense = _split_sense(tok.value, tok.line, tok.col)
-    return _concept(concepts, label, tok.kind == "brace", sense)
-
-
 def _strip_comment(line: str) -> str:
     in_quote = None
     for i, ch in enumerate(line):
@@ -440,7 +483,9 @@ def parse_document(text: str, *, collect_errors: list | None = None) -> Treeline
     statements: list[Statement] = []
     lints: list[str] = []
     seen_defs: dict[Concept, int] = {}
-    concepts: dict[tuple, Concept] = {}  # see _concept; lives for this call only
+    # see _Parser; both live for this call only
+    concepts: dict[tuple, Concept] = {}
+    interned: dict[tuple, Concept] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped:
@@ -471,46 +516,56 @@ def parse_document(text: str, *, collect_errors: list | None = None) -> Treeline
             if word == "map":
                 at = raw.index("map")
                 body = raw[:at] + " " * 3 + raw[at + 3 :]  # keep columns aligned
-                split = _split_on(tokenize(body, start_line=lineno), "->")
-                if split is None:
+                parser = _Parser(body, lineno, lineno, concepts, interned)
+                if "->" not in parser.kinds:
                     raise TreelineParseError("map needs 'src -> dst'", lineno, 1)
-                src = _parse_concept_tokens(split[0], lineno, concepts)
-                dst = _parse_concept_tokens(split[1], lineno, concepts)
+                at = parser.kinds.index("->")
+                parser.kinds[at] = "end"  # each side of a separator parses up to an 'end'
+                src = parser.single_concept(0)
+                dst = parser.single_concept(at + 1)
                 statements.append(MapStmt(src, dst, lineno))
                 continue
-            tokens = tokenize(raw, start_line=lineno)
-            if not tokens:
+            parser = _Parser(raw, lineno, lineno, concepts, interned)
+            kinds = parser.kinds
+            if "<=>" in kinds:
+                sep = "<=>"
+            elif "=>" in kinds:
+                sep = "=>"
+            elif "=" in kinds:
+                sep = "="
+            elif len(kinds) == 1:
                 continue
-            if (split := _split_on(tokens, "<=>")) is not None:
-                lhs_toks, rhs_toks = split
-                lhs = _parse_tokens(lhs_toks, lineno, concepts)
-                rhs = _parse_tokens(rhs_toks, lineno, concepts, _Parser.part_list)
+            else:
+                net = parser.parse(_Parser.network)
+                if len(net.roots) > 1:
+                    lints.append(f"line {lineno}: multi-root network statement")
+                statements.append(NetworkStmt(net, lineno))
+                continue
+            at = kinds.index(sep)
+            kinds[at] = "end"
+            if sep == "<=>":
+                lhs = parser.parse(_Parser.network)
+                rhs = parser.parse(_Parser.part_list, at + 1)
                 statements.append(RuleStmt(lhs, rhs, lineno))
                 continue
-            if (split := _split_on(tokens, "=>")) is not None:
-                src_net = _parse_tokens(split[0], lineno, concepts)
-                dst_net = _parse_tokens(split[1], lineno, concepts)
+            if sep == "=>":
+                src_net = parser.parse(_Parser.network)
+                dst_net = parser.parse(_Parser.network, at + 1)
                 statements.append(TransferRuleStmt(src_net, dst_net, lineno))
                 continue
-            if (split := _split_on(tokens, "=")) is not None:
-                name = _parse_concept_tokens(split[0], lineno, concepts)
-                body = _parse_tokens(split[1], lineno, concepts)
-                if name in seen_defs:
-                    why = (
-                        f"duplicate definition of {name.text()} "
-                        f"(lines {seen_defs[name]} and {lineno})"
-                    )
-                    if collect_errors is None:
-                        raise TreelineParseError(why, lineno, 1)
-                    collect_errors.append(TreelineParseError(why, lineno, 1))
-                else:
-                    seen_defs[name] = lineno
-                statements.append(DefinitionStmt(name, body, lineno))
-                continue
-            net = _parse_tokens(tokens, lineno, concepts)
-            if len(net.roots) > 1:
-                lints.append(f"line {lineno}: multi-root network statement")
-            statements.append(NetworkStmt(net, lineno))
+            name = parser.single_concept(0)
+            body = parser.parse(_Parser.network, at + 1)
+            if name in seen_defs:
+                why = (
+                    f"duplicate definition of {name.text()} "
+                    f"(lines {seen_defs[name]} and {lineno})"
+                )
+                if collect_errors is None:
+                    raise TreelineParseError(why, lineno, 1)
+                collect_errors.append(TreelineParseError(why, lineno, 1))
+            else:
+                seen_defs[name] = lineno
+            statements.append(DefinitionStmt(name, body, lineno))
         except TreelineParseError as exc:
             if collect_errors is None:
                 raise

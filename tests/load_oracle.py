@@ -38,8 +38,6 @@ from conspec.treeline import (
     TransferRuleStmt,
     TreelineDocument,
     _normalize_label,
-    _split_on,
-    _split_sense,
     _strip_comment,
     print_network,
 )
@@ -65,6 +63,26 @@ class Token:
     value: str
     line: int
     col: int
+
+
+def _split_on(tokens: list[Token], kind: str) -> tuple[list[Token], list[Token]] | None:
+    for i, tok in enumerate(tokens):
+        if tok.kind == kind:
+            return tokens[:i], tokens[i + 1 :]
+    return None
+
+
+def _split_sense(label: str, line: int, col: int) -> tuple[str, int]:
+    base, sep, _ = label.partition("#")
+    if not sep:
+        return label, 1
+    sense = _SENSE.fullmatch(label, len(base))
+    if base and sense:
+        try:
+            return base.rstrip(), int(sense[1])
+        except ValueError:  # more digits than int() converts
+            pass
+    raise TreelineParseError(f"bad sense annotation in {label!r}", line, col)
 
 
 def tokenize(text: str, start_line: int = 1) -> list[Token]:

@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from conspec.errors import ModelLoadError
+from conspec.errors import ConspecError, ModelLoadError
 from conspec.lexicon import (
     DEFAULT_STEMLESS,
     Definition,
@@ -17,7 +17,7 @@ from conspec.lexicon import (
 from conspec.model import load_model, load_model_text
 from conspec.network import Concept, equal
 from conspec.similarity import concept_sim
-from conspec.treeline import parse_document, parse_network, print_network
+from conspec.treeline import MAX_NESTING, parse_document, parse_network, print_network
 
 
 def make_lexicon(pairs: dict[str, str]) -> Lexicon:
@@ -61,6 +61,22 @@ class TestExpand:
 
     def test_depth_zero_no_expansion(self, anne_lex):
         assert print_network(expand(anne_lex, Concept("Anne"), 0)) == "Anne"
+
+    @staticmethod
+    def chain_lexicon(depth: int) -> Lexicon:
+        # a0 = {verb}, aN = aN-1 > xN: expanding aD D times nests D + 1 levels
+        pairs = {"a0": "{verb}"} | {f"a{n}": f"a{n - 1} > x{n}" for n in range(1, depth + 1)}
+        return make_lexicon(pairs)
+
+    def test_deepest_expansion_round_trips(self):
+        depth = MAX_NESTING - 1
+        out = expand(self.chain_lexicon(depth), Concept(f"a{depth}"), depth)
+        assert equal(parse_network(print_network(out)), out)
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING, 600])
+    def test_too_deep_expansion_is_an_error(self, depth):
+        with pytest.raises(ConspecError, match=f"deeper than {MAX_NESTING} levels"):
+            expand(self.chain_lexicon(depth), Concept(f"a{depth}"), depth)
 
     def test_have_macro_merges_in_place(self):
         lex = Lexicon()

@@ -160,3 +160,91 @@ def test_seeded_models():
         else:
             failed += 1
     assert loaded > 100 and failed > 20  # both outcomes are well represented
+
+
+# Pieces of the fuzzed documents: concepts with and without senses, and the
+# characters and tokens that the reader treats specially.
+FUZZ_CONCEPTS = [
+    "a", "{a}", "girl", "pick up", "{past}", "{ agent }", "b#2", "{c}#3", "either...or", "d #1",
+]  # fmt: skip
+FUZZ_NOISE = [
+    ">", ">>", ">>>", "<<", "<<<", "<", "[", "]", "(", ")", "{", "}", "{}", "{a>b}", "{#3}",
+    ",", "=", "=>", "<=>", "->", "-", "-x", "'", "'lit'", "''", '"', "#", "#2", "#07", "a#1#2",
+    "# note", "\t", "\f", " ", "  ",
+]  # fmt: skip
+
+
+def fuzz_item(rng: random.Random, depth: int) -> str:
+    if depth < 2 and rng.random() < 0.2:
+        anchor = rng.choice(["", "", ">>", "<<", ">>>>", ">> >>", "<< <<", ">><<"])
+        return f"{anchor}({fuzz_network(rng, depth + 1)})"
+    return rng.choice(FUZZ_CONCEPTS)
+
+
+def fuzz_chain(rng: random.Random, depth: int) -> str:
+    text = fuzz_item(rng, depth)
+    for _ in range(rng.randint(0, 2)):
+        if depth < 2 and rng.random() < 0.3:
+            text += f" > [{fuzz_network(rng, depth + 1)}]"
+        else:
+            text += rng.choice([" > ", ">", "\t>\t"]) + fuzz_item(rng, depth)
+    return text
+
+
+def fuzz_network(rng: random.Random, depth: int = 0) -> str:
+    return ", ".join(fuzz_chain(rng, depth) for _ in range(rng.randint(1, 2)))
+
+
+def fuzz_line(rng: random.Random) -> str:
+    """One statement of each kind, or a run of loose pieces, often with one
+    piece inserted somewhere and a comment or sense after it."""
+    kind = rng.randrange(8)
+    if kind == 0:
+        parts = ", ".join(
+            rng.choice([fuzz_chain(rng, 0), "'the'", "'+ed'"]) for _ in range(rng.randint(1, 3))
+        )
+        line = f"{fuzz_network(rng)} <=> [{parts}]"
+    elif kind == 1:
+        line = f"{rng.choice(FUZZ_CONCEPTS)} = {fuzz_network(rng)}"
+    elif kind == 2:
+        line = f"{fuzz_network(rng)} => {fuzz_network(rng)}"
+    elif kind == 3:
+        line = f"  map {rng.choice(FUZZ_CONCEPTS)} -> {rng.choice(FUZZ_CONCEPTS)}"
+    elif kind == 4:
+        line = rng.choice(['declare {x} "x category" # c', "set alpha 0.9", "set beam"])
+    elif kind == 5:
+        line = fuzz_network(rng)
+    else:
+        pieces = FUZZ_CONCEPTS + FUZZ_NOISE
+        line = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 8)))
+    if rng.random() < 0.3:
+        at = rng.randint(0, len(line))
+        line = line[:at] + rng.choice(FUZZ_NOISE) + line[at:]
+    if rng.random() < 0.2:
+        line += rng.choice([" # comment", "#2", " #x", "\t", " \f"])
+    return line
+
+
+def test_reader_fuzz():
+    # statements and lints, or the error; every tenth document also in lint mode
+    rng = random.Random(19)
+    parsed = failed = 0
+    for i in range(20_000):
+        text = "\n".join(fuzz_line(rng) for _ in range(rng.randint(1, 3)))
+        got = _document(parse_document, text)
+        assert got == _document(load_oracle.parse_document, text), text
+        if "Stmt(" in got:
+            parsed += 1
+        else:
+            failed += 1
+        if i % 10:
+            continue
+        errors, oracle_errors = [], []
+        lint = _document(lambda t: parse_document(t, collect_errors=errors), text)
+        want = _document(
+            lambda t: load_oracle.parse_document(t, collect_errors=oracle_errors), text
+        )
+        assert lint == want, text
+        where = [(type(e).__name__, e.args[0], e.line, e.col) for e in errors]
+        assert where == [(type(e).__name__, e.args[0], e.line, e.col) for e in oracle_errors], text
+    assert parsed > 3_000 and failed > 3_000  # both outcomes are well represented

@@ -119,3 +119,16 @@ class TestTranslate:
             translate(pair, "holy cow")
         assert exc.value.stage == "transfer"
         assert "holy cow" in str(exc.value)
+
+    def test_untranslatable_names_the_best_parse(self, tmp_path):
+        # "bank" parses as bank and as bank#2, and neither has a map entry
+        (tmp_path / "src.cn").write_text(
+            "bank = {noun}\nbank#2 = {noun}\nbank <=> ['bank']\nbank#2 <=> ['bank']\n"
+        )
+        (tmp_path / "p.pair").write_text("source: src.cn\nreceptor: src.cn\n")
+        pair = load_pair(str(tmp_path / "p.pair"))
+        parses = parse_text(pair.source_model, "bank")
+        assert [print_network(net) for net, _, _ in parses] == ["bank", "bank#2"]
+        with pytest.raises(UntranslatableConceptError) as exc:
+            translate(pair, "bank")
+        assert exc.value.concept_text == "bank"
