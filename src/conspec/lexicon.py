@@ -12,7 +12,9 @@ concept is built at construction, right after the cycle check, and
 ``concept_sim_memo``, and ``similarity.rule_node_sim`` its own in
 ``rule_sim_memo``, one memo per alpha; both store only pairs of defined
 concepts, so each memo is bounded by the square of the number of definitions
-whatever concepts callers pass in. Two readers on different threads may both
+whatever concepts callers pass in. ``root_indexes`` holds the rule matchers'
+root indexes (``similarity.RootIndex``), each bounded by the model and built
+when its matcher first runs. Two readers on different threads may both
 fill one memo entry; both write the same value. No cache takes part in
 equality or repr.
 """
@@ -97,6 +99,12 @@ class Lexicon:
     # alpha -> (pattern, target) -> rule_node_sim, both concepts defined;
     # filled by similarity
     rule_sim_memo: dict[float, dict[tuple[Concept, Concept], float]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    # (matcher, alpha) -> that matcher's root index (similarity.RootIndex, or
+    # the chart's index holding one) for the rules it last ran; filled by
+    # similarity.root_index
+    root_indexes: dict[tuple[str, float], object] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 

@@ -9,17 +9,19 @@ its pattern around the matched fragments, exactly or analogically.
 
 The chart decides before it builds:
 
-- A span's first sweep visits only the rules a corner filter admits: at most
-  as many parts as the span has tokens, and any literal first or last part
-  equal to the span's first or last token; any other rule has no tiling of
-  the span. After the first sweep only the one-part pattern rules are tried
-  on the span again. A tiling's pattern parts walk only the ends of the
-  non-empty final cells at their start, which the chart keeps per start.
+- A span's first sweep visits only the rules the model's corner table lists
+  for the span's first and last tokens and width: at most as many parts as
+  the span has tokens, and any literal first or last part equal to the
+  span's first or last token; any other rule has no tiling of the span.
+  After the first sweep only the one-part pattern rules are tried on the
+  span again. A tiling's pattern parts walk only the ends of the non-empty
+  final cells at their start, which the chart keeps per start.
 - A tiling's part combinations are walked depth-first in product order, and
   part k is aligned only with items whose earlier parts aligned. Each rule
   part is aligned with each chart item once, and the walk stops at the
-  ``beam*4`` cap. An item of the wrong root shape fails at the alignment's
-  own first checks, before any similarity is computed.
+  ``beam*4`` cap. Each item carries, from the lexicon's root index over the
+  rule parts, the set of parts whose root can align with its root; a part
+  outside it is answered None unaligned.
 - An item's score is known from its alignments, so an item below ``tau``, or
   one a full cell would refuse whatever its key, is never built.
 
@@ -43,7 +45,7 @@ from .model import ModelBundle
 from .network import Concept, ConceptNetwork, canonical_key, canonicalize, keyed_node
 from .realizer import join_affixes, strip_orthography
 from .rules import Literal, PatternPart, Rule, instantiate_reverse, reverse_score
-from .similarity import Alignment, align_networks, rule_node_sim
+from .similarity import Alignment, RootIndex, align_networks, root_index, rule_node_sim
 from .treeline import print_network
 
 # Most affix ops undone on one word; deeper splits are not tried.
@@ -192,6 +194,7 @@ class _Item:
     trace: list[str]
     unary: int = 0  # consecutive same-span rule applications (cycle guard)
     serial: int = -1  # order of entry into the chart; names the item in tried and aligned keys
+    parts: int = 0  # bit set of the pattern parts whose root can align with it (_ChartIndex)
 
 
 def _tilings(rule, tokens: list[str], frags, ends, i: int, j: int) -> list[list[tuple[int, int]]]:
@@ -284,6 +287,64 @@ def _aligned_combos(slots: list[list], align, cap: int) -> list[tuple[tuple, lis
     return out
 
 
+class _ChartIndex:
+    """The chart's data derived from one rule tuple, kept on the lexicon by
+    ``similarity.root_index`` and filled as the chart asks for it.
+
+    ``corners`` maps a span's corner key to the rules its first sweep
+    visits, in declaration order, filled as keys are first asked for. The key
+    is the span's first token if it is some rule's literal first part, else
+    None; its last token likewise; and its width, clamped at the most parts
+    of any rule. A rule is visited where it has at most that many parts and
+    its literal first and last parts, if any, are the key's: any other rule
+    has no tiling of the span, since each part covers at least one token. So
+    the table is bounded by the rules' literals, not by the tokens seen.
+
+    ``parts`` is the root index of the pattern parts, numbered in declaration
+    order. It packs each answer as a bit set in an int, bit n for part n, and
+    ``part_bits[r][k]`` is the bit of part k of rule r (0 for a literal).
+    """
+
+    def __init__(self, rules: tuple[Rule, ...], alpha: float):
+        self.source = rules
+        self.rules = list(enumerate(rules))
+        self.regrow = [e for e in self.rules if [type(p) for p in e[1].parts] == [PatternPart]]
+        self.firsts = {rl.first_literal for rl in rules} - {None}
+        self.lasts = {rl.last_literal for rl in rules} - {None}
+        self.most = max((len(rl.parts) for rl in rules), default=1)
+        self.corners: dict[tuple[str | None, str | None, int], list[tuple[int, Rule]]] = {}
+        numbers = count()
+        self.part_bits = [
+            [1 << next(numbers) if isinstance(part, PatternPart) else 0 for part in rl.parts]
+            for rl in rules
+        ]
+        patterns = tuple(p.pattern for rl in rules for p in rl.parts if isinstance(p, PatternPart))
+        self.parts = RootIndex(rules, patterns, alpha, _bit_set)
+
+    def sweep(self, first: str, last: str, width: int) -> list[tuple[int, Rule]]:
+        """The rules a span's first sweep visits, in declaration order."""
+        key = (
+            first if first in self.firsts else None,
+            last if last in self.lasts else None,
+            min(width, self.most),
+        )
+        got = self.corners.get(key)
+        if got is None:
+            first, last, width = key
+            got = self.corners[key] = [
+                entry  # shared with self.rules
+                for entry, rule in zip(self.rules, self.source)
+                if len(rule.parts) <= width
+                and rule.first_literal in (None, first)
+                and rule.last_literal in (None, last)
+            ]
+        return got
+
+
+def _bit_set(numbers) -> int:
+    return sum(1 << n for n in numbers)
+
+
 def _may_admit(cell: dict, beam: int, score: float) -> bool:
     """False where add() would refuse an item of this score whatever its key:
     the cell is full and its lowest score is at least the item's, so a new
@@ -301,10 +362,10 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
     # start -> the ends of its non-empty final cells, in increasing order
     ends: list[list[int]] = [[] for _ in range(n)]
     serials = count()
-    sim = rule_node_sim(model.lexicon, model.pragmas.alpha)
+    lex, alpha, rules = model.lexicon, model.pragmas.alpha, model.rules
+    sim = rule_node_sim(lex, alpha)
+    index = root_index(lex, "chart", alpha, rules, lambda: _ChartIndex(rules, alpha))
     aligned: dict[tuple[int, int, int], Alignment | None] = {}  # (rule, part, item serial)
-    rules = list(enumerate(model.rules))
-    regrow = [(r, rl) for r, rl in rules if [type(p) for p in rl.parts] == [PatternPart]]
 
     def add(i: int, j: int, item: _Item) -> bool:
         cell = frags[(i, j)]
@@ -319,6 +380,7 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
                 return False  # cannot displace anything: keeps the loop finite
             del cell[worst_key]
         item.serial = next(serials)
+        item.parts = index.parts.candidates(item.net.roots, lex)
         cell[key] = item
         return True
 
@@ -336,9 +398,13 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
         return got
 
     def aligner(r: int, rule: Rule, same_span: bool):
+        bits = index.part_bits[r]
+
         def align(k: int, it: _Item) -> Alignment | None:
             if same_span and it.unary >= MAX_UNARY:
                 return None  # the cycle guard refuses a third unary step
+            if not it.parts & bits[k]:
+                return None  # the part's root cannot align with the item's
             key = (r, k, it.serial)
             if key not in aligned:
                 aligned[key] = align_networks(rule.parts[k].pattern, it.net, sim, total=False)
@@ -364,25 +430,20 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
         # that were final before this span began, so all its combinations are
         # already in ``tried``, and skipping them changes no add() call.
         #
-        # The first sweep visits only the rules the corner filter admits, in
-        # declaration order. ``_tilings`` is empty for every other rule: each
-        # part covers at least one token, a literal first part must be
-        # tokens[i], and a literal last part must be tokens[j - 1].
+        # The first sweep visits only the rules the corner table lists for
+        # the span, in declaration order. ``_tilings`` is empty for every
+        # other rule: each part covers at least one token, a literal first
+        # part must be tokens[i], and a literal last part must be
+        # tokens[j - 1]. A part outside an item's ``parts`` would align with
+        # it as None, so ``align`` answers None without aligning.
         #
         # An item is built only if add() could admit it. Its score is known
         # from the alignments alone, so one below ``tau``, or one that a full
         # cell with no lower score would refuse whatever its key, is skipped
         # unbuilt. Serials are handed out only in add(), so none moves.
-        first, last = tokens[i], tokens[j - 1]
         cell = frags[(i, j)]
         tried: set[tuple] = set()
-        sweep = [
-            (r, rule)
-            for r, rule in rules
-            if len(rule.parts) <= j - i
-            and rule.first_literal in (None, first)
-            and rule.last_literal in (None, last)
-        ]
+        sweep = index.sweep(tokens[i], tokens[j - 1], j - i)
         while sweep:
             changed = False
             for r, rule in sweep:
@@ -412,7 +473,7 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
                         item = _Item(built, score, trace, unary)
                         if add(i, j, item):
                             changed = True
-            sweep = regrow if changed else []
+            sweep = index.regrow if changed else []
         ranked[(i, j)] = rank(i, j)
         if cell:
             ends[i].append(j)

@@ -13,9 +13,10 @@ binding: a target child the binding leaves unbound (a "remainder") stays
 with the rhs part that carries its bound parent, so a determiner or adverb
 hanging off a matched noun flows into that part's fragment instead of
 blocking the rule. A match is rejected when a remainder hangs under a
-dropped lhs node (silent content loss). Matching skips, unaligned, a rule
-whose pattern root fails the alignment's first checks on the target
-(``similarity.can_align``).
+dropped lhs node (silent content loss). Realize and transfer align a target
+only with the rules whose pattern root can align with its root: the
+lexicon's ``similarity.RootIndex`` for the rule tuple, looked up by the
+target's root key, names them in declaration order.
 
 Transfer rules rewrite source-language regions into receptor-language
 templates. A dst node is a slot when the bilingual map (or label identity)
@@ -45,8 +46,9 @@ from .similarity import (
     DEFAULT_ALPHA,
     Alignment,
     NodeSim,
+    RootIndex,
     align_networks,
-    can_align,
+    root_index,
     rule_node_sim,
 )
 from .treeline import print_network
@@ -216,13 +218,20 @@ def match_rules(
     tau: float = DEFAULT_TAU,
 ) -> list[Match]:
     """Rule patterns matched against the network's root region: every match
-    with score >= tau, best score first, declaration order on ties. A rule
-    whose lhs fails ``can_align`` on the network is skipped unaligned."""
+    with score >= tau, best score first, declaration order on ties. Only the
+    rules the root index admits are aligned; every other rule's alignment is
+    None at the root."""
     sim = rule_node_sim(lex, alpha)
+    index = root_index(
+        lex,
+        "realize",
+        alpha,
+        rules,
+        lambda: RootIndex(rules, tuple(r.lhs for r in rules), alpha, tuple),
+    )
     out: list[tuple[float, int, Match]] = []
-    for idx, rule in enumerate(rules):
-        if not can_align(rule.lhs, net):
-            continue
+    for idx in index.candidates(net.roots, lex):
+        rule = rules[idx]
         got = _match_region(rule.lhs, net, sim, tau, rule.part_at)
         if got is not None:
             out.append((-got.score, idx, Match(rule, got.binding, got.score)))
@@ -435,20 +444,35 @@ def _collect_transfer_matches(
     alpha: float,
     tau: float,
 ) -> list[_TransferMatch]:
+    """Every match of a transfer rule at a node of the net, with score >=
+    tau: best score first, then by rule id, then in declaration order, each
+    rule's matches in the net's preorder. Each node is aligned only with the
+    rules the root index admits on it."""
     sim = rule_node_sim(lex, alpha)
-    targets = [(node, ConceptNetwork((node,))) for node in net.iter_nodes()]
-    out: list[_TransferMatch] = []
-    for rule in trules:
-        for node, target in targets:
-            if not can_align(rule.src, target):
-                continue
+    index = root_index(
+        lex,
+        "transfer",
+        alpha,
+        trules,
+        lambda: RootIndex(trules, tuple(r.src for r in trules), alpha, tuple),
+    )
+    found: list[tuple[float, str, int, _TransferMatch]] = []
+    for node in net.iter_nodes():
+        roots = (node,)
+        picked = index.candidates(roots, lex)
+        if not picked:
+            continue
+        target = ConceptNetwork(roots)
+        for idx in picked:
+            rule = trules[idx]
             got = _match_region(rule.src, target, sim, tau, rule.slot_ids)
             if got is not None:
                 region = frozenset(got.binding.values())
-                out.append(_TransferMatch(rule, node, got.binding, got.score, region))
+                match = _TransferMatch(rule, node, got.binding, got.score, region)
+                found.append((-got.score, rule.rule_id, idx, match))
     # stable sort: a rule's matches of equal score stay in the net's preorder
-    out.sort(key=lambda m: (-m.score, m.rule.rule_id))
-    return out
+    found.sort(key=lambda item: item[:3])
+    return [m for *_, m in found]
 
 
 def _select_match_sets(matches: list[_TransferMatch], beam: int) -> list[tuple[_TransferMatch, ...]]:

@@ -9,9 +9,11 @@ capped by the alpha discount so exact rules always dominate analogues.
 The alignment engine here is shared with the rules module, which plugs in a
 richer node scorer (is_a pre-test, memoized on the lexicon like
 concept_sim) and allows prefix alignments. align_networks makes its first
-checks (capsule flag, anchor, specifier count) before it calls the scorer,
-and ``can_align`` makes the same checks on a pattern's first root, so rule
-matching skips a rule of the wrong root shape unaligned. The
+checks (capsule flag, anchor, specifier count) before it calls the scorer.
+``RootIndex`` answers, for a tuple of patterns and a target root, which
+patterns pass those checks and score above 0 at the root, so realize,
+transfer and the chart align only those; it memoizes its answers on the
+lexicon by the target's root key, bounded by the model. The
 kernel passes plain (product, count, pairs) results up the tree; only
 align_networks builds an Alignment. An alignment is its binding and score
 alone: a remainder, a specifier child of a bound target node that is not
@@ -44,13 +46,18 @@ def concept_sim(lex: Lexicon, a: Concept, b: Concept, alpha: float = DEFAULT_ALP
     got = lex.concept_sim_memo.get(key)
     if got is not None:
         return got
-    aa = ancestors(lex, a) - {a, b}
-    bb = ancestors(lex, b) - {a, b}
-    union = aa | bb
-    got = alpha * len(aa & bb) / len(union) if union else 0.0
+    got = _overlap(lex, a, b, alpha)
     if a in lex.definitions and b in lex.definitions:
         lex.concept_sim_memo[key] = got
     return got
+
+
+def _overlap(lex: Lexicon, a: Concept, b: Concept, alpha: float) -> float:
+    """``concept_sim`` of two distinct concepts, computed afresh."""
+    aa = ancestors(lex, a) - {a, b}
+    bb = ancestors(lex, b) - {a, b}
+    union = aa | bb
+    return alpha * len(aa & bb) / len(union) if union else 0.0
 
 
 def pure_node_sim(lex: Lexicon, alpha: float = DEFAULT_ALPHA) -> NodeSim:
@@ -86,17 +93,34 @@ def rule_node_sim(lex: Lexicon, alpha: float = DEFAULT_ALPHA) -> NodeSim:
         got = memo.get(key)
         if got is not None:
             return got
-        if is_a(lex, target, pattern):
-            got = alpha
-        elif pattern.stemless or target.stemless:
-            got = 0.0
-        else:
-            got = concept_sim(lex, pattern, target, alpha)
+        got = _rule_sim(lex, pattern, target, alpha, concept_sim)
         if pattern in defined and target in defined:
             memo[key] = got
         return got
 
     return sim
+
+
+def _rule_sim(lex: Lexicon, pattern: Concept, target: Concept, alpha: float, overlap) -> float:
+    """``rule_node_sim`` of two distinct concepts, with ``overlap`` scoring
+    what ``is_a`` and the stemless test leave to ``concept_sim``."""
+    if is_a(lex, target, pattern):
+        return alpha
+    if pattern.stemless or target.stemless:
+        return 0.0
+    return overlap(lex, pattern, target, alpha)
+
+
+def _peek_rule_sim(lex: Lexicon, alpha: float, pattern: Concept, target: Concept) -> float:
+    """What ``rule_node_sim(lex, alpha)`` answers, read from its memo or
+    computed without storing anything in either memo: a ``RootIndex`` fill
+    asks pairs that no alignment may ever ask."""
+    if pattern == target:
+        return 1.0
+    got = lex.rule_sim_memo.get(alpha, {}).get((pattern, target))
+    if got is None:
+        got = _rule_sim(lex, pattern, target, alpha, _overlap)
+    return got
 
 
 @dataclass
@@ -126,15 +150,98 @@ def _fits(pattern: Node, target: Node, total: bool) -> bool:
     )
 
 
-def can_align(pattern: ConceptNetwork, target: ConceptNetwork) -> bool:
-    """Whether ``pattern`` can pass the first checks of a prefix
-    ``align_networks`` on ``target``: the root counts agree and the first
-    roots pass ``_align_node``'s own node test. Where it is False,
-    ``align_networks`` is None before it computes any similarity, so rule
-    matching skips the rule unaligned."""
-    return len(pattern.roots) == len(target.roots) and _fits(
-        pattern.roots[0], target.roots[0], False
-    )
+class RootIndex:
+    """The patterns, of a fixed tuple, that can align with a target at the root.
+
+    ``candidates`` gives the indices, in declaration order and packed by
+    ``pack``, of the patterns ``align_networks`` does not reject at the root
+    under ``rule_node_sim(lex, alpha)``: the root counts agree, the first
+    roots pass ``_fits``, and the pattern root is a capsule or scores above
+    0 against the target root's concept. Every other pattern's alignment is
+    None.
+
+    The patterns are grouped by their root count, first root's anchor and
+    capsule flag, so a target meets only its own group, whose members need
+    no more specifiers than it has. The answer depends only on the target's
+    root key: root count, anchor, specifier count (clamped at the widest
+    pattern root) and root concept (None for a capsule). It is memoized,
+    filled as it is first asked for, but only when the concept is None,
+    defined or used in some pattern, so the memo is bounded by the model
+    whatever targets come. Fills read similarities with ``_peek_rule_sim``,
+    which stores nothing, so the similarity memos gain only the pairs that
+    alignments go on to ask. Instead ``scores`` keeps, for each such target
+    concept, one byte per distinct pattern root concept: 0 not asked yet,
+    1 scores 0, 2 scores above 0.
+    """
+
+    def __init__(self, source: object, patterns: tuple[ConceptNetwork, ...], alpha: float, pack):
+        self.source = source  # what the patterns were taken from
+        self.patterns = patterns
+        self.alpha = alpha
+        self.pack = pack
+        # (root count, anchor, capsule flag) -> [(specifier count, head,
+        # index)] of the patterns' first roots, in declaration order; a head
+        # numbers the root's concept in ``heads``, -1 for a capsule
+        self.groups: dict[tuple, list[tuple[int, int, int]]] = {}
+        numbers: dict[Concept, int] = {}
+        for i, p in enumerate(patterns):
+            root = p.roots[0]
+            head = -1 if root.is_capsule else numbers.setdefault(root.concept, len(numbers))
+            shape = (len(p.roots), root.anchor, root.is_capsule)
+            self.groups.setdefault(shape, []).append((len(root.specifiers), head, i))
+        self.heads = list(numbers)
+        self.widest = max((len(p.roots[0].specifiers) for p in patterns), default=0)
+        self.concepts: set[Concept] | None = None  # those the patterns use, once asked for
+        self.memo: dict[tuple, object] = {}
+        self.scores: dict[Concept | None, bytearray] = {}
+
+    def candidates(self, roots: tuple[Node, ...], lex: Lexicon):
+        root = roots[0]
+        group = self.groups.get((len(roots), root.anchor, root.is_capsule))
+        if group is None:
+            return self.pack(())
+        concept, width = root.concept, min(len(root.specifiers), self.widest)
+        key = (len(roots), root.anchor, width, concept)
+        got = self.memo.get(key)
+        if got is None:
+            bounded = concept is None or concept in lex.definitions or concept in self._used()
+            scores = self.scores.get(concept)
+            if scores is None:
+                scores = bytearray(len(self.heads))
+                if bounded:
+                    self.scores[concept] = scores
+            got = self.pack(self._admitted(group, width, concept, scores, lex))
+            if bounded:
+                self.memo[key] = got
+        return got
+
+    def _admitted(self, group, width: int, concept, scores: bytearray, lex: Lexicon):
+        for m, head, i in group:
+            if m > width:
+                continue
+            if head >= 0:  # a concept root, as the target's is
+                if not scores[head]:
+                    positive = _peek_rule_sim(lex, self.alpha, self.heads[head], concept) > 0
+                    scores[head] = 2 if positive else 1
+                if scores[head] == 1:
+                    continue
+            yield i
+
+    def _used(self) -> set[Concept]:
+        if self.concepts is None:
+            self.concepts = {c for p in self.patterns for c in p.concepts()}
+        return self.concepts
+
+
+def root_index(lex: Lexicon, matcher: str, alpha: float, source: object, build):
+    """The lexicon's index for ``matcher`` at ``alpha``: the one it holds if
+    that was built from ``source`` (by identity), else ``build()``, kept in
+    its place. Nothing is built before a matcher first runs."""
+    slot = (matcher, alpha)
+    index = lex.root_indexes.get(slot)
+    if index is None or index.source is not source:
+        index = lex.root_indexes[slot] = build()
+    return index
 
 
 # A node alignment as the kernel passes it up: (product, count, pairs), the

@@ -247,6 +247,8 @@ class _Parser:
         if kind not in ("label", "brace") or self.kinds[at + 1] != "end":
             raise self.err("expected a single concept", at)
         label, sense = self.split_sense(at)
+        if label in _EITHER_OR_SPELLINGS:
+            label = "either or"
         return _concept(self.concepts, label, kind == "brace", sense)
 
     # -- network grammar ---------------------------------------------------

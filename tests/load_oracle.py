@@ -263,6 +263,8 @@ def _parse_concept_tokens(tokens: list[Token], line: int) -> Concept:
         )
     tok = tokens[0]
     label, sense = _split_sense(tok.value, tok.line, tok.col)
+    if label in _EITHER_OR_SPELLINGS:
+        label = "either or"
     return Concept(label, tok.kind == "brace", sense)
 
 

@@ -12,7 +12,9 @@ The inputs are:
 - every alignment the engine asks for while loading english.cn and
   english_sov.pair, parsing and realizing demo_corpus.tsv and translating
   translations.tsv: rule parts against their lhs, part patterns against
-  chart items, rule patterns against realize and transfer regions;
+  chart items, rule patterns against realize and transfer regions; and
+  every one it skips because ``similarity.RootIndex`` leaves the pattern
+  out for the target, where both must give None;
 - 500 seeded ``tests/gen.py`` pairs, under ``pure_node_sim`` with
   ``total=True`` and under ``rule_node_sim`` with ``total=False``;
 - fan-out pairs of up to 7 specifiers whose similarities tie, so that the
@@ -32,11 +34,18 @@ from conspec.model import load_corpus, load_model
 from conspec.network import Concept, ConceptNetwork, Node
 from conspec.parser import parse_text
 from conspec.realizer import realize
-from conspec.similarity import Alignment, align_networks, pure_node_sim, rule_node_sim
+from conspec.similarity import (
+    Alignment,
+    RootIndex,
+    align_networks,
+    pure_node_sim,
+    rule_node_sim,
+)
 from conspec.transfer import load_pair, translate
 
 from . import alignment_oracle
 from .gen import gen_network, mutate_network
+from .test_match_skips import left_out
 from .test_lexicon import make_lexicon
 
 DATA = resources.files("conspec.data")
@@ -61,14 +70,26 @@ def check(pattern: ConceptNetwork, target: ConceptNetwork, sim, total: bool) -> 
 
 def test_engine_alignments_match_oracle(monkeypatch):
     counts = [0, 0]  # [None, aligned]
+    candidates = RootIndex.candidates
 
     def record(pattern, target, sim, *, total):
         got = check(pattern, target, sim, total)
         counts[got is not None] += 1
         return got
 
+    def record_skips(index, roots, lex):
+        """The index's answer; each pattern it leaves out is checked as an
+        alignment that gives None."""
+        got = candidates(index, roots, lex)
+        sim, target = rule_node_sim(lex, index.alpha), ConceptNetwork(roots)
+        for pattern in left_out(index, got):
+            assert check(pattern, target, sim, False) is None
+            counts[0] += 1
+        return got
+
     monkeypatch.setattr(conspec.parser, "align_networks", record)
     monkeypatch.setattr(conspec.rules, "align_networks", record)
+    monkeypatch.setattr(RootIndex, "candidates", record_skips)
     model = load_model(str(DATA / "english.cn"))
     pair = load_pair(str(DATA / "english_sov.pair"))
     for surface, net, _ in load_corpus(str(DATA / "demo_corpus.tsv")):

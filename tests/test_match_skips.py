@@ -2,6 +2,10 @@
 
 This file keeps, verbatim, what the skips and memos stand in for:
 
+- ``match_rules`` and ``_collect_transfer_matches`` as they were when they
+  visited every rule for every target, skipping one unaligned only where
+  ``can_align`` failed (kept too); both now visit only the candidates of the
+  lexicon's ``similarity.RootIndex``;
 - ``_tilings`` as it was when it probed every ``(at, end)`` cell of the
   chart; the chart now walks only the ends of its non-empty final cells;
 - ``rule_node_sim`` as it was before it read a memo on the lexicon;
@@ -13,16 +17,22 @@ With those installed beside the engine, over every demo_corpus.tsv row
 ``tests/gen.py`` networks (rule and transfer matching, realize, and parsing
 what realize gives), at beams 1, 2 and 16:
 
-- every rule that ``match_rules`` or ``_collect_transfer_matches`` skips on
-  its pattern's root shape has ``align_networks(...) is None`` on that target;
+- every ``match_rules`` and ``_collect_transfer_matches`` answer equals the
+  unindexed loop's, match for match and in order;
+- every pattern a ``RootIndex`` leaves out for a target (a rule for realize
+  or transfer, a rule part for a chart item) has ``align_networks(...) is
+  None`` on that target, memo hits included;
 - every ``_tilings`` answer equals the cell-probing one;
 - every answer of a memoized ``rule_node_sim`` equals the unmemoized one,
   and the memo holds only pairs of defined concepts;
 - every ``realize`` answer, or error, equals the copy's without the memo.
 
-Beside those runs, both scorers answer every ordered pair of the shipped
-models' concepts alike, and a generated region never aligns with a copy
-whose root carries another anchor.
+Beside those runs, both scorers, and the root index's memo-free read of the
+memoized one, answer every ordered pair of the shipped models' concepts
+alike; a generated region never aligns with a copy whose root carries
+another anchor; and the root indexes and the chart's corner table stay
+within bounds computed from the model after targets with fresh concepts
+and anchors.
 """
 
 from __future__ import annotations
@@ -47,12 +57,22 @@ from conspec.model import ModelBundle, load_corpus, load_model
 from conspec.network import UP, Anchor, Concept, ConceptNetwork, Node, canonicalize, resolve_anchors
 from conspec.parser import parse_text
 from conspec.realizer import Hypothesis, _rewrite_options, apply_orthography, join_affixes
-from conspec.rules import Literal, Rule, TransferRule
+from conspec.rules import (
+    DEFAULT_TAU,
+    Literal,
+    Match,
+    Rule,
+    TransferRule,
+    _match_region,
+    _TransferMatch,
+)
 from conspec.similarity import (
     DEFAULT_ALPHA,
     NodeSim,
+    RootIndex,
+    _fits,
+    _peek_rule_sim,
     align_networks,
-    can_align,
     concept_sim,
 )
 from conspec.transfer import load_pair, translate
@@ -81,40 +101,38 @@ def checked(monkeypatch) -> SimpleNamespace:
     """Installs every check. ``counts`` tallies what each one saw;
     ``realize`` is the engine's, checked against the copy."""
     counts: Counter = Counter()
-    reached: set[tuple[int, int]] = set()  # (id(pattern), id(target root)) aligned
-    match_region = conspec.rules._match_region
-    match_rules = conspec.rules.match_rules
+    engine_match_rules = conspec.rules.match_rules
     collect = conspec.rules._collect_transfer_matches
+    candidates = RootIndex.candidates
     tilings = conspec.parser._tilings
     memoized = conspec.similarity.rule_node_sim
     engine_realize = conspec.realizer.realize
 
-    def recorded_region(pattern, target, sim, tau, owner):
-        reached.add((id(pattern), id(target.roots[0])))
-        return match_region(pattern, target, sim, tau, owner)
+    def checked_candidates(index, roots, lex):
+        got = candidates(index, roots, lex)
+        if isinstance(got, tuple):  # realize's and transfer's, in declaration order
+            assert list(got) == sorted(got)
+        sim, target = memoized(lex, index.alpha), ConceptNetwork(roots)
+        for pattern in left_out(index, got):
+            assert align_networks(pattern, target, sim, total=False) is None, (
+                print_network(pattern),
+                print_network(target),
+            )
+            counts["skipped"] += 1
+        return got
 
-    def skipped_none(pattern, target, lex, alpha):
-        assert align_networks(pattern, target, rule_node_sim(lex, alpha), total=False) is None, (
-            print_network(pattern),
-            print_network(target),
-        )
-        counts["skipped"] += 1
-
-    def checked_match_rules(rules, lex, net, *, alpha=DEFAULT_ALPHA, tau=conspec.rules.DEFAULT_TAU):
-        reached.clear()
-        got = match_rules(rules, lex, net, alpha=alpha, tau=tau)
-        for rule in rules:
-            if (id(rule.lhs), id(net.roots[0])) not in reached:
-                skipped_none(rule.lhs, net, lex, alpha)
+    def checked_match_rules(rules, lex, net, *, alpha=DEFAULT_ALPHA, tau=DEFAULT_TAU):
+        got = engine_match_rules(rules, lex, net, alpha=alpha, tau=tau)
+        want = match_rules(rules, lex, net, alpha=alpha, tau=tau)
+        assert [matched(m) for m in got] == [matched(m) for m in want], print_network(net)
+        counts["matched"] += 1
         return got
 
     def checked_collect(trules, lex, net, alpha, tau):
-        reached.clear()
         got = collect(trules, lex, net, alpha, tau)
-        for rule in trules:
-            for node in net.iter_nodes():
-                if (id(rule.src), id(node)) not in reached:
-                    skipped_none(rule.src, ConceptNetwork((node,)), lex, alpha)
+        want = _collect_transfer_matches(trules, lex, net, alpha, tau)
+        assert [matched(m) for m in got] == [matched(m) for m in want], print_network(net)
+        counts["collected"] += 1
         return got
 
     def checked_tilings(rule, tokens, frags, ends, i, j):
@@ -145,7 +163,7 @@ def checked(monkeypatch) -> SimpleNamespace:
         assert got == want
         return got
 
-    monkeypatch.setattr(conspec.rules, "_match_region", recorded_region)
+    monkeypatch.setattr(RootIndex, "candidates", checked_candidates)
     monkeypatch.setattr(conspec.rules, "match_rules", checked_match_rules)
     monkeypatch.setattr(conspec.realizer, "match_rules", checked_match_rules)
     monkeypatch.setattr(conspec.rules, "_collect_transfer_matches", checked_collect)
@@ -154,6 +172,19 @@ def checked(monkeypatch) -> SimpleNamespace:
     monkeypatch.setattr(conspec.rules, "rule_node_sim", checked_sim)
     monkeypatch.setattr(conspec.transfer, "realize", checked_realize)
     return SimpleNamespace(counts=counts, realize=checked_realize)
+
+
+def left_out(index: RootIndex, got) -> list[ConceptNetwork]:
+    """The patterns of ``index`` that its answer ``got`` leaves out: a tuple
+    of indices, or the chart's bit set."""
+    admitted = (lambda i: got >> i & 1) if isinstance(got, int) else got.__contains__
+    return [p for i, p in enumerate(index.patterns) if not admitted(i)]
+
+
+def matched(m: Match | _TransferMatch) -> tuple:
+    """What a match is: its rule, binding pair for pair, score and anchor."""
+    pairs = [(id(p), id(t)) for p, t in m.binding.items()]
+    return id(m.rule), pairs, m.score, id(getattr(m, "anchor", None))
 
 
 def regions(*nets: ConceptNetwork) -> list[ConceptNetwork]:
@@ -191,7 +222,9 @@ def test_shipped_corpora(beam, checked):
             outcome(translate, pair, raw.split("\t")[0])
     memo_bounded(model.lexicon, pair.source_model.lexicon, pair.receptor_model.lexicon)
     counts = checked.counts
-    assert min(counts[k] for k in ("skipped", "tilings", "sims", "realized")) > 20, counts
+    kinds = ("skipped", "matched", "tilings", "sims", "realized")
+    assert min(counts[k] for k in kinds) > 20, counts
+    assert counts["collected"] > 0, counts  # at beam 1 some rows fail to parse
 
 
 def test_generated_matching(checked):
@@ -214,7 +247,9 @@ def test_generated_matching(checked):
         prepared = resolve_anchors(canonicalize(net))
         conspec.rules._collect_transfer_matches(trules, lex, prepared, alpha, tau)
     memo_bounded(lex)
-    assert min(checked.counts[k] for k in ("skipped", "sims")) > 1000, checked.counts
+    counts = checked.counts
+    assert min(counts[k] for k in ("skipped", "matched", "sims")) > 1000, counts
+    assert counts["collected"] == 400, counts
 
 
 @pytest.mark.parametrize("beam", BEAMS)
@@ -231,13 +266,16 @@ def test_generated_realize_and_parse(beam, checked):
     memo_bounded(model.lexicon)
     assert texts > 20
     counts = checked.counts
-    assert min(counts[k] for k in ("skipped", "tilings", "sims", "realized")) > 20, counts
+    kinds = ("skipped", "matched", "tilings", "sims", "realized")
+    assert min(counts[k] for k in kinds) > 20, counts
 
 
 def test_roots_with_other_anchors_never_align():
     """The anchor comparison of the first checks: a generated region aligns
-    with itself, and never with a copy whose root has another anchor."""
-    sim = rule_node_sim(load_model(str(DATA / "english.cn")).lexicon)
+    with itself, and never with a copy whose root has another anchor, which
+    a root index over the one pattern leaves out."""
+    lex = load_model(str(DATA / "english.cn")).lexicon
+    sim = rule_node_sim(lex)
     rng = random.Random(16)
     pairs = 0
     for _ in range(100):
@@ -249,8 +287,81 @@ def test_roots_with_other_anchors_never_align():
             for pattern, target in ((region, other), (other, region)):
                 assert align_networks(pattern, target, sim, total=False) is None
                 assert not can_align(pattern, target)
+                index = RootIndex(None, (pattern,), DEFAULT_ALPHA, tuple)
+                assert index.candidates(target.roots, lex) == ()
             pairs += 1
     assert pairs > 200
+
+
+def freshened(rng: random.Random, net: ConceptNetwork, k: int) -> ConceptNetwork:
+    """A copy of ``net`` in which about half the concepts are undefined ones
+    no model uses, and about half the anchors point deeper than any pattern's."""
+
+    def conv(node: Node) -> Node:
+        spec = tuple(conv(s) for s in node.specifiers)
+        anchor = node.anchor
+        if anchor is not None and rng.random() < 0.5:
+            anchor = Anchor(anchor.direction, anchor.depth + 1 + k)
+        if node.is_capsule:
+            body = ConceptNetwork(tuple(conv(r) for r in node.capsule.roots))
+            return Node(capsule=body, anchor=anchor, specifiers=spec)
+        concept = node.concept
+        if rng.random() < 0.5:
+            concept = Concept(f"nonce{k}_{rng.randrange(1000)}", concept.stemless)
+        return Node(concept=concept, anchor=anchor, specifiers=spec)
+
+    return ConceptNetwork(tuple(conv(r) for r in net.roots))
+
+
+def check_bounded(index: RootIndex, patterns: list[ConceptNetwork], lex: Lexicon) -> None:
+    """Every memo key of ``index`` is one the patterns and lexicon allow, so
+    the memo holds at most their product of choices."""
+    shapes = {(len(p.roots), p.roots[0].anchor) for p in patterns}
+    widest = max(len(p.roots[0].specifiers) for p in patterns)
+    known = set(lex.definitions) | {c for p in patterns for c in p.concepts()} | {None}
+    assert index.memo
+    for count, anchor, width, concept in index.memo:
+        assert (count, anchor) in shapes and width <= widest and concept in known
+    assert len(index.memo) <= len(shapes) * (widest + 1) * len(known)
+    heads = {p.roots[0].concept for p in patterns} - {None}
+    assert set(index.scores) <= known
+    assert all(len(scores) == len(heads) for scores in index.scores.values())
+
+
+def test_indexes_stay_bounded():
+    """After 400 generated networks, and copies of them with fresh concepts
+    and anchors, realize's, transfer's and the chart's indexes and the
+    chart's corner table hold only keys the model bounds."""
+    model = load_model(str(DATA / "english.cn"))
+    pair = load_pair(str(DATA / "english_sov.pair"))
+    lex, src = model.lexicon, pair.source_model.lexicon
+    alpha, tau = model.pragmas.alpha, model.pragmas.tau
+    rng = random.Random(17)
+    fresh = 0
+    for k in range(400):
+        net = gen_network(rng, max_nodes=8)
+        other = freshened(rng, net, k)
+        fresh += any(c.label.startswith("nonce") for c in other.concepts())
+        for region in regions(net, other):
+            conspec.rules.match_rules(model.rules, lex, region, alpha=alpha, tau=tau)
+        for target in (net, other):
+            conspec.rules._collect_transfer_matches(pair.transfer_rules, src, target, alpha, tau)
+            got = outcome(conspec.realizer.realize, model, target)
+            if not isinstance(got, tuple):
+                outcome(parse_text, model, got[0][0])
+    assert fresh > 250
+    rules = model.rules
+    parts = [p.pattern for r in rules for p in r.parts if not isinstance(p, Literal)]
+    check_bounded(lex.root_indexes[("realize", alpha)], [r.lhs for r in rules], lex)
+    check_bounded(lex.root_indexes[("chart", alpha)].parts, parts, lex)
+    check_bounded(src.root_indexes[("transfer", alpha)], [t.src for t in pair.transfer_rules], src)
+    corners = lex.root_indexes[("chart", alpha)].corners
+    firsts = {r.first_literal for r in rules}
+    lasts = {r.last_literal for r in rules}
+    most = max(len(r.parts) for r in rules)
+    for first, last, width in corners:
+        assert first in firsts and last in lasts and 1 <= width <= most
+    assert 0 < len(corners) <= len(firsts) * len(lasts) * most
 
 
 @pytest.mark.parametrize("name", ["english.cn", "sov.cn"])
@@ -263,7 +374,9 @@ def test_memo_on_every_pair_of_concepts(name):
         for _ in range(2):  # the second pass reads what the first one stored
             for a in concepts:
                 for b in concepts:
-                    assert sim(a, b) == old(a, b), (a, b, alpha)
+                    want = old(a, b)
+                    assert _peek_rule_sim(lex, alpha, a, b) == want, (a, b, alpha)
+                    assert sim(a, b) == want, (a, b, alpha)
         assert len(lex.rule_sim_memo[alpha]) == len(lex.definitions) ** 2 - len(lex.definitions)
     memo_bounded(lex)
 
@@ -271,6 +384,63 @@ def test_memo_on_every_pair_of_concepts(name):
 # ---------------------------------------------------------------------------
 # As they were: kept verbatim
 # ---------------------------------------------------------------------------
+
+
+def can_align(pattern: ConceptNetwork, target: ConceptNetwork) -> bool:
+    """Whether ``pattern`` can pass the first checks of a prefix
+    ``align_networks`` on ``target``: the root counts agree and the first
+    roots pass ``_align_node``'s own node test. Where it is False,
+    ``align_networks`` is None before it computes any similarity, so rule
+    matching skips the rule unaligned."""
+    return len(pattern.roots) == len(target.roots) and _fits(
+        pattern.roots[0], target.roots[0], False
+    )
+
+
+def match_rules(
+    rules: tuple[Rule, ...],
+    lex: Lexicon,
+    net: ConceptNetwork,
+    *,
+    alpha: float = DEFAULT_ALPHA,
+    tau: float = DEFAULT_TAU,
+) -> list[Match]:
+    """Rule patterns matched against the network's root region: every match
+    with score >= tau, best score first, declaration order on ties. A rule
+    whose lhs fails ``can_align`` on the network is skipped unaligned."""
+    sim = rule_node_sim(lex, alpha)
+    out: list[tuple[float, int, Match]] = []
+    for idx, rule in enumerate(rules):
+        if not can_align(rule.lhs, net):
+            continue
+        got = _match_region(rule.lhs, net, sim, tau, rule.part_at)
+        if got is not None:
+            out.append((-got.score, idx, Match(rule, got.binding, got.score)))
+    out.sort(key=lambda item: (item[0], item[1]))
+    return [m for _, _, m in out]
+
+
+def _collect_transfer_matches(
+    trules: tuple[TransferRule, ...],
+    lex: Lexicon,
+    net: ConceptNetwork,
+    alpha: float,
+    tau: float,
+) -> list[_TransferMatch]:
+    sim = rule_node_sim(lex, alpha)
+    targets = [(node, ConceptNetwork((node,))) for node in net.iter_nodes()]
+    out: list[_TransferMatch] = []
+    for rule in trules:
+        for node, target in targets:
+            if not can_align(rule.src, target):
+                continue
+            got = _match_region(rule.src, target, sim, tau, rule.slot_ids)
+            if got is not None:
+                region = frozenset(got.binding.values())
+                out.append(_TransferMatch(rule, node, got.binding, got.score, region))
+    # stable sort: a rule's matches of equal score stay in the net's preorder
+    out.sort(key=lambda m: (-m.score, m.rule.rule_id))
+    return out
 
 
 def _tilings(rule, tokens: list[str], frags, i: int, j: int) -> list[list[tuple[int, int]]]:

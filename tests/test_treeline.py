@@ -221,6 +221,20 @@ class TestParseDocument:
         assert stmt.network.roots[0].concept.label == "either or"
         assert any("either" in l for l in doc.lints)
 
+    def test_either_or_normalized_in_definition_name(self):
+        doc = parse_document("either...or = b\nx > either. ..or")
+        definition, network = doc.statements
+        assert isinstance(definition, DefinitionStmt)
+        assert definition.name == network.network.roots[0].specifiers[0].concept
+        assert definition.name.label == "either or"
+        assert doc.lints == ["line 1: normalized 'either...or' to 'either or'"]
+
+    def test_either_or_normalized_in_map_entry(self):
+        doc = parse_document("map either.. .or -> y\nmap x -> either...or")
+        first, second = doc.of_kind(MapStmt)
+        assert first.src.label == "either or" and second.dst.label == "either or"
+        assert doc.lints == ["line 2: normalized 'either...or' to 'either or'"]
+
     def test_comment_with_sense_not_comment(self):
         doc = parse_document("bank#2 = slope")
         (stmt,) = doc.statements
