@@ -132,7 +132,6 @@ def _dot_node(node: Node, cluster: list[str], edges: list[str], names: dict[int,
 
 def _cmd_canon(args) -> int:
     text = _read_input(args.input)
-    code = EXIT_OK
     for line in text.splitlines():
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -143,7 +142,7 @@ def _cmd_canon(args) -> int:
             print(json.dumps(to_json_dict(net), ensure_ascii=False))
         else:
             print(print_network(net))
-    return code
+    return EXIT_OK
 
 
 def _cmd_export(args) -> int:

@@ -9,10 +9,12 @@ Derived data is computed once per lexicon. The ancestor set of every defined
 concept is built at construction, right after the cycle check, and
 ``ancestors`` is a lookup that returns that shared frozenset.
 ``similarity.concept_sim`` memoizes its answers lazily in
-``concept_sim_memo``, and ``similarity.rule_node_sim`` its own in
-``rule_sim_memo``, one memo per alpha; both store only pairs of defined
-concepts, so each memo is bounded by the square of the number of definitions
-whatever concepts callers pass in. ``root_indexes`` holds the rule matchers'
+``concept_sim_memo``, and ``similarity.rule_node_sim``, the one scorer of
+rule matching (alignments and root-index fills alike), its own in
+``rule_sim_memo``, one memo per alpha. Each memo is filled by its own
+function only, and both store only pairs of defined concepts, so each is
+bounded by the square of the number of definitions whatever concepts
+callers pass in. ``root_indexes`` holds the rule matchers'
 root indexes (``similarity.RootIndex``), each bounded by the model and built
 when its matcher first runs. Two readers on different threads may both
 fill one memo entry; both write the same value. No cache takes part in

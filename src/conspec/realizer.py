@@ -197,8 +197,6 @@ def realize(model: ModelBundle, net: ConceptNetwork) -> list[tuple[str, float, l
             for h in next_gen:
                 h.trace[-1].append(f"prune:{dropped}")
         hypotheses = next_gen
-        if not hypotheses:
-            break
     if not results:
         raise UnrealizableFragmentError(stuck[0] if stuck else print_network(net))
     ranked = sorted(results.values(), key=lambda r: (-r[1], len(r[0]), r[0]))

@@ -7,11 +7,11 @@ similarities. Exact matches score 1; anything involving substitution is
 capped by the alpha discount so exact rules always dominate analogues.
 
 The alignment engine here is shared with the rules module, which plugs in a
-richer node scorer (is_a pre-test, memoized on the lexicon like
-concept_sim) and allows prefix alignments. align_networks makes its first
-checks (capsule flag, anchor, specifier count) before it calls the scorer.
-``RootIndex`` answers, for a tuple of patterns and a target root, which
-patterns pass those checks and score above 0 at the root, so realize,
+richer node scorer, ``rule_node_sim`` (an is_a pre-test, memoized on the
+lexicon like concept_sim), and allows prefix alignments. align_networks makes
+its first checks (capsule flag, anchor, specifier count) before it calls the
+scorer. ``RootIndex`` answers, for a tuple of patterns and a target root,
+which patterns pass those checks and score above 0 at the root, so realize,
 transfer and the chart align only those; it memoizes its answers on the
 lexicon by the target's root key, bounded by the model. The
 kernel passes plain (product, count, pairs) results up the tree; only
@@ -79,9 +79,11 @@ def rule_node_sim(lex: Lexicon, alpha: float = DEFAULT_ALPHA) -> NodeSim:
     similarity, so a rule written over a definition-level concept (a rule
     over {verb}, or over tool) applies to anything defined beneath it.
 
+    Alignments and ``RootIndex`` fills both ask this one scorer.
     Answers for two defined concepts are memoized on the lexicon, one memo
     per alpha, so like ``concept_sim``'s the memo is bounded by the
-    definitions whatever concepts are passed in.
+    definitions whatever concepts are passed in; a miss computes the overlap
+    itself, leaving ``concept_sim``'s memo to ``concept_sim``.
     """
     memo = lex.rule_sim_memo.setdefault(alpha, {})
     defined = lex.definitions
@@ -93,34 +95,17 @@ def rule_node_sim(lex: Lexicon, alpha: float = DEFAULT_ALPHA) -> NodeSim:
         got = memo.get(key)
         if got is not None:
             return got
-        got = _rule_sim(lex, pattern, target, alpha, concept_sim)
+        if is_a(lex, target, pattern):
+            got = alpha
+        elif pattern.stemless or target.stemless:
+            got = 0.0
+        else:
+            got = _overlap(lex, pattern, target, alpha)
         if pattern in defined and target in defined:
             memo[key] = got
         return got
 
     return sim
-
-
-def _rule_sim(lex: Lexicon, pattern: Concept, target: Concept, alpha: float, overlap) -> float:
-    """``rule_node_sim`` of two distinct concepts, with ``overlap`` scoring
-    what ``is_a`` and the stemless test leave to ``concept_sim``."""
-    if is_a(lex, target, pattern):
-        return alpha
-    if pattern.stemless or target.stemless:
-        return 0.0
-    return overlap(lex, pattern, target, alpha)
-
-
-def _peek_rule_sim(lex: Lexicon, alpha: float, pattern: Concept, target: Concept) -> float:
-    """What ``rule_node_sim(lex, alpha)`` answers, read from its memo or
-    computed without storing anything in either memo: a ``RootIndex`` fill
-    asks pairs that no alignment may ever ask."""
-    if pattern == target:
-        return 1.0
-    got = lex.rule_sim_memo.get(alpha, {}).get((pattern, target))
-    if got is None:
-        got = _rule_sim(lex, pattern, target, alpha, _overlap)
-    return got
 
 
 @dataclass
@@ -167,11 +152,8 @@ class RootIndex:
     pattern root) and root concept (None for a capsule). It is memoized,
     filled as it is first asked for, but only when the concept is None,
     defined or used in some pattern, so the memo is bounded by the model
-    whatever targets come. Fills read similarities with ``_peek_rule_sim``,
-    which stores nothing, so the similarity memos gain only the pairs that
-    alignments go on to ask. Instead ``scores`` keeps, for each such target
-    concept, one byte per distinct pattern root concept: 0 not asked yet,
-    1 scores 0, 2 scores above 0.
+    whatever targets come. A fill scores with ``rule_node_sim`` itself, so
+    the pairs it asks land in the one memo that alignments read.
     """
 
     def __init__(self, source: object, patterns: tuple[ConceptNetwork, ...], alpha: float, pack):
@@ -179,21 +161,16 @@ class RootIndex:
         self.patterns = patterns
         self.alpha = alpha
         self.pack = pack
-        # (root count, anchor, capsule flag) -> [(specifier count, head,
-        # index)] of the patterns' first roots, in declaration order; a head
-        # numbers the root's concept in ``heads``, -1 for a capsule
-        self.groups: dict[tuple, list[tuple[int, int, int]]] = {}
-        numbers: dict[Concept, int] = {}
+        # (root count, anchor, capsule flag) -> [(specifier count, concept,
+        # index)] of the patterns' first roots, in declaration order
+        self.groups: dict[tuple, list[tuple[int, Concept | None, int]]] = {}
         for i, p in enumerate(patterns):
             root = p.roots[0]
-            head = -1 if root.is_capsule else numbers.setdefault(root.concept, len(numbers))
             shape = (len(p.roots), root.anchor, root.is_capsule)
-            self.groups.setdefault(shape, []).append((len(root.specifiers), head, i))
-        self.heads = list(numbers)
+            self.groups.setdefault(shape, []).append((len(root.specifiers), root.concept, i))
         self.widest = max((len(p.roots[0].specifiers) for p in patterns), default=0)
         self.concepts: set[Concept] | None = None  # those the patterns use, once asked for
         self.memo: dict[tuple, object] = {}
-        self.scores: dict[Concept | None, bytearray] = {}
 
     def candidates(self, roots: tuple[Node, ...], lex: Lexicon):
         root = roots[0]
@@ -204,28 +181,13 @@ class RootIndex:
         key = (len(roots), root.anchor, width, concept)
         got = self.memo.get(key)
         if got is None:
-            bounded = concept is None or concept in lex.definitions or concept in self._used()
-            scores = self.scores.get(concept)
-            if scores is None:
-                scores = bytearray(len(self.heads))
-                if bounded:
-                    self.scores[concept] = scores
-            got = self.pack(self._admitted(group, width, concept, scores, lex))
-            if bounded:
+            sim = rule_node_sim(lex, self.alpha)
+            got = self.pack(
+                i for m, head, i in group if m <= width and (head is None or sim(head, concept) > 0)
+            )
+            if concept is None or concept in lex.definitions or concept in self._used():
                 self.memo[key] = got
         return got
-
-    def _admitted(self, group, width: int, concept, scores: bytearray, lex: Lexicon):
-        for m, head, i in group:
-            if m > width:
-                continue
-            if head >= 0:  # a concept root, as the target's is
-                if not scores[head]:
-                    positive = _peek_rule_sim(lex, self.alpha, self.heads[head], concept) > 0
-                    scores[head] = 2 if positive else 1
-                if scores[head] == 1:
-                    continue
-            yield i
 
     def _used(self) -> set[Concept]:
         if self.concepts is None:

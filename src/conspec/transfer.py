@@ -32,7 +32,16 @@ from .model import _BOOL, ModelBundle, _read_file, load_model
 from .parser import parse_text
 from .realizer import realize
 from .rules import ConceptMap, TransferRule, build_transfer_rule, transfer_scored
-from .treeline import MapStmt, PragmaStmt, TransferRuleStmt, parse_document
+from .treeline import (
+    DeclareStmt,
+    DefinitionStmt,
+    MapStmt,
+    PragmaStmt,
+    RuleStmt,
+    TransferRuleStmt,
+    _strip_comment,
+    parse_document,
+)
 
 # Best parses of the source text that go on to transfer; the rest are dropped.
 PARSE_CAP = 4
@@ -56,7 +65,7 @@ def load_pair_text(text: str, path: str = "<inline>", base_dir: str | Path = "."
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("source:") or line.startswith("receptor:"):
-            key, _, value = line.partition(":")
+            key, _, value = _strip_comment(line).partition(":")
             target = (base / value.strip()).resolve()
             model = load_model(target)
             if key == "source":
@@ -86,6 +95,13 @@ def load_pair_text(text: str, path: str = "<inline>", base_dir: str | Path = "."
                 cmap.identity = identity
             else:
                 raise ModelLoadError(f"unknown pair pragma {stmt.key!r}", path, stmt.line)
+        elif isinstance(stmt, (DefinitionStmt, RuleStmt, DeclareStmt)):
+            raise ModelLoadError(
+                f"{type(stmt).__name__} not allowed in a pair file (model files take"
+                " definitions, realization rules and declare lines)",
+                path,
+                stmt.line,
+            )
     trules = []
     lints: list[str] = []
     registry = source.lexicon.stemless_registry | receptor.lexicon.stemless_registry

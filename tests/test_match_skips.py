@@ -21,18 +21,19 @@ what realize gives), at beams 1, 2 and 16:
   unindexed loop's, match for match and in order;
 - every pattern a ``RootIndex`` leaves out for a target (a rule for realize
   or transfer, a rule part for a chart item) has ``align_networks(...) is
-  None`` on that target, memo hits included;
+  None`` on that target, memo hits included, and every pattern it admits
+  passes ``_fits`` at the root and is a capsule or scores above 0 there;
 - every ``_tilings`` answer equals the cell-probing one;
 - every answer of a memoized ``rule_node_sim`` equals the unmemoized one,
   and the memo holds only pairs of defined concepts;
 - every ``realize`` answer, or error, equals the copy's without the memo.
 
-Beside those runs, both scorers, and the root index's memo-free read of the
-memoized one, answer every ordered pair of the shipped models' concepts
-alike; a generated region never aligns with a copy whose root carries
-another anchor; and the root indexes and the chart's corner table stay
-within bounds computed from the model after targets with fresh concepts
-and anchors.
+Beside those runs, both scorers answer every ordered pair of the shipped
+models' concepts alike; a generated region never aligns with a copy whose
+root carries another anchor; and the root indexes, the scorer's memo and
+the chart's corner table stay within bounds computed from the model after
+targets with fresh concepts and anchors, while every index answer admits
+only patterns that pass the first checks at the root.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ from conspec.similarity import (
     NodeSim,
     RootIndex,
     _fits,
-    _peek_rule_sim,
     align_networks,
     concept_sim,
 )
@@ -119,6 +119,7 @@ def checked(monkeypatch) -> SimpleNamespace:
                 print_network(target),
             )
             counts["skipped"] += 1
+        counts["admitted"] += check_admitted(index, roots, lex, got)
         return got
 
     def checked_match_rules(rules, lex, net, *, alpha=DEFAULT_ALPHA, tau=DEFAULT_TAU):
@@ -174,11 +175,33 @@ def checked(monkeypatch) -> SimpleNamespace:
     return SimpleNamespace(counts=counts, realize=checked_realize)
 
 
+def admits(got):
+    """Whether the index answer ``got``, a tuple of indices or the chart's
+    bit set, admits the pattern at a given index."""
+    return (lambda i: got >> i & 1) if isinstance(got, int) else got.__contains__
+
+
 def left_out(index: RootIndex, got) -> list[ConceptNetwork]:
-    """The patterns of ``index`` that its answer ``got`` leaves out: a tuple
-    of indices, or the chart's bit set."""
-    admitted = (lambda i: got >> i & 1) if isinstance(got, int) else got.__contains__
+    """The patterns of ``index`` that its answer ``got`` leaves out."""
+    admitted = admits(got)
     return [p for i, p in enumerate(index.patterns) if not admitted(i)]
+
+
+def check_admitted(index: RootIndex, roots: tuple[Node, ...], lex: Lexicon, got) -> int:
+    """Checks that every pattern ``got`` admits for ``roots`` passes the first
+    checks at the root, and is a capsule or scores above 0 against the
+    target root's concept under the unmemoized scorer; returns how many."""
+    sim, admitted = rule_node_sim(lex, index.alpha), admits(got)
+    target, count = roots[0], 0
+    for i, pattern in enumerate(index.patterns):
+        if not admitted(i):
+            continue
+        root = pattern.roots[0]
+        shown = (print_network(pattern), print_network(ConceptNetwork(roots)))
+        assert len(pattern.roots) == len(roots) and _fits(root, target, False), shown
+        assert root.is_capsule or sim(root.concept, target.concept) > 0, shown
+        count += 1
+    return count
 
 
 def matched(m: Match | _TransferMatch) -> tuple:
@@ -222,7 +245,7 @@ def test_shipped_corpora(beam, checked):
             outcome(translate, pair, raw.split("\t")[0])
     memo_bounded(model.lexicon, pair.source_model.lexicon, pair.receptor_model.lexicon)
     counts = checked.counts
-    kinds = ("skipped", "matched", "tilings", "sims", "realized")
+    kinds = ("skipped", "admitted", "matched", "tilings", "sims", "realized")
     assert min(counts[k] for k in kinds) > 20, counts
     assert counts["collected"] > 0, counts  # at beam 1 some rows fail to parse
 
@@ -248,7 +271,7 @@ def test_generated_matching(checked):
         conspec.rules._collect_transfer_matches(trules, lex, prepared, alpha, tau)
     memo_bounded(lex)
     counts = checked.counts
-    assert min(counts[k] for k in ("skipped", "matched", "sims")) > 1000, counts
+    assert min(counts[k] for k in ("skipped", "admitted", "matched", "sims")) > 1000, counts
     assert counts["collected"] == 400, counts
 
 
@@ -266,7 +289,7 @@ def test_generated_realize_and_parse(beam, checked):
     memo_bounded(model.lexicon)
     assert texts > 20
     counts = checked.counts
-    kinds = ("skipped", "matched", "tilings", "sims", "realized")
+    kinds = ("skipped", "admitted", "matched", "tilings", "sims", "realized")
     assert min(counts[k] for k in kinds) > 20, counts
 
 
@@ -323,15 +346,24 @@ def check_bounded(index: RootIndex, patterns: list[ConceptNetwork], lex: Lexicon
     for count, anchor, width, concept in index.memo:
         assert (count, anchor) in shapes and width <= widest and concept in known
     assert len(index.memo) <= len(shapes) * (widest + 1) * len(known)
-    heads = {p.roots[0].concept for p in patterns} - {None}
-    assert set(index.scores) <= known
-    assert all(len(scores) == len(heads) for scores in index.scores.values())
+    assert lex.rule_sim_memo[index.alpha]
+    memo_bounded(lex)
 
 
-def test_indexes_stay_bounded():
+def test_indexes_stay_bounded(monkeypatch):
     """After 400 generated networks, and copies of them with fresh concepts
-    and anchors, realize's, transfer's and the chart's indexes and the
-    chart's corner table hold only keys the model bounds."""
+    and anchors, realize's, transfer's and the chart's indexes, the scorer's
+    memos and the chart's corner table hold only keys the model bounds, and
+    every index answer, memo hit or not, admits only patterns that can
+    align at the root."""
+    candidates, counts = RootIndex.candidates, Counter()
+
+    def checked_candidates(index, roots, lex):
+        got = candidates(index, roots, lex)
+        counts["admitted"] += check_admitted(index, roots, lex, got)
+        return got
+
+    monkeypatch.setattr(RootIndex, "candidates", checked_candidates)
     model = load_model(str(DATA / "english.cn"))
     pair = load_pair(str(DATA / "english_sov.pair"))
     lex, src = model.lexicon, pair.source_model.lexicon
@@ -350,6 +382,7 @@ def test_indexes_stay_bounded():
             if not isinstance(got, tuple):
                 outcome(parse_text, model, got[0][0])
     assert fresh > 250
+    assert counts["admitted"] > 1000, counts
     rules = model.rules
     parts = [p.pattern for r in rules for p in r.parts if not isinstance(p, Literal)]
     check_bounded(lex.root_indexes[("realize", alpha)], [r.lhs for r in rules], lex)
@@ -375,7 +408,6 @@ def test_memo_on_every_pair_of_concepts(name):
             for a in concepts:
                 for b in concepts:
                     want = old(a, b)
-                    assert _peek_rule_sim(lex, alpha, a, b) == want, (a, b, alpha)
                     assert sim(a, b) == want, (a, b, alpha)
         assert len(lex.rule_sim_memo[alpha]) == len(lex.definitions) ** 2 - len(lex.definitions)
     memo_bounded(lex)

@@ -1,4 +1,5 @@
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +58,39 @@ class TestLoadPair:
         with pytest.raises(ModelLoadError) as exc:
             load_pair_text(text, "p.pair")
         assert str(exc.value) == f"p.pair:3: bad value {value!r} for pair pragma 'identity-map'"
+
+    def test_formats_doc_example_loads(self):
+        # the example under "Pair files" in docs/formats.md, whose model paths
+        # carry trailing comments
+        doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
+        text = doc.split("## Pair files", 1)[1].split("```")[1]
+        assert text.lstrip().startswith("source: english.cn  ")
+        got = load_pair_text(text, "p.pair", Path(str(DATA / "english.cn")).parent)
+        assert got.source_model.path.endswith("english.cn")
+        assert got.receptor_model.path.endswith("sov.cn")
+        assert [print_network(t.src) for t in got.transfer_rules] == ["SRC"]
+        assert got.concept_map.identity is True
+        assert not got.lints
+
+    @pytest.mark.parametrize(
+        "line, kind",
+        [
+            ("girl = human > young", "DefinitionStmt"),
+            ("trust > {past} <=> [trust, 'ed']", "RuleStmt"),
+            ('declare {dual} "two of a kind"', "DeclareStmt"),
+        ],
+    )
+    def test_model_only_lines_rejected(self, line, kind):
+        with pytest.raises(ModelLoadError) as exc:
+            load_pair_text(PAIR_HEAD + "map he -> kare\n" + line + "\n", "p.pair")
+        assert str(exc.value) == (
+            f"p.pair:4: {kind} not allowed in a pair file (model files take definitions,"
+            " realization rules and declare lines)"
+        )
+
+    def test_bare_network_lines_allowed(self):
+        got = load_pair_text(PAIR_HEAD + "trust > {past}\n", "p.pair")
+        assert not got.transfer_rules
 
 
 class TestTranslate:
