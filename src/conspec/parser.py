@@ -14,14 +14,15 @@ The chart decides before it builds:
   the span has tokens, and any literal first or last part equal to the
   span's first or last token; any other rule has no tiling of the span.
   After the first sweep only the one-part pattern rules are tried on the
-  span again. A tiling's pattern parts walk only the ends of the non-empty
-  final cells at their start, which the chart keeps per start.
-- A tiling's part combinations are walked depth-first in product order, and
-  part k is aligned only with items whose earlier parts aligned. Each rule
-  part is aligned with each chart item once, and the walk stops at the
-  ``beam*4`` cap. Each item carries, from the lexicon's root index over the
-  rule parts, the set of parts whose root can align with its root; a part
-  outside it is answered None unaligned.
+  span again.
+- Each item carries, from the lexicon's root index over the rule parts, the
+  set of parts whose root can align with its root; a part outside it is
+  answered None unaligned. The chart keeps per start the end of each
+  non-empty final cell and the OR of its items' sets, and a tiling's
+  pattern part walks only the cells whose OR holds the part.
+- Each slot of a tiling is cut to the items that align with its part, then
+  the cut slots' combinations are walked in product order up to the
+  ``beam*4`` cap. Each rule part is aligned with each chart item once.
 - An item's score is known from its alignments, so an item below ``tau``, or
   one a full cell would refuse whatever its key, is never built.
 
@@ -36,8 +37,10 @@ network.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count, groupby
+from functools import reduce
+from itertools import count, groupby, product
 from math import prod
+from operator import or_
 
 from .errors import MalformedNetworkError, UnparseableTextError
 from .lexicon import Lexicon
@@ -197,16 +200,20 @@ class _Item:
     parts: int = 0  # bit set of the pattern parts whose root can align with it (_ChartIndex)
 
 
-def _tilings(rule, tokens: list[str], frags, ends, i: int, j: int) -> list[list[tuple[int, int]]]:
-    """Every way the rule's parts cover tokens[i:j], in lexicographic order.
+def _tilings(
+    rule, bits, tokens: list[str], frags, ends, i: int, j: int
+) -> list[list[tuple[int, int]]]:
+    """Every way the rule's parts cover tokens[i:j], in lexicographic order,
+    through cells holding an item that each pattern part may align with.
 
     Partial tilings grow one part at a time, in order. Each part covers at
     least one token, so part k ends no later than j minus the parts still to
-    come, and the last part ends at j. A pattern part starting at ``at``
-    ends only where a cell holds items: ``ends[at]`` lists, in increasing
-    order, the ends of the non-empty final cells that start there. Every
-    cell a part can cover is final but (i, j) itself, which only a one-part
-    rule covers; it reads that cell, the one being filled, as it stands.
+    come, and the last part ends at j. ``ends[at]`` lists, by increasing
+    end, the (end, mask) of each non-empty final cell starting at ``at``,
+    ``mask`` being the OR of its items' ``parts``; pattern part k takes an
+    end only where ``mask & bits[k]``. Every cell a part can cover is final
+    but (i, j) itself, which only a one-part rule covers; it reads that
+    cell, the one being filled, as it stands.
     """
     parts = rule.parts
     partial: list[tuple[list[tuple[int, int]], int]] = [([], i)]  # (tiling so far, next start)
@@ -223,10 +230,10 @@ def _tilings(rule, tokens: list[str], frags, ends, i: int, j: int) -> list[list[
                 if frags[(i, j)]:
                     grown.append((acc + [(i, j)], j))
                 continue
-            for end in ends[at]:
+            for end, mask in ends[at]:
                 if end > hi:
                     break
-                if end >= lo:
+                if end >= lo and mask & bits[k]:
                     grown.append((acc + [(at, end)], end))
         if not grown:
             return []
@@ -236,54 +243,37 @@ def _tilings(rule, tokens: list[str], frags, ends, i: int, j: int) -> list[list[
 
 def _aligned_combos(slots: list[list], align, cap: int) -> list[tuple[tuple, list]]:
     """(items, alignments) for each combination of one entry per slot, in
-    ``product(*slots)`` order, whose every item aligns; a None entry is a
-    literal and aligns as None.
+    ``product(*slots)`` order, whose every item aligns and whose position in
+    that product (mixed radix, the last slot fastest) is below ``cap``; a
+    None entry is a literal and aligns as None.
 
-    The walk is depth-first: ``align(k, item)`` is asked for part k only
-    with items whose earlier parts aligned, and a None answer prunes the
-    combinations below. The walk stops at the first combination whose
-    position in the full product (mixed radix, the last slot fastest) is
-    ``cap`` or more, so it reaches exactly the aligned combinations of
-    ``islice(product(*slots), cap)``. The walk keeps its own stack of open
-    slots instead of recursing.
+    ``align(k, item)`` does not depend on the other slots, so each slot is
+    cut to its aligned entries first. Entry c of slot k is asked only while
+    ``first + c * stride`` is below ``cap``, where ``first`` sums the
+    positions of the earlier slots' first kept entries: no combination
+    through a later entry is within the cap.
     """
-    last = len(slots)
-    strides = [1] * last
-    for k in range(last - 1, 0, -1):
-        strides[k - 1] = strides[k] * len(slots[k])
+    strides = [prod(map(len, slots[k + 1 :])) for k in range(len(slots))]
+    cut: list[list[tuple]] = []  # per slot: (position offset, item, alignment)
+    first = 0
+    for k, slot in enumerate(slots):
+        kept = []
+        for c, it in enumerate(slot):
+            at = c * strides[k]
+            if first + at >= cap:
+                break
+            got = None if it is None else align(k, it)
+            if it is None or got is not None:
+                kept.append((at, it, got))
+        if not kept:
+            return []
+        first += kept[0][0]
+        cut.append(kept)
     out: list[tuple[tuple, list]] = []
-    items: list = []  # the entry chosen in each slot before the open one
-    alignments: list = []
-    nexts = [0]  # per open slot: the index of its next entry to try
-    ats = [0]  # per open slot: the product position of the entries before it
-    while nexts:
-        k = len(items)
-        if k == last:
-            out.append((tuple(items), list(alignments)))
-        else:
-            slot, c = slots[k], nexts[k]
-            if c < len(slot):
-                nexts[k] = c + 1
-                pos = ats[k] + c * strides[k]
-                if pos >= cap:
-                    break  # positions only grow from here on
-                it = slot[c]
-                got = None
-                if it is not None:
-                    got = align(k, it)
-                    if got is None:
-                        continue
-                items.append(it)
-                alignments.append(got)
-                nexts.append(0)
-                ats.append(pos)
-                continue
-        # every combination below the chosen entries is done: back up one slot
-        nexts.pop()
-        ats.pop()
-        if items:
-            items.pop()
-            alignments.pop()
+    for combo in product(*cut):
+        if sum(at for at, _, _ in combo) >= cap:
+            break
+        out.append((tuple(it for _, it, _ in combo), [got for _, _, got in combo]))
     return out
 
 
@@ -359,8 +349,8 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
         (i, j): {} for i in range(n) for j in range(i + 1, n + 1)
     }
     ranked: dict[tuple[int, int], list[_Item]] = {}  # final cells, best score first
-    # start -> the ends of its non-empty final cells, in increasing order
-    ends: list[list[int]] = [[] for _ in range(n)]
+    # start -> (end, OR of its items' parts) of its non-empty final cells, by end
+    ends: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     serials = count()
     lex, alpha, rules = model.lexicon, model.pragmas.alpha, model.rules
     sim = rule_node_sim(lex, alpha)
@@ -435,7 +425,10 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
         # other rule: each part covers at least one token, a literal first
         # part must be tokens[i], and a literal last part must be
         # tokens[j - 1]. A part outside an item's ``parts`` would align with
-        # it as None, so ``align`` answers None without aligning.
+        # it as None, so ``align`` answers None without aligning, and
+        # ``_tilings`` passes over a final cell whose mask, the OR of its
+        # items' ``parts``, lacks the part: that tiling would add no entry to
+        # ``tried`` and make no add() call.
         #
         # An item is built only if add() could admit it. Its score is known
         # from the alignments alone, so one below ``tau``, or one that a full
@@ -447,7 +440,7 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
         while sweep:
             changed = False
             for r, rule in sweep:
-                for tiling in _tilings(rule, tokens, frags, ends, i, j):
+                for tiling in _tilings(rule, index.part_bits[r], tokens, frags, ends, i, j):
                     same_span = tiling == [(i, j)]
                     slots = [
                         [None] if isinstance(part, Literal) else rank(a, b)
@@ -476,7 +469,7 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
             sweep = index.regrow if changed else []
         ranked[(i, j)] = rank(i, j)
         if cell:
-            ends[i].append(j)
+            ends[i].append((j, reduce(or_, [it.parts for it in cell.values()])))
 
     for width in range(1, n + 1):
         for i in range(0, n - width + 1):
@@ -499,8 +492,7 @@ def parse_text(model: ModelBundle, text: str) -> list[tuple[ConceptNetwork, floa
     best_partial: list[str] = []
     for tokens in segmentations:
         frags = _chart_parse(model, tokens)
-        n = len(tokens)
-        complete = frags[(0, n)] if n else {}
+        complete = frags[(0, len(tokens))]
         for key, item in complete.items():
             prev = results.get(key)
             if prev is None or item.score > prev[1]:

@@ -138,10 +138,11 @@ def realize(model: ModelBundle, net: ConceptNetwork) -> list[tuple[str, float, l
     results: dict[str, tuple[str, float, list[list[str]]]] = {}
     stuck: list[str] = []
     for _ in range(64):
-        pending: list[Hypothesis] = []
+        pending: list[tuple[Hypothesis, list[int]]] = []  # (hypothesis, its pending slots)
         for h in hypotheses:
-            if h.pending():
-                pending.append(h)
+            slots = h.pending()
+            if slots:
+                pending.append((h, slots))
                 continue
             try:
                 text = join_affixes([p for p in h.parts if isinstance(p, str)])
@@ -155,8 +156,7 @@ def realize(model: ModelBundle, net: ConceptNetwork) -> list[tuple[str, float, l
         if not pending:
             break
         generation: dict[tuple, Hypothesis] = {}
-        for h in pending:
-            slots = h.pending()
+        for h, slots in pending:
             per_slot = []
             dead = False
             for i in slots:

@@ -5,6 +5,11 @@ alignments were memoized, kept verbatim as an oracle.
 and re-sweeps every rule over a span until nothing changes.
 ``tests/test_chart_oracle.py`` checks that ``conspec.parser._chart_parse``
 fills every cell exactly as this version does.
+
+``_aligned_combos`` is the chart's combination walk as it was before it cut
+each slot to its aligned entries: a depth-first walk over an explicit stack
+that stops at the ``cap``. ``tests/test_chart_oracle.py`` checks that the
+engine's gives the same combinations from the same ``align`` calls.
 """
 
 from __future__ import annotations
@@ -206,3 +211,56 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
         for i in range(0, n - width + 1):
             apply_rules_over(i, i + width)
     return frags
+
+
+def _aligned_combos(slots: list[list], align, cap: int) -> list[tuple[tuple, list]]:
+    """(items, alignments) for each combination of one entry per slot, in
+    ``product(*slots)`` order, whose every item aligns; a None entry is a
+    literal and aligns as None.
+
+    The walk is depth-first: ``align(k, item)`` is asked for part k only
+    with items whose earlier parts aligned, and a None answer prunes the
+    combinations below. The walk stops at the first combination whose
+    position in the full product (mixed radix, the last slot fastest) is
+    ``cap`` or more, so it reaches exactly the aligned combinations of
+    ``islice(product(*slots), cap)``. The walk keeps its own stack of open
+    slots instead of recursing.
+    """
+    last = len(slots)
+    strides = [1] * last
+    for k in range(last - 1, 0, -1):
+        strides[k - 1] = strides[k] * len(slots[k])
+    out: list[tuple[tuple, list]] = []
+    items: list = []  # the entry chosen in each slot before the open one
+    alignments: list = []
+    nexts = [0]  # per open slot: the index of its next entry to try
+    ats = [0]  # per open slot: the product position of the entries before it
+    while nexts:
+        k = len(items)
+        if k == last:
+            out.append((tuple(items), list(alignments)))
+        else:
+            slot, c = slots[k], nexts[k]
+            if c < len(slot):
+                nexts[k] = c + 1
+                pos = ats[k] + c * strides[k]
+                if pos >= cap:
+                    break  # positions only grow from here on
+                it = slot[c]
+                got = None
+                if it is not None:
+                    got = align(k, it)
+                    if got is None:
+                        continue
+                items.append(it)
+                alignments.append(got)
+                nexts.append(0)
+                ats.append(pos)
+                continue
+        # every combination below the chosen entries is done: back up one slot
+        nexts.pop()
+        ats.pop()
+        if items:
+            items.pop()
+            alignments.pop()
+    return out

@@ -8,8 +8,16 @@ hold the same items in the same insertion order, with the same serials,
 ``repr(score)``, traces and unary counts. Small beams make cells evict items,
 which is where an ordering slip would show.
 
-``parser._tilings`` grows tilings part by part; it must give the same list,
-in the same order, as the recursive tiler inside the oracle's chart.
+``parser._tilings`` grows tilings part by part. Called unmasked (every part
+bit and every cell mask all ones), it must give the same list, in the same
+order, as the recursive tiler inside the oracle's chart; called with the
+rule's part bits and the chart's cell masks, it must give that list less
+each tiling with a pattern part whose cell, other than the one being
+filled, holds no item with the part's bit.
+
+``parser._aligned_combos`` cuts each slot to its aligned entries; on seeded
+random slots it must give the same combinations as the oracle's
+explicit-stack walk, from the same set of ``align`` calls.
 
 No tiling on the shipped corpora has more than ``beam*4`` part combinations,
 so a constructed model checks the cap: its four-part rules meet cells of two
@@ -22,14 +30,16 @@ from __future__ import annotations
 import random
 import types
 from dataclasses import replace
+from functools import reduce
 from importlib import resources
 from math import prod
+from operator import or_
 
 import pytest
 
 import conspec.parser
 from conspec.model import load_corpus, load_model, load_model_text
-from conspec.parser import _chart_parse, segment
+from conspec.parser import _chart_parse, _ChartIndex, segment
 from conspec.rules import Literal, PatternPart
 
 from . import chart_oracle
@@ -110,59 +120,126 @@ def oracle_tilings(tokens: list[str], frags):
     return types.FunctionType(code, vars(chart_oracle), "_tilings", None, closure)
 
 
+def unmasked(rule, ends):
+    """All-ones part bits for the rule, and ``ends`` with all-ones cell
+    masks: ``_tilings`` then reads only whether a cell holds items."""
+    return [-1] * len(rule.parts), [[(end, -1) for end, _ in at] for at in ends]
+
+
+def admitted_by_masks(rule, bits, frags, tiling, i: int, j: int) -> bool:
+    """Whether each pattern part of the tiling, outside the cell (i, j) being
+    filled, covers a cell with an item whose ``parts`` has the part's bit."""
+    return all(
+        isinstance(part, Literal)
+        or span == (i, j)
+        or reduce(or_, [it.parts for it in frags[span].values()], 0) & bits[k]
+        for k, (part, span) in enumerate(zip(rule.parts, tiling))
+    )
+
+
 def test_tilings_match_recursive_tiler_on_first_sweeps(monkeypatch):
     model = load_model(str(DATA / "english.cn"))
+    part_bits = _ChartIndex(model.rules, model.pragmas.alpha).part_bits
     tilings = conspec.parser._tilings
     seen: set[tuple] = set()
     charts: list = []  # keeps every chart referenced, so its id stays unique
-    found = 0
+    found = dropped = 0
 
-    def compare(rule, tokens, frags, ends, i, j):
-        nonlocal found
+    def compare(rule, bits, tokens, frags, ends, i, j):
+        nonlocal found, dropped
         if not charts or charts[-1] is not frags:
             charts.append(frags)
+        assert bits == part_bits[model.rules.index(rule)]
         span = (id(frags), i, j)
         if span not in seen:
             # the span's first sweep: every rule, admitted by the corner
             # filter or not
             seen.add(span)
             oracle = oracle_tilings(tokens, frags)
-            for other in model.rules:
-                got = tilings(other, tokens, frags, ends, i, j)
-                assert got == oracle(other, i, j), (tokens, i, j, other.rule_id)
+            for other, other_bits in zip(model.rules, part_bits):
+                want = oracle(other, i, j)
+                ones, open_ends = unmasked(other, ends)
+                assert tilings(other, ones, tokens, frags, open_ends, i, j) == want
+                got = tilings(other, other_bits, tokens, frags, ends, i, j)
+                kept = [t for t in want if admitted_by_masks(other, other_bits, frags, t, i, j)]
+                assert got == kept, (tokens, i, j, other.rule_id)
                 found += bool(got)
-        return tilings(rule, tokens, frags, ends, i, j)
+                dropped += len(want) - len(got)
+        return tilings(rule, bits, tokens, frags, ends, i, j)
 
     monkeypatch.setattr(conspec.parser, "_tilings", compare)
     for surface in surfaces():
         for tokens in segment(model, surface):
             _chart_parse(model, tokens)
-    assert found > 0
+    assert found > 0 and dropped > 0
 
 
 def test_tilings_match_recursive_tiler_on_random_cells():
     rng = random.Random(12)
-    found = 0
+    found = dropped = 0
     for _ in range(500):
         tokens = [rng.choice("abc") for _ in range(rng.randint(1, 7))]
         n = len(tokens)
         full = rng.random()
         frags = {
-            (a, b): ({"item": None} if rng.random() < full else {})
+            (a, b): (
+                {"item": types.SimpleNamespace(parts=rng.getrandbits(3))}
+                if rng.random() < full
+                else {}
+            )
             for a in range(n)
             for b in range(a + 1, n + 1)
         }
         oracle = oracle_tilings(tokens, frags)
-        ends = [[b for b in range(a + 1, n + 1) if frags[(a, b)]] for a in range(n)]
+        ends = [
+            [(b, frags[(a, b)]["item"].parts) for b in range(a + 1, n + 1) if frags[(a, b)]]
+            for a in range(n)
+        ]
         for _ in range(4):
             parts = [
                 Literal(rng.choice("abc")) if rng.random() < 0.4 else PatternPart(None, {})
                 for _ in range(rng.randint(1, 4))
             ]
             rule = types.SimpleNamespace(parts=parts)
+            bits = [rng.getrandbits(3) for _ in parts]
+            ones, open_ends = unmasked(rule, ends)
             for i in range(n):
                 for j in range(i + 1, n + 1):
-                    got = conspec.parser._tilings(rule, tokens, frags, ends, i, j)
-                    assert got == oracle(rule, i, j), (tokens, frags, parts, i, j)
+                    want = oracle(rule, i, j)
+                    got = conspec.parser._tilings(rule, ones, tokens, frags, open_ends, i, j)
+                    assert got == want, (tokens, frags, parts, i, j)
                     found += len(got) > 1
-    assert found > 0
+                    got = conspec.parser._tilings(rule, bits, tokens, frags, ends, i, j)
+                    kept = [t for t in want if admitted_by_masks(rule, bits, frags, t, i, j)]
+                    assert got == kept, (tokens, frags, parts, bits, i, j)
+                    dropped += len(want) - len(got)
+    assert found > 0 and dropped > 0
+
+
+def test_aligned_combos_match_explicit_stack_walk():
+    rng = random.Random(22)
+    bound = 0
+    for _ in range(20_000):
+        slots = [
+            [None] if rng.random() < 0.2 else [(k, c) for c in range(rng.randint(0, 6))]
+            for k in range(rng.randint(1, 5))
+        ]
+        failing = rng.random()
+        fails = {it for slot in slots for it in slot if it is not None and rng.random() < failing}
+        cap = rng.randint(1, 64)
+        asked: dict[str, set] = {"new": set(), "old": set()}
+
+        def aligner(side):
+            def align(k, it):
+                asked[side].add((k, it))
+                return None if it in fails else ("aligned", k, it)
+
+            return align
+
+        got = conspec.parser._aligned_combos(slots, aligner("new"), cap)
+        want = chart_oracle._aligned_combos(slots, aligner("old"), cap)
+        assert got == want, (slots, fails, cap)
+        assert asked["new"] == asked["old"], (slots, fails, cap)
+        # the cap bound where it dropped a combination that aligns
+        bound += got != chart_oracle._aligned_combos(slots, aligner("old"), prod(map(len, slots)) + 1)
+    assert bound > 2_000, bound

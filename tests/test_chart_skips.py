@@ -1,12 +1,18 @@
 """Every combination and item the chart skips, against the logic it replaced.
 
-The chart enumerates only the part combinations whose parts all align
-(``parser._aligned_combos``), and builds an item only where ``add()`` could
-admit it (``parser._may_admit``). This file keeps what those replaced, as it
-stood in ``parser._chart_parse``: ``_part_combos``, ``align_parts``, the
+The chart tiles a span only through cells whose part mask admits the part
+(``parser._tilings``), enumerates only the part combinations whose parts all
+align (``parser._aligned_combos``), and builds an item only where ``add()``
+could admit it (``parser._may_admit``). This file keeps what those replaced,
+as it stood in ``parser._chart_parse``: ``_part_combos``, ``align_parts``, the
 unary cycle guard and ``add()``. For every segmentation of demo_corpus.tsv and
-of the English column of translations.tsv, at beams 1, 2 and 16:
+of the English column of translations.tsv, at beams 1, 2 and 16, and for the
+constructed model of ``test_chart_oracle.CAP_MODEL``, whose tilings the
+``beam*4`` cap cuts:
 
+- Each tiling that ``_tilings`` gives unmasked (all-ones part bits and cell
+  masks) and drops with the rule's part bits has no combination of
+  ``_part_combos`` whose every part aligns under ``align_parts``.
 - ``_aligned_combos`` gives, in order and with the same alignments, exactly
   the combinations of ``_part_combos`` that pass the unary guard and whose
   every part aligns under ``align_parts`` with a memo of its own. So each
@@ -26,12 +32,13 @@ from math import prod
 import pytest
 
 import conspec.parser
-from conspec.model import load_model
+from conspec.model import load_model, load_model_text
 from conspec.network import canonical_key, canonicalize
 from conspec.parser import _chart_parse, _Item, segment
 from conspec.rules import Literal, instantiate_reverse, reverse_score
 from conspec.similarity import align_networks, rule_node_sim
 
+from .test_chart_oracle import CAP_MODEL, unmasked
 from .test_rule_filters import english_surfaces
 
 DATA = resources.files("conspec.data")
@@ -93,10 +100,10 @@ def same_alignment(a, b) -> bool:
     return (a.product, a.count, a.binding) == (b.product, b.count, b.binding)
 
 
-@pytest.mark.parametrize("beam", [1, 2, 16])
-def test_chart_skips_only_what_the_old_chart_refuses(beam, monkeypatch):
-    english = load_model(str(DATA / "english.cn"))
-    model = replace(english, pragmas=replace(english.pragmas, beam=beam))
+def check_chart_skips(model, token_lists, monkeypatch) -> dict[str, int]:
+    """Parses each token list with every check installed; tallies what the
+    checks saw."""
+    beam = model.pragmas.beam
     sim = rule_node_sim(model.lexicon, model.pragmas.alpha)
     index = {id(rule): r for r, rule in enumerate(model.rules)}
     tilings = conspec.parser._tilings
@@ -105,13 +112,23 @@ def test_chart_skips_only_what_the_old_chart_refuses(beam, monkeypatch):
     olds: dict[int, tuple] = {}  # id(chart) -> its old helpers
     charts: list = []  # keeps every chart referenced, so its id stays unique
     now: dict = {}  # the rule being tiled, its span and tilings, the combination
-    counts = {"combos": 0, "unaligned": 0, "refused": 0}
+    counts = {"dropped": 0, "combos": 0, "unaligned": 0, "capped": 0, "refused": 0}
 
-    def record_tilings(rule, tokens, frags, ends, i, j):
+    def record_tilings(rule, bits, tokens, frags, ends, i, j):
         if id(frags) not in olds:
             charts.append(frags)
             olds[id(frags)] = old_chart(frags, beam, sim)
-        got = tilings(rule, tokens, frags, ends, i, j)
+        got = tilings(rule, bits, tokens, frags, ends, i, j)
+        ones, open_ends = unmasked(rule, ends)
+        every = tilings(rule, ones, tokens, frags, open_ends, i, j)
+        assert got == [tiling for tiling in every if tiling in got]
+        _, align_parts, _part_combos = olds[id(frags)]
+        for tiling in every:
+            if tiling not in got:
+                assert tiling != [(i, j)]  # so the unary guard never applies
+                for items in _part_combos(rule, tiling):
+                    assert align_parts(index[id(rule)], rule, items) is None
+                counts["dropped"] += 1
         now.update(rule=rule, frags=frags, span=(i, j), tilings=list(got))
         return got
 
@@ -136,6 +153,7 @@ def test_chart_skips_only_what_the_old_chart_refuses(beam, monkeypatch):
             assert all(map(same_alignment, a, b))
         counts["combos"] += len(got)
         counts["unaligned"] += len(old) - len(got)
+        counts["capped"] += prod(map(len, slots)) > cap
         for combo in got:
             now["combo"] = combo
             yield combo
@@ -156,7 +174,21 @@ def test_chart_skips_only_what_the_old_chart_refuses(beam, monkeypatch):
     monkeypatch.setattr(conspec.parser, "_tilings", record_tilings)
     monkeypatch.setattr(conspec.parser, "_aligned_combos", checked_combos)
     monkeypatch.setattr(conspec.parser, "_may_admit", checked_admit)
-    for surface in english_surfaces():
-        for tokens in segment(model, surface):
-            _chart_parse(model, tokens)
+    for tokens in token_lists:
+        _chart_parse(model, tokens)
+    return counts
+
+
+@pytest.mark.parametrize("beam", [1, 2, 16])
+def test_chart_skips_only_what_the_old_chart_refuses(beam, monkeypatch):
+    english = load_model(str(DATA / "english.cn"))
+    model = replace(english, pragmas=replace(english.pragmas, beam=beam))
+    token_lists = [tokens for surface in english_surfaces() for tokens in segment(model, surface)]
+    counts = check_chart_skips(model, token_lists, monkeypatch)
+    assert counts.pop("capped") == 0, counts  # no shipped tiling reaches the cap
     assert min(counts.values()) > 0, counts
+
+
+def test_chart_skips_only_what_the_old_chart_refuses_past_the_cap(monkeypatch):
+    counts = check_chart_skips(load_model_text(CAP_MODEL), ["a b c d".split()], monkeypatch)
+    assert counts["capped"] > 0 and counts["combos"] > 0, counts

@@ -23,7 +23,9 @@ what realize gives), at beams 1, 2 and 16:
   or transfer, a rule part for a chart item) has ``align_networks(...) is
   None`` on that target, memo hits included, and every pattern it admits
   passes ``_fits`` at the root and is a capsule or scores above 0 there;
-- every ``_tilings`` answer equals the cell-probing one;
+- every ``_tilings`` answer, called unmasked (all-ones part bits and cell
+  masks), equals the cell-probing one, and called with the rule's part bits
+  equals that one less each tiling a cell's part mask rules out;
 - every answer of a memoized ``rule_node_sim`` equals the unmemoized one,
   and the memo holds only pairs of defined concepts;
 - every ``realize`` answer, or error, equals the copy's without the memo.
@@ -79,6 +81,7 @@ from conspec.transfer import load_pair, translate
 from conspec.treeline import print_network
 
 from .gen import gen_network
+from .test_chart_oracle import admitted_by_masks, unmasked
 
 DATA = resources.files("conspec.data")
 BEAMS = [1, 2, 16]
@@ -136,9 +139,13 @@ def checked(monkeypatch) -> SimpleNamespace:
         counts["collected"] += 1
         return got
 
-    def checked_tilings(rule, tokens, frags, ends, i, j):
-        got = tilings(rule, tokens, frags, ends, i, j)
-        assert got == _tilings(rule, tokens, frags, i, j), (tokens, i, j, rule.rule_id)
+    def checked_tilings(rule, bits, tokens, frags, ends, i, j):
+        got = tilings(rule, bits, tokens, frags, ends, i, j)
+        want = _tilings(rule, tokens, frags, i, j)
+        ones, open_ends = unmasked(rule, ends)
+        assert tilings(rule, ones, tokens, frags, open_ends, i, j) == want, (tokens, i, j, rule.rule_id)
+        kept = [t for t in want if admitted_by_masks(rule, bits, frags, t, i, j)]
+        assert got == kept, (tokens, i, j, rule.rule_id)
         counts["tilings"] += 1
         return got
 

@@ -487,12 +487,12 @@ class TestChartReuse:
         span_tokens: dict[tuple, list[str]] = {}
         charts: list = []  # keeps every chart referenced, so its id stays unique
 
-        def record_tilings(rule, tokens, frags, ends, i, j):
+        def record_tilings(rule, bits, tokens, frags, ends, i, j):
             if not charts or charts[-1] is not frags:
                 charts.append(frags)
             tiled[(id(frags), i, j)].append(rule)
             span_tokens[(id(frags), i, j)] = tokens
-            return tilings(rule, tokens, frags, ends, i, j)
+            return tilings(rule, bits, tokens, frags, ends, i, j)
 
         def admitted(rule, tokens, i, j) -> bool:
             first, last = rule.parts[0], rule.parts[-1]

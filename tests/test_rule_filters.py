@@ -2,9 +2,9 @@
 
 The chart's corner filter skips a rule on a span by part count and by its
 literal first and last parts; every rule it skips must have no tiling of that
-span, checked with ``_tilings`` on the chart as it stands when the span is
-swept first, over every segmentation of demo_corpus.tsv and of the English
-column of translations.tsv.
+span, checked with ``_tilings``, unmasked, on the chart as it stands when the
+span is swept first, over every segmentation of demo_corpus.tsv and of the
+English column of translations.tsv.
 
 ``rules._find_embeddings`` skips an lhs node whose concept differs from the
 rule part's root before aligning the part with it; every node it skips must
@@ -29,6 +29,7 @@ from conspec.similarity import align_networks
 from conspec.transfer import load_pair
 
 from .gen import gen_network
+from .test_chart_oracle import unmasked
 
 DATA = resources.files("conspec.data")
 
@@ -48,17 +49,23 @@ def test_corner_filter_skips_only_rules_without_a_tiling(monkeypatch):
     tileable: dict[tuple, list] = {}  # span -> rules with a tiling at its first sweep
     charts: list = []  # keeps every chart referenced, so its id stays unique
 
-    def record_tilings(rule, tokens, frags, ends, i, j):
+    def open_tilings(rule, tokens, frags, ends, i, j):
+        ones, open_ends = unmasked(rule, ends)
+        return tilings(rule, ones, tokens, frags, open_ends, i, j)
+
+    def record_tilings(rule, bits, tokens, frags, ends, i, j):
         if not charts or charts[-1] is not frags:
             charts.append(frags)
         span = (id(frags), i, j)
         if span not in tiled:
             # cells below (i, j) are final here; only the one-part pattern
-            # rules, which are never skipped, read the cell being filled
+            # rules, which are never skipped, read the cell being filled.
+            # Unmasked, a rule has a tiling wherever its parts cover cells
+            # that hold items.
             tiled[span] = set()
-            tileable[span] = [r for r in model.rules if tilings(r, tokens, frags, ends, i, j)]
+            tileable[span] = [r for r in model.rules if open_tilings(r, tokens, frags, ends, i, j)]
         tiled[span].add(id(rule))
-        return tilings(rule, tokens, frags, ends, i, j)
+        return tilings(rule, bits, tokens, frags, ends, i, j)
 
     monkeypatch.setattr(conspec.parser, "_tilings", record_tilings)
     spans = 0
