@@ -12,13 +12,14 @@ concept is built at construction, right after the cycle check, and
 ``concept_sim_memo``, and ``similarity.rule_node_sim``, the one scorer of
 rule matching (alignments and root-index fills alike), its own in
 ``rule_sim_memo``, one memo per alpha. Each memo is filled by its own
-function only, and both store only pairs of defined concepts, so each is
-bounded by the square of the number of definitions whatever concepts
-callers pass in. ``root_indexes`` holds the rule matchers'
-root indexes (``similarity.RootIndex``), each bounded by the model and built
-when its matcher first runs. Two readers on different threads may both
-fill one memo entry; both write the same value. No cache takes part in
-equality or repr.
+function only. ``concept_sim_memo`` stores only pairs of defined concepts,
+``rule_sim_memo`` pairs of concepts each defined or a registered stemless
+concept, so each is bounded by the square of the number of definitions and
+registered labels whatever concepts callers pass in. ``root_indexes`` holds
+the rule matchers' root indexes (``similarity.RootIndex``), each bounded by
+the model and built when its matcher first runs. Two readers on different
+threads may both fill one memo entry; both write the same value. No cache
+takes part in equality or repr.
 """
 
 from __future__ import annotations
@@ -98,8 +99,8 @@ class Lexicon:
     concept_sim_memo: dict[tuple[Concept, Concept, float], float] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    # alpha -> (pattern, target) -> rule_node_sim, both concepts defined;
-    # filled by similarity
+    # alpha -> (pattern, target) -> rule_node_sim, each concept defined or a
+    # registered stemless concept (sense 1); filled by similarity
     rule_sim_memo: dict[float, dict[tuple[Concept, Concept], float]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )

@@ -18,8 +18,13 @@ The chart decides before it builds:
 - Each item carries, from the lexicon's root index over the rule parts, the
   set of parts whose root can align with its root; a part outside it is
   answered None unaligned. The chart keeps per start the end of each
-  non-empty final cell and the OR of its items' sets, and a tiling's
-  pattern part walks only the cells whose OR holds the part.
+  non-empty final cell and the OR of its items' sets (the cell's mask), and
+  a tiling's pattern part walks only the cells whose mask holds the part.
+- The chart also keeps per position the OR of the masks of the final cells
+  that start there and of those that end there. A rule whose first pattern
+  part is outside the mask opening at the span's start, or whose last
+  pattern part is outside the mask closing at its end, is not tiled; nor is
+  a one-part pattern rule while the cell being filled is empty.
 - Each slot of a tiling is cut to the items that align with its part, then
   the cut slots' combinations are walked in product order up to the
   ``beam*4`` cap. Each rule part is aligned with each chart item once.
@@ -293,6 +298,8 @@ class _ChartIndex:
     ``parts`` is the root index of the pattern parts, numbered in declaration
     order. It packs each answer as a bit set in an int, bit n for part n, and
     ``part_bits[r][k]`` is the bit of part k of rule r (0 for a literal).
+    ``edges[r]`` is the bits of rule r's first and last parts, or None for a
+    one-part pattern rule, whose part covers the cell being filled.
     """
 
     def __init__(self, rules: tuple[Rule, ...], alpha: float):
@@ -307,6 +314,9 @@ class _ChartIndex:
         self.part_bits = [
             [1 << next(numbers) if isinstance(part, PatternPart) else 0 for part in rl.parts]
             for rl in rules
+        ]
+        self.edges = [
+            None if len(bits) == 1 and bits[0] else (bits[0], bits[-1]) for bits in self.part_bits
         ]
         patterns = tuple(p.pattern for rl in rules for p in rl.parts if isinstance(p, PatternPart))
         self.parts = RootIndex(rules, patterns, alpha, _bit_set)
@@ -351,6 +361,8 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
     ranked: dict[tuple[int, int], list[_Item]] = {}  # final cells, best score first
     # start -> (end, OR of its items' parts) of its non-empty final cells, by end
     ends: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    # start (end) -> the OR of the masks of the non-empty final cells there
+    opens, closes = [0] * n, [0] * (n + 1)
     serials = count()
     lex, alpha, rules = model.lexicon, model.pragmas.alpha, model.rules
     sim = rule_node_sim(lex, alpha)
@@ -430,16 +442,35 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
         # items' ``parts``, lacks the part: that tiling would add no entry to
         # ``tried`` and make no add() call.
         #
+        # Nor is a rule tiled whose ``_tilings`` would be empty at its two
+        # ends. Spans are filled in width order, so ``opens[i]`` is the OR of
+        # the masks of exactly the final cells (i, e) with e < j, and
+        # ``closes[j]`` of exactly the final cells (a, j) with a > i: the
+        # cells a rule of two or more parts could take for its first and
+        # last parts. A pattern part at either end whose bit is outside that
+        # OR has no cell, so the rule's tilings are empty. A one-part pattern
+        # rule covers the cell being filled, which has no tiling while it is
+        # empty; that is tested as the rule is reached, since an earlier rule
+        # of the sweep may fill it. A skipped rule adds no ``tried`` or
+        # ``aligned`` entry and makes no add() call.
+        #
         # An item is built only if add() could admit it. Its score is known
         # from the alignments alone, so one below ``tau``, or one that a full
         # cell with no lower score would refuse whatever its key, is skipped
         # unbuilt. Serials are handed out only in add(), so none moves.
         cell = frags[(i, j)]
         tried: set[tuple] = set()
+        opened, closed = opens[i], closes[j]
         sweep = index.sweep(tokens[i], tokens[j - 1], j - i)
         while sweep:
             changed = False
             for r, rule in sweep:
+                edge = index.edges[r]
+                if edge is None:
+                    if not cell:
+                        continue
+                elif edge[0] & opened != edge[0] or edge[1] & closed != edge[1]:
+                    continue
                 for tiling in _tilings(rule, index.part_bits[r], tokens, frags, ends, i, j):
                     same_span = tiling == [(i, j)]
                     slots = [
@@ -469,7 +500,10 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
             sweep = index.regrow if changed else []
         ranked[(i, j)] = rank(i, j)
         if cell:
-            ends[i].append((j, reduce(or_, [it.parts for it in cell.values()])))
+            mask = reduce(or_, [it.parts for it in cell.values()])
+            ends[i].append((j, mask))
+            opens[i] |= mask
+            closes[j] |= mask
 
     for width in range(1, n + 1):
         for i in range(0, n - width + 1):

@@ -80,13 +80,19 @@ def rule_node_sim(lex: Lexicon, alpha: float = DEFAULT_ALPHA) -> NodeSim:
     over {verb}, or over tool) applies to anything defined beneath it.
 
     Alignments and ``RootIndex`` fills both ask this one scorer.
-    Answers for two defined concepts are memoized on the lexicon, one memo
-    per alpha, so like ``concept_sim``'s the memo is bounded by the
-    definitions whatever concepts are passed in; a miss computes the overlap
-    itself, leaving ``concept_sim``'s memo to ``concept_sim``.
+    Answers are memoized on the lexicon, one memo per alpha, for pairs of
+    concepts each defined or a registered stemless concept (a role marker
+    such as {agent}, sense 1, its label in the lexicon's registry): an
+    answer depends only on the lexicon and alpha, and the memo is bounded by
+    the definitions and the registry whatever concepts are passed in. A
+    miss computes the overlap itself, leaving ``concept_sim``'s memo to
+    ``concept_sim``.
     """
     memo = lex.rule_sim_memo.setdefault(alpha, {})
-    defined = lex.definitions
+    defined, registry = lex.definitions, lex.stemless_registry
+
+    def known(c: Concept) -> bool:
+        return c in defined or (c.stemless and c.sense == 1 and c.label in registry)
 
     def sim(pattern: Concept, target: Concept) -> float:
         if pattern == target:
@@ -101,7 +107,7 @@ def rule_node_sim(lex: Lexicon, alpha: float = DEFAULT_ALPHA) -> NodeSim:
             got = 0.0
         else:
             got = _overlap(lex, pattern, target, alpha)
-        if pattern in defined and target in defined:
+        if known(pattern) and known(target):
             memo[key] = got
         return got
 

@@ -137,41 +137,64 @@ def admitted_by_masks(rule, bits, frags, tiling, i: int, j: int) -> bool:
     )
 
 
+def final_ends(frags, n: int) -> list:
+    """The chart's ``ends`` as its finished cells give them."""
+    return [
+        [
+            (b, reduce(or_, [it.parts for it in frags[(a, b)].values()]))
+            for b in range(a + 1, n + 1)
+            if frags[(a, b)]
+        ]
+        for a in range(n)
+    ]
+
+
 def test_tilings_match_recursive_tiler_on_first_sweeps(monkeypatch):
     model = load_model(str(DATA / "english.cn"))
     part_bits = _ChartIndex(model.rules, model.pragmas.alpha).part_bits
     tilings = conspec.parser._tilings
     seen: set[tuple] = set()
     charts: list = []  # keeps every chart referenced, so its id stays unique
-    found = dropped = 0
+    found = dropped = late = 0
+
+    def compare_every_rule(tokens, frags, ends, i, j):
+        nonlocal found, dropped
+        oracle = oracle_tilings(tokens, frags)
+        for other, other_bits in zip(model.rules, part_bits):
+            want = oracle(other, i, j)
+            ones, open_ends = unmasked(other, ends)
+            assert tilings(other, ones, tokens, frags, open_ends, i, j) == want
+            got = tilings(other, other_bits, tokens, frags, ends, i, j)
+            kept = [t for t in want if admitted_by_masks(other, other_bits, frags, t, i, j)]
+            assert got == kept, (tokens, i, j, other.rule_id)
+            found += bool(got)
+            dropped += len(want) - len(got)
 
     def compare(rule, bits, tokens, frags, ends, i, j):
-        nonlocal found, dropped
         if not charts or charts[-1] is not frags:
             charts.append(frags)
         assert bits == part_bits[model.rules.index(rule)]
         span = (id(frags), i, j)
         if span not in seen:
             # the span's first sweep: every rule, admitted by the corner
-            # filter or not
+            # filter and masks or not
             seen.add(span)
-            oracle = oracle_tilings(tokens, frags)
-            for other, other_bits in zip(model.rules, part_bits):
-                want = oracle(other, i, j)
-                ones, open_ends = unmasked(other, ends)
-                assert tilings(other, ones, tokens, frags, open_ends, i, j) == want
-                got = tilings(other, other_bits, tokens, frags, ends, i, j)
-                kept = [t for t in want if admitted_by_masks(other, other_bits, frags, t, i, j)]
-                assert got == kept, (tokens, i, j, other.rule_id)
-                found += bool(got)
-                dropped += len(want) - len(got)
+            compare_every_rule(tokens, frags, ends, i, j)
         return tilings(rule, bits, tokens, frags, ends, i, j)
 
     monkeypatch.setattr(conspec.parser, "_tilings", compare)
     for surface in surfaces():
         for tokens in segment(model, surface):
-            _chart_parse(model, tokens)
-    assert found > 0 and dropped > 0
+            frags = _chart_parse(model, tokens)
+            charts.append(frags)
+            # a span no rule reached gained no item, and the tilers read no
+            # cell that was not final when it was swept
+            ends = final_ends(frags, len(tokens))
+            for i, j in frags:
+                if (id(frags), i, j) not in seen:
+                    compare_every_rule(tokens, frags, ends, i, j)
+                    late += 1
+    assert found > 0 and dropped > 0 and late > 0
 
 
 def test_tilings_match_recursive_tiler_on_random_cells():

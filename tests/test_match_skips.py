@@ -27,11 +27,13 @@ what realize gives), at beams 1, 2 and 16:
   masks), equals the cell-probing one, and called with the rule's part bits
   equals that one less each tiling a cell's part mask rules out;
 - every answer of a memoized ``rule_node_sim`` equals the unmemoized one,
-  and the memo holds only pairs of defined concepts;
+  and the memo holds only pairs of concepts each defined or a registered
+  stemless concept of sense 1;
 - every ``realize`` answer, or error, equals the copy's without the memo.
 
 Beside those runs, both scorers answer every ordered pair of the shipped
-models' concepts alike; a generated region never aligns with a copy whose
+models' concepts alike, and the memo then holds exactly the pairs it may; a
+warm pass over the shipped corpora calls ``is_a`` not once; a generated region never aligns with a copy whose
 root carries another anchor; and the root indexes, the scorer's memo and
 the chart's corner table stay within bounds computed from the model after
 targets with fresh concepts and anchors, while every index answer admits
@@ -229,10 +231,16 @@ def regions(*nets: ConceptNetwork) -> list[ConceptNetwork]:
     return list(nets) + subtrees + anchored + pairs
 
 
+def storable(lex: Lexicon, c: Concept) -> bool:
+    """Whether the scorer's memo may hold a pair with ``c``: a defined
+    concept, or a registered stemless one of sense 1."""
+    return c in lex.definitions or (c.stemless and c.sense == 1 and c.label in lex.stemless_registry)
+
+
 def memo_bounded(*lexicons: Lexicon) -> None:
     for lex in lexicons:
         for memo in lex.rule_sim_memo.values():
-            assert all(a in lex.definitions and b in lex.definitions for a, b in memo)
+            assert all(storable(lex, a) and storable(lex, b) for a, b in memo)
 
 
 @pytest.mark.parametrize("beam", BEAMS)
@@ -408,7 +416,11 @@ def test_indexes_stay_bounded(monkeypatch):
 def test_memo_on_every_pair_of_concepts(name):
     lex = load_model(str(DATA / name)).lexicon
     heads = [defn.body.roots[0].head_concept() for defn in lex.definitions.values()]
-    concepts = list(dict.fromkeys([*lex.definitions, *heads, Concept("nonce")]))
+    markers = [Concept(label, True) for label in lex.stemless_registry]
+    unstored = [Concept("nonce"), Concept("nonce", True), Concept("agent", True, 2)]
+    concepts = list(dict.fromkeys([*lex.definitions, *heads, *markers, *unstored]))
+    stored = [c for c in concepts if storable(lex, c)]
+    assert len(stored) == len(set(lex.definitions) | set(markers))
     for alpha in (0.9, 0.5):
         sim, old = conspec.similarity.rule_node_sim(lex, alpha), rule_node_sim(lex, alpha)
         for _ in range(2):  # the second pass reads what the first one stored
@@ -416,8 +428,39 @@ def test_memo_on_every_pair_of_concepts(name):
                 for b in concepts:
                     want = old(a, b)
                     assert sim(a, b) == want, (a, b, alpha)
-        assert len(lex.rule_sim_memo[alpha]) == len(lex.definitions) ** 2 - len(lex.definitions)
+        memo = lex.rule_sim_memo[alpha]
+        assert len(memo) == len(stored) ** 2 - len(stored)
+        assert not any(c in pair for pair in memo for c in unstored)
     memo_bounded(lex)
+
+
+def test_warm_pass_calls_no_is_a(monkeypatch):
+    """Once a pass over the shipped corpora has filled the scorer's memo, a
+    second pass answers every pair from it: role markers included."""
+    model = load_model(str(DATA / "english.cn"))
+    pair = load_pair(str(DATA / "english_sov.pair"))
+    rows = load_corpus(str(DATA / "demo_corpus.tsv"))
+    sources = [
+        raw.split("\t")[0]
+        for raw in (DATA / "translations.tsv").read_text(encoding="utf-8").splitlines()
+        if raw.strip() and not raw.startswith("#")
+    ]
+    calls = Counter()
+
+    def counted_is_a(lex, concept, category):
+        calls["is_a"] += 1
+        return is_a(lex, concept, category)
+
+    for warm in (False, True):
+        if warm:
+            monkeypatch.setattr(conspec.similarity, "is_a", counted_is_a)
+        for surface, net, _ in rows:
+            outcome(parse_text, model, surface)
+            outcome(conspec.realizer.realize, model, net)
+        for source in sources:
+            outcome(translate, pair, source)
+    assert calls["is_a"] == 0
+    assert model.lexicon.rule_sim_memo and pair.receptor_model.lexicon.rule_sim_memo
 
 
 # ---------------------------------------------------------------------------

@@ -476,52 +476,55 @@ class TestChartReuse:
             assert max(seen.values(), default=1) == 1
 
     def test_later_sweeps_retile_only_one_part_pattern_rules(self, monkeypatch):
-        from collections import defaultdict
+        check_sweeps(monkeypatch, 16)  # english.cn's own beam
 
-        import conspec.parser
-        from conspec.rules import Literal, PatternPart
+    @pytest.mark.parametrize("beam", [1, 2, "cap"])
+    def test_later_sweeps_retile_only_one_part_pattern_rules_at_other_beams(
+        self, monkeypatch, beam
+    ):
+        check_sweeps(monkeypatch, beam)
 
-        model, surfaces = english_and_demo_surfaces()
-        tilings = conspec.parser._tilings
-        tiled: dict[tuple, list] = defaultdict(list)
-        span_tokens: dict[tuple, list[str]] = {}
-        charts: list = []  # keeps every chart referenced, so its id stays unique
 
-        def record_tilings(rule, bits, tokens, frags, ends, i, j):
-            if not charts or charts[-1] is not frags:
-                charts.append(frags)
-            tiled[(id(frags), i, j)].append(rule)
-            span_tokens[(id(frags), i, j)] = tokens
-            return tilings(rule, bits, tokens, frags, ends, i, j)
+def check_sweeps(monkeypatch, beam) -> None:
+    """A span's first sweep hands ``_tilings`` the rules the corner table
+    lists, in declaration order, less those the corner masks skip (each
+    checked to have no tiling by ``chart_sweeps``); every later sweep hands
+    it the one-part pattern rules alone."""
+    from conspec.rules import Literal, PatternPart
 
-        def admitted(rule, tokens, i, j) -> bool:
-            first, last = rule.parts[0], rule.parts[-1]
-            return (
-                len(rule.parts) <= j - i
-                and (not isinstance(first, Literal) or first.text == tokens[i])
-                and (not isinstance(last, Literal) or last.text == tokens[j - 1])
-            )
+    from .test_rule_filters import chart_sweeps, models_and_tokens
 
-        monkeypatch.setattr(conspec.parser, "_tilings", record_tilings)
-        for surface in surfaces:
-            parse_text(model, surface)
+    def admitted(rule, tokens, i, j) -> bool:
+        first, last = rule.parts[0], rule.parts[-1]
+        return (
+            len(rule.parts) <= j - i
+            and (not isinstance(first, Literal) or first.text == tokens[i])
+            and (not isinstance(last, Literal) or last.text == tokens[j - 1])
+        )
 
-        every = list(model.rules)
-        regrow = [r for r in every if len(r.parts) == 1 and isinstance(r.parts[0], PatternPart)]
-        assert 0 < len(regrow) < len(every)
-        swept_again = skipped = 0
-        for span, rules in tiled.items():
-            _, i, j = span
-            first = [r for r in every if admitted(r, span_tokens[span], i, j)]
-            assert set(map(id, regrow)) <= set(map(id, first)), span
-            assert [id(r) for r in rules[: len(first)]] == [id(r) for r in first], span
-            later = rules[len(first) :]
-            sweeps = len(later) // len(regrow)
-            assert [id(r) for r in later] == [id(r) for r in regrow] * sweeps, span
-            swept_again += sweeps > 0
-            skipped += len(first) < len(every)
-        assert swept_again > 0
-        assert skipped > 0
+    model, token_lists = models_and_tokens(beam)
+    spans = chart_sweeps(monkeypatch, model, token_lists)
+    every = list(model.rules)
+    regrow = [r for r in every if len(r.parts) == 1 and isinstance(r.parts[0], PatternPart)]
+    assert 0 < len(regrow) < len(every)
+    swept_again = by_table = by_masks = 0
+    for span in spans:
+        at = (span.tokens, span.i, span.j)
+        first = [r for r in every if admitted(r, span.tokens, span.i, span.j)]
+        assert set(map(id, regrow)) <= set(map(id, first)), at
+        assert [id(r) for _, r in span.first] == [id(r) for r in first], at
+        skipped = set(map(id, span.skipped))
+        reached = [id(r) for r in first if id(r) not in skipped]
+        assert [id(r) for r in span.called[: len(reached)]] == reached, at
+        later = span.called[len(reached) :]
+        sweeps = len(later) // len(regrow)
+        assert [id(r) for r in later] == [id(r) for r in regrow] * sweeps, at
+        swept_again += sweeps > 0
+        by_table += len(first) < len(every)
+        by_masks += bool(skipped)
+    assert swept_again > 0
+    assert by_table > 0
+    assert by_masks > 0
 
 
 def english_and_demo_surfaces():

@@ -1,10 +1,15 @@
 """The rule filters skip only rules that cannot match.
 
-The chart's corner filter skips a rule on a span by part count and by its
-literal first and last parts; every rule it skips must have no tiling of that
-span, checked with ``_tilings``, unmasked, on the chart as it stands when the
-span is swept first, over every segmentation of demo_corpus.tsv and of the
-English column of translations.tsv.
+A span's first chart sweep filters the rules twice. The corner table skips a
+rule by part count and by its literal first and last parts; every rule it
+skips must have no tiling of that span, checked with ``_tilings`` unmasked.
+The corner masks then skip a listed rule whose first or last pattern part no
+final cell at the span's edge can take, and a one-part pattern rule while the
+cell being filled is empty; every rule they skip must have a masked
+``_tilings`` of [] on the chart as it stood when the sweep reached it. Both
+are checked over every segmentation of demo_corpus.tsv and of the English
+column of translations.tsv, at beams 1, 2 and 16, and on the constructed model
+of ``test_chart_oracle``.
 
 ``rules._find_embeddings`` skips an lhs node whose concept differs from the
 rule part's root before aligning the part with it; every node it skips must
@@ -15,21 +20,22 @@ generated (sub-chain, lhs) pairs.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import pytest
 
 import conspec.parser
 import conspec.rules
-from conspec.model import load_corpus, load_model
+from conspec.model import load_corpus, load_model, load_model_text
 from conspec.network import ConceptNetwork, Node
-from conspec.parser import _chart_parse, segment
+from conspec.parser import _chart_parse, _ChartIndex, _tilings, segment
 from conspec.rules import PatternPart, _exact_sim
 from conspec.similarity import align_networks
 from conspec.transfer import load_pair
 
 from .gen import gen_network
-from .test_chart_oracle import unmasked
+from .test_chart_oracle import CAP_MODEL, final_ends, unmasked
 
 DATA = resources.files("conspec.data")
 
@@ -42,45 +48,122 @@ def english_surfaces() -> list[str]:
     return out
 
 
+@dataclass
+class Span:
+    """One span's fill, as ``chart_sweeps`` saw it."""
+
+    tokens: list[str]
+    i: int
+    j: int
+    first: list  # the (rule number, rule) entries the corner table lists
+    called: list = field(default_factory=list)  # rules handed to _tilings, in order
+    skipped: list = field(default_factory=list)  # entries of ``first`` never handed to it
+    visited: int = 0  # entries of ``first`` the first sweep has passed
+    frags: dict = field(default_factory=dict)  # the finished chart's cells
+    ends: list = field(default_factory=list)  # its ends, rebuilt from those cells
+
+
+def chart_sweeps(monkeypatch, model, token_lists) -> list[Span]:
+    """Charts each token list and returns every span's fill, in fill order.
+
+    An entry of a span's first sweep that never reaches ``_tilings`` was
+    skipped by the corner masks, and must have a masked ``_tilings`` of []
+    on the chart as it stood when the sweep passed it. A skip adds nothing,
+    so that is the chart at the span's next ``_tilings`` call. Past the
+    span's last call it is the finished chart: ``_tilings`` over (i, j)
+    reads only cells that were final when (i, j) was filled, and (i, j)
+    itself, none of which changes afterwards.
+    """
+    sweep = _ChartIndex.sweep
+    spans: list[Span] = []
+    fill = iter(())  # the spans of the chart being filled, in fill order
+    index: list[_ChartIndex] = []
+    chart_ends: list = []  # the chart's own ends, once some rule reaches _tilings
+
+    def passed(span: Span, frags, ends, upto: int) -> None:
+        while span.visited < upto:
+            r, rule = span.first[span.visited]
+            got = _tilings(rule, index[0].part_bits[r], span.tokens, frags, ends, span.i, span.j)
+            assert got == [], (span.tokens, span.i, span.j, rule.rule_id)
+            span.skipped.append(rule)
+            span.visited += 1
+
+    def recording_sweep(self, first, last, width):
+        index[:] = [self]
+        tokens, i, j = next(fill)
+        assert (first, last, width) == (tokens[i], tokens[j - 1], j - i)
+        got = sweep(self, first, last, width)
+        spans.append(Span(tokens, i, j, got))
+        return got
+
+    def recording_tilings(rule, bits, tokens, frags, ends, i, j):
+        span = spans[-1]
+        assert (span.tokens, span.i, span.j) == (tokens, i, j)
+        chart_ends[:] = [ends]
+        rest = [rl for _, rl in span.first[span.visited :]]
+        at = next((k for k, rl in enumerate(rest) if rl is rule), None)
+        if at is None:  # a later sweep: the first skipped all it had left
+            passed(span, frags, ends, len(span.first))
+        else:
+            passed(span, frags, ends, span.visited + at)
+            span.visited += 1
+        span.called.append(rule)
+        return _tilings(rule, bits, tokens, frags, ends, i, j)
+
+    monkeypatch.setattr(_ChartIndex, "sweep", recording_sweep)
+    monkeypatch.setattr(conspec.parser, "_tilings", recording_tilings)
+    for tokens in token_lists:
+        n = len(tokens)
+        fill = iter([(tokens, i, i + w) for w in range(1, n + 1) for i in range(n - w + 1)])
+        start, chart_ends[:] = len(spans), []
+        frags = _chart_parse(model, tokens)
+        assert next(fill, None) is None  # each span was swept first once, in fill order
+        ends = final_ends(frags, n)
+        assert chart_ends in ([], [ends])
+        for span in spans[start:]:
+            passed(span, frags, ends, len(span.first))
+            span.frags, span.ends = frags, ends
+    return spans
+
+
+def models_and_tokens(beam):
+    """english.cn at ``beam`` with every segmentation of the English
+    surfaces, or the constructed model with its one input."""
+    if beam == "cap":
+        return load_model_text(CAP_MODEL), ["a b c d".split()]
+    english = load_model(str(DATA / "english.cn"))
+    model = replace(english, pragmas=replace(english.pragmas, beam=beam))
+    return model, [tokens for surface in english_surfaces() for tokens in segment(model, surface)]
+
+
+def check_filters(monkeypatch, beam) -> None:
+    model, token_lists = models_and_tokens(beam)
+    spans = chart_sweeps(monkeypatch, model, token_lists)
+    by_table = by_edges = by_cell = 0
+    for span in spans:
+        # unmasked, a rule has a tiling wherever its parts cover cells that
+        # hold items; the finished chart has the cells of the first sweep
+        listed = {id(rule) for _, rule in span.first}
+        for rule in model.rules:
+            if id(rule) in listed:
+                continue
+            ones, open_ends = unmasked(rule, span.ends)
+            assert _tilings(rule, ones, span.tokens, span.frags, open_ends, span.i, span.j) == []
+            by_table += 1
+        by_edges += sum(len(rule.parts) > 1 for rule in span.skipped)
+        by_cell += sum(len(rule.parts) == 1 for rule in span.skipped)
+    assert by_table > 0 and by_cell > 0
+    if beam != "cap":  # its only rules of several parts span the whole input
+        assert by_edges > 0
+
+
 def test_corner_filter_skips_only_rules_without_a_tiling(monkeypatch):
-    model = load_model(str(DATA / "english.cn"))
-    tilings = conspec.parser._tilings
-    tiled: dict[tuple, set[int]] = {}  # span -> ids of the rules it tiled
-    tileable: dict[tuple, list] = {}  # span -> rules with a tiling at its first sweep
-    charts: list = []  # keeps every chart referenced, so its id stays unique
+    check_filters(monkeypatch, 16)  # english.cn's own beam
 
-    def open_tilings(rule, tokens, frags, ends, i, j):
-        ones, open_ends = unmasked(rule, ends)
-        return tilings(rule, ones, tokens, frags, open_ends, i, j)
 
-    def record_tilings(rule, bits, tokens, frags, ends, i, j):
-        if not charts or charts[-1] is not frags:
-            charts.append(frags)
-        span = (id(frags), i, j)
-        if span not in tiled:
-            # cells below (i, j) are final here; only the one-part pattern
-            # rules, which are never skipped, read the cell being filled.
-            # Unmasked, a rule has a tiling wherever its parts cover cells
-            # that hold items.
-            tiled[span] = set()
-            tileable[span] = [r for r in model.rules if open_tilings(r, tokens, frags, ends, i, j)]
-        tiled[span].add(id(rule))
-        return tilings(rule, bits, tokens, frags, ends, i, j)
-
-    monkeypatch.setattr(conspec.parser, "_tilings", record_tilings)
-    spans = 0
-    for surface in english_surfaces():
-        for tokens in segment(model, surface):
-            _chart_parse(model, tokens)
-            spans += len(tokens) * (len(tokens) + 1) // 2
-
-    assert len(tiled) == spans  # every span tiled some rule, so each was checked
-    skipped = 0
-    for span, rules in tileable.items():
-        missing = [r.rule_id for r in rules if id(r) not in tiled[span]]
-        assert missing == [], span
-        skipped += len(model.rules) - len(tiled[span])
-    assert skipped > 0
+@pytest.mark.parametrize("beam", [1, 2, "cap"])
+def test_corner_filters_skip_only_rules_without_a_tiling_at_other_beams(monkeypatch, beam):
+    check_filters(monkeypatch, beam)
 
 
 @pytest.fixture
