@@ -507,6 +507,31 @@ def _transfer_concept(concept: Concept, cmap: ConceptMap) -> Concept:
     return got
 
 
+def consumed_concepts(trules: tuple[TransferRule, ...]) -> frozenset[Concept]:
+    """The concepts of the transfer rules' non-slot source-pattern nodes:
+    the only concepts a match consumes without sending them through the map."""
+    return frozenset(
+        s.concept
+        for rule in trules
+        for s in rule.src.iter_nodes()
+        if not s.is_capsule and id(s) not in rule.slot_ids
+    )
+
+
+def refuses(cmap: ConceptMap, consumed: frozenset[Concept], net: ConceptNetwork) -> bool:
+    """Whether ``transfer_scored`` fails on ``net`` whatever matches it selects.
+
+    It does when the net holds a concept that ``cmap`` cannot map and that is
+    not in ``consumed`` (``consumed_concepts`` of the rules). Every net node
+    lies outside every selected match, where ``_convert`` maps its concept;
+    or is bound to a slot's src node, where ``_build_dst`` maps it; or is
+    bound to a non-slot src node, which ``_match_region`` allows only when
+    the two concepts are equal. So such a concept is mapped in every
+    selection, and the map refuses it.
+    """
+    return any(c not in consumed and cmap.lookup(c) is None for c in net.concepts())
+
+
 def transfer_scored(
     trules: tuple[TransferRule, ...],
     cmap: ConceptMap,
@@ -583,11 +608,9 @@ def _build_dst(
     src = m.rule.slots.get(d)
     if src is None:
         return keyed_node(d.concept, anchor=d.anchor, specifiers=spec)
+    # a slot's src node is never a capsule, so neither is the net node t
     t = m.binding[src]
-    concept = _transfer_concept(t.concept, cmap) if not t.is_capsule else None
+    concept = _transfer_concept(t.concept, cmap)
     # remainders (children of t the match left unbound) travel into the slot
     spec += [_convert(c, match_at, cmap) for c in t.specifiers if c not in m.region]
-    if t.is_capsule:
-        body = ConceptNetwork(tuple(_convert(r, match_at, cmap) for r in t.capsule.roots))
-        return keyed_node(capsule=body, anchor=t.anchor, specifiers=spec)
     return keyed_node(concept, anchor=t.anchor, specifiers=spec)

@@ -13,6 +13,16 @@ Transfer takes each parse as ``parse_text`` returns it, canonical and with
 its anchors checked. Co-reference survives into the receptor language because
 each node's anchor annotation is copied into the output, where
 ``transfer_scored`` checks it again.
+
+``translate`` sends the best ``PARSE_CAP`` parses to transfer, but first
+refuses each parse that holds a concept the map cannot translate and that no
+transfer rule's non-slot source node has (``rules.refuses``): every
+selection of matches sends that concept through the map, so the parse fails
+transfer whatever is selected, and no transfer match is sought for it. A
+refused parse still counts toward the cap. A stage fails only when every
+candidate that reached it fails there: the transfer error, naming the best
+failing parse's concept, only when no parse gets through transfer, and
+otherwise the first realize failure.
 """
 
 from __future__ import annotations
@@ -29,9 +39,17 @@ from .errors import (
 )
 from .lexicon import undeclared_stemless
 from .model import _BOOL, ModelBundle, _read_file, load_model
+from .network import Concept, ConceptNetwork
 from .parser import parse_text
 from .realizer import realize
-from .rules import ConceptMap, TransferRule, build_transfer_rule, transfer_scored
+from .rules import (
+    ConceptMap,
+    TransferRule,
+    build_transfer_rule,
+    consumed_concepts,
+    refuses,
+    transfer_scored,
+)
 from .treeline import (
     DeclareStmt,
     DefinitionStmt,
@@ -55,6 +73,12 @@ class LanguagePair:
     concept_map: ConceptMap
     path: str = "<inline>"
     lints: list[str] = field(default_factory=list)
+    # ``consumed_concepts`` of the transfer rules, which ``translate`` reads
+    # to refuse a parse; rebuilt by ``dataclasses.replace``
+    consumed: frozenset[Concept] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.consumed = consumed_concepts(self.transfer_rules)
 
 
 def load_pair_text(text: str, path: str = "<inline>", base_dir: str | Path = ".") -> LanguagePair:
@@ -121,31 +145,34 @@ def load_pair(path: str | Path) -> LanguagePair:
 def translate(pair: LanguagePair, text: str) -> list[tuple[str, float, list[str]]]:
     """Ranked (text, score, trace) translations; score is the stage product.
 
+    The best ``PARSE_CAP`` parses go on to transfer; one that
+    ``rules.refuses`` is skipped before any match is sought, and still
+    counts toward the cap.
+
     Stage errors propagate tagged with the failing stage; a stage only fails
-    when every surviving candidate fails there.
+    when every surviving candidate fails there. So the transfer error is
+    raised only when no parse gets through transfer, and names the concept
+    of the best-ranked parse; otherwise the first realize failure is raised.
     """
     src = pair.source_model
     try:
         parses = parse_text(src, text)
     except UnparseableTextError as exc:
         raise exc.with_stage("parse")
-    # the text of the first failure at each stage, which comes from the
-    # best-ranked parse that failed there; the error itself is not kept,
+    # the first failure at each stage, which comes from the best-ranked parse
+    # that failed there: its text, or at transfer a refused parse, whose text
+    # is worked out only if it is reported; the error itself is not kept,
     # since its traceback holds this frame
-    untranslatable: str | None = None
+    untranslatable: str | ConceptNetwork | None = None
     unrealizable: str | None = None
     results: dict[str, tuple[str, float, list[str]]] = {}
     for net, p_score, p_trace in parses[:PARSE_CAP]:
+        if refuses(pair.concept_map, pair.consumed, net):
+            if untranslatable is None:
+                untranslatable = net
+            continue
         try:
-            receptor_nets = transfer_scored(
-                pair.transfer_rules,
-                pair.concept_map,
-                net,
-                src.lexicon,
-                alpha=src.pragmas.alpha,
-                tau=src.pragmas.tau,
-                beam=src.pragmas.beam,
-            )
+            receptor_nets = _transfer(pair, net)
         except UntranslatableConceptError as exc:
             if untranslatable is None:
                 untranslatable = exc.concept_text
@@ -168,9 +195,27 @@ def translate(pair: LanguagePair, text: str) -> list[tuple[str, float, list[str]
                 if prev is None or score > prev[1]:
                     results[out_text] = (out_text, score, trace)
     if not results:
-        if untranslatable is not None:
-            raise UntranslatableConceptError(untranslatable).with_stage("transfer")
         if unrealizable is not None:
             raise UnrealizableFragmentError(unrealizable).with_stage("realize")
+        if isinstance(untranslatable, ConceptNetwork):
+            try:
+                _transfer(pair, untranslatable)
+            except UntranslatableConceptError as exc:
+                untranslatable = exc.concept_text
+        if untranslatable is not None:
+            raise UntranslatableConceptError(untranslatable).with_stage("transfer")
         raise UnparseableTextError(f"no translation of {text!r}").with_stage("parse")
     return sorted(results.values(), key=lambda r: (-r[1], len(r[0]), r[0]))
+
+
+def _transfer(pair: LanguagePair, net: ConceptNetwork) -> list[tuple[ConceptNetwork, float]]:
+    src = pair.source_model
+    return transfer_scored(
+        pair.transfer_rules,
+        pair.concept_map,
+        net,
+        src.lexicon,
+        alpha=src.pragmas.alpha,
+        tau=src.pragmas.tau,
+        beam=src.pragmas.beam,
+    )

@@ -1,8 +1,10 @@
 """Golden rankings: every ranked output of the shipped corpora, pinned.
 
 Each demo_corpus.tsv row is parsed and realized, and each translations.tsv
-row is translated, on the shipped models. Every candidate is written as one
-line: its printed network or text, repr(score) and its trace. The test
+row is translated, on the shipped models; then each demo_corpus.tsv surface
+is translated through english_sov.pair, where most rows end in an error.
+Every candidate is written as one line: its printed network or text,
+repr(score) and its trace; an error as its type, stage and text. The test
 compares that listing with tests/golden_rankings.txt line for line, so a
 change to any ranking, score, tie-break or trace fails here.
 
@@ -31,7 +33,8 @@ def _ranked(header: str, run) -> list[str]:
     try:
         ranked = run()
     except ConspecError as exc:
-        return lines + [f"  error {type(exc).__name__}: {exc}"]
+        stage = f" [stage={exc.stage}]" if exc.stage else ""
+        return lines + [f"  error {type(exc).__name__}{stage}: {exc}"]
     for i, (out, score, trace) in enumerate(ranked):
         lines.append(f"  {i} {out} | {score!r} | {trace!r}")
     return lines
@@ -39,8 +42,9 @@ def _ranked(header: str, run) -> list[str]:
 
 def render() -> list[str]:
     model = load_model(str(DATA / "english.cn"))
+    corpus = load_corpus(str(DATA / "demo_corpus.tsv"))
     lines: list[str] = []
-    for surface, net, _ in load_corpus(str(DATA / "demo_corpus.tsv")):
+    for surface, net, _ in corpus:
         lines += _ranked(
             f"parse {surface}",
             lambda: [(print_network(n), s, t) for n, s, t in parse_text(model, surface)],
@@ -52,6 +56,8 @@ def render() -> list[str]:
             continue
         source = raw.split("\t")[0]
         lines += _ranked(f"translate {source}", lambda: translate(pair, source))
+    for surface, _, _ in corpus:
+        lines += _ranked(f"translate {surface}", lambda: translate(pair, surface))
     return lines
 
 

@@ -109,6 +109,10 @@ CASES = {
     "no_complete_parse": failing(parse_text, ENGLISH, "he he he he"),
     "unrealizable_fragment": failing(realize, ENGLISH, parse_network("jump > {future}")),
     "untranslatable": failing(translate, PAIR, "holy cow"),
+    # the best parse transfers and then fails to realize
+    "unrealizable_translation": failing(translate, PAIR, "the dress is green"),
+    # translate refuses all four capped parses before any transfer match
+    "all_parses_refused": failing(translate, PAIR, "did it break the window"),
     "bad_anchor": failing(canonicalize, parse_network("(he > >>{agent})")),
     "bad_model_line": failing(load_model_text, "a#2#3 = b"),
     "duplicate_definition": failing(load_model_text, "c = d\nc = e"),
