@@ -17,7 +17,9 @@ function only. ``concept_sim_memo`` stores only pairs of defined concepts,
 concept, so each is bounded by the square of the number of definitions and
 registered labels whatever concepts callers pass in. ``root_indexes`` holds
 the rule matchers' root indexes (``similarity.RootIndex``), each bounded by
-the model and built when its matcher first runs. Two readers on different
+the model and built when its matcher first runs. ``vocabulary`` holds the
+parser's vocabulary (``parser.Vocabulary``) for the rule tuple it was built
+from, built on the model's first parse. Two readers on different
 threads may both fill one memo entry; both write the same value. No cache
 takes part in equality or repr.
 """
@@ -109,6 +111,11 @@ class Lexicon:
     # similarity.root_index
     root_indexes: dict[tuple[str, float], object] = field(
         init=False, repr=False, compare=False, default_factory=dict
+    )
+    # (rule tuple, the parser's vocabulary for it); filled by
+    # model.ModelBundle.vocab on the model's first parse
+    vocabulary: tuple[tuple, object] | None = field(
+        init=False, repr=False, compare=False, default=None
     )
 
     def __post_init__(self):

@@ -2,7 +2,10 @@
 
 Model files use the tree-line statement format (see treeline). Loading is
 atomic: the bundle is fully built and validated before being returned, so a
-reload that fails leaves the previous bundle untouched.
+reload that fails leaves the previous bundle untouched. Everything that can
+raise runs inside ``load_model_text``. The one thing a load leaves for later
+is the parser's vocabulary, which ``realize`` never reads and whose build
+cannot fail: ``ModelBundle.vocab`` builds it on the model's first parse.
 """
 
 from __future__ import annotations
@@ -55,10 +58,21 @@ class ModelBundle:
     lexicon: Lexicon
     rules: tuple[Rule, ...]
     pragmas: Pragmas
-    vocab: Vocabulary  # surface forms and rule literals, built once at load
     path: str = "<inline>"
     content_hash: str = ""
     lints: list[str] = field(default_factory=list)
+
+    @property
+    def vocab(self) -> Vocabulary:
+        """Surface forms and rule literals for the parser: built when first
+        read, on the model's first parse, and kept on the lexicon for this
+        rule tuple, so a copy with other pragmas shares it."""
+        lex = self.lexicon
+        if lex.vocabulary is None or lex.vocabulary[0] is not self.rules:
+            from .parser import build_vocabulary
+
+            lex.vocabulary = (self.rules, build_vocabulary(self.rules, lex))
+        return lex.vocabulary[1]
 
 
 _BOOL = {"on": True, "true": True, "off": False, "false": False}
@@ -90,8 +104,6 @@ def _apply_pragma(pragmas: Pragmas, stmt: PragmaStmt, path: str) -> Pragmas:
 
 
 def load_model_text(text: str, path: str = "<inline>") -> ModelBundle:
-    from .parser import build_vocabulary
-
     try:
         doc = parse_document(text)
     except TreelineParseError as exc:
@@ -128,9 +140,7 @@ def load_model_text(text: str, path: str = "<inline>") -> ModelBundle:
     for label in undeclared_stemless(doc.statements, lex.stemless_registry):
         lints.append(f"undeclared stemless label {{{label}}}")
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    rule_tuple = tuple(rules)
-    vocab = build_vocabulary(rule_tuple, lex)
-    return ModelBundle(lex, rule_tuple, pragmas, vocab, path, digest, lints)
+    return ModelBundle(lex, tuple(rules), pragmas, path, digest, lints)
 
 
 def _read_file(path: str | Path, what: str) -> str:

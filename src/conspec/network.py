@@ -66,10 +66,10 @@ class Concept:
     def __post_init__(self):
         if not self.label:
             raise MalformedNetworkError("concept label must be nonempty")
-        bad = STRUCTURAL_CHARS.intersection(self.label)
-        if bad:
+        if not STRUCTURAL_CHARS.isdisjoint(self.label):
+            bad = sorted(STRUCTURAL_CHARS.intersection(self.label))[0]
             raise MalformedNetworkError(
-                f"concept label {self.label!r} contains structural character {sorted(bad)[0]!r}"
+                f"concept label {self.label!r} contains structural character {bad!r}"
             )
         object.__setattr__(self, "_hash", hash((self.label, self.stemless, self.sense)))
 

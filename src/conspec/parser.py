@@ -386,8 +386,9 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
         cell[key] = item
         return True
 
+    surfaces = model.vocab.surfaces
     for i, token in enumerate(tokens):
-        for concept in model.vocab.surfaces.get(token, ()):  # shift: token -> concept
+        for concept in surfaces.get(token, ()):  # shift: token -> concept
             net = ConceptNetwork((keyed_node(concept),))
             add(i, i + 1, _Item(net, 1.0, [f"shift:{token}"]))
 

@@ -77,11 +77,17 @@ def _find_embeddings(pattern: ConceptNetwork, lhs_nodes: dict) -> list[Alignment
     """All exact prefix embeddings of a (single-root) pattern into the lhs
     whose nodes ``_nodes_by_concept`` indexed, in lhs preorder.
 
-    An lhs node is aligned only if it has the root's concept (None for both
-    capsules): ``_exact_sim`` is 0 on any other pair.
+    Only an lhs node with the root's concept (None for both capsules) can
+    hold the root: ``_exact_sim`` is 0 on any other pair. A one-node pattern
+    is placed at each such node with its anchor, which is the alignment
+    ``align_networks`` would find there; a larger pattern is aligned.
     """
+    root = pattern.roots[0]
+    candidates = lhs_nodes.get(root.concept, ())
+    if not root.is_capsule and not root.specifiers:
+        return [Alignment(1.0, 1, {root: t}) for t in candidates if t.anchor == root.anchor]
     out = []
-    for anchor_node in lhs_nodes.get(pattern.roots[0].concept, ()):
+    for anchor_node in candidates:
         target = ConceptNetwork((anchor_node,))
         got = align_networks(pattern, target, _exact_sim, total=False)
         if got is not None:
@@ -129,6 +135,10 @@ def build_rule(
     line: int = 0,
     path: str = "<inline>",
 ) -> Rule:
+    """The rule of one ``<=>`` statement: each pattern part is placed on the
+    lhs by its one exact embedding (``_find_embeddings``), and a part that has
+    none or several, or shares an lhs node with an earlier part, is a
+    ModelLoadError at ``path`` and ``line``."""
     rule = Rule(lhs, [], rule_id, line)
     parts, part_at = rule.parts, rule.part_at
     for kind, value in rhs:
@@ -152,14 +162,15 @@ def build_rule(
                 path,
                 line,
             )
-        binding = embeddings[0].binding
-        if any(id(t) in part_at for t in binding.values()):
+        binding = embeddings[0].binding  # a fresh dict: the part keeps it
+        owned = [id(t) for t in binding.values()]
+        if not part_at.keys().isdisjoint(owned):
             raise ModelLoadError("rule parts overlap on the pattern", path, line)
-        part_at.update((id(t), len(parts)) for t in binding.values())
-        parts.append(PatternPart(pattern, dict(binding)))
-    rule.first_literal, rule.last_literal = (
-        part.text if isinstance(part, Literal) else None for part in (parts[0], parts[-1])
-    )
+        part_at.update(dict.fromkeys(owned, len(parts)))
+        parts.append(PatternPart(pattern, binding))
+    first, last = parts[0], parts[-1]
+    rule.first_literal = first.text if isinstance(first, Literal) else None
+    rule.last_literal = last.text if isinstance(last, Literal) else None
     return rule
 
 

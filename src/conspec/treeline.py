@@ -32,7 +32,9 @@ Model files hold one statement per line:
 Reading a text takes one scan by the regex engine per model-file line (per
 text for parse_network): one ``findall`` gives the token strings, and _lex
 reads each token's kind from its text into parallel lists of kinds and
-values that the parser walks. No token carries a position: a token's line
+values that the parser walks. A token's kind and value are worked out once
+per document: a token text seen before is one table lookup. A line that is
+one comment is skipped unread. No token carries a position: a token's line
 and column are worked out only when an error is raised, by scanning its
 text again with the same pattern.
 """
@@ -69,9 +71,13 @@ _SENSE = re.compile(r"#([0-9]+)")
 # whitespace after it, so only leading whitespace matches the last
 # alternative. Every character starts some alternative, so the matches tile
 # the text. The one group is a token's text, empty for leading whitespace;
-# _lex reads the token's kind from that text.
+# _lex reads the token's kind from that text. A label is a run of the
+# characters in _LABEL_CHAR that starts with no [ \t\r] and holds no '->',
+# written as its first character, then runs between single '-'s, so that
+# the regex engine takes each run in one step.
+_LABEL_CHAR = r"[^\n>\[\](){},=<'#\-]"
 _TOKEN = re.compile(
-    r"((?![ \t\r])(?:[^\n>\[\](){},=<'#-]+|-(?!>))+"  # label
+    rf"((?:[^\n>\[\](){{}},=<'#\- \t\r]|-(?!>)){_LABEL_CHAR}*(?:-(?!>){_LABEL_CHAR}*)*"  # label
     r"|<=>|=>|->|<<(?!<)|[\[\](),=]"  # punctuation
     r"|>+"  # '>', or an up anchor
     r"|\{[^}]*\}"  # stemless label
@@ -89,8 +95,9 @@ _BAD_TOKEN = {
     "'": "unterminated quoted literal",
     "}": "unmatched '}'",
 }
-# Tokens whose kind is their text; a run of two or more '>' is an up anchor.
-_PUNCT = frozenset(["[", "]", "(", ")", ",", "=", "=>", "<=>", "->", "<<", ">"])
+# (kind, value) of the tokens whose kind is their text; a run of two or more
+# '>' is an up anchor. Each _Parser's token table starts as a copy.
+_PUNCT = {tok: (tok, tok) for tok in ["[", "]", "(", ")", ",", "=", "=>", "<=>", "->", "<<", ">"]}
 # First characters of the tokens that are not labels: "" (leading whitespace)
 # is in every string, and a token that starts with '-' is a label unless it
 # is '->'.
@@ -99,14 +106,6 @@ _NOT_LABEL = "\n>[](){},=<'#"
 
 def _normalize_label(raw: str) -> str:
     return " ".join(raw.split())
-
-
-def _concept(concepts: dict, label: str, stemless: bool, sense: int) -> Concept:
-    """Concept(label, stemless, sense), built and validated once per table."""
-    key = (label, stemless, sense)
-    if key not in concepts:
-        concepts[key] = Concept(label, stemless, sense)
-    return concepts[key]
 
 
 def _error(msg: str, text: str, start_line: int, index: int) -> TreelineParseError:
@@ -120,78 +119,87 @@ def _error(msg: str, text: str, start_line: int, index: int) -> TreelineParseErr
     return TreelineParseError(msg, line, next(matches).start() - line_start + 1)
 
 
-def _lex(text: str, start_line: int) -> tuple[list[str], list[str]]:
+def _lex(text: str, start_line: int, known: dict) -> tuple[list[str], list[str]]:
     """The kinds and values of the tokens of ``text``, ending in an 'end'.
 
     A kind is 'label', 'brace', 'literal', 'up' or the punctuation itself.
     A sense annotation joins the value of the concept before it; whitespace,
     newlines and comments make no token. ``start_line`` is the line number
-    of the text's first line, for error positions.
+    of the text's first line, for error positions. ``known`` maps the text
+    of each token whose kind and value follow from its text alone to them:
+    a token seen before in the same document is one lookup.
     """
     kinds: list[str] = []
     values: list[str] = []
     for index, tok in enumerate(_TOKEN.findall(text)):
-        first = tok[:1]
-        if first not in _NOT_LABEL and tok != "->":
-            label = " ".join(tok.split())
-            if not label:  # a run of whitespace that str.split() knows, such as '\f'
-                raise _error(f"unexpected character {first!r}", text, start_line, index)
-            kinds.append("label")
-            values.append(label)
-        elif tok in _PUNCT:
-            kinds.append(tok)
-            values.append(tok)
-        elif first == ">":
-            if len(tok) % 2:
-                msg = f"ambiguous run of {len(tok)} '>' characters"
-                raise _error(msg, text, start_line, index)
-            kinds.append("up")
-            values.append(tok)
-        elif first == "'" and tok != "'":
-            kinds.append("literal")
-            values.append(tok[1:-1])
-        elif first == "{" and tok != "{":
-            label = " ".join(tok[1:-1].split())
-            if not label:
-                raise _error("empty stemless label '{}'", text, start_line, index)
-            bad = STRUCTURAL_CHARS.intersection(label) - {"#"}
-            if bad:
-                msg = f"stemless label contains {sorted(bad)[0]!r}"
-                raise _error(msg, text, start_line, index)
-            kinds.append("brace")
-            values.append(label)
-        elif first == "#" and _SENSE.match(tok):
-            if not kinds or kinds[-1] not in ("label", "brace"):
-                raise _error("sense annotation must follow a concept", text, start_line, index)
-            if "#" in values[-1]:
-                raise _error("a concept takes one sense annotation", text, start_line, index)
-            values[-1] += tok
-        elif tok in _BAD_TOKEN:
-            raise _error(_BAD_TOKEN[tok], text, start_line, index)
-        # anything else is leading whitespace, a newline or a comment
+        got = known.get(tok)
+        if got is None:
+            first = tok[:1]
+            if first not in _NOT_LABEL and tok != "->":
+                label = " ".join(tok.split())
+                if not label:  # a run of whitespace that str.split() knows, such as '\f'
+                    raise _error(f"unexpected character {first!r}", text, start_line, index)
+                got = ("label", label)
+            elif first == ">":
+                if len(tok) % 2:
+                    msg = f"ambiguous run of {len(tok)} '>' characters"
+                    raise _error(msg, text, start_line, index)
+                got = ("up", tok)
+            elif first == "'" and tok != "'":
+                got = ("literal", tok[1:-1])
+            elif first == "{" and tok != "{":
+                label = " ".join(tok[1:-1].split())
+                if not label:
+                    raise _error("empty stemless label '{}'", text, start_line, index)
+                bad = STRUCTURAL_CHARS.intersection(label) - {"#"}
+                if bad:
+                    msg = f"stemless label contains {sorted(bad)[0]!r}"
+                    raise _error(msg, text, start_line, index)
+                got = ("brace", label)
+            elif first == "#" and _SENSE.match(tok):
+                if not kinds or kinds[-1] not in ("label", "brace"):
+                    msg = "sense annotation must follow a concept"
+                    raise _error(msg, text, start_line, index)
+                if "#" in values[-1]:
+                    raise _error("a concept takes one sense annotation", text, start_line, index)
+                values[-1] += tok
+                continue
+            elif tok in _BAD_TOKEN:
+                raise _error(_BAD_TOKEN[tok], text, start_line, index)
+            else:  # leading whitespace, a newline or a comment
+                continue
+            known[tok] = got
+        kinds.append(got[0])
+        values.append(got[1])
     kinds.append("end")
     values.append("")
     return kinds, values
 
 
 class _Parser:
-    """Recursive descent over the tokens of one text (see _lex).
+    """Recursive descent over the tokens of one text at a time (see _lex).
 
-    Parsing stops at an 'end' token, so peeking needs no bounds check; a
-    statement's separator is turned into one. Concepts come from the
-    caller's tables: ``interned`` maps a concept token's (kind, value) to
-    its Concept and ``concepts`` is _concept's. A token's line and column are
-    worked out only for an error, from the token's index.
+    ``read`` takes the next text. Parsing stops at an 'end' token, so
+    peeking needs no bounds check; a statement's separator is turned into
+    one. The tables live as long as the parser, one document: ``known`` is
+    _lex's, ``interned`` maps a concept token's (kind, value) to its Concept
+    and ``concepts`` maps (label, stemless, sense) to it, so each concept is
+    built and validated once. A token's line and column are worked out only
+    for an error, from the token's index.
     """
 
-    def __init__(self, text: str, start_line: int, end_line: int, concepts: dict, interned: dict):
+    def __init__(self):
+        self.known: dict[str, tuple[str, str]] = dict(_PUNCT)
+        self.concepts: dict[tuple, Concept] = {}
+        self.interned: dict[tuple, Concept] = {}
+
+    def read(self, text: str, start_line: int, end_line: int) -> None:
+        """Tokenize ``text``, whose lines are ``start_line`` to ``end_line``."""
         self.text = text
         self.start_line = start_line
         self.end_line = end_line
-        self.kinds, self.values = _lex(text, start_line)
+        self.kinds, self.values = _lex(text, start_line, self.known)
         self.pos = 0
-        self.concepts = concepts
-        self.interned = interned
 
     def err(self, msg: str, at: int | None = None) -> TreelineParseError:
         """An error at token ``at``, by default the next one; 'end' is at
@@ -241,15 +249,24 @@ class _Parser:
                 pass
         raise self.err(f"bad sense annotation in {value!r}", at)
 
+    def concept(self, at: int) -> Concept:
+        """The concept of the label or brace token ``at``."""
+        key = (self.kinds[at], self.values[at])
+        concept = self.interned.get(key)
+        if concept is None:
+            label, sense = self.split_sense(at)
+            if label in _EITHER_OR_SPELLINGS:
+                label = "either or"
+            fields = (label, key[0] == "brace", sense)
+            concept = self.concepts.get(fields) or Concept(*fields)
+            self.interned[key] = self.concepts[fields] = concept
+        return concept
+
     def single_concept(self, at: int) -> Concept:
         """The concept of token ``at``, which must be followed by an 'end'."""
-        kind = self.kinds[at]
-        if kind not in ("label", "brace") or self.kinds[at + 1] != "end":
+        if self.kinds[at] not in ("label", "brace") or self.kinds[at + 1] != "end":
             raise self.err("expected a single concept", at)
-        label, sense = self.split_sense(at)
-        if label in _EITHER_OR_SPELLINGS:
-            label = "either or"
-        return _concept(self.concepts, label, kind == "brace", sense)
+        return self.concept(at)
 
     # -- network grammar ---------------------------------------------------
     #
@@ -307,15 +324,7 @@ class _Parser:
             raise self.err("anchor outside any encapsulation")
         if kind == "label" or kind == "brace":
             at = self.pos
-            key = (kind, self.values[at])
-            concept = self.interned.get(key)
-            if concept is None:
-                label, sense = self.split_sense(at)
-                if label in _EITHER_OR_SPELLINGS:
-                    label = "either or"
-                concept = self.interned[key] = _concept(
-                    self.concepts, label, kind == "brace", sense
-                )
+            concept = self.interned.get((kind, self.values[at])) or self.concept(at)
             self.pos = at + 1
             return Node(concept, None, anchor)
         if kind == "(":
@@ -356,7 +365,8 @@ def parse_network(text: str) -> ConceptNetwork:
     parse_document adds a lint note when a line uses it.
     """
     end_line = text.count("\n") + 1
-    parser = _Parser(text, 1, end_line, {}, {})
+    parser = _Parser()
+    parser.read(text, 1, end_line)
     if len(parser.kinds) == 1:
         raise TreelineParseError("empty network", end_line, 1)
     return parser.parse(_Parser.network)
@@ -460,6 +470,11 @@ class TreelineDocument:
         return [s for s in self.statements if isinstance(s, kind)]
 
 
+# First words of the statements that parse_document reads without the tokenizer
+# (map entries are tokenized after their keyword is blanked).
+_KEYWORDS = ("declare", "set", "map")
+
+
 def _strip_comment(line: str) -> str:
     in_quote = None
     for i, ch in enumerate(line):
@@ -485,16 +500,16 @@ def parse_document(text: str, *, collect_errors: list | None = None) -> Treeline
     statements: list[Statement] = []
     lints: list[str] = []
     seen_defs: dict[Concept, int] = {}
-    # see _Parser; both live for this call only
-    concepts: dict[tuple, Concept] = {}
-    interned: dict[tuple, Concept] = {}
+    parser = _Parser()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped:
             continue
         if "either..." in stripped:
             lints.append(f"line {lineno}: normalized 'either...or' to 'either or'")
-        word = stripped.split(None, 1)[0]
+        if stripped[0] == "#" and raw.lstrip(" \t")[0] == "#" and not _SENSE.match(stripped):
+            continue  # spaces or tabs, then one comment token: no statement
+        word = stripped.split(None, 1)[0] if stripped.startswith(_KEYWORDS) else None
         try:
             if word == "declare":
                 rest = _strip_comment(stripped[len("declare") :]).strip()
@@ -518,7 +533,7 @@ def parse_document(text: str, *, collect_errors: list | None = None) -> Treeline
             if word == "map":
                 at = raw.index("map")
                 body = raw[:at] + " " * 3 + raw[at + 3 :]  # keep columns aligned
-                parser = _Parser(body, lineno, lineno, concepts, interned)
+                parser.read(body, lineno, lineno)
                 if "->" not in parser.kinds:
                     raise TreelineParseError("map needs 'src -> dst'", lineno, 1)
                 at = parser.kinds.index("->")
@@ -527,7 +542,7 @@ def parse_document(text: str, *, collect_errors: list | None = None) -> Treeline
                 dst = parser.single_concept(at + 1)
                 statements.append(MapStmt(src, dst, lineno))
                 continue
-            parser = _Parser(raw, lineno, lineno, concepts, interned)
+            parser.read(raw, lineno, lineno)
             kinds = parser.kinds
             if "<=>" in kinds:
                 sep = "<=>"

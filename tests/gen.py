@@ -3,11 +3,17 @@
 Anchors are only generated where they resolve (up anchors at depth 1 inside a
 capsule that has a parent; down anchors inside a capsule with exactly one
 outside specifier), so canonicalize never rejects a generated network.
+
+Two generated models extend the shipped english.cn with copies of a verb
+and its rules: ``rule_count_model`` (two rules per copy, for load and match
+cost against the rule count) and ``beam_loss_model`` (one rule per copy,
+whose analogical realizations crowd realize's beam).
 """
 
 from __future__ import annotations
 
 import random
+from importlib import resources
 
 from conspec.network import DOWN, UP, Anchor, Concept, ConceptNetwork, Node
 
@@ -94,3 +100,33 @@ def gen_network(
 
     root = node(0, up_ok=False, down_ok=False, has_parent=False)
     return ConceptNetwork((root,))
+
+
+def _english() -> str:
+    return (resources.files("conspec.data") / "english.cn").read_text(encoding="utf-8")
+
+
+def rule_count_model(n: int) -> str:
+    """english.cn plus ``n`` copies of a verb ``wK`` with an argument rule and
+    a past-tense rule: 35 + 2n rules."""
+    lines = [_english()]
+    for k in range(n):
+        lines += [
+            f"w{k} = {{verb}}",
+            f"w{k} > [{{agent}} > he, {{theme}} > John] <=> [he, w{k}, John]",
+            f"w{k} > {{past}} <=> ['w{k}ed']",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def beam_loss_model(n: int = 20) -> str:
+    """english.cn plus ``n`` copies of a verb ``zK`` whose argument rule ends
+    in the literal 'qqK'. At 20 copies and beam 16, realize loses the best
+    realization of "the rain washed the truck"."""
+    lines = [_english()]
+    for k in range(n):
+        lines += [
+            f"z{k} = {{verb}}",
+            f"z{k} > [{{agent}} > he, {{theme}} > John] <=> [he, z{k}, John, 'qq{k}']",
+        ]
+    return "\n".join(lines) + "\n"

@@ -471,4 +471,5 @@ def load_model_text(text: str, path: str = "<inline>") -> ModelBundle:
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     rule_tuple = tuple(rules)
     vocab = build_vocabulary(rule_tuple, lex)
-    return ModelBundle(lex, rule_tuple, pragmas, vocab, path, digest, lints)
+    lex.vocabulary = (rule_tuple, vocab)  # the bundle reads the vocabulary from its lexicon
+    return ModelBundle(lex, rule_tuple, pragmas, path, digest, lints)

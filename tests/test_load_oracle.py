@@ -12,7 +12,8 @@ position), or the same:
 - lexicon, ancestor table, pragmas, lints and content hash.
 
 The inputs are the shipped .cn files, the statements of the shipped .pair
-files, and 200 seeded models. Each seeded model holds a few definitions and
+files, the rule-count model of ``tests/gen.py`` at 100 copies (235 rules),
+and 200 seeded models. Each seeded model holds a few definitions and
 one rule whose lhs is a ``tests/gen.py`` network; its parts are cut from the
 lhs as ``sub_chain`` in ``tests/test_rule_filters.py`` cuts them, with
 literals between. Some parts are ambiguous or overlap, some definitions
@@ -34,7 +35,7 @@ from conspec.rules import Literal
 from conspec.treeline import parse_document, print_network
 
 from . import load_oracle
-from .gen import LABELS, STEMLESS, gen_network
+from .gen import LABELS, STEMLESS, gen_network, rule_count_model
 from .test_rule_filters import sub_chain
 
 DATA = resources.files("conspec.data")
@@ -107,6 +108,11 @@ def check(text: str) -> object:
 def test_shipped_models(name):
     got = check((DATA / name).read_text(encoding="utf-8"))
     assert isinstance(got, dict) and got["rules"]
+
+
+def test_rule_count_model():
+    got = check(rule_count_model(100))
+    assert isinstance(got, dict) and len(got["rules"]) == 235
 
 
 @pytest.mark.parametrize("name", ["english_sov.pair", "english_identity.pair"])

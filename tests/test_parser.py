@@ -327,17 +327,61 @@ class TestOrthographyPipeline:
         assert tokens[0][0] == "it"
 
 
+def _count_vocabulary_builds(monkeypatch) -> list:
+    import conspec.parser
+
+    calls = []
+    build = conspec.parser.build_vocabulary
+    monkeypatch.setattr(
+        conspec.parser, "build_vocabulary", lambda *a: calls.append(a) or build(*a)
+    )
+    return calls
+
+
 class TestVocabulary:
     def test_parse_builds_no_vocabulary(self, tiny, monkeypatch):
-        import conspec.parser
-
-        calls = []
-        build = conspec.parser.build_vocabulary
-        monkeypatch.setattr(
-            conspec.parser, "build_vocabulary", lambda *a: calls.append(a) or build(*a)
-        )
+        # once the model has parsed, later parses reuse its vocabulary
+        parse_text(tiny, "he trusted John")
+        calls = _count_vocabulary_builds(monkeypatch)
         parse_text(tiny, "he trusted John")
         assert calls == []
+
+    def test_vocabulary_is_built_on_the_first_parse_only(self, monkeypatch):
+        from conspec.parser import build_vocabulary
+
+        calls = _count_vocabulary_builds(monkeypatch)
+        model = load_model_text(TINY_MODEL)
+        realize(model, parse_network("trust > [{past}, {agent} > he, {theme} > John]"))
+        assert calls == [] and model.lexicon.vocabulary is None
+        parse_text(model, "he trusted John")
+        parse_text(model, "he trusted John")
+        assert len(calls) == 1
+        want = build_vocabulary(model.rules, model.lexicon)
+        assert model.vocab == want and model.vocab is model.vocab
+
+
+class TestAffixCap:
+    """``MAX_AFFIXES_PER_WORD`` (3) changes the answer: a fourth suffix on one
+    word leaves it without a segmentation."""
+
+    @pytest.fixture(scope="class")
+    def english(self):
+        from importlib import resources
+
+        from conspec.model import load_model
+
+        return load_model(str(resources.files("conspec.data") / "english.cn"))
+
+    def test_three_suffixes_segment_and_parse(self, english):
+        assert segment(english, "the eggsss") == [["the", "egg", "+s", "+s", "+s"]]
+        assert parse_text(english, "the eggsss")
+
+    def test_four_suffixes_do_not_segment(self, english):
+        with pytest.raises(UnparseableTextError) as info:
+            parse_text(english, "the eggssss")
+        assert str(info.value) == (
+            "no segmentation of 'the eggssss'; longest known prefix: 'the'"
+        )
 
 
 class TestDeterminism:

@@ -152,3 +152,28 @@ class TestConcurrency:
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda _: realize(tiny, net), range(16)))
         assert all(r == expected for r in results)
+
+
+class TestBeamLoss:
+    """realize's beam loses the best realization on ``gen.beam_loss_model``
+    (a known search error, ROADMAP item 7): 20 copies of a rule that ends in
+    a literal fill the beam at 16, and 15 copies do not."""
+
+    WANT = "the rain washed the truck"
+
+    def ranked(self, copies: int) -> list[tuple[str, float]]:
+        from conspec.parser import parse_text
+
+        from .gen import beam_loss_model
+
+        model = load_model_text(beam_loss_model(copies))
+        net = parse_text(model, self.WANT)[0][0]
+        return [(text, round(score, 4)) for text, score, _ in realize(model, net)]
+
+    def test_fifteen_copies_keep_the_best(self):
+        assert self.ranked(15)[0] == (self.WANT, 0.729)
+
+    def test_twenty_copies_lose_it(self):
+        got = self.ranked(20)
+        assert got[0] == ("the rain wash the truck qq0ed", 0.7214)
+        assert self.WANT not in [text for text, _ in got]

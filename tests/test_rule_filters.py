@@ -166,13 +166,19 @@ def test_corner_filters_skip_only_rules_without_a_tiling_at_other_beams(monkeypa
     check_filters(monkeypatch, beam)
 
 
+def _alignment_view(got) -> tuple:
+    return got.product, got.count, [(id(p), id(t)) for p, t in got.binding.items()]
+
+
 @pytest.fixture
 def embedding_checks(monkeypatch):
     """A check(pattern, lhs) that runs ``_find_embeddings`` and asserts that
-    every lhs node it does not align has no exact alignment; returns it with
-    the running [skipped, aligned] counts."""
+    every lhs node it neither aligns nor places a one-node pattern on has no
+    exact alignment, and that each embedding it returns without the aligner
+    is the one the aligner finds at that node (product, count and binding
+    order); returns it with the running [skipped, aligned, placed] counts."""
     aligned_roots: set[int] = set()
-    counts = [0, 0]
+    counts = [0, 0, 0]
 
     def record_align(pattern, target, sim, *, total):
         aligned_roots.add(id(target.roots[0]))
@@ -181,12 +187,22 @@ def embedding_checks(monkeypatch):
     def check(pattern, lhs):
         aligned_roots.clear()
         got = conspec.rules._find_embeddings(pattern, conspec.rules._nodes_by_concept(lhs))
+        placed = {id(a.binding[pattern.roots[0]]): a for a in got}
+        want = []
         for node in lhs.iter_nodes():
+            ref = align_networks(pattern, ConceptNetwork((node,)), _exact_sim, total=False)
+            if ref is not None:
+                want.append(ref)
             if id(node) in aligned_roots:
                 counts[1] += 1
-                continue
-            counts[0] += 1
-            assert align_networks(pattern, ConceptNetwork((node,)), _exact_sim, total=False) is None
+            elif id(node) in placed:
+                counts[2] += 1
+                assert ref is not None
+                assert _alignment_view(placed[id(node)]) == _alignment_view(ref)
+            else:
+                counts[0] += 1
+                assert ref is None
+        assert list(map(_alignment_view, got)) == list(map(_alignment_view, want))
         return got
 
     monkeypatch.setattr(conspec.rules, "align_networks", record_align)
@@ -204,8 +220,8 @@ def test_embedding_gate_skips_only_unalignable_model_parts(embedding_checks):
             for part in rule.parts:
                 if isinstance(part, PatternPart):
                     assert len(check(part.pattern, rule.lhs)) == 1
-    skipped, aligned = counts
-    assert skipped > 0 and aligned > 0
+    skipped, aligned, placed = counts
+    assert skipped > 0 and aligned > 0 and placed > 0
 
 
 def sub_chain(rng: random.Random, node: Node) -> Node:
@@ -225,5 +241,5 @@ def test_embedding_gate_skips_only_unalignable_generated_parts(embedding_checks)
         lhs = gen_network(rng, max_nodes=8)
         node = rng.choice(list(lhs.iter_nodes()))
         assert check(ConceptNetwork((sub_chain(rng, node),)), lhs)
-    skipped, aligned = counts
-    assert skipped > 0 and aligned > 0
+    skipped, aligned, placed = counts
+    assert skipped > 0 and aligned > 0 and placed > 0

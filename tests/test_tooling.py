@@ -40,3 +40,21 @@ def test_benchmark_digests_pin_every_workload():
             pinned[name] = digest
     assert sorted(pinned) == sorted(workloads)
     assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for d in pinned.values())
+
+
+def test_bench_records_cover_every_workload():
+    """Each BENCH_<n>.json at the repository root holds correct runs of
+    exactly the BENCHMARK.json workloads."""
+    root = Path(__file__).resolve().parent.parent
+    workloads = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    records = sorted(root.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        assert path.stem.split("_", 1)[1].isdigit(), path.name
+        runs = json.loads(path.read_text(encoding="utf-8"))["workloads"]
+        assert sorted(runs) == sorted(workloads), path.name
+        for name, by_mode in runs.items():
+            assert by_mode, f"{path.name}: {name} has no run"
+            for mode, run in by_mode.items():
+                assert run["result"]["correct"] is True, f"{path.name}: {name} {mode}"
+                assert run["record"]["workload"] == name, f"{path.name}: {name} {mode}"

@@ -240,6 +240,18 @@ class TestParseDocument:
         (stmt,) = doc.statements
         assert stmt.name.sense == 2
 
+    def test_comment_line_after_other_whitespace_is_an_error(self):
+        # spaces and tabs before a comment are skipped, but a no-break space
+        # is a label character that normalizes to nothing
+        assert parse_document(" \t# note\n# note").statements == []
+        with pytest.raises(TreelineParseError) as info:
+            parse_document("\xa0# note")
+        assert (info.value.args[0], info.value.line, info.value.col) == (
+            "unexpected character '\\xa0'",
+            1,
+            1,
+        )
+
 
 class TestSenseAnnotation:
     @pytest.mark.parametrize("text", ["a#² > b", "a#١ > b", "a#²3"])
