@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import replace
 
 from .errors import ConspecError, ModelLoadError, TreelineParseError
@@ -130,12 +131,15 @@ def _dot_node(node: Node, cluster: list[str], edges: list[str], names: dict[int,
         edges.append(f"  {name} -> {names[id(node.ref)]} [style=dashed, color=gray];")
 
 
+def _input_networks(args) -> Iterator[ConceptNetwork]:
+    """The canonical network of each non-blank, non-comment input line."""
+    for line in _read_input(args.input).splitlines():
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield canonicalize(parse_network(line))
+
+
 def _cmd_canon(args) -> int:
-    text = _read_input(args.input)
-    for line in text.splitlines():
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        net = canonicalize(parse_network(line))
+    for net in _input_networks(args):
         if args.dot:
             print(to_dot(net))
         elif args.json:
@@ -146,11 +150,7 @@ def _cmd_canon(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    text = _read_input(args.input)
-    for line in text.splitlines():
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        net = resolve_anchors(canonicalize(parse_network(line)))
+    for net in map(resolve_anchors, _input_networks(args)):
         if args.json:
             print(json.dumps(to_json_dict(net), ensure_ascii=False))
         else:

@@ -16,12 +16,13 @@ function only. ``concept_sim_memo`` stores only pairs of defined concepts,
 ``rule_sim_memo`` pairs of concepts each defined or a registered stemless
 concept, so each is bounded by the square of the number of definitions and
 registered labels whatever concepts callers pass in. ``root_indexes`` holds
-the rule matchers' root indexes (``similarity.RootIndex``), each bounded by
-the model and built when its matcher first runs. ``vocabulary`` holds the
-parser's vocabulary (``parser.Vocabulary``) for the rule tuple it was built
-from, built on the model's first parse. Two readers on different
-threads may both fill one memo entry; both write the same value. No cache
-takes part in equality or repr.
+what each rule matcher derives from its rule tuple, built when the matcher
+first runs and kept by ``similarity.root_index`` for that tuple: the root
+indexes of realize and transfer (``similarity.RootIndex``), each bounded by
+the model, and the parser's ``_ChartIndex``, built on the model's first
+parse, which holds its vocabulary, corner table and part index. Two readers
+on different threads may both fill one memo entry; both write the same
+value. No cache takes part in equality or repr.
 """
 
 from __future__ import annotations
@@ -107,15 +108,10 @@ class Lexicon:
         init=False, repr=False, compare=False, default_factory=dict
     )
     # (matcher, alpha) -> that matcher's root index (similarity.RootIndex, or
-    # the chart's index holding one) for the rules it last ran; filled by
-    # similarity.root_index
+    # the parser's _ChartIndex holding one) for the rules it last ran; filled
+    # by similarity.root_index
     root_indexes: dict[tuple[str, float], object] = field(
         init=False, repr=False, compare=False, default_factory=dict
-    )
-    # (rule tuple, the parser's vocabulary for it); filled by
-    # model.ModelBundle.vocab on the model's first parse
-    vocabulary: tuple[tuple, object] | None = field(
-        init=False, repr=False, compare=False, default=None
     )
 
     def __post_init__(self):

@@ -3,9 +3,10 @@
 Model files use the tree-line statement format (see treeline). Loading is
 atomic: the bundle is fully built and validated before being returned, so a
 reload that fails leaves the previous bundle untouched. Everything that can
-raise runs inside ``load_model_text``. The one thing a load leaves for later
-is the parser's vocabulary, which ``realize`` never reads and whose build
-cannot fail: ``ModelBundle.vocab`` builds it on the model's first parse.
+raise runs inside ``load_model_text``, and a load builds no matcher's data:
+the parser's vocabulary, which ``realize`` never reads and whose build
+cannot fail, is part of the chart index built on the model's first parse
+(``ModelBundle.vocab`` reads it there).
 """
 
 from __future__ import annotations
@@ -64,15 +65,10 @@ class ModelBundle:
 
     @property
     def vocab(self) -> Vocabulary:
-        """Surface forms and rule literals for the parser: built when first
-        read, on the model's first parse, and kept on the lexicon for this
-        rule tuple, so a copy with other pragmas shares it."""
-        lex = self.lexicon
-        if lex.vocabulary is None or lex.vocabulary[0] is not self.rules:
-            from .parser import build_vocabulary
+        """Surface forms and rule literals for the parser, from its chart index."""
+        from .parser import chart_index
 
-            lex.vocabulary = (self.rules, build_vocabulary(self.rules, lex))
-        return lex.vocabulary[1]
+        return chart_index(self).vocab
 
 
 _BOOL = {"on": True, "true": True, "off": False, "false": False}

@@ -87,7 +87,7 @@ def build_vocabulary(rules: tuple[Rule, ...], lexicon: Lexicon) -> Vocabulary:
                 affix = (t.startswith("+") or t.startswith("-") or t.endswith("+")) and len(t) > 1
                 if affix and t not in vocab.affixes:
                     vocab.affixes.append(t)
-        concepts.update(dict.fromkeys(c for c in rule.lhs_nodes if c is not None))
+        concepts.update(dict.fromkeys(rule.lhs.concepts()))
     concepts.update(dict.fromkeys(lexicon.definitions))
     for concept in concepts:
         if concept.stemless:
@@ -283,9 +283,11 @@ def _aligned_combos(slots: list[list], align, cap: int) -> list[tuple[tuple, lis
 
 
 class _ChartIndex:
-    """The chart's data derived from one rule tuple, kept on the lexicon by
-    ``similarity.root_index`` and filled as the chart asks for it.
+    """The parser's data derived from one rule tuple: built on the model's
+    first parse, kept on the lexicon by ``similarity.root_index`` (see
+    ``chart_index``) and filled as the chart asks for it.
 
+    ``vocab`` is the segmenter's vocabulary of the rules and the lexicon.
     ``corners`` maps a span's corner key to the rules its first sweep
     visits, in declaration order, filled as keys are first asked for. The key
     is the span's first token if it is some rule's literal first part, else
@@ -302,12 +304,15 @@ class _ChartIndex:
     one-part pattern rule, whose part covers the cell being filled.
     """
 
-    def __init__(self, rules: tuple[Rule, ...], alpha: float):
+    def __init__(self, rules: tuple[Rule, ...], lexicon: Lexicon, alpha: float):
         self.source = rules
+        self.vocab = build_vocabulary(rules, lexicon)
         self.rules = list(enumerate(rules))
         self.regrow = [e for e in self.rules if [type(p) for p in e[1].parts] == [PatternPart]]
-        self.firsts = {rl.first_literal for rl in rules} - {None}
-        self.lasts = {rl.last_literal for rl in rules} - {None}
+        # per rule, the text of a literal first and last part (None for a pattern part)
+        self.literals = [(_text(rl.parts[0]), _text(rl.parts[-1])) for rl in rules]
+        self.firsts = {first for first, _ in self.literals} - {None}
+        self.lasts = {last for _, last in self.literals} - {None}
         self.most = max((len(rl.parts) for rl in rules), default=1)
         self.corners: dict[tuple[str | None, str | None, int], list[tuple[int, Rule]]] = {}
         numbers = count()
@@ -333,12 +338,21 @@ class _ChartIndex:
             first, last, width = key
             got = self.corners[key] = [
                 entry  # shared with self.rules
-                for entry, rule in zip(self.rules, self.source)
-                if len(rule.parts) <= width
-                and rule.first_literal in (None, first)
-                and rule.last_literal in (None, last)
+                for entry, (a, b) in zip(self.rules, self.literals)
+                if len(entry[1].parts) <= width and a in (None, first) and b in (None, last)
             ]
         return got
+
+
+def chart_index(model: ModelBundle) -> _ChartIndex:
+    """The model's ``_ChartIndex``, kept on its lexicon for its rule tuple and
+    alpha, so a copy with other pragmas shares it."""
+    lex, alpha, rules = model.lexicon, model.pragmas.alpha, model.rules
+    return root_index(lex, "chart", alpha, rules, lambda: _ChartIndex(rules, lex, alpha))
+
+
+def _text(part: Literal | PatternPart) -> str | None:
+    return part.text if isinstance(part, Literal) else None
 
 
 def _bit_set(numbers) -> int:
@@ -364,9 +378,9 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
     # start (end) -> the OR of the masks of the non-empty final cells there
     opens, closes = [0] * n, [0] * (n + 1)
     serials = count()
-    lex, alpha, rules = model.lexicon, model.pragmas.alpha, model.rules
-    sim = rule_node_sim(lex, alpha)
-    index = root_index(lex, "chart", alpha, rules, lambda: _ChartIndex(rules, alpha))
+    lex = model.lexicon
+    sim = rule_node_sim(lex, model.pragmas.alpha)
+    index = chart_index(model)
     aligned: dict[tuple[int, int, int], Alignment | None] = {}  # (rule, part, item serial)
 
     def add(i: int, j: int, item: _Item) -> bool:
@@ -386,7 +400,7 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
         cell[key] = item
         return True
 
-    surfaces = model.vocab.surfaces
+    surfaces = index.vocab.surfaces
     for i, token in enumerate(tokens):
         for concept in surfaces.get(token, ()):  # shift: token -> concept
             net = ConceptNetwork((keyed_node(concept),))

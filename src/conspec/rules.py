@@ -73,7 +73,7 @@ def _nodes_by_concept(lhs: ConceptNetwork) -> dict[Concept | None, list[Node]]:
     return out
 
 
-def _find_embeddings(pattern: ConceptNetwork, lhs_nodes: dict) -> list[Alignment]:
+def _find_embeddings(pattern: ConceptNetwork, by_concept: dict) -> list[Alignment]:
     """All exact prefix embeddings of a (single-root) pattern into the lhs
     whose nodes ``_nodes_by_concept`` indexed, in lhs preorder.
 
@@ -83,7 +83,7 @@ def _find_embeddings(pattern: ConceptNetwork, lhs_nodes: dict) -> list[Alignment
     ``align_networks`` would find there; a larger pattern is aligned.
     """
     root = pattern.roots[0]
-    candidates = lhs_nodes.get(root.concept, ())
+    candidates = by_concept.get(root.concept, ())
     if not root.is_capsule and not root.specifiers:
         return [Alignment(1.0, 1, {root: t}) for t in candidates if t.anchor == root.anchor]
     out = []
@@ -117,15 +117,6 @@ class Rule:
     rule_id: str
     line: int = 0
     part_at: dict[int, int] = field(default_factory=dict)  # id(lhs node) -> owning part index
-    # text of a literal first / last part, None for a pattern part: the chart's
-    # corner filter admits the rule on a span only where its tokens agree
-    first_literal: str | None = None
-    last_literal: str | None = None
-    # the lhs nodes under their concept, from the one walk of the lhs
-    lhs_nodes: dict[Concept | None, list[Node]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.lhs_nodes = _nodes_by_concept(self.lhs)
 
 
 def build_rule(
@@ -141,6 +132,7 @@ def build_rule(
     ModelLoadError at ``path`` and ``line``."""
     rule = Rule(lhs, [], rule_id, line)
     parts, part_at = rule.parts, rule.part_at
+    by_concept = _nodes_by_concept(lhs)
     for kind, value in rhs:
         if kind == "lit":
             parts.append(Literal(str(value)))
@@ -148,7 +140,7 @@ def build_rule(
         pattern: ConceptNetwork = value  # type: ignore[assignment]
         if len(pattern.roots) != 1:
             raise ModelLoadError("rule part must be a single chain", path, line)
-        embeddings = _find_embeddings(pattern, rule.lhs_nodes)
+        embeddings = _find_embeddings(pattern, by_concept)
         if not embeddings:
             raise ModelLoadError(
                 f"rule part {print_network(pattern)!r} does not occur in the rule pattern",
@@ -168,9 +160,6 @@ def build_rule(
             raise ModelLoadError("rule parts overlap on the pattern", path, line)
         part_at.update(dict.fromkeys(owned, len(parts)))
         parts.append(PatternPart(pattern, binding))
-    first, last = parts[0], parts[-1]
-    rule.first_literal = first.text if isinstance(first, Literal) else None
-    rule.last_literal = last.text if isinstance(last, Literal) else None
     return rule
 
 
@@ -184,10 +173,6 @@ class Match:
     rule: Rule
     binding: dict[Node, Node]  # lhs node -> target node
     score: float
-
-    @property
-    def exact(self) -> bool:
-        return self.score == 1.0
 
 
 def _match_region(

@@ -6,8 +6,11 @@ bounds-checks every ``peek``, ``parse_document`` builds a fresh ``Concept``
 for every concept token, ``_find_embeddings`` walks the whole lhs for each
 rule part, and ``_ancestor_chain`` walks from each defined concept to the
 top of its chain. ``load_model_text`` is the old load, which filled the
-lexicon's ancestor table with that walk. ``tests/test_load_oracle.py``
-checks ``conspec.model.load_model_text`` against it.
+lexicon's ancestor table with that walk. ``build_vocabulary`` is the
+parser's vocabulary as the old load built it, from each rule's lhs nodes
+indexed by concept. ``tests/test_load_oracle.py`` checks
+``conspec.model.load_model_text`` and a loaded model's ``vocab`` against
+them.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from conspec.errors import ModelLoadError, TreelineParseError
 from conspec.lexicon import Definition, Lexicon, undeclared_stemless
 from conspec.model import ModelBundle, Pragmas, _apply_pragma
 from conspec.network import DOWN, STRUCTURAL_CHARS, UP, Anchor, Concept, ConceptNetwork, Node
-from conspec.parser import build_vocabulary
+from conspec.parser import Vocabulary
 from conspec.rules import Literal, PatternPart, Rule, _exact_sim
 from conspec.similarity import Alignment, align_networks
 from conspec.treeline import (
@@ -414,8 +417,7 @@ def build_rule(
             raise ModelLoadError("rule parts overlap on the pattern", path, line)
         part_at.update((id(t), len(parts)) for t in binding.values())
         parts.append(PatternPart(pattern, dict(binding)))
-    first, last = (part.text if isinstance(part, Literal) else None for part in (parts[0], parts[-1]))
-    return Rule(lhs, parts, rule_id, line, part_at, first, last)
+    return Rule(lhs, parts, rule_id, line, part_at)
 
 
 def _ancestor_chain(self, concept: Concept) -> frozenset[Concept]:
@@ -469,7 +471,32 @@ def load_model_text(text: str, path: str = "<inline>") -> ModelBundle:
     for label in undeclared_stemless(doc.statements, lex.stemless_registry):
         lints.append(f"undeclared stemless label {{{label}}}")
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    rule_tuple = tuple(rules)
-    vocab = build_vocabulary(rule_tuple, lex)
-    lex.vocabulary = (rule_tuple, vocab)  # the bundle reads the vocabulary from its lexicon
-    return ModelBundle(lex, rule_tuple, pragmas, path, digest, lints)
+    return ModelBundle(lex, tuple(rules), pragmas, path, digest, lints)
+
+
+def build_vocabulary(rules: tuple[Rule, ...], lexicon: Lexicon) -> Vocabulary:
+    """The parser's vocabulary as the load built it, taking each rule's
+    concepts from its lhs nodes indexed by concept in preorder."""
+    vocab = Vocabulary()
+    concepts: dict[Concept, None] = {}
+    for rule in rules:
+        for part in rule.parts:
+            if isinstance(part, Literal):
+                t = part.text
+                vocab.literals.add(t)
+                affix = (t.startswith("+") or t.startswith("-") or t.endswith("+")) and len(t) > 1
+                if affix and t not in vocab.affixes:
+                    vocab.affixes.append(t)
+        lhs_nodes: dict[Concept | None, list[Node]] = {}
+        for node in rule.lhs.iter_nodes():
+            lhs_nodes.setdefault(node.concept, []).append(node)
+        concepts.update(dict.fromkeys(c for c in lhs_nodes if c is not None))
+    concepts.update(dict.fromkeys(lexicon.definitions))
+    for concept in concepts:
+        if concept.stemless:
+            continue
+        vocab.surfaces.setdefault(concept.label, []).append(concept)
+        vocab.max_words = max(vocab.max_words, concept.label.count(" ") + 1)
+    for senses in vocab.surfaces.values():
+        senses.sort(key=lambda c: c.sense)
+    return vocab

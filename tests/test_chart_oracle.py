@@ -151,7 +151,7 @@ def final_ends(frags, n: int) -> list:
 
 def test_tilings_match_recursive_tiler_on_first_sweeps(monkeypatch):
     model = load_model(str(DATA / "english.cn"))
-    part_bits = _ChartIndex(model.rules, model.pragmas.alpha).part_bits
+    part_bits = _ChartIndex(model.rules, model.lexicon, model.pragmas.alpha).part_bits
     tilings = conspec.parser._tilings
     seen: set[tuple] = set()
     charts: list = []  # keeps every chart referenced, so its id stays unique

@@ -6,9 +6,10 @@ On every input both loads must give the same error (type, message and
 position), or the same:
 
 - statements, printed;
-- rules: printed lhs and parts, each part's ``to_lhs`` and the rule's
-  ``part_at`` as lhs preorder positions, and the first and last literals;
-- vocabulary: surfaces in order, literals, affixes and ``max_words``;
+- rules: printed lhs and parts (literals by their text), each part's
+  ``to_lhs`` and the rule's ``part_at`` as lhs preorder positions;
+- vocabulary: surfaces in order, literals, affixes and ``max_words``, the
+  model's ``vocab`` against the oracle's ``build_vocabulary``;
 - lexicon, ancestor table, pragmas, lints and content hash.
 
 The inputs are the shipped .cn files, the statements of the shipped .pair
@@ -62,19 +63,22 @@ def _rule_view(rule) -> tuple:
         print_network(rule.lhs),
         parts,
         part_at,
-        rule.first_literal,
-        rule.last_literal,
     )
 
 
-def _outcome(load, text: str):
-    """What ``load(text)`` gives, as plain comparable data."""
+def _oracle_vocab(model):
+    return load_oracle.build_vocabulary(model.rules, model.lexicon)
+
+
+def _outcome(load, vocabulary, text: str):
+    """What ``load(text)`` gives, with the ``vocabulary`` of the model it
+    loads, as plain comparable data."""
     try:
         model = load(text, "m.cn")
     except ConspecError as exc:
         where = tuple(getattr(exc, name, None) for name in ("path", "line", "col"))
         return (type(exc).__name__, str(exc), where)
-    vocab = model.vocab
+    vocab = vocabulary(model)
     return {
         "rules": [_rule_view(rule) for rule in model.rules],
         "surfaces": [(s, [c.text() for c in senses]) for s, senses in vocab.surfaces.items()],
@@ -99,8 +103,8 @@ def _document(parse, text: str) -> str:
 
 def check(text: str) -> object:
     assert _document(parse_document, text) == _document(load_oracle.parse_document, text)
-    got = _outcome(load_model_text, text)
-    assert got == _outcome(load_oracle.load_model_text, text)
+    got = _outcome(load_model_text, lambda model: model.vocab, text)
+    assert got == _outcome(load_oracle.load_model_text, _oracle_vocab, text)
     return got
 
 

@@ -404,8 +404,8 @@ def test_indexes_stay_bounded(monkeypatch):
     check_bounded(lex.root_indexes[("chart", alpha)].parts, parts, lex)
     check_bounded(src.root_indexes[("transfer", alpha)], [t.src for t in pair.transfer_rules], src)
     corners = lex.root_indexes[("chart", alpha)].corners
-    firsts = {r.first_literal for r in rules}
-    lasts = {r.last_literal for r in rules}
+    firsts = {r.parts[0].text if isinstance(r.parts[0], Literal) else None for r in rules}
+    lasts = {r.parts[-1].text if isinstance(r.parts[-1], Literal) else None for r in rules}
     most = max(len(r.parts) for r in rules)
     for first, last, width in corners:
         assert first in firsts and last in lasts and 1 <= width <= most

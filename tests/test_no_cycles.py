@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import gc
 import random
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -34,10 +36,14 @@ from conspec import (
 )
 from conspec.errors import ConspecError
 
+from .test_transfer_refusal import pair_without_fred_rule
+
 DATA = resources.files("conspec.data")
 ENGLISH_TEXT = (DATA / "english.cn").read_text(encoding="utf-8")
 ENGLISH = load_model_text(ENGLISH_TEXT)
 PAIR = load_pair(str(DATA / "english_sov.pair"))
+with tempfile.TemporaryDirectory() as tmp:
+    GAP_PAIR = pair_without_fred_rule(Path(tmp))
 CORPUS = load_corpus(str(DATA / "demo_corpus.tsv"))
 TRANSLATIONS = [
     line.split("\t")[0]
@@ -111,6 +117,8 @@ CASES = {
     "untranslatable": failing(translate, PAIR, "holy cow"),
     # the best parse transfers and then fails to realize
     "unrealizable_translation": failing(translate, PAIR, "the dress is green"),
+    # the same, through a receptor model that lacks the one rule it needs
+    "unrealizable_translation_missing_rule": failing(translate, GAP_PAIR, "Fred is happy"),
     # translate refuses all four capped parses before any transfer match
     "all_parses_refused": failing(translate, PAIR, "did it break the window"),
     "bad_anchor": failing(canonicalize, parse_network("(he > >>{agent})")),

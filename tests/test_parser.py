@@ -347,17 +347,28 @@ class TestVocabulary:
         assert calls == []
 
     def test_vocabulary_is_built_on_the_first_parse_only(self, monkeypatch):
+        # the chart index is the vocabulary's one home: a load builds none,
+        # a realize neither, and the first parse builds it once for the rule
+        # tuple, shared by a copy with other pragmas
+        from argparse import Namespace
+
+        from conspec.cli import _with_overrides
         from conspec.parser import build_vocabulary
 
         calls = _count_vocabulary_builds(monkeypatch)
         model = load_model_text(TINY_MODEL)
+        indexes, slot = model.lexicon.root_indexes, ("chart", model.pragmas.alpha)
+        assert indexes == {}
         realize(model, parse_network("trust > [{past}, {agent} > he, {theme} > John]"))
-        assert calls == [] and model.lexicon.vocabulary is None
+        assert calls == [] and slot not in indexes
         parse_text(model, "he trusted John")
         parse_text(model, "he trusted John")
         assert len(calls) == 1
         want = build_vocabulary(model.rules, model.lexicon)
-        assert model.vocab == want and model.vocab is model.vocab
+        assert model.vocab == want and model.vocab is indexes[slot].vocab
+        copy = _with_overrides(model, Namespace(beam=4, tau=0.25))
+        assert copy.pragmas != model.pragmas and copy.vocab is model.vocab
+        assert len(calls) == 1
 
 
 class TestAffixCap:

@@ -100,7 +100,6 @@ class TestMatchRules:
         matches = match_rules((past_rule,), lex, parse_network("trust > {past}"))
         assert len(matches) == 1
         assert matches[0].score == 1.0
-        assert matches[0].exact
 
     def test_analogical_match_trust_to_jump(self, lex, past_rule):
         matches = match_rules((past_rule,), lex, parse_network("jump > {past}"))

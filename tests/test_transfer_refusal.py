@@ -61,6 +61,22 @@ def pair() -> LanguagePair:
     return load_pair(str(PAIR_PATH))
 
 
+# sov.cn's one realization rule for the receptor network of "Fred is happy"
+FRED_RULE = "(Fureddo > shiawase) > {ru} <=> [Fureddo, 'wa', shiawase, 'da']\n"
+
+
+def pair_without_fred_rule(directory: Path) -> LanguagePair:
+    """english_sov.pair, written to ``directory`` with english.cn and a copy
+    of sov.cn that lacks ``FRED_RULE``: "Fred is happy" parses, its best
+    parse transfers, and no rule realizes the transferred network."""
+    sov = (DATA / "sov.cn").read_text(encoding="utf-8")
+    assert FRED_RULE in sov
+    (directory / "sov.cn").write_text(sov.replace(FRED_RULE, ""), encoding="utf-8")
+    for name in ("english.cn", "english_sov.pair"):
+        (directory / name).write_text((DATA / name).read_text(encoding="utf-8"), encoding="utf-8")
+    return load_pair(str(directory / "english_sov.pair"))
+
+
 @pytest.fixture(scope="module")
 def seem_pair() -> LanguagePair:
     # every shipped rule maps each source concept it matches; this added rule
@@ -130,13 +146,24 @@ def test_seem_parse_is_kept(seem_pair):
     assert translate(seem_pair, "Fred seems happy")[0][0] == "Fureddo wa shiawase da"
 
 
-def test_stage_is_realize_when_a_parse_gets_through_transfer(pair):
+def test_stage_is_realize_when_a_parse_gets_through_transfer(pair, tmp_path):
     # the best parse transfers and fails to realize; the third-ranked parse,
     # which holds {!}, fails transfer
     with pytest.raises(UnrealizableFragmentError) as exc:
         translate(pair, "the dress is green")
     assert exc.value.stage == "realize"
     assert exc.value.fragment_text == "(doresu > sono) > midori > {ru}"
+    # the best parse transfers, and the receptor model has no rule for it:
+    # the stage is realize whatever the lower-ranked parses hold
+    gap = pair_without_fred_rule(tmp_path)
+    assert translate(pair, "Fred is happy")[0][0] == "Fureddo wa shiawase da"
+    with pytest.raises(UnrealizableFragmentError) as exc:
+        translate(gap, "Fred is happy")
+    assert exc.value.stage == "realize"
+    assert exc.value.fragment_text == "(Fureddo > shiawase) > {ru}"
+    assert outcome(translate, gap, "Fred is happy") == outcome(
+        transfer_oracle.translate, gap, "Fred is happy"
+    )
 
 
 def test_refused_parses_count_toward_the_cap(tmp_path, monkeypatch):
