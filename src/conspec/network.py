@@ -6,6 +6,11 @@ and optionally an external-anchor annotation that reaches across capsule
 boundaries. Semantics of an edge: the child further specifies (narrows) its
 parent.
 
+A ``Concept`` is a validated ``(label, stemless, sense)`` tuple, so hashing
+one, which every dict and set lookup in the engine does, runs in C.
+``iter_nodes`` and ``concepts`` fill a list by one recursive preorder walk,
+which every network walk in the engine shares.
+
 Networks are immutable after construction by convention: nothing in this
 package mutates a node once it is part of a returned network, so networks are
 safe to share between threads. ``resolve_anchors`` wires the single mutable
@@ -39,8 +44,8 @@ its traceback, which holds the frame that keeps it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Iterable, Iterator
+from operator import attrgetter, itemgetter
+from typing import Iterable
 
 from .errors import MalformedNetworkError
 
@@ -51,35 +56,53 @@ DOWN = "down"
 STRUCTURAL_CHARS = set(">[](){},=<'#")
 
 
-@dataclass(frozen=True)
-class Concept:
+class Concept(tuple):
     """An atomic unit of meaning: a stem, or a stemless operator like {past}.
 
     ``sense`` discriminates homographs; unannotated concepts are sense 1.
-    The hash is ``hash((label, stemless, sense))``, computed once here.
+    A concept is the tuple ``(label, stemless, sense)``, validated once here,
+    so its hash is ``hash((label, stemless, sense))``, computed in C. It is
+    equal only to a concept with the same fields (never to a plain tuple),
+    and concepts are unordered.
     """
 
-    label: str
-    stemless: bool = False
-    sense: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.label:
+    def __new__(cls, label: str, stemless: bool = False, sense: int = 1):
+        if not label:
             raise MalformedNetworkError("concept label must be nonempty")
-        if not STRUCTURAL_CHARS.isdisjoint(self.label):
-            bad = sorted(STRUCTURAL_CHARS.intersection(self.label))[0]
+        if not STRUCTURAL_CHARS.isdisjoint(label):
+            bad = sorted(STRUCTURAL_CHARS.intersection(label))[0]
             raise MalformedNetworkError(
-                f"concept label {self.label!r} contains structural character {bad!r}"
+                f"concept label {label!r} contains structural character {bad!r}"
             )
-        object.__setattr__(self, "_hash", hash((self.label, self.stemless, self.sense)))
+        return tuple.__new__(cls, (label, stemless, sense))
 
-    def __hash__(self) -> int:
-        return self._hash
+    label = property(itemgetter(0), doc="The stem or operator name.")
+    stemless = property(itemgetter(1), doc="Whether this is a {stemless} operator.")
+    sense = property(itemgetter(2), doc="The homograph sense, 1 when unannotated.")
+
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        # False, not NotImplemented: tuple's own == would then compare a
+        # plain tuple's items with ours
+        return other.__class__ is Concept and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return other.__class__ is not Concept or tuple.__ne__(self, other)
+
+    def _unordered(self, other):
+        # raise, not return NotImplemented: tuple's reflected operator would
+        # then order a concept against a plain tuple
+        raise TypeError(f"concepts are unordered: cannot compare with {type(other).__name__}")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def __reduce__(self):
-        # rebuild through __init__: a stored string hash is only valid in the
-        # interpreter that computed it
-        return (Concept, (self.label, self.stemless, self.sense))
+        # rebuild through __new__, which validates; tuple's default would
+        # pass the fields as one argument
+        return (Concept, tuple(self))
 
     def text(self) -> str:
         base = self.label if self.sense == 1 else f"{self.label}#{self.sense}"
@@ -152,24 +175,33 @@ class ConceptNetwork:
             raise MalformedNetworkError("network must have at least one root")
         self.roots = roots
 
-    def iter_nodes(self) -> Iterator[Node]:
-        """All nodes, depth-first, descending into capsule bodies."""
-        stack = list(reversed(self.roots))
-        while stack:
-            node = stack.pop()
-            yield node
-            if node.is_capsule:
-                stack.extend(reversed(node.capsule.roots))
-            stack.extend(reversed(node.specifiers))
+    def iter_nodes(self) -> list[Node]:
+        """All nodes in preorder: each root's tree in turn, where a node
+        comes first, then each specifier's subtree in turn, then its
+        capsule body's trees."""
+        out: list[Node] = []
+        for root in self.roots:
+            _preorder(root, out)
+        return out
 
     def concepts(self) -> list[Concept]:
-        """Multiset of concepts in the network (capsule shells excluded)."""
+        """Multiset of concepts in the network (capsule shells excluded), in
+        the order of ``iter_nodes``."""
         return [n.concept for n in self.iter_nodes() if n.concept is not None]
 
     def __repr__(self) -> str:
         from .treeline import print_network
 
         return f"ConceptNetwork({print_network(self)!r})"
+
+
+def _preorder(node: Node, out: list[Node]) -> None:
+    out.append(node)
+    for s in node.specifiers:
+        _preorder(s, out)
+    if node.is_capsule:
+        for r in node.capsule.roots:
+            _preorder(r, out)
 
 
 def rebuild(node: Node) -> Node:

@@ -8,14 +8,22 @@ Two generated models extend the shipped english.cn with copies of a verb
 and its rules: ``rule_count_model`` (two rules per copy, for load and match
 cost against the rule count) and ``beam_loss_model`` (one rule per copy,
 whose analogical realizations crowd realize's beam).
+
+``STRESS_MODEL`` is ``tests/data/stress.cn``, a frozen copy of english.cn.
+The oracle and skip tests whose counts have floors run over it beside the
+shipped model, so those floors keep a load to stand on whatever edits the
+shipped model later gets. ``tests/test_tooling.py`` pins its sha256.
 """
 
 from __future__ import annotations
 
 import random
 from importlib import resources
+from pathlib import Path
 
 from conspec.network import DOWN, UP, Anchor, Concept, ConceptNetwork, Node
+
+STRESS_MODEL = Path(__file__).resolve().parent / "data" / "stress.cn"
 
 LABELS = ["trust", "jump", "dog", "teacher", "Anne", "rock", "pick up", "berry", "holy cow"]
 STEMLESS = ["past", "present", "agent", "theme", "plural", "re", "?"]

@@ -9,12 +9,14 @@ pair in the same order.
 
 The inputs are:
 
-- every alignment the engine asks for while loading english.cn and
+- every alignment the engine asks for while loading english.cn (and, in a
+  second test, the stress model ``tests/gen.STRESS_MODEL``) and
   english_sov.pair, parsing and realizing demo_corpus.tsv and translating
-  translations.tsv: rule parts against their lhs, part patterns against
-  chart items, rule patterns against realize and transfer regions; and
-  every one it skips because ``similarity.RootIndex`` leaves the pattern
-  out for the target, where both must give None;
+  translations.tsv with that model as the pair's source model: rule parts
+  against their lhs, part patterns against chart items, rule patterns
+  against realize and transfer regions; and every one it skips because
+  ``similarity.RootIndex`` leaves the pattern out for the target, where both
+  must give None;
 - 500 seeded ``tests/gen.py`` pairs, under ``pure_node_sim`` with
   ``total=True`` and under ``rule_node_sim`` with ``total=False``;
 - fan-out pairs of up to 7 specifiers whose similarities tie, so that the
@@ -24,6 +26,7 @@ The inputs are:
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -44,7 +47,7 @@ from conspec.similarity import (
 from conspec.transfer import load_pair, translate
 
 from . import alignment_oracle
-from .gen import gen_network, mutate_network
+from .gen import STRESS_MODEL, gen_network, mutate_network
 from .test_match_skips import left_out
 from .test_lexicon import make_lexicon
 
@@ -68,7 +71,9 @@ def check(pattern: ConceptNetwork, target: ConceptNetwork, sim, total: bool) -> 
     return got
 
 
-def test_engine_alignments_match_oracle(monkeypatch):
+def engine_alignment_counts(monkeypatch, model_path) -> list[int]:
+    """[None, aligned] counts of the engine's alignments, each checked, with
+    the model at ``model_path`` as the pair's source model."""
     counts = [0, 0]  # [None, aligned]
     candidates = RootIndex.candidates
 
@@ -90,15 +95,23 @@ def test_engine_alignments_match_oracle(monkeypatch):
     monkeypatch.setattr(conspec.parser, "align_networks", record)
     monkeypatch.setattr(conspec.rules, "align_networks", record)
     monkeypatch.setattr(RootIndex, "candidates", record_skips)
-    model = load_model(str(DATA / "english.cn"))
-    pair = load_pair(str(DATA / "english_sov.pair"))
+    model = load_model(str(model_path))
+    pair = replace(load_pair(str(DATA / "english_sov.pair")), source_model=model)
     for surface, net, _ in load_corpus(str(DATA / "demo_corpus.tsv")):
         parse_text(model, surface)
         realize(model, net)
     for raw in (DATA / "translations.tsv").read_text(encoding="utf-8").splitlines():
         if raw.strip() and not raw.startswith("#"):
             translate(pair, raw.split("\t")[0])
-    assert min(counts) > 1000
+    return counts
+
+
+def test_engine_alignments_match_oracle(monkeypatch):
+    assert min(engine_alignment_counts(monkeypatch, DATA / "english.cn")) > 1000
+
+
+def test_engine_alignments_match_oracle_on_the_stress_model(monkeypatch):
+    assert min(engine_alignment_counts(monkeypatch, STRESS_MODEL)) > 1000
 
 
 def prune(rng: random.Random, node: Node) -> Node:

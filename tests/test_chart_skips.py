@@ -6,9 +6,10 @@ align (``parser._aligned_combos``), and builds an item only where ``add()``
 could admit it (``parser._may_admit``). This file keeps what those replaced,
 as it stood in ``parser._chart_parse``: ``_part_combos``, ``align_parts``, the
 unary cycle guard and ``add()``. For every segmentation of demo_corpus.tsv and
-of the English column of translations.tsv, at beams 1, 2 and 16, and for the
-constructed model of ``test_chart_oracle.CAP_MODEL``, whose tilings the
-``beam*4`` cap cuts:
+of the English column of translations.tsv, at beams 1, 2 and 16, with
+english.cn and again with the stress model ``tests/gen.STRESS_MODEL``, and
+for the constructed model of ``test_chart_oracle.CAP_MODEL``, whose tilings
+the ``beam*4`` cap cuts:
 
 - Each tiling that ``_tilings`` gives unmasked (all-ones part bits and cell
   masks) and drops with the rule's part bits has no combination of
@@ -38,6 +39,7 @@ from conspec.parser import _chart_parse, _Item, segment
 from conspec.rules import Literal, instantiate_reverse, reverse_score
 from conspec.similarity import align_networks, rule_node_sim
 
+from .gen import STRESS_MODEL
 from .test_chart_oracle import CAP_MODEL, unmasked
 from .test_rule_filters import english_surfaces
 
@@ -179,14 +181,23 @@ def check_chart_skips(model, token_lists, monkeypatch) -> dict[str, int]:
     return counts
 
 
-@pytest.mark.parametrize("beam", [1, 2, 16])
-def test_chart_skips_only_what_the_old_chart_refuses(beam, monkeypatch):
-    english = load_model(str(DATA / "english.cn"))
-    model = replace(english, pragmas=replace(english.pragmas, beam=beam))
+def check_english_surfaces(model_path, beam, monkeypatch) -> None:
+    loaded = load_model(str(model_path))
+    model = replace(loaded, pragmas=replace(loaded.pragmas, beam=beam))
     token_lists = [tokens for surface in english_surfaces() for tokens in segment(model, surface)]
     counts = check_chart_skips(model, token_lists, monkeypatch)
     assert counts.pop("capped") == 0, counts  # no shipped tiling reaches the cap
     assert min(counts.values()) > 0, counts
+
+
+@pytest.mark.parametrize("beam", [1, 2, 16])
+def test_chart_skips_only_what_the_old_chart_refuses(beam, monkeypatch):
+    check_english_surfaces(DATA / "english.cn", beam, monkeypatch)
+
+
+@pytest.mark.parametrize("beam", [1, 2, 16])
+def test_chart_skips_only_what_the_old_chart_refuses_on_the_stress_model(beam, monkeypatch):
+    check_english_surfaces(STRESS_MODEL, beam, monkeypatch)
 
 
 def test_chart_skips_only_what_the_old_chart_refuses_past_the_cap(monkeypatch):

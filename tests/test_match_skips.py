@@ -15,7 +15,8 @@ This file keeps, verbatim, what the skips and memos stand in for:
 With those installed beside the engine, over every demo_corpus.tsv row
 (parse and realize), every translations.tsv row (translate), and 400 seeded
 ``tests/gen.py`` networks (rule and transfer matching, realize, and parsing
-what realize gives), at beams 1, 2 and 16:
+what realize gives, with english.cn and again with the stress model
+``tests/gen.STRESS_MODEL``), at beams 1, 2 and 16:
 
 - every ``match_rules`` and ``_collect_transfer_matches`` answer equals the
   unindexed loop's, match for match and in order;
@@ -82,7 +83,7 @@ from conspec.similarity import (
 from conspec.transfer import load_pair, translate
 from conspec.treeline import print_network
 
-from .gen import gen_network
+from .gen import STRESS_MODEL, gen_network
 from .test_chart_oracle import admitted_by_masks, unmasked
 
 DATA = resources.files("conspec.data")
@@ -292,8 +293,17 @@ def test_generated_matching(checked):
 
 @pytest.mark.parametrize("beam", BEAMS)
 def test_generated_realize_and_parse(beam, checked):
+    realize_and_parse(checked, DATA / "english.cn", beam)
+
+
+@pytest.mark.parametrize("beam", BEAMS)
+def test_generated_realize_and_parse_on_the_stress_model(beam, checked):
+    realize_and_parse(checked, STRESS_MODEL, beam)
+
+
+def realize_and_parse(checked, model_path, beam) -> None:
     """Realize each network, and parse the best text it gives."""
-    model = with_beam(load_model(str(DATA / "english.cn")), beam)
+    model = with_beam(load_model(str(model_path)), beam)
     rng = random.Random(15)
     texts = 0
     for _ in range(400):

@@ -1,6 +1,9 @@
+import copy
 import itertools
+import operator
+import pickle
 import random
-from dataclasses import fields, replace
+import re
 
 import pytest
 
@@ -140,21 +143,75 @@ class TestConceptHash:
 
     def test_replace_hashes_the_new_fields(self):
         bank = Concept("bank")
-        other = replace(bank, sense=2)
+        other = Concept(*bank[:2], sense=2)  # bank's fields with sense replaced
         assert hash(other) == hash(("bank", False, 2))
         assert other != bank and other == Concept("bank", False, 2)
         assert {other: 1}[Concept("bank", False, 2)] == 1
 
     def test_non_concepts_compare_unequal(self):
         trust = Concept("trust")
-        assert (trust == "trust") is False
-        assert (trust == ("trust", False, 1)) is False
-        assert trust != None  # noqa: E711
+        for other in ("trust", ("trust", False, 1), ["trust", False, 1], None):
+            assert (trust == other) is False and (other == trust) is False
+            assert (trust != other) is True and (other != trust) is True
+        assert (trust == Concept("trust")) is True and (trust != Concept("trust")) is False
+        assert {("trust", False, 1): 1}.get(trust) is None
+        assert trust not in {("trust", False, 1)}
+
+    def test_concepts_are_unordered(self):
+        trust = Concept("trust")
+        for other in (Concept("zebra"), ("zebra", False, 1), "zebra", None):
+            for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+                with pytest.raises(TypeError):
+                    compare(trust, other)
+                with pytest.raises(TypeError):
+                    compare(other, trust)
+        with pytest.raises(TypeError):
+            sorted([Concept("b"), Concept("a")])
+
+    def test_fields_are_read_only(self):
+        trust = Concept("trust")
+        for name, value in (("label", "x"), ("stemless", True), ("sense", 2), ("other", 0)):
+            with pytest.raises(AttributeError):
+                setattr(trust, name, value)
+        assert trust == Concept("trust") and not hasattr(trust, "__dict__")
 
     def test_fields_repr_and_pickling_see_only_the_fields(self):
-        assert [f.name for f in fields(Concept)] == ["label", "stemless", "sense"]
-        assert repr(Concept("past", True)) == "Concept({past})"
+        past = Concept("past", True)
+        assert tuple(past) == ("past", True, 1) and len(past) == 3
+        assert (past.label, past.stemless, past.sense) == ("past", True, 1)
+        assert Concept.__slots__ == ()
+        assert repr(past) == "Concept({past})" and str(past) == "Concept({past})"
         assert Concept("bank", False, 2).__reduce__() == (Concept, ("bank", False, 2))
+
+    @pytest.mark.parametrize(
+        "copy_of",
+        [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_copies_are_equal_concepts(self, copy_of):
+        for fields in self.CASES:
+            got = copy_of(Concept(*fields))
+            assert type(got) is Concept and got == Concept(*fields)
+            assert hash(got) == hash(fields)
+        # a node's concept is copied with the node
+        node = copy_of(Node(concept=Concept("past", True)))
+        assert node.concept == Concept("past", True)
+
+    def test_label_errors_keep_their_messages(self):
+        with pytest.raises(MalformedNetworkError, match="^concept label must be nonempty$"):
+            Concept("")
+        for label, bad in (("a>b", ">"), ("x{y}", "{"), ("bank#2", "#"), ("[a,b]", ","), ("a'b", "'")):
+            message = f"concept label {label!r} contains structural character {bad!r}"
+            with pytest.raises(MalformedNetworkError, match=f"^{re.escape(message)}$"):
+                Concept(label)
+
+    def test_concepts_parsed_apart_find_each_other(self):
+        ours = net("approach > [{past}, {agent} > Anne, bank#2, (teacher > stern) > the]")
+        theirs = net("(bank#2 > the) > [{past}, approach > {agent} > Anne, stern > teacher]")
+        table = {c: c.text() for c in ours.concepts()}
+        found = [table[c] for c in theirs.concepts()]
+        assert found == [c.text() for c in theirs.concepts()]
+        assert all(a is not b for a in ours.concepts() for b in theirs.concepts())
 
 
 class TestResolveAnchors:

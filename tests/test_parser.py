@@ -539,8 +539,16 @@ class TestChartReuse:
     ):
         check_sweeps(monkeypatch, beam)
 
+    @pytest.mark.parametrize("beam", [1, 2, 16])
+    def test_later_sweeps_retile_only_one_part_pattern_rules_on_the_stress_model(
+        self, monkeypatch, beam
+    ):
+        from .gen import STRESS_MODEL
 
-def check_sweeps(monkeypatch, beam) -> None:
+        check_sweeps(monkeypatch, beam, STRESS_MODEL)
+
+
+def check_sweeps(monkeypatch, beam, model_path=None) -> None:
     """A span's first sweep hands ``_tilings`` the rules the corner table
     lists, in declaration order, less those the corner masks skip (each
     checked to have no tiling by ``chart_sweeps``); every later sweep hands
@@ -557,7 +565,7 @@ def check_sweeps(monkeypatch, beam) -> None:
             and (not isinstance(last, Literal) or last.text == tokens[j - 1])
         )
 
-    model, token_lists = models_and_tokens(beam)
+    model, token_lists = models_and_tokens(beam, model_path)
     spans = chart_sweeps(monkeypatch, model, token_lists)
     every = list(model.rules)
     regrow = [r for r in every if len(r.parts) == 1 and isinstance(r.parts[0], PatternPart)]

@@ -8,8 +8,9 @@ final cell at the span's edge can take, and a one-part pattern rule while the
 cell being filled is empty; every rule they skip must have a masked
 ``_tilings`` of [] on the chart as it stood when the sweep reached it. Both
 are checked over every segmentation of demo_corpus.tsv and of the English
-column of translations.tsv, at beams 1, 2 and 16, and on the constructed model
-of ``test_chart_oracle``.
+column of translations.tsv, at beams 1, 2 and 16, with english.cn and again
+with the stress model ``tests/gen.STRESS_MODEL``, and on the constructed
+model of ``test_chart_oracle``.
 
 ``rules._find_embeddings`` skips an lhs node whose concept differs from the
 rule part's root before aligning the part with it; every node it skips must
@@ -34,7 +35,7 @@ from conspec.rules import PatternPart, _exact_sim
 from conspec.similarity import align_networks
 from conspec.transfer import load_pair
 
-from .gen import gen_network
+from .gen import STRESS_MODEL, gen_network
 from .test_chart_oracle import CAP_MODEL, final_ends, unmasked
 
 DATA = resources.files("conspec.data")
@@ -126,18 +127,19 @@ def chart_sweeps(monkeypatch, model, token_lists) -> list[Span]:
     return spans
 
 
-def models_and_tokens(beam):
-    """english.cn at ``beam`` with every segmentation of the English
-    surfaces, or the constructed model with its one input."""
+def models_and_tokens(beam, model_path=None):
+    """The model at ``model_path`` (english.cn unless given) at ``beam``
+    with every segmentation of the English surfaces, or the constructed
+    model with its one input."""
     if beam == "cap":
         return load_model_text(CAP_MODEL), ["a b c d".split()]
-    english = load_model(str(DATA / "english.cn"))
-    model = replace(english, pragmas=replace(english.pragmas, beam=beam))
+    loaded = load_model(str(model_path or DATA / "english.cn"))
+    model = replace(loaded, pragmas=replace(loaded.pragmas, beam=beam))
     return model, [tokens for surface in english_surfaces() for tokens in segment(model, surface)]
 
 
-def check_filters(monkeypatch, beam) -> None:
-    model, token_lists = models_and_tokens(beam)
+def check_filters(monkeypatch, beam, model_path=None) -> None:
+    model, token_lists = models_and_tokens(beam, model_path)
     spans = chart_sweeps(monkeypatch, model, token_lists)
     by_table = by_edges = by_cell = 0
     for span in spans:
@@ -164,6 +166,11 @@ def test_corner_filter_skips_only_rules_without_a_tiling(monkeypatch):
 @pytest.mark.parametrize("beam", [1, 2, "cap"])
 def test_corner_filters_skip_only_rules_without_a_tiling_at_other_beams(monkeypatch, beam):
     check_filters(monkeypatch, beam)
+
+
+@pytest.mark.parametrize("beam", [1, 2, 16])
+def test_corner_filters_skip_only_rules_without_a_tiling_on_the_stress_model(monkeypatch, beam):
+    check_filters(monkeypatch, beam, STRESS_MODEL)
 
 
 def _alignment_view(got) -> tuple:

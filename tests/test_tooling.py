@@ -1,12 +1,14 @@
-"""Guards for the benchmark harness under perfbench/."""
+"""Guards for the benchmark harness under perfbench/ and for the stress model."""
 
 import ast
+import hashlib
 import importlib
 import inspect
 import json
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+STRESS_SHA256 = "4bc15a4a37d7bd8d4562e27153128b7106259827c3eb543cef4408f1095be906"
 
 
 def _layer_functions() -> tuple[str, ...]:
@@ -58,3 +60,12 @@ def test_bench_records_cover_every_workload():
             for mode, run in by_mode.items():
                 assert run["result"]["correct"] is True, f"{path.name}: {name} {mode}"
                 assert run["record"]["workload"] == name, f"{path.name}: {name} {mode}"
+
+
+def test_stress_model_is_pinned():
+    """tests/data/stress.cn, the load behind the oracle and skip tests'
+    floors, stays the copy of english.cn those floors were set on, whatever
+    edits the shipped model gets."""
+    from .gen import STRESS_MODEL
+
+    assert hashlib.sha256(STRESS_MODEL.read_bytes()).hexdigest() == STRESS_SHA256

@@ -24,6 +24,7 @@ from conspec.treeline import (
 )
 
 from .gen import gen_network
+from .test_walk_oracle import assert_walks_match
 
 
 def construction_rows() -> list[tuple[str, str, str]]:
@@ -330,6 +331,7 @@ class TestNestingLimit:
             assert equal(parse_network(print_network(net)), net)
             to_json_dict(resolve_anchors(canonicalize(net)))
             assert network_sim(Lexicon(), net, net)[0] == 1.0
+            assert assert_walks_match(net) == MAX_NESTING
 
         _on_deeper_stack(100, ops)  # headroom for callers' own frames
 
