@@ -9,7 +9,7 @@ parent.
 A ``Concept`` is a validated ``(label, stemless, sense)`` tuple, so hashing
 one, which every dict and set lookup in the engine does, runs in C.
 ``iter_nodes`` and ``concepts`` fill a list by one recursive preorder walk,
-which every network walk in the engine shares.
+which every scan of all of a network's nodes reads.
 
 Networks are immutable after construction by convention: nothing in this
 package mutates a node once it is part of a returned network, so networks are
