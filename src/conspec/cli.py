@@ -15,7 +15,7 @@ from collections.abc import Iterator
 from dataclasses import replace
 
 from .errors import ConspecError, ModelLoadError, TreelineParseError
-from .lexicon import DEFAULT_STEMLESS, undeclared_stemless
+from .lexicon import DEFAULT_STEMLESS, lint_networks, undeclared_stemless
 from .model import ModelBundle, Pragmas, _read_file, load_corpus, load_model, load_model_text
 from .network import (
     ConceptNetwork,
@@ -27,9 +27,9 @@ from .network import (
     to_json_dict,
 )
 from .parser import parse_text
-from .realizer import realize
+from .realizer import realize, trace_rule_ids
 from .transfer import load_pair, translate
-from .treeline import parse_document, parse_network, print_network
+from .treeline import DeclareStmt, parse_document, parse_network, print_network
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -238,7 +238,8 @@ def _cmd_lint(args) -> int:
     for exc in errors:
         problems.append(f"error: {exc}")
     problems.extend(f"note: {l}" for l in doc.lints)
-    for label in undeclared_stemless(doc.statements, DEFAULT_STEMLESS):
+    declared = set(DEFAULT_STEMLESS) | {s.label for s in doc.of_kind(DeclareStmt)}
+    for label in undeclared_stemless(lint_networks(doc.statements), declared):
         problems.append(f"warning: undeclared stemless label {{{label}}}")
     model = None
     if not errors:  # a collected parse error is the one loading would fail on
@@ -252,10 +253,7 @@ def _cmd_lint(args) -> int:
             for surface, net, _raw in load_corpus(args.corpus):
                 try:
                     for _, _, trace in realize(model, net):
-                        for step in trace:
-                            for entry in step:
-                                if entry.startswith("rule:"):
-                                    used.add(entry.split("@")[0].removeprefix("rule:"))
+                        used.update(trace_rule_ids(trace))
                 except ConspecError:
                     pass
             for rule in model.rules:

@@ -5,9 +5,11 @@ Definitions express a concept as a network of other concepts (girl = human >
 ontology behind is_a and similarity. Lexicons are immutable after load;
 reloads build a fresh object.
 
-Derived data is computed once per lexicon. The ancestor set of every defined
-concept is built at construction, right after the cycle check, and
-``ancestors`` is a lookup that returns that shared frozenset.
+Derived data is computed at most once per lexicon, and only when first
+asked for. Construction runs the cycle check, so a definition cycle fails
+the load; the ancestor set of a defined concept is built the first time
+``ancestors`` is asked for it or for a concept below it, and every later
+call returns that shared frozenset.
 ``similarity.concept_sim`` memoizes its answers lazily in
 ``concept_sim_memo``, and ``similarity.rule_node_sim``, the one scorer of
 rule matching (alignments and root-index fills alike), its own in
@@ -19,21 +21,22 @@ registered labels whatever concepts callers pass in. ``root_indexes`` holds
 what each rule matcher derives from its rule tuple, built when the matcher
 first runs and kept by ``similarity.root_index`` for that tuple: the root
 indexes of realize and transfer (``similarity.RootIndex``), each bounded by
-the model, and the parser's ``_ChartIndex``, built on the model's first
+the model (realize's also holds each rule's role markers, worked out when
+first needed), and the parser's ``_ChartIndex``, built on the model's first
 parse, which holds its vocabulary, corner table and part index. Two readers
-on different threads may both fill one memo entry; both write the same
-value. No cache takes part in equality or repr.
+on different threads may both fill one memo entry or ancestor set; both
+write the same value. No cache takes part in equality or repr.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Container, Iterable
 
 from .errors import MalformedNetworkError, ModelLoadError
 from .network import Concept, ConceptNetwork, Node, equal, rebuild
 from .treeline import (
     MAX_NESTING,
-    DeclareStmt,
     DefinitionStmt,
     NetworkStmt,
     RuleStmt,
@@ -94,9 +97,9 @@ class Definition:
 class Lexicon:
     definitions: dict[Concept, Definition] = field(default_factory=dict)
     stemless_registry: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_STEMLESS))
-    # defined concept -> its ancestor set, built once in __post_init__
+    # defined concept -> its ancestor set; filled by ``ancestors`` as asked
     ancestor_table: dict[Concept, frozenset[Concept]] = field(
-        init=False, repr=False, compare=False
+        init=False, repr=False, compare=False, default_factory=dict
     )
     # (a, b, alpha) -> concept_sim, both concepts defined; filled by similarity
     concept_sim_memo: dict[tuple[Concept, Concept, float], float] = field(
@@ -120,18 +123,7 @@ class Lexicon:
             # a copy: the caller's dict is left as it was passed
             have_def = Definition(have, _HAVE_BODY)
             self.definitions = {**self.definitions, have: have_def}
-        self._check_cycles()  # so each walk up below ends
-        # top-down: walk up to the first concept with a set (or undefined),
-        # then give each concept on the way its parent's set plus itself
-        table = self.ancestor_table = {}
-        for concept in self.definitions:
-            trail, cur = [], concept
-            while cur not in table and cur in self.definitions:
-                trail.append(cur)
-                cur = self.definitions[cur].body.roots[0].head_concept()
-            above = table.get(cur) or frozenset((cur,))
-            for c in reversed(trail):
-                above = table[c] = above | {c}
+        self._check_cycles()  # so each walk up in ``ancestors`` ends
 
     def _check_cycles(self) -> None:
         # expansion must terminate: no definition may reach itself. Depth-first
@@ -170,26 +162,47 @@ _NETWORK_FIELDS = {
 }
 
 
-def undeclared_stemless(statements: list[Statement], registry: dict[str, str]) -> list[str]:
-    """Stemless labels the statements use that neither ``registry`` nor their
-    own ``declare`` lines name, in order of first use."""
-    declared = set(registry) | {s.label for s in statements if isinstance(s, DeclareStmt)}
+def lint_networks(statements: list[Statement]) -> list[ConceptNetwork]:
+    """The networks of ``statements`` that the stemless lint scans, in order."""
+    return [getattr(s, name) for s in statements for name in _NETWORK_FIELDS.get(type(s), ())]
+
+
+def undeclared_stemless(networks: Iterable[ConceptNetwork], declared: Container[str]) -> list[str]:
+    """Stemless labels the networks use that ``declared`` does not name, in
+    order of first use."""
     out: list[str] = []
-    for stmt in statements:
-        for name in _NETWORK_FIELDS.get(type(stmt), ()):
-            for c in getattr(stmt, name).concepts():
-                if c.stemless and c.label not in declared and c.label not in out:
-                    out.append(c.label)
+    for net in networks:
+        for c in net.concepts():
+            if c.stemless and c.label not in declared and c.label not in out:
+                out.append(c.label)
     return out
 
 
 def ancestors(lex: Lexicon, concept: Concept) -> frozenset[Concept]:
     """The definition-head chain from the concept up, plus the concept itself.
 
-    The set is shared with the lexicon's table (built once at construction),
-    hence a frozenset; an undefined concept gets ``frozenset({concept})``.
+    The set is shared with the lexicon's table, hence a frozenset; an
+    undefined concept gets ``frozenset({concept})``. A defined concept's set
+    is built on the first ask, top-down: the walk up stops at the first
+    concept already in the table (or undefined), and each concept on the way
+    gets its parent's set plus itself, so a chain is walked once, not once
+    per concept on it.
     """
-    return lex.ancestor_table.get(concept) or frozenset((concept,))
+    table = lex.ancestor_table
+    got = table.get(concept)
+    if got is not None:
+        return got
+    defined = lex.definitions
+    if concept not in defined:
+        return frozenset((concept,))
+    trail, cur = [], concept
+    while cur not in table and cur in defined:
+        trail.append(cur)
+        cur = defined[cur].body.roots[0].head_concept()
+    got = table.get(cur) or frozenset((cur,))
+    for c in reversed(trail):
+        got = table[c] = got | {c}
+    return got
 
 
 def is_a(lex: Lexicon, concept: Concept, category: Concept) -> bool:

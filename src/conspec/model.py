@@ -3,21 +3,24 @@
 Model files use the tree-line statement format (see treeline). Loading is
 atomic: the bundle is fully built and validated before being returned, so a
 reload that fails leaves the previous bundle untouched. Everything that can
-raise runs inside ``load_model_text``, and a load builds no matcher's data:
-the parser's vocabulary, which ``realize`` never reads and whose build
-cannot fail, is part of the chart index built on the model's first parse
-(``ModelBundle.vocab`` reads it there).
+raise runs inside ``load_model_text``, and a load builds nothing whose build
+cannot fail and that a caller may never read: the parser's vocabulary, which
+``realize`` never reads, is part of the chart index built on the model's
+first parse (``ModelBundle.vocab`` reads it there); the undeclared-stemless
+lint runs on the first read of ``ModelBundle.lints``; and the lexicon builds
+each ancestor set on the first ask.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ModelLoadError, TreelineParseError
-from .lexicon import Definition, Lexicon, undeclared_stemless
+from .lexicon import Definition, Lexicon, lint_networks, undeclared_stemless
 from .network import Concept, ConceptNetwork
 from .rules import DEFAULT_BEAM, DEFAULT_TAU, Rule, build_rule
 from .similarity import DEFAULT_ALPHA
@@ -61,7 +64,18 @@ class ModelBundle:
     pragmas: Pragmas
     path: str = "<inline>"
     content_hash: str = ""
-    lints: list[str] = field(default_factory=list)
+    # the reader's notes, and the networks the stemless lint scans, in
+    # statement order; ``lints`` reads them
+    notes: tuple[str, ...] = field(default=(), repr=False, compare=False)
+    scanned: tuple[ConceptNetwork, ...] = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def lints(self) -> list[str]:
+        """The reader's notes, then each stemless label the model uses that
+        its registry does not name, in order of first use. Computed on the
+        first read, by this bundle or a ``dataclasses.replace`` copy."""
+        undeclared = undeclared_stemless(self.scanned, self.lexicon.stemless_registry)
+        return [*self.notes, *(f"undeclared stemless label {{{label}}}" for label in undeclared)]
 
     @property
     def vocab(self) -> Vocabulary:
@@ -132,11 +146,9 @@ def load_model_text(text: str, path: str = "<inline>") -> ModelBundle:
     except ModelLoadError as exc:  # a definition cycle: name the model file
         raise ModelLoadError(exc.args[0], path, exc.line) from None
     lex.stemless_registry.update(declares)
-    lints = list(doc.lints)
-    for label in undeclared_stemless(doc.statements, lex.stemless_registry):
-        lints.append(f"undeclared stemless label {{{label}}}")
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return ModelBundle(lex, tuple(rules), pragmas, path, digest, lints)
+    scanned = tuple(lint_networks(doc.statements))
+    return ModelBundle(lex, tuple(rules), pragmas, path, digest, tuple(doc.lints), scanned)
 
 
 def _read_file(path: str | Path, what: str) -> str:

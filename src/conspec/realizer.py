@@ -101,6 +101,22 @@ def strip_orthography(text: str) -> tuple[str, str | None]:
     return text, punct
 
 
+# A trace step holds one entry per rewritten slot, ``label:<label>@<slot>`` or
+# ``rule:<id>@<slot>``, then a ``prune:<count>`` entry if the beam dropped
+# hypotheses; the last step is ``join``.
+_RULE = "rule:"
+
+
+def trace_rule_ids(trace: list[list[str]]) -> list[str]:
+    """The ids of the rules a ``realize`` trace applied, in trace order."""
+    return [
+        entry[len(_RULE) : entry.rindex("@")]
+        for step in trace
+        for entry in step
+        if entry.startswith(_RULE)
+    ]
+
+
 def _rewrite_options(model: ModelBundle, fragment: ConceptNetwork):
     """(score, trace label, replacement parts) options for one fragment."""
     options: list[tuple[float, str, list[Part]]] = []
@@ -116,7 +132,7 @@ def _rewrite_options(model: ModelBundle, fragment: ConceptNetwork):
         tau=model.pragmas.tau,
     ):
         parts = realize_parts(match)
-        options.append((match.score, f"rule:{match.rule.rule_id}", list(parts)))
+        options.append((match.score, f"{_RULE}{match.rule.rule_id}", list(parts)))
     return options
 
 

@@ -62,7 +62,7 @@ DEFAULT_BEAM = 16
 
 
 def _exact_sim(a: Concept, b: Concept) -> float:
-    return 1.0 if a == b else 0.0
+    return 1.0 if a is b or a == b else 0.0
 
 
 def _nodes_by_concept(lhs: ConceptNetwork) -> dict[Concept | None, list[Node]]:
@@ -215,8 +215,9 @@ def match_rules(
 ) -> list[Match]:
     """Rule patterns matched against the network's root region: every match
     with score >= tau, best score first, declaration order on ties. Only the
-    rules the root index admits are aligned; every other rule's alignment is
-    None at the root."""
+    rules the root index admits, and whose role markers the network's root
+    children can take (``RootIndex.with_markers``), are aligned; every other
+    rule's alignment is None."""
     sim = rule_node_sim(lex, alpha)
     index = root_index(
         lex,
@@ -226,7 +227,7 @@ def match_rules(
         lambda: RootIndex(rules, tuple(r.lhs for r in rules), alpha, tuple),
     )
     out: list[tuple[float, int, Match]] = []
-    for idx in index.candidates(net.roots, lex):
+    for idx in index.with_markers(index.candidates(net.roots, lex), net.roots, lex):
         rule = rules[idx]
         got = _match_region(rule.lhs, net, sim, tau, rule.part_at)
         if got is not None:

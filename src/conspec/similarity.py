@@ -13,9 +13,11 @@ its first checks (capsule flag, anchor, specifier count) before it calls the
 scorer. ``RootIndex`` answers, for a tuple of patterns and a target root,
 which patterns pass those checks and score above 0 at the root, so realize,
 transfer and the chart align only those; it memoizes its answers on the
-lexicon by the target's root key, bounded by the model. The
-kernel passes plain (product, count, pairs) results up the tree; only
-align_networks builds an Alignment. An alignment is its binding and score
+lexicon by the target's root key, bounded by the model. For realize,
+``RootIndex.with_markers`` then drops each admitted rule with a role
+marker that ``rule_node_sim`` scores 0 against every child of the target
+root. The kernel passes plain (product, count, pairs) results up the tree;
+only align_networks builds an Alignment. An alignment is its binding and score
 alone: a remainder, a specifier child of a bound target node that is not
 itself bound, is worked out from the binding by whoever reads it.
 """
@@ -79,7 +81,10 @@ def rule_node_sim(lex: Lexicon, alpha: float = DEFAULT_ALPHA) -> NodeSim:
     similarity, so a rule written over a definition-level concept (a rule
     over {verb}, or over tool) applies to anything defined beneath it.
 
-    Alignments and ``RootIndex`` fills both ask this one scorer.
+    Alignments and ``RootIndex`` fills both ask this one scorer. A
+    stemless pattern concept (a role marker such as {agent}) scores above 0
+    only against itself or a concept ``is_a`` below it: the overlap is never
+    reached. ``RootIndex.with_markers`` rests on that.
     Answers are memoized on the lexicon, one memo per alpha, for pairs of
     concepts each defined or a registered stemless concept (a role marker
     such as {agent}, sense 1, its label in the lexicon's registry): an
@@ -95,7 +100,7 @@ def rule_node_sim(lex: Lexicon, alpha: float = DEFAULT_ALPHA) -> NodeSim:
         return c in defined or (c.stemless and c.sense == 1 and c.label in registry)
 
     def sim(pattern: Concept, target: Concept) -> float:
-        if pattern == target:
+        if pattern is target or pattern == target:
             return 1.0
         key = (pattern, target)
         got = memo.get(key)
@@ -177,6 +182,9 @@ class RootIndex:
         self.widest = max((len(p.roots[0].specifiers) for p in patterns), default=0)
         self.concepts: set[Concept] | None = None  # those the patterns use, once asked for
         self.memo: dict[tuple, object] = {}
+        # per pattern, once asked for: (root index, concept) of each stemless
+        # child of its roots
+        self.markers: list[tuple[tuple[int, Concept], ...] | None] = [None] * len(patterns)
 
     def candidates(self, roots: tuple[Node, ...], lex: Lexicon):
         root = roots[0]
@@ -194,6 +202,40 @@ class RootIndex:
             if concept is None or concept in lex.definitions or concept in self._used():
                 self.memo[key] = got
         return got
+
+    def with_markers(self, picked, roots: tuple[Node, ...], lex: Lexicon) -> list[int]:
+        """The patterns of ``picked``, in its order, whose every stemless root
+        child (a role marker such as {agent}) is, or is an ancestor of, some
+        child concept of the target root at the same index.
+
+        Every other pattern's alignment is None: it must bind each child of a
+        pattern root to a distinct child of that target root scoring above 0,
+        and ``rule_node_sim`` scores a stemless pattern concept above 0 only
+        against itself or a concept ``is_a`` below it.
+        """
+        held: dict[int, set[Concept]] = {}  # root index -> the ancestors of its children
+        out = []
+        for i in picked:
+            markers = self.markers[i]
+            if markers is None:
+                markers = self.markers[i] = tuple(
+                    (k, s.concept)
+                    for k, root in enumerate(self.patterns[i].roots)
+                    for s in root.specifiers
+                    if not s.is_capsule and s.concept.stemless
+                )
+            for k, marker in markers:
+                got = held.get(k)
+                if got is None:
+                    children = roots[k].specifiers
+                    got = held[k] = set().union(
+                        *(ancestors(lex, s.concept) for s in children if not s.is_capsule)
+                    )
+                if marker not in got:
+                    break
+            else:
+                out.append(i)
+        return out
 
     def _used(self) -> set[Concept]:
         if self.concepts is None:

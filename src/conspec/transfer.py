@@ -132,7 +132,7 @@ def load_pair_text(text: str, path: str = "<inline>", base_dir: str | Path = "."
     for stmt in doc.of_kind(TransferRuleStmt):
         rid = f"t{len(trules) + 1}"
         trules.append(build_transfer_rule(stmt.src, stmt.dst, cmap, rid, stmt.line, path))
-        for label in undeclared_stemless([stmt], registry):
+        for label in undeclared_stemless((stmt.src, stmt.dst), registry):
             lints.append(f"transfer rule {rid}: undeclared stemless {{{label}}}")
     return LanguagePair(source, receptor, tuple(trules), cmap, path, lints)
 

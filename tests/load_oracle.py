@@ -6,7 +6,8 @@ bounds-checks every ``peek``, ``parse_document`` builds a fresh ``Concept``
 for every concept token, ``_find_embeddings`` walks the whole lhs for each
 rule part, and ``_ancestor_chain`` walks from each defined concept to the
 top of its chain. ``load_model_text`` is the old load, which filled the
-lexicon's ancestor table with that walk. ``build_vocabulary`` is the
+lexicon's ancestor table with that walk and computed the lints with
+``undeclared_stemless`` as it was, over the statements. ``build_vocabulary`` is the
 parser's vocabulary as the old load built it, from each rule's lhs nodes
 indexed by concept. ``tests/test_load_oracle.py`` checks
 ``conspec.model.load_model_text`` and a loaded model's ``vocab`` against
@@ -20,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from conspec.errors import ModelLoadError, TreelineParseError
-from conspec.lexicon import Definition, Lexicon, undeclared_stemless
+from conspec.lexicon import Definition, Lexicon
 from conspec.model import ModelBundle, Pragmas, _apply_pragma
 from conspec.network import DOWN, STRUCTURAL_CHARS, UP, Anchor, Concept, ConceptNetwork, Node
 from conspec.parser import Vocabulary
@@ -420,6 +421,29 @@ def build_rule(
     return Rule(lhs, parts, rule_id, line, part_at)
 
 
+# The statement fields scanned for stemless labels. A rule's rhs patterns are
+# sub-chains of its lhs (build_rule checks), so the lhs covers them.
+_NETWORK_FIELDS = {
+    NetworkStmt: ("network",),
+    DefinitionStmt: ("body",),
+    RuleStmt: ("lhs",),
+    TransferRuleStmt: ("src", "dst"),
+}
+
+
+def undeclared_stemless(statements: list[Statement], registry: dict[str, str]) -> list[str]:
+    """Stemless labels the statements use that neither ``registry`` nor their
+    own ``declare`` lines name, in order of first use."""
+    declared = set(registry) | {s.label for s in statements if isinstance(s, DeclareStmt)}
+    out: list[str] = []
+    for stmt in statements:
+        for name in _NETWORK_FIELDS.get(type(stmt), ()):
+            for c in getattr(stmt, name).concepts():
+                if c.stemless and c.label not in declared and c.label not in out:
+                    out.append(c.label)
+    return out
+
+
 def _ancestor_chain(self, concept: Concept) -> frozenset[Concept]:
     out = {concept}
     cur = concept
@@ -471,7 +495,9 @@ def load_model_text(text: str, path: str = "<inline>") -> ModelBundle:
     for label in undeclared_stemless(doc.statements, lex.stemless_registry):
         lints.append(f"undeclared stemless label {{{label}}}")
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return ModelBundle(lex, tuple(rules), pragmas, path, digest, lints)
+    model = ModelBundle(lex, tuple(rules), pragmas, path, digest)
+    model.lints = lints  # the old load's list, in place of the first read's
+    return model
 
 
 def build_vocabulary(rules: tuple[Rule, ...], lexicon: Lexicon) -> Vocabulary:

@@ -12,6 +12,7 @@ from conspec.lexicon import (
     ancestors,
     expand,
     is_a,
+    lint_networks,
     undeclared_stemless,
 )
 from conspec.model import load_model, load_model_text
@@ -161,17 +162,31 @@ class TestAncestorTable:
                 lex = Lexicon(definitions=seeded_definitions(rng))
             except ModelLoadError:
                 continue  # a definition cycle
-            assert set(lex.ancestor_table) == set(lex.definitions)
             for c in list(lex.definitions) + [Concept("p"), Concept("q"), Concept("r")]:
                 assert ancestors(lex, c) == chain_walk(lex, c), c
+            for c in lex.definitions:  # built once, then shared
+                assert ancestors(lex, c) is ancestors(lex, c), c
             checked += 1
         assert checked > 60
+
+    def test_load_fills_no_ancestor_set(self):
+        for lex, _ in shipped_lexicons():
+            assert lex.definitions and not lex.ancestor_table
+        lex = load_model_text("c0 = c1\nc1 = c2\nd = c1").lexicon
+        assert not lex.ancestor_table
+        # a first ask fills the chain above the concept, and nothing else
+        assert ancestors(lex, Concept("c1")) == {Concept("c1"), Concept("c2")}
+        assert set(lex.ancestor_table) == {Concept("c1")}
+        assert ancestors(lex, Concept("c0")) == {Concept(f"c{i}") for i in range(3)}
+        assert set(lex.ancestor_table) == {Concept("c0"), Concept("c1")}
 
     def test_deep_chain_loads_in_linear_time(self):
         # a walk up the whole chain from every concept made this take seconds
         text = "\n".join(f"c{i} = c{i + 1}" for i in range(3000))
         start = time.perf_counter()
         lex = load_model_text(text).lexicon
+        for i in range(3000):  # the first ask fills the chain; the rest look up
+            ancestors(lex, Concept(f"c{i}"))
         assert time.perf_counter() - start < 2.0
         assert ancestors(lex, Concept("c0")) == {Concept(f"c{i}") for i in range(3001)}
         assert ancestors(lex, Concept("c2999")) == {Concept("c2999"), Concept("c3000")}
@@ -254,7 +269,7 @@ class TestRegistry:
 
     def test_undeclared_stemless_reported(self):
         statements = parse_document("x > {ta}\ny > {past}").statements
-        assert undeclared_stemless(statements, DEFAULT_STEMLESS) == ["ta"]
+        assert undeclared_stemless(lint_networks(statements), DEFAULT_STEMLESS) == ["ta"]
 
 
 class TestCycles:

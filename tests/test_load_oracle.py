@@ -10,7 +10,8 @@ position), or the same:
   ``to_lhs`` and the rule's ``part_at`` as lhs preorder positions;
 - vocabulary: surfaces in order, literals, affixes and ``max_words``, the
   model's ``vocab`` against the oracle's ``build_vocabulary``;
-- lexicon, ancestor table, pragmas, lints and content hash.
+- lexicon, each defined concept's ancestor set as ``ancestors`` gives it,
+  pragmas, lints and content hash.
 
 The inputs are the shipped .cn files, the statements of the shipped .pair
 files, the rule-count model of ``tests/gen.py`` at 100 copies (235 rules),
@@ -30,6 +31,7 @@ from importlib import resources
 import pytest
 
 from conspec.errors import ConspecError
+from conspec.lexicon import ancestors
 from conspec.model import load_model_text
 from conspec.network import ConceptNetwork
 from conspec.rules import Literal
@@ -86,7 +88,7 @@ def _outcome(load, vocabulary, text: str):
         "affixes": vocab.affixes,
         "max_words": vocab.max_words,
         "lexicon": model.lexicon,
-        "ancestors": model.lexicon.ancestor_table,
+        "ancestors": {c: ancestors(model.lexicon, c) for c in model.lexicon.definitions},
         "pragmas": model.pragmas,
         "lints": model.lints,
         "hash": model.content_hash,

@@ -24,6 +24,10 @@ what realize gives, with english.cn and again with the stress model
   or transfer, a rule part for a chart item) has ``align_networks(...) is
   None`` on that target, memo hits included, and every pattern it admits
   passes ``_fits`` at the root and is a capsule or scores above 0 there;
+- every rule ``RootIndex.with_markers`` drops for a target, because the
+  target root's children cannot take one of its role markers, has
+  ``align_networks(...) is None`` on that target, and the marker check
+  drops some on the shipped corpora and on each generated run;
 - every ``_tilings`` answer, called unmasked (all-ones part bits and cell
   masks), equals the cell-probing one, and called with the rule's part bits
   equals that one less each tiling a cell's part mask rules out;
@@ -59,7 +63,7 @@ import conspec.similarity
 import conspec.transfer
 from conspec.errors import AffixError, ConspecError, UnrealizableFragmentError
 from conspec.lexicon import Lexicon, is_a
-from conspec.model import ModelBundle, load_corpus, load_model
+from conspec.model import ModelBundle, load_corpus, load_model, load_model_text
 from conspec.network import UP, Anchor, Concept, ConceptNetwork, Node, canonicalize, resolve_anchors
 from conspec.parser import parse_text
 from conspec.realizer import Hypothesis, _rewrite_options, apply_orthography, join_affixes
@@ -81,7 +85,7 @@ from conspec.similarity import (
     concept_sim,
 )
 from conspec.transfer import load_pair, translate
-from conspec.treeline import print_network
+from conspec.treeline import parse_network, print_network
 
 from .gen import STRESS_MODEL, gen_network
 from .test_chart_oracle import admitted_by_masks, unmasked
@@ -110,6 +114,7 @@ def checked(monkeypatch) -> SimpleNamespace:
     engine_match_rules = conspec.rules.match_rules
     collect = conspec.rules._collect_transfer_matches
     candidates = RootIndex.candidates
+    with_markers = RootIndex.with_markers
     tilings = conspec.parser._tilings
     memoized = conspec.similarity.rule_node_sim
     engine_realize = conspec.realizer.realize
@@ -126,6 +131,19 @@ def checked(monkeypatch) -> SimpleNamespace:
             )
             counts["skipped"] += 1
         counts["admitted"] += check_admitted(index, roots, lex, got)
+        return got
+
+    def checked_with_markers(index, picked, roots, lex):
+        got = with_markers(index, picked, roots, lex)
+        assert set(got) <= set(picked) and got == sorted(got)
+        sim, target = memoized(lex, index.alpha), ConceptNetwork(roots)
+        for i in set(picked) - set(got):
+            pattern = index.patterns[i]
+            assert align_networks(pattern, target, sim, total=False) is None, (
+                print_network(pattern),
+                print_network(target),
+            )
+            counts["marker_skipped"] += 1
         return got
 
     def checked_match_rules(rules, lex, net, *, alpha=DEFAULT_ALPHA, tau=DEFAULT_TAU):
@@ -175,6 +193,7 @@ def checked(monkeypatch) -> SimpleNamespace:
         return got
 
     monkeypatch.setattr(RootIndex, "candidates", checked_candidates)
+    monkeypatch.setattr(RootIndex, "with_markers", checked_with_markers)
     monkeypatch.setattr(conspec.rules, "match_rules", checked_match_rules)
     monkeypatch.setattr(conspec.realizer, "match_rules", checked_match_rules)
     monkeypatch.setattr(conspec.rules, "_collect_transfer_matches", checked_collect)
@@ -263,6 +282,7 @@ def test_shipped_corpora(beam, checked):
     counts = checked.counts
     kinds = ("skipped", "admitted", "matched", "tilings", "sims", "realized")
     assert min(counts[k] for k in kinds) > 20, counts
+    assert counts["marker_skipped"] > 0, counts
     assert counts["collected"] > 0, counts  # at beam 1 some rows fail to parse
 
 
@@ -316,6 +336,32 @@ def realize_and_parse(checked, model_path, beam) -> None:
     counts = checked.counts
     kinds = ("skipped", "admitted", "matched", "tilings", "sims", "realized")
     assert min(counts[k] for k in kinds) > 20, counts
+    assert counts["marker_skipped"] > 0, counts
+
+
+def test_role_marker_check():
+    """A rule whose root child is the role marker {agent} is aligned with a
+    fragment whose root has a child defined under {agent}, and skipped
+    unaligned for a fragment whose root has no such child."""
+    model = load_model_text(
+        "doer = {agent}\n"
+        "act > {agent} <=> ['x', act > {agent}]\n"
+        "act > {past} <=> [act > {past}, 'y']"
+    )
+    lex, rules = model.lexicon, model.rules
+    index = RootIndex(rules, tuple(r.lhs for r in rules), DEFAULT_ALPHA, tuple)
+    for text, kept in (
+        ("act > doer", [0]),
+        ("act > {agent}", [0]),
+        ("act > [he, doer]", [0]),
+        ("act > he", []),
+        ("act > (doer > x)", []),  # a capsule child has no concept
+        ("act > [{past}, he]", [1]),
+    ):
+        net = parse_network(text)
+        assert index.with_markers((0, 1), net.roots, lex) == kept, text
+        got = conspec.rules.match_rules(rules, lex, net)
+        assert [m.rule.rule_id for m in got] == [f"r{i + 1}" for i in kept], text
 
 
 def test_roots_with_other_anchors_never_align():

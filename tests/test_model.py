@@ -1,10 +1,14 @@
+from dataclasses import replace
 from importlib import resources
 
 import pytest
 
+import conspec.model
 from conspec.errors import ModelLoadError
+from conspec.lexicon import undeclared_stemless
 from conspec.model import load_model, load_model_text
 from conspec.network import Concept, equal
+from conspec.realizer import realize
 from conspec.treeline import parse_network
 
 DATA = resources.files("conspec.data")
@@ -68,6 +72,39 @@ class TestLoadModel:
         assert any("mystery" in l for l in model.lints)
         model = load_model_text("jump = {verb}\n{oops}\njump > {zz} <=> [jump]")
         assert model.lints == ["undeclared stemless label {oops}", "undeclared stemless label {zz}"]
+
+    def test_lints_are_computed_on_first_read(self, monkeypatch):
+        calls = []
+
+        def counted(networks, declared):
+            calls.append(1)
+            return undeclared_stemless(networks, declared)
+
+        monkeypatch.setattr(conspec.model, "undeclared_stemless", counted)
+        model = load_model(str(DATA / "english.cn"))
+        realize(model, parse_network("trust > [{past}, {agent} > he, {theme} > John]"))
+        assert calls == []
+        text = "x > {b}\n{n} > a > b\njump = {verb} > {q}\ndeclare {n} \"n\"\njump > {zz} <=> [jump]"
+        model = load_model_text(text)
+        assert calls == []
+        want = [
+            "undeclared stemless label {b}",
+            "undeclared stemless label {q}",
+            "undeclared stemless label {zz}",
+        ]
+        assert model.lints == want
+        assert model.lints is model.lints
+        assert len(calls) == 1
+        # a CLI-override copy reads the same lints on its own first read
+        copy = replace(model, pragmas=replace(model.pragmas, beam=2))
+        assert copy.lints == want and len(calls) == 2
+
+    def test_reader_notes_come_first(self):
+        model = load_model_text("x > {zz}\ny > either...or\nz\nw")
+        assert model.lints == [
+            "line 2: normalized 'either...or' to 'either or'",
+            "undeclared stemless label {zz}",
+        ]
 
     def test_map_statement_rejected_in_model_file(self):
         with pytest.raises(ModelLoadError):

@@ -6,8 +6,9 @@ unreachable object. A reference cycle left by a call (a recursive closure, a
 caught exception kept with its traceback) would survive until a collection
 runs, and every collection walks the live heap.
 
-The cases cover every public call the benchmark workloads make, and the
-error paths a caller meets, each caught with a plain ``except``.
+The cases cover every public call the benchmark workloads make, the
+first read of a model's lints and the first fill of its ancestor sets, and
+the error paths a caller meets, each caught with a plain ``except``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from conspec import (
     translate,
 )
 from conspec.errors import ConspecError
+from conspec.lexicon import ancestors
 
 from .test_transfer_refusal import pair_without_fred_rule
 
@@ -90,6 +92,16 @@ def fanout_sim():
         network_sim(ENGLISH.lexicon, a, b)
 
 
+def first_lints():
+    load_model_text(ENGLISH_TEXT).lints
+
+
+def first_ancestor_fill():
+    lex = load_model_text(ENGLISH_TEXT).lexicon
+    for concept in lex.definitions:
+        ancestors(lex, concept)
+
+
 def lint_collect():
     parse_document("a#2#3 = b\nc = d\nc = e", collect_errors=[])
 
@@ -111,6 +123,8 @@ CASES = {
     "translate_pair": translate_pair,
     "cold_realize": cold_realize,
     "fanout_sim": fanout_sim,
+    "first_lints": first_lints,
+    "first_ancestor_fill": first_ancestor_fill,
     "unknown_word": failing(parse_text, ENGLISH, "he trusted xyzzy"),
     "no_complete_parse": failing(parse_text, ENGLISH, "he he he he"),
     "unrealizable_fragment": failing(realize, ENGLISH, parse_network("jump > {future}")),

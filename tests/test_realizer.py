@@ -1,12 +1,15 @@
+from importlib import resources
+
 import pytest
 
-from conspec.errors import AffixError, UnrealizableFragmentError
-from conspec.model import load_model_text
+from conspec.errors import AffixError, ConspecError, UnrealizableFragmentError
+from conspec.model import load_corpus, load_model, load_model_text
 from conspec.realizer import (
     apply_orthography,
     join_affixes,
     realize,
     strip_orthography,
+    trace_rule_ids,
 )
 from conspec.treeline import parse_network
 
@@ -71,6 +74,26 @@ class TestRealize:
         assert trace[1] == ["label:he@0", "rule:r2@1", "label:John@2"]
         assert trace[2] == ["label:trust@1"]
         assert trace[3] == ["join"]
+        assert trace_rule_ids(trace) == ["r1", "r2"]
+
+    def test_trace_rule_ids_name_rules_of_the_model(self):
+        data = resources.files("conspec.data")
+        model = load_model(str(data / "english.cn"))
+        rule_ids = {rule.rule_id for rule in model.rules}
+        seen = set()
+        for _, net, _ in load_corpus(str(data / "demo_corpus.tsv")):
+            try:
+                ranked = realize(model, net)
+            except ConspecError:
+                continue
+            for _, _, trace in ranked:
+                got = trace_rule_ids(trace)
+                assert set(got) <= rule_ids, got
+                # the entries a rule step writes, read by splitting them
+                entries = [e for step in trace for e in step if e.startswith("rule:")]
+                assert got == [e.split("@")[0].removeprefix("rule:") for e in entries]
+                seen.update(got)
+        assert len(seen) > 10, seen
 
     def test_analogical_jump(self, tiny):
         ranked = realize(tiny, parse_network("jump > {past}"))
