@@ -5,11 +5,14 @@ Definitions express a concept as a network of other concepts (girl = human >
 ontology behind is_a and similarity. Lexicons are immutable after load;
 reloads build a fresh object.
 
+A definition is kept as the statement that made it (``Definition`` is
+``treeline.DefinitionStmt``), so a load builds one record per definition.
 Derived data is computed at most once per lexicon, and only when first
 asked for. Construction runs the cycle check, so a definition cycle fails
-the load; the ancestor set of a defined concept is built the first time
-``ancestors`` is asked for it or for a concept below it, and every later
-call returns that shared frozenset.
+the load; it walks only the definitions whose bodies name a defined
+concept, as no other can lie on a cycle. The ancestor set of a defined
+concept is built the first time ``ancestors`` is asked for it or for a
+concept below it, and every later call returns that shared frozenset.
 ``similarity.concept_sim`` memoizes its answers lazily in
 ``concept_sim_memo``, and ``similarity.rule_node_sim``, the one scorer of
 rule matching (alignments and root-index fills alike), its own in
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Container, Iterable
 
 from .errors import MalformedNetworkError, ModelLoadError
-from .network import Concept, ConceptNetwork, Node, equal, rebuild
+from .network import Concept, ConceptNetwork, Node, rebuild
 from .treeline import (
     MAX_NESTING,
     DefinitionStmt,
@@ -78,19 +81,8 @@ DEFAULT_STEMLESS: dict[str, str] = {
 _HAVE_BODY = parse_network("(have > [<<{agent}, >>{theme}])")
 
 
-@dataclass(frozen=True)
-class Definition:
-    name: Concept
-    body: ConceptNetwork
-    line: int = 0
-
-    def __eq__(self, other: object) -> bool:  # ConceptNetwork has no __eq__: compare bodies here
-        if not isinstance(other, Definition):
-            return NotImplemented
-        return (self.name, self.line) == (other.name, other.line) and equal(self.body, other.body)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.line))  # equal definitions agree on these
+# A definition is kept as the statement that made it.
+Definition = DefinitionStmt
 
 
 @dataclass
@@ -126,30 +118,36 @@ class Lexicon:
         self._check_cycles()  # so each walk up in ``ancestors`` ends
 
     def _check_cycles(self) -> None:
-        # expansion must terminate: no definition may reach itself. Depth-first
-        # over a stack of edge iterators (the roots, then each open
-        # definition's), so a deep chain needs no recursion.
-        WHITE, GRAY, BLACK = 0, 1, 2
+        # expansion must terminate: no definition may reach itself. Only a
+        # definition whose body names a defined concept can lie on a cycle,
+        # so the walk visits those alone, in definition order, each with the
+        # defined concepts of its body: the others are leaves, and the walk
+        # meets the same first cycle. Depth-first over a stack of edge
+        # iterators (the roots, then each open definition's), so a deep chain
+        # needs no recursion.
+        defined = self.definitions
+        edges: dict[Concept, list[Concept]] = {}
+        for name, definition in defined.items():
+            named = [c for c in definition.body.concepts() if c in defined]
+            if named:
+                edges[name] = named
+        GRAY, BLACK = 1, 2
         color: dict[Concept, int] = {}
         trail: list[Concept] = []  # the open (gray) definitions, outermost first
-        stack = [iter(self.definitions)]
+        stack = [iter(edges)]
         while stack:
             nxt = next(stack[-1], None)
             if nxt is None:
                 stack.pop()
                 if trail:
                     color[trail.pop()] = BLACK
-            elif color.get(nxt, WHITE) == GRAY:
+            elif color.get(nxt) == GRAY:
                 names = " -> ".join(c.text() for c in trail[trail.index(nxt) :] + [nxt])
-                raise ModelLoadError(
-                    f"definition cycle: {names}",
-                    line=self.definitions[nxt].line or None,
-                )
-            elif color.get(nxt, WHITE) == WHITE:
+                raise ModelLoadError(f"definition cycle: {names}", line=defined[nxt].line or None)
+            elif nxt in edges and nxt not in color:
                 color[nxt] = GRAY
                 trail.append(nxt)
-                body = self.definitions[nxt].body
-                stack.append(c for c in body.concepts() if c in self.definitions)
+                stack.append(iter(edges[nxt]))
 
 
 # The statement fields scanned for stemless labels. A rule's rhs patterns are

@@ -8,7 +8,10 @@ cannot fail and that a caller may never read: the parser's vocabulary, which
 ``realize`` never reads, is part of the chart index built on the model's
 first parse (``ModelBundle.vocab`` reads it there); the undeclared-stemless
 lint runs on the first read of ``ModelBundle.lints``; and the lexicon builds
-each ancestor set on the first ask.
+each ancestor set on the first ask. A load reads the statements once, by
+their exact type, and builds each record once: the lexicon keeps each
+definition statement as read, and ``build_rule`` places a one-node rule part
+without the aligner.
 """
 
 from __future__ import annotations
@@ -123,16 +126,17 @@ def load_model_text(text: str, path: str = "<inline>") -> ModelBundle:
     pragmas = Pragmas()
     rules: list[Rule] = []
     for stmt in doc.statements:
-        if isinstance(stmt, DefinitionStmt):
-            definitions[stmt.name] = Definition(stmt.name, stmt.body, stmt.line)
-        elif isinstance(stmt, DeclareStmt):
-            declares[stmt.label] = stmt.description
-        elif isinstance(stmt, PragmaStmt):
-            pragmas = _apply_pragma(pragmas, stmt, path)
-        elif isinstance(stmt, RuleStmt):
+        kind = type(stmt)
+        if kind is DefinitionStmt:
+            definitions[stmt.name] = stmt  # the lexicon keeps the statement
+        elif kind is RuleStmt:
             rid = f"r{len(rules) + 1}"
             rules.append(build_rule(stmt.lhs, stmt.rhs, rid, stmt.line, path))
-        elif isinstance(stmt, NetworkStmt):
+        elif kind is DeclareStmt:
+            declares[stmt.label] = stmt.description
+        elif kind is PragmaStmt:
+            pragmas = _apply_pragma(pragmas, stmt, path)
+        elif kind is NetworkStmt:
             continue  # bare networks are allowed in model files but carry no behavior
         else:
             raise ModelLoadError(

@@ -8,6 +8,8 @@ parent.
 
 A ``Concept`` is a validated ``(label, stemless, sense)`` tuple, so hashing
 one, which every dict and set lookup in the engine does, runs in C.
+``Concept()`` checks its label; the tree-line reader, whose token pattern
+has already made those checks, builds its concepts without them.
 ``iter_nodes`` and ``concepts`` fill a list by one recursive preorder walk,
 which every scan of all of a network's nodes reads.
 

@@ -7,6 +7,12 @@ a part sequence (realization), backward they rebuild the lhs around matched
 fragments (parsing). That rebuild and transfer's make each node once with
 ``network.keyed_node``: their output is canonical and keyed as built.
 
+A rule is built from its statement: each pattern part is placed on the lhs
+by its one exact embedding, kept as a binding. A one-node part is placed
+at the lhs nodes with its concept and anchor, with no aligner call and no
+alignment object; a larger part is aligned with the lhs nodes that carry
+its root's concept.
+
 Matching is exact or analogical. The lhs embeds prefix-closed into the
 target: every lhs node maps to a distinct target node. A match is its
 binding: a target child the binding leaves unbound (a "remainder") stays
@@ -16,7 +22,10 @@ blocking the rule. A match is rejected when a remainder hangs under a
 dropped lhs node (silent content loss). Realize and transfer align a target
 only with the rules whose pattern root can align with its root: the
 lexicon's ``similarity.RootIndex`` for the rule tuple, looked up by the
-target's root key, names them in declaration order.
+target's root key, names them in declaration order. A rule whose pattern
+root no part or slot carries is not aligned with a target whose root holds
+another concept or more specifiers, since the match would lose content at
+the root.
 
 Transfer rules rewrite source-language regions into receptor-language
 templates. A dst node is a slot when the bilingual map (or label identity)
@@ -73,25 +82,25 @@ def _nodes_by_concept(lhs: ConceptNetwork) -> dict[Concept | None, list[Node]]:
     return out
 
 
-def _find_embeddings(pattern: ConceptNetwork, by_concept: dict) -> list[Alignment]:
-    """All exact prefix embeddings of a (single-root) pattern into the lhs
-    whose nodes ``_nodes_by_concept`` indexed, in lhs preorder.
+def _find_embeddings(pattern: ConceptNetwork, by_concept: dict) -> list[dict[Node, Node]]:
+    """The bindings of all exact prefix embeddings of a (single-root) pattern
+    into the lhs whose nodes ``_nodes_by_concept`` indexed, in lhs preorder.
 
     Only an lhs node with the root's concept (None for both capsules) can
     hold the root: ``_exact_sim`` is 0 on any other pair. A one-node pattern
-    is placed at each such node with its anchor, which is the alignment
+    is placed at each such node with its anchor, which is the binding
     ``align_networks`` would find there; a larger pattern is aligned.
     """
     root = pattern.roots[0]
     candidates = by_concept.get(root.concept, ())
     if not root.is_capsule and not root.specifiers:
-        return [Alignment(1.0, 1, {root: t}) for t in candidates if t.anchor == root.anchor]
+        return [{root: t} for t in candidates if t.anchor == root.anchor]
     out = []
     for anchor_node in candidates:
         target = ConceptNetwork((anchor_node,))
         got = align_networks(pattern, target, _exact_sim, total=False)
         if got is not None:
-            out.append(got)
+            out.append(got.binding)
     return out
 
 
@@ -154,7 +163,7 @@ def build_rule(
                 path,
                 line,
             )
-        binding = embeddings[0].binding  # a fresh dict: the part keeps it
+        binding = embeddings[0]  # a fresh dict: the part keeps it
         owned = [id(t) for t in binding.values()]
         if not part_at.keys().isdisjoint(owned):
             raise ModelLoadError("rule parts overlap on the pattern", path, line)
@@ -193,7 +202,15 @@ def _match_region(
     the part or slot that carries its bound parent; readers work it out from
     the binding. A target of the wrong root shape fails at the alignment's
     first checks, before ``sim`` is called.
+
+    The first roots are checked before aligning: an alignment binds them to
+    each other, so when the pattern's first root is outside ``owner`` and
+    the target's holds another concept or more specifiers, the content
+    check would drop any alignment found, and none is tried.
     """
+    p, t = pattern.roots[0], target.roots[0]
+    if id(p) not in owner and (p.concept != t.concept or len(t.specifiers) > len(p.specifiers)):
+        return None
     got = align_networks(pattern, target, sim, total=False)
     if got is None or got.score < tau:
         return None

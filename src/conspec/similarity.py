@@ -1,6 +1,7 @@
 """Concept and subnetwork similarity for analogical rule selection.
 
-concept_sim compares two concepts through their definition-ancestor sets.
+concept_sim compares two concepts through their definition-ancestor sets;
+two concepts whose sets are disjoint score 0 at once.
 network_sim finds the best structure-preserving alignment between two
 networks; its score is the geometric mean of the aligned concept
 similarities. Exact matches score 1; anything involving substitution is
@@ -55,9 +56,13 @@ def concept_sim(lex: Lexicon, a: Concept, b: Concept, alpha: float = DEFAULT_ALP
 
 
 def _overlap(lex: Lexicon, a: Concept, b: Concept, alpha: float) -> float:
-    """``concept_sim`` of two distinct concepts, computed afresh."""
-    aa = ancestors(lex, a) - {a, b}
-    bb = ancestors(lex, b) - {a, b}
+    """``concept_sim`` of two distinct concepts, computed afresh: 0 at once
+    when their ancestor sets are disjoint, which they stay less {a, b}."""
+    aa, bb = ancestors(lex, a), ancestors(lex, b)
+    if aa.isdisjoint(bb):
+        return 0.0
+    aa = aa - {a, b}
+    bb = bb - {a, b}
     union = aa | bb
     return alpha * len(aa & bb) / len(union) if union else 0.0
 

@@ -33,10 +33,14 @@ Reading a text takes one scan by the regex engine per model-file line (per
 text for parse_network): one ``findall`` gives the token strings, and _lex
 reads each token's kind from its text into parallel lists of kinds and
 values that the parser walks. A token's kind and value are worked out once
-per document: a token text seen before is one table lookup. A line that is
-one comment is skipped unread. No token carries a position: a token's line
-and column are worked out only when an error is raised, by scanning its
-text again with the same pattern.
+per document: a token text seen before is one table lookup. So is a concept
+token's Concept, looked up by its value in its kind's table; each distinct
+concept is built once, without repeating Concept's checks, which the token
+pattern has already made. A definition statement is the one record of its
+definition: the lexicon keeps it as read. A line that is one comment is
+skipped unread. No token carries a position: a token's line and column are
+worked out only when an error is raised, by scanning its text again with
+the same pattern.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from .network import (
     Concept,
     ConceptNetwork,
     Node,
+    equal,
 )
 
 # Deepest nesting level a parsed network may reach (see _Parser). Tree walks
@@ -106,6 +111,14 @@ _NOT_LABEL = "\n>[](){},=<'#"
 
 def _normalize_label(raw: str) -> str:
     return " ".join(raw.split())
+
+
+def _new_concept(fields: tuple[str, bool, int]) -> Concept:
+    """The concept of ``fields``, (label, stemless, sense), built without
+    ``Concept``'s checks: the token pattern and ``_Parser.split_sense``
+    already leave the label nonempty and free of structural characters,
+    which is all they check."""
+    return tuple.__new__(Concept, fields)
 
 
 def _error(msg: str, text: str, start_line: int, index: int) -> TreelineParseError:
@@ -182,16 +195,17 @@ class _Parser:
     ``read`` takes the next text. Parsing stops at an 'end' token, so
     peeking needs no bounds check; a statement's separator is turned into
     one. The tables live as long as the parser, one document: ``known`` is
-    _lex's, ``interned`` maps a concept token's (kind, value) to its Concept
-    and ``concepts`` maps (label, stemless, sense) to it, so each concept is
-    built and validated once. A token's line and column are worked out only
-    for an error, from the token's index.
+    _lex's, ``labels`` and ``braces`` map the value of a label or brace
+    token to its Concept, and ``concepts`` maps (label, stemless, sense) to
+    it, so each distinct concept is built once. A token's line and column
+    are worked out only for an error, from the token's index.
     """
 
     def __init__(self):
         self.known: dict[str, tuple[str, str]] = dict(_PUNCT)
         self.concepts: dict[tuple, Concept] = {}
-        self.interned: dict[tuple, Concept] = {}
+        self.labels: dict[str, Concept] = {}
+        self.braces: dict[str, Concept] = {}
 
     def read(self, text: str, start_line: int, end_line: int) -> None:
         """Tokenize ``text``, whose lines are ``start_line`` to ``end_line``."""
@@ -251,15 +265,18 @@ class _Parser:
 
     def concept(self, at: int) -> Concept:
         """The concept of the label or brace token ``at``."""
-        key = (self.kinds[at], self.values[at])
-        concept = self.interned.get(key)
+        stemless = self.kinds[at] == "brace"
+        table = self.braces if stemless else self.labels
+        concept = table.get(self.values[at])
         if concept is None:
             label, sense = self.split_sense(at)
             if label in _EITHER_OR_SPELLINGS:
                 label = "either or"
-            fields = (label, key[0] == "brace", sense)
-            concept = self.concepts.get(fields) or Concept(*fields)
-            self.interned[key] = self.concepts[fields] = concept
+            fields = (label, stemless, sense)
+            concept = self.concepts.get(fields)
+            if concept is None:
+                concept = self.concepts[fields] = _new_concept(fields)
+            table[self.values[at]] = concept
         return concept
 
     def single_concept(self, at: int) -> Concept:
@@ -274,11 +291,17 @@ class _Parser:
     # one more per specifier step and per step into a capsule body.
 
     def network(self, capsule_depth: int = 0, level: int = 1) -> ConceptNetwork:
-        roots = [self.chain(capsule_depth, level)]
+        return ConceptNetwork(self.roots(capsule_depth, level))
+
+    def roots(self, capsule_depth: int, level: int) -> tuple[Node, ...]:
+        root = self.chain(capsule_depth, level)
+        if self.kinds[self.pos] != ",":
+            return (root,)
+        roots = [root]
         while self.kinds[self.pos] == ",":
             self.pos += 1
             roots.append(self.chain(capsule_depth, level))
-        return ConceptNetwork(tuple(roots))
+        return tuple(roots)
 
     def chain(self, capsule_depth: int, level: int) -> Node:
         root = self.item(capsule_depth, level)
@@ -291,9 +314,9 @@ class _Parser:
                 raise self.err("trailing '>'")
             if kind == "[":
                 self.pos += 1
-                group = self.network(capsule_depth, level + 1)  # commas consumed inside
+                group = self.roots(capsule_depth, level + 1)  # commas consumed inside
                 self.expect("]")
-                current.specifiers = current.specifiers + group.roots
+                current.specifiers = current.specifiers + group
                 # chain position stays on the bracket's owner
             else:
                 level += 1
@@ -324,9 +347,9 @@ class _Parser:
             raise self.err("anchor outside any encapsulation")
         if kind == "label" or kind == "brace":
             at = self.pos
-            concept = self.interned.get((kind, self.values[at])) or self.concept(at)
             self.pos = at + 1
-            return Node(concept, None, anchor)
+            table = self.labels if kind == "label" else self.braces
+            return Node(table.get(self.values[at]) or self.concept(at), None, anchor)
         if kind == "(":
             self.pos += 1
             body = self.network(capsule_depth + 1, level + 1)
@@ -410,9 +433,20 @@ class NetworkStmt:
 
 @dataclass
 class DefinitionStmt:
+    """A definition as read, and as the lexicon keeps it
+    (``lexicon.Definition``): equal when the name, line and body are."""
+
     name: Concept
     body: ConceptNetwork
-    line: int
+    line: int = 0
+
+    def __eq__(self, other: object) -> bool:  # ConceptNetwork has no __eq__: compare bodies here
+        if not isinstance(other, DefinitionStmt):
+            return NotImplemented
+        return (self.name, self.line) == (other.name, other.line) and equal(self.body, other.body)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.line))  # equal definitions agree on these
 
 
 @dataclass

@@ -6,6 +6,9 @@ This file keeps, verbatim, what the skips and memos stand in for:
   visited every rule for every target, skipping one unaligned only where
   ``can_align`` failed (kept too); both now visit only the candidates of the
   lexicon's ``similarity.RootIndex``;
+- ``_match_region`` as it was when it aligned first and then dropped a
+  match whose root lost content; it now checks the first roots before
+  aligning;
 - ``_tilings`` as it was when it probed every ``(at, end)`` cell of the
   chart; the chart now walks only the ends of its non-empty final cells;
 - ``rule_node_sim`` as it was before it read a memo on the lexicon;
@@ -36,8 +39,12 @@ what realize gives, with english.cn and again with the stress model
   stemless concept of sense 1;
 - every ``realize`` answer, or error, equals the copy's without the memo.
 
-Beside those runs, both scorers answer every ordered pair of the shipped
-models' concepts alike, and the memo then holds exactly the pairs it may; a
+Beside those runs, ``_match_region``'s root check is checked on its own:
+with seeded fragments over english.cn, the stress model and the rule-count
+model, every call answers as the align-then-drop copy does, and
+``match_rules`` and ``_collect_transfer_matches`` give the same matches as
+with that copy installed. Both scorers answer every ordered pair of the
+shipped models' concepts alike, and the memo then holds exactly the pairs it may; a
 warm pass over the shipped corpora calls ``is_a`` not once; a generated region never aligns with a copy whose
 root carries another anchor; and the root indexes, the scorer's memo and
 the chart's corner table stay within bounds computed from the model after
@@ -53,6 +60,7 @@ from dataclasses import replace
 from importlib import resources
 from itertools import islice, product as iter_product
 from types import SimpleNamespace
+from typing import Container
 
 import pytest
 
@@ -73,11 +81,11 @@ from conspec.rules import (
     Match,
     Rule,
     TransferRule,
-    _match_region,
     _TransferMatch,
 )
 from conspec.similarity import (
     DEFAULT_ALPHA,
+    Alignment,
     NodeSim,
     RootIndex,
     _fits,
@@ -87,7 +95,7 @@ from conspec.similarity import (
 from conspec.transfer import load_pair, translate
 from conspec.treeline import parse_network, print_network
 
-from .gen import STRESS_MODEL, gen_network
+from .gen import STRESS_MODEL, gen_network, rule_count_model
 from .test_chart_oracle import admitted_by_masks, unmasked
 
 DATA = resources.files("conspec.data")
@@ -364,6 +372,75 @@ def test_role_marker_check():
         assert [m.rule.rule_id for m in got] == [f"r{i + 1}" for i in kept], text
 
 
+ROOT_CHECK_MODELS = {
+    "english.cn": lambda: load_model(str(DATA / "english.cn")),
+    "stress": lambda: load_model(str(STRESS_MODEL)),
+    "rule count": lambda: load_model_text(rule_count_model(20)),
+}
+
+
+def _region_view(got: Alignment | None):
+    if got is None:
+        return None
+    return got.product, got.count, [(id(p), id(t)) for p, t in got.binding.items()]
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_CHECK_MODELS))
+def test_root_check_skips_only_matches_the_content_check_drops(monkeypatch, name):
+    """``_match_region`` checks the first roots before aligning. On seeded
+    fragments, each call answers as the align-then-drop copy above does,
+    and ``match_rules`` and ``_collect_transfer_matches`` give the same
+    matches, in order, as with that copy installed. Each matcher skips some
+    alignments by the check, and some of those would have aligned, only for
+    the content check to drop them."""
+    model = ROOT_CHECK_MODELS[name]()
+    pair = load_pair(str(DATA / "english_sov.pair"))
+    lex, alpha, tau = model.lexicon, model.pragmas.alpha, model.pragmas.tau
+    rng = random.Random(23)
+    patterns = regions(*(gen_network(rng, max_nodes=8) for _ in range(8)))
+    # generated transfer rules carry no slot, so every src node lies outside
+    # the owner set and the check applies at each root
+    trules = pair.transfer_rules + tuple(
+        TransferRule(p, p, f"h{k}") for k, p in enumerate(patterns) if len(p.roots) == 1
+    )
+    nets = [net for _, net, _ in load_corpus(str(DATA / "demo_corpus.tsv"))]
+    nets += [gen_network(rng, max_nodes=8) for _ in range(150)]
+    engine_region, counts, matcher = conspec.rules._match_region, Counter(), ["realize"]
+
+    def counted_align(pattern, target, sim, *, total):
+        counts["aligned"] += 1
+        return align_networks(pattern, target, sim, total=total)
+
+    def checked_region(pattern, target, sim, tau, owner):
+        before = counts["aligned"]
+        got = engine_region(pattern, target, sim, tau, owner)
+        assert _region_view(got) == _region_view(_match_region(pattern, target, sim, tau, owner))
+        if counts["aligned"] == before:
+            counts[matcher[0], "skipped"] += 1
+            if align_networks(pattern, target, sim, total=False) is not None:
+                counts[matcher[0], "aligned, then dropped"] += 1
+        return got
+
+    def both(fn, *args):
+        monkeypatch.setattr(conspec.rules, "_match_region", checked_region)
+        got = fn(*args)
+        monkeypatch.setattr(conspec.rules, "_match_region", _match_region)
+        want = fn(*args)
+        assert [matched(m) for m in got] == [matched(m) for m in want]
+
+    monkeypatch.setattr(conspec.rules, "align_networks", counted_align)
+    for net in nets:
+        matcher[0] = "realize"
+        for region in regions(net):
+            both(conspec.rules.match_rules, model.rules, lex, region)
+        matcher[0] = "transfer"
+        prepared = resolve_anchors(canonicalize(net))
+        both(conspec.rules._collect_transfer_matches, trules, lex, prepared, alpha, tau)
+    for kind in ("realize", "transfer"):
+        assert counts[kind, "aligned, then dropped"] > 0, counts
+        assert counts[kind, "skipped"] > counts[kind, "aligned, then dropped"], counts
+
+
 def test_roots_with_other_anchors_never_align():
     """The anchor comparison of the first checks: a generated region aligns
     with itself, and never with a copy whose root has another anchor, which
@@ -522,6 +599,36 @@ def test_warm_pass_calls_no_is_a(monkeypatch):
 # ---------------------------------------------------------------------------
 # As they were: kept verbatim
 # ---------------------------------------------------------------------------
+
+
+def _match_region(
+    pattern: ConceptNetwork,
+    target: ConceptNetwork,
+    sim: NodeSim,
+    tau: float,
+    owner: Container[int],
+) -> Alignment | None:
+    """Align a rule pattern with the target's root region, keeping content.
+
+    ``owner`` holds id(pattern node) for each pattern node that an output
+    part or slot carries. The match is dropped below ``tau``, and when a
+    pattern node outside ``owner`` holds an analogue (a target of another
+    concept) or a target with a remainder (a specifier child that is not
+    itself bound): that content would vanish silently (suppletions stay
+    exact-only). Otherwise returns the alignment. Each remainder goes with
+    the part or slot that carries its bound parent; readers work it out from
+    the binding. A target of the wrong root shape fails at the alignment's
+    first checks, before ``sim`` is called.
+    """
+    got = align_networks(pattern, target, sim, total=False)
+    if got is None or got.score < tau:
+        return None
+    for p, t in got.binding.items():
+        # p's children bind distinct children of t, so t has an unbound child
+        # exactly when it has more children than p
+        if id(p) not in owner and (p.concept != t.concept or len(t.specifiers) > len(p.specifiers)):
+            return None
+    return got
 
 
 def can_align(pattern: ConceptNetwork, target: ConceptNetwork) -> bool:

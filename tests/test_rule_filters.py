@@ -173,17 +173,19 @@ def test_corner_filters_skip_only_rules_without_a_tiling_on_the_stress_model(mon
     check_filters(monkeypatch, beam, STRESS_MODEL)
 
 
-def _alignment_view(got) -> tuple:
-    return got.product, got.count, [(id(p), id(t)) for p, t in got.binding.items()]
+def _binding_view(binding: dict) -> list:
+    return [(id(p), id(t)) for p, t in binding.items()]
 
 
 @pytest.fixture
 def embedding_checks(monkeypatch):
     """A check(pattern, lhs) that runs ``_find_embeddings`` and asserts that
     every lhs node it neither aligns nor places a one-node pattern on has no
-    exact alignment, and that each embedding it returns without the aligner
-    is the one the aligner finds at that node (product, count and binding
-    order); returns it with the running [skipped, aligned, placed] counts."""
+    exact alignment, that each binding it returns without the aligner is the
+    one the aligner finds at that node (in binding order), and that each
+    alignment the aligner finds is exact (product 1, one count per concept
+    node bound); returns its bindings with the running [skipped, aligned,
+    placed] counts."""
     aligned_roots: set[int] = set()
     counts = [0, 0, 0]
 
@@ -194,22 +196,24 @@ def embedding_checks(monkeypatch):
     def check(pattern, lhs):
         aligned_roots.clear()
         got = conspec.rules._find_embeddings(pattern, conspec.rules._nodes_by_concept(lhs))
-        placed = {id(a.binding[pattern.roots[0]]): a for a in got}
+        placed = {id(binding[pattern.roots[0]]): binding for binding in got}
         want = []
         for node in lhs.iter_nodes():
             ref = align_networks(pattern, ConceptNetwork((node,)), _exact_sim, total=False)
             if ref is not None:
-                want.append(ref)
+                assert ref.product == 1.0
+                assert ref.count == sum(p.concept is not None for p in ref.binding)
+                want.append(ref.binding)
             if id(node) in aligned_roots:
                 counts[1] += 1
             elif id(node) in placed:
                 counts[2] += 1
                 assert ref is not None
-                assert _alignment_view(placed[id(node)]) == _alignment_view(ref)
+                assert _binding_view(placed[id(node)]) == _binding_view(ref.binding)
             else:
                 counts[0] += 1
                 assert ref is None
-        assert list(map(_alignment_view, got)) == list(map(_alignment_view, want))
+        assert list(map(_binding_view, got)) == list(map(_binding_view, want))
         return got
 
     monkeypatch.setattr(conspec.rules, "align_networks", record_align)

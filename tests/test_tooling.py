@@ -1,13 +1,16 @@
-"""Guards for the benchmark harness under perfbench/ and for the stress model."""
+"""Guards for the benchmark harness under perfbench/, for the stress model and
+for the engine's imports."""
 
 import ast
 import hashlib
 import importlib
 import inspect
 import json
+import sys
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "conspec"
 STRESS_SHA256 = "4bc15a4a37d7bd8d4562e27153128b7106259827c3eb543cef4408f1095be906"
 
 
@@ -69,3 +72,22 @@ def test_stress_model_is_pinned():
     from .gen import STRESS_MODEL
 
     assert hashlib.sha256(STRESS_MODEL.read_bytes()).hexdigest() == STRESS_SHA256
+
+
+def test_engine_imports_only_the_standard_library():
+    """Every module that src/conspec imports is conspec itself or a module of
+    the standard library: the engine installs nothing."""
+    outside = set()
+    for path in sorted(SOURCE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:  # a relative import stays inside conspec
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "conspec" and top not in sys.stdlib_module_names:
+                    outside.add((path.name, name))
+    assert not outside
