@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import Iterable
+from typing import Sequence
 
 from .errors import MalformedNetworkError
 
@@ -125,6 +125,9 @@ class Anchor:
         return ">>" * self.depth if self.direction == UP else "<<"
 
 
+_ONE_OF = "node must hold exactly one of concept or capsule"
+
+
 class Node:
     """One tree node: a concept or a capsule, plus its specifiers.
 
@@ -145,7 +148,7 @@ class Node:
         specifiers: tuple["Node", ...] = (),
     ):
         if (concept is None) == (capsule is None):
-            raise MalformedNetworkError("node must hold exactly one of concept or capsule")
+            raise MalformedNetworkError(_ONE_OF)
         self.concept = concept
         self.capsule = capsule
         self.is_capsule = capsule is not None
@@ -232,37 +235,51 @@ _ANCHOR_NONE = ("", 0)
 def _node_key(node: Node):
     if node.key is not None:
         return node.key
-    return _key_of(node, tuple(sorted(_node_key(s) for s in node.specifiers)))
+    kids = tuple(sorted(_node_key(s) for s in node.specifiers))
+    return _key_of(node.concept, node.capsule, node.anchor, kids)
 
 
-def _key_of(node: Node, kids: tuple):
-    """The key of ``node`` given its children's keys, already sorted."""
-    ak = (node.anchor.direction, node.anchor.depth) if node.anchor else _ANCHOR_NONE
+def _key_of(concept: Concept | None, capsule, anchor: Anchor | None, kids: tuple):
+    """The key of a node with these fields, given its children's keys,
+    already sorted."""
+    ak = (anchor.direction, anchor.depth) if anchor else _ANCHOR_NONE
     leaf = 0 if not kids else 1
-    if node.concept is not None:
-        kind = 0 if node.concept.stemless else 1
-        return (kind, leaf, node.concept.label, node.concept.sense, ak, kids)
-    body = tuple(_node_key(r) for r in node.capsule.roots)
+    if concept is not None:
+        label, stemless, sense = concept
+        return (0 if stemless else 1, leaf, label, sense, ak, kids)
+    body = tuple(_node_key(r) for r in capsule.roots)
     return (2, leaf, body, ak, kids)
 
 
 _stored_key = attrgetter("key")
+_new_node = object.__new__
 
 
 def keyed_node(
     concept: Concept | None = None,
     capsule: ConceptNetwork | None = None,
     anchor: Anchor | None = None,
-    specifiers: Iterable[Node] = (),
+    specifiers: Sequence[Node] = (),
 ) -> Node:
     """A new canonical node over children (and capsule roots) that carry
     their keys: the specifiers sorted by stored key (a stable sort; equal keys
-    are interchangeable), and the node's key computed from theirs."""
-    spec = tuple(specifiers)
-    if len(spec) > 1:
-        spec = tuple(sorted(spec, key=_stored_key))
-    out = Node(concept=concept, capsule=capsule, anchor=anchor, specifiers=spec)
-    out.key = _key_of(out, tuple(map(_stored_key, spec)))
+    are interchangeable), and the node's key computed from theirs. It makes
+    the node's specifier tuple and its key and sets the slots itself, with
+    ``Node()``'s check that it holds exactly one of concept or capsule."""
+    if (concept is None) == (capsule is None):
+        raise MalformedNetworkError(_ONE_OF)
+    if len(specifiers) > 1:
+        spec = tuple(sorted(specifiers, key=_stored_key))
+    else:
+        spec = tuple(specifiers)
+    out = _new_node(Node)
+    out.concept = concept
+    out.capsule = capsule
+    out.is_capsule = capsule is not None
+    out.anchor = anchor
+    out.specifiers = spec
+    out.ref = None
+    out.key = _key_of(concept, capsule, anchor, tuple([s.key for s in spec]) if spec else ())
     return out
 
 
@@ -274,7 +291,7 @@ def canonical_node(node: Node) -> Node:
     capsule = None
     if node.is_capsule:
         capsule = ConceptNetwork(tuple(map(canonical_node, node.capsule.roots)))
-    return keyed_node(node.concept, capsule, node.anchor, map(canonical_node, node.specifiers))
+    return keyed_node(node.concept, capsule, node.anchor, [canonical_node(s) for s in node.specifiers])
 
 
 def canonicalize(net: ConceptNetwork) -> ConceptNetwork:

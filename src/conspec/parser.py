@@ -33,10 +33,12 @@ The chart decides before it builds:
 
 apply_rules_over says why each is exact. An item is built canonical and keyed
 by ``instantiate_reverse`` and is not checked on its own: an anchor may resolve
-only once a later rule embeds the item. Complete parses are deduplicated by
-key, and each is checked once by ``canonicalize``; one whose anchors do not
-resolve is dropped. The rest are ranked by derivation score, then printed
-network.
+only once a later rule embeds the item. An item pays only for the nodes its
+build makes: its trace is a derivation record, ``("shift", token)`` or the
+rule id, span and items the rule took in, which ``render_trace`` spells out
+once per returned parse. Complete parses are deduplicated by key, and each
+is checked once by ``canonicalize``; one whose anchors do not resolve is
+dropped. The rest are ranked by derivation score, then printed network.
 """
 
 from __future__ import annotations
@@ -195,11 +197,13 @@ def _segment_raw(model: ModelBundle, text: str) -> list[list[str]]:
     return [tokens for tokens, _ in table[0]]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Item:
     net: ConceptNetwork
     score: float
-    trace: list[str]
+    # ("shift", token), or (rule id, i, j, the items a rule took over (i, j),
+    # None for each literal part); render_trace spells it out
+    derivation: tuple
     unary: int = 0  # consecutive same-span rule applications (cycle guard)
     serial: int = -1  # order of entry into the chart; names the item in tried and aligned keys
     parts: int = 0  # bit set of the pattern parts whose root can align with it (_ChartIndex)
@@ -404,7 +408,7 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
     for i, token in enumerate(tokens):
         for concept in surfaces.get(token, ()):  # shift: token -> concept
             net = ConceptNetwork((keyed_node(concept),))
-            add(i, i + 1, _Item(net, 1.0, [f"shift:{token}"]))
+            add(i, i + 1, _Item(net, 1.0, ("shift", token)))
 
     MAX_UNARY = 2
 
@@ -506,10 +510,8 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
                         if not _may_admit(cell, beam, score):
                             continue
                         built = instantiate_reverse(rule, alignments)
-                        trace = [t for it in picked for t in it.trace]
-                        trace.append(f"rule:{rule.rule_id}@{i}:{j}")
                         unary = picked[0].unary + 1 if same_span and picked else 0
-                        item = _Item(built, score, trace, unary)
+                        item = _Item(built, score, (rule.rule_id, i, j, items), unary)
                         if add(i, j, item):
                             changed = True
             sweep = index.regrow if changed else []
@@ -526,6 +528,26 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
     return frags
 
 
+def render_trace(derivation: tuple) -> list[str]:
+    """An item's derivation as trace strings: ``shift:<token>`` for a shifted
+    token, and for a rule application its items' traces in part order, then
+    ``rule:<id>@<i>:<j>``."""
+    out: list[str] = []
+    _render(derivation, out)
+    return out
+
+
+def _render(derivation: tuple, out: list[str]) -> None:
+    if len(derivation) == 2:
+        out.append(f"shift:{derivation[1]}")
+        return
+    rule_id, i, j, items = derivation
+    for it in items:
+        if it is not None:
+            _render(it.derivation, out)
+    out.append(f"rule:{rule_id}@{i}:{j}")
+
+
 def parse_text(model: ModelBundle, text: str) -> list[tuple[ConceptNetwork, float, list[str]]]:
     """Ranked (network, score, trace) parses of surface text, best first.
 
@@ -537,7 +559,7 @@ def parse_text(model: ModelBundle, text: str) -> list[tuple[ConceptNetwork, floa
     if model.pragmas.orthography:
         _, punct = strip_orthography(text)
     segmentations = segment(model, text)
-    results: dict[tuple, tuple[ConceptNetwork, float, list[str]]] = {}
+    results: dict[tuple, tuple[ConceptNetwork, float, tuple]] = {}
     best_partial: list[str] = []
     for tokens in segmentations:
         frags = _chart_parse(model, tokens)
@@ -545,7 +567,7 @@ def parse_text(model: ModelBundle, text: str) -> list[tuple[ConceptNetwork, floa
         for key, item in complete.items():
             prev = results.get(key)
             if prev is None or item.score > prev[1]:
-                results[key] = (item.net, item.score, item.trace)
+                results[key] = (item.net, item.score, item.derivation)
         if not complete:
             spans = [
                 (j - i, i, j)
@@ -557,9 +579,9 @@ def parse_text(model: ModelBundle, text: str) -> list[tuple[ConceptNetwork, floa
                 best_partial.append(" ".join(tokens[i:j]))
     checked = []
     why = ""  # the first anchor error, when a complete parse is dropped
-    for net, score, trace in results.values():
+    for net, score, derivation in results.values():
         try:
-            checked.append((canonicalize(net), score, trace))
+            checked.append((canonicalize(net), score, derivation))
         except MalformedNetworkError as exc:
             why = why or f": {exc}"
     if not checked:
@@ -583,4 +605,4 @@ def parse_text(model: ModelBundle, text: str) -> list[tuple[ConceptNetwork, floa
         ]
         if marked:
             ranked = marked
-    return ranked
+    return [(net, score, render_trace(derivation)) for net, score, derivation in ranked]

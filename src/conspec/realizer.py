@@ -168,7 +168,9 @@ def realize(model: ModelBundle, net: ConceptNetwork) -> list[tuple[str, float, l
                 text = apply_orthography(text, prepared)
             prev = results.get(text)
             if prev is None or h.score > prev[1]:
-                results[text] = (text, h.score, h.trace + [["join"]])
+                # sibling hypotheses share their parents' steps: each result
+                # gets its own lists
+                results[text] = (text, h.score, [list(step) for step in h.trace] + [["join"]])
         if not pending:
             break
         generation: dict[tuple, Hypothesis] = {}

@@ -7,6 +7,10 @@ a part sequence (realization), backward they rebuild the lhs around matched
 fragments (parsing). That rebuild and transfer's make each node once with
 ``network.keyed_node``: their output is canonical and keyed as built.
 
+The rebuild follows a plan compiled on the rule's first rebuild and kept on
+the rule, so a model that only realizes compiles none; the plan holds the
+fields of the lhs nodes it copies, never a node.
+
 A rule is built from its statement: each pattern part is placed on the lhs
 by its one exact embedding, kept as a binding. A one-node part is placed
 at the lhs nodes with its concept and anchor, with no aligner call and no
@@ -126,6 +130,8 @@ class Rule:
     rule_id: str
     line: int = 0
     part_at: dict[int, int] = field(default_factory=dict)  # id(lhs node) -> owning part index
+    # the reverse plan, compiled on the rule's first build (instantiate_reverse)
+    reverse_plan: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def build_rule(
@@ -321,59 +327,93 @@ def instantiate_reverse(rule: Rule, alignments: list[Alignment | None]) -> Conce
 
     ``alignments[i]`` aligns parts[i].pattern with its fragment, or is None for
     a literal, which the caller has already checked; ``reverse_score`` gives
-    the match score. Every new node is made by ``keyed_node``, so the result
-    is canonical as built. Uncovered lhs nodes (role markers, capsule shells,
-    {implied} insertions) are copied in fresh, never shared between builds. A
+    the match score. The build follows the rule's reverse plan, compiled on
+    the rule's first build (see ``_lhs_step``). Every new node is made by
+    ``keyed_node``, so the result is canonical as built. Uncovered lhs nodes
+    (role markers, capsule shells, {implied} insertions) are copied in fresh,
+    never shared between builds: the plan holds their fields, not nodes. A
     fragment node with nothing changed beneath it is shared (its canonical
     copy if it has no key).
     """
-    return ConceptNetwork(tuple(_copy_lhs(l, rule, alignments) for l in rule.lhs.roots))
+    plan = rule.reverse_plan
+    if plan is None:
+        plan = rule.reverse_plan = tuple(_lhs_step(l, rule) for l in rule.lhs.roots)
+    return ConceptNetwork(tuple([_build_lhs(step, alignments) for step in plan]))
 
 
-def _copy_lhs(l: Node, rule: Rule, alignments: list[Alignment | None]) -> Node:
-    # lhs node l lies outside every part, or is the lhs root of part i: a
-    # part is a prefix-closed embedding, entered only at its root
+# A reverse plan is a step per lhs root. An lhs step is (None, (concept,
+# anchor, capsule root steps or None), specifier steps) for an lhs node outside
+# every part, which is copied, or (i, p, graft step) for the lhs root of part
+# i, whose pattern root p is bound to the fragment node grafted there: a part
+# is a prefix-closed embedding, entered only at its root. A graft step, for a
+# pattern node p standing for lhs node l, is ((pc, graft step) per specifier
+# pc of p, the lhs steps of l's specifiers outside the part, (pr, graft step)
+# per capsule root pr of p or None); it is None when all three are empty, and
+# the fragment node is then kept as it is. Every pattern node is bound, and a
+# capsule binds only a capsule with as many roots.
+
+
+def _lhs_step(l: Node, rule: Rule) -> tuple:
     i = rule.part_at.get(id(l))
     if i is not None:
-        p = rule.parts[i].pattern.roots[0]
-        return _graft(alignments[i].binding[p], p, l, i, rule, alignments)
+        part = rule.parts[i]
+        p = part.pattern.roots[0]
+        return (i, p, _graft_step(p, l, i, part.to_lhs, rule))
     capsule = None
     if l.is_capsule:
-        capsule = ConceptNetwork(tuple(_copy_lhs(r, rule, alignments) for r in l.capsule.roots))
-    spec = [_copy_lhs(s, rule, alignments) for s in l.specifiers]
-    return keyed_node(l.concept, capsule, l.anchor, spec)
+        capsule = tuple(_lhs_step(r, rule) for r in l.capsule.roots)
+    return (None, (l.concept, l.anchor, capsule), tuple(_lhs_step(s, rule) for s in l.specifiers))
 
 
-def _graft(
-    f: Node, p: Node, l: Node, i: int, rule: Rule, alignments: list[Alignment | None]
+def _graft_step(p: Node, l: Node, i: int, to_lhs: dict[Node, Node], rule: Rule) -> tuple | None:
+    kids = tuple((pc, _graft_step(pc, to_lhs[pc], i, to_lhs, rule)) for pc in p.specifiers)
+    # the children of l outside part i: exactly those no child of p stands for
+    inserted = tuple(_lhs_step(lc, rule) for lc in l.specifiers if rule.part_at.get(id(lc)) != i)
+    if not p.is_capsule:
+        return (kids, inserted, None) if kids or inserted else None
+    capsule = tuple((pr, _graft_step(pr, to_lhs[pr], i, to_lhs, rule)) for pr in p.capsule.roots)
+    return (kids, inserted, capsule)
+
+
+def _build_lhs(step: tuple, alignments: list[Alignment | None]) -> Node:
+    i, a, b = step
+    if i is None:
+        concept, anchor, capsule = a
+        if capsule is not None:
+            capsule = ConceptNetwork(tuple([_build_lhs(r, alignments) for r in capsule]))
+        return keyed_node(concept, capsule, anchor, [_build_lhs(s, alignments) for s in b])
+    binding = alignments[i].binding
+    return _build_graft(binding[a], b, binding, alignments)
+
+
+def _build_graft(
+    f: Node, step: tuple | None, binding: dict[Node, Node], alignments: list[Alignment | None]
 ) -> Node:
-    # fragment node f is aligned with pattern node p of part i, which stands
-    # for lhs node l; every pattern node is bound
-    binding, to_lhs = alignments[i].binding, rule.parts[i].to_lhs
+    # fragment node f is bound to the pattern node that ``step`` plans
+    if step is None:
+        return canonical_node(f)
+    kids, inserted, capsule_steps = step
     spec = []
-    same = True
-    for pc in p.specifiers:
+    bound = []
+    same = not inserted
+    for pc, kid in kids:
         fc = binding[pc]
-        got = _graft(fc, pc, to_lhs[pc], i, rule, alignments)
+        got = _build_graft(fc, kid, binding, alignments)
         spec.append(got)
-        same = same and got is fc
-    if len(l.specifiers) > len(p.specifiers):
-        # lhs children outside the part are inserted from the pattern
-        part_at = rule.part_at
-        spec += [_copy_lhs(lc, rule, alignments) for lc in l.specifiers if part_at.get(id(lc)) != i]
-        same = False
+        bound.append(fc)
+        if got is not fc:
+            same = False
+    if inserted:  # lhs children outside the part are inserted from the plan
+        spec += [_build_lhs(s, alignments) for s in inserted]
     capsule = f.capsule
-    if f.is_capsule:
-        roots = tuple(
-            _graft(binding[pr], pr, to_lhs[pr], i, rule, alignments) for pr in p.capsule.roots
-        )
+    if capsule_steps is not None:
+        roots = tuple([_build_graft(binding[pr], s, binding, alignments) for pr, s in capsule_steps])
         if roots != capsule.roots:  # nodes compare by identity
             capsule = ConceptNetwork(roots)
             same = False
     if same:
         return canonical_node(f)  # nothing beneath f changed
-    if len(f.specifiers) > len(p.specifiers):  # fragment remainders stay
-        bound = [binding[pc] for pc in p.specifiers]
+    if len(f.specifiers) > len(kids):  # fragment remainders stay
         spec += [canonical_node(c) for c in f.specifiers if c not in bound]
     return keyed_node(f.concept, capsule, f.anchor, spec)
 

@@ -13,7 +13,10 @@ copy.
 The oracle module also holds the chart's ``instantiate_reverse`` and
 transfer's ``_apply_selection`` as they were before they built keyed nodes.
 Every chart build and every ``transfer_scored`` output must equal the
-canonical form of the old build and keep the key invariant as built.
+canonical form of the old build and keep the key invariant as built. The
+chart builds are checked on the shipped models, on ``tests/data/stress.cn``
+and on a ``tests.gen.rule_count_model`` model, and no node that one build
+makes fresh (one that none of its fragments holds) appears in another.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import pytest
 import conspec.parser
 import conspec.rules
 from conspec.errors import UntranslatableConceptError
-from conspec.model import load_corpus, load_model
+from conspec.model import load_corpus, load_model, load_model_text
 from conspec.network import Concept, ConceptNetwork, Node, canonical_key, canonicalize, resolve_anchors
 from conspec.parser import _chart_parse, parse_text, segment
 from conspec.rules import (
@@ -42,7 +45,7 @@ from conspec.transfer import load_pair
 from conspec.treeline import print_network
 
 from . import canonical_oracle
-from .gen import gen_concept, gen_network, shuffle_specifiers
+from .gen import STRESS_MODEL, gen_concept, gen_network, rule_count_model, shuffle_specifiers
 
 DATA = resources.files("conspec.data")
 
@@ -57,6 +60,21 @@ def surfaces_by_model() -> list[tuple[str, list[str]]]:
     translations.tsv, and sov.cn over its SOV column."""
     demo = [surface for surface, _, _ in load_corpus(str(DATA / "demo_corpus.tsv"))]
     return [("english.cn", demo + translation_columns(0)), ("sov.cn", translation_columns(2))]
+
+
+# the rule_count_model verbs, with and without the past-tense rule
+COUNTED_VERBS = ["he w3 John", "he w17ed John", "the dog w0 Fred", "he w9ed the rock"]
+
+
+def build_models() -> list[tuple[object, list[str]]]:
+    """(loaded model, surfaces) for each model whose chart builds are
+    checked: the shipped ones of ``surfaces_by_model``, the stress model over
+    english.cn's surfaces, and a rule-count model over those and its verbs."""
+    out = [(load_model(str(DATA / name)), surfaces) for name, surfaces in surfaces_by_model()]
+    english = out[0][1]
+    out.append((load_model(str(STRESS_MODEL)), english))
+    out.append((load_model_text(rule_count_model(20)), english + COUNTED_VERBS))
+    return out
 
 
 def oracle_key(net: ConceptNetwork) -> tuple:
@@ -129,13 +147,32 @@ def rule_lhs_ids(model) -> set[int]:
     return {id(n) for rule in model.rules for n in rule.lhs.iter_nodes()}
 
 
+def fresh_nodes(alignments, got: ConceptNetwork) -> list[Node]:
+    """The nodes of build ``got`` that no fragment it was built around holds:
+    the nodes the build made."""
+    held = {
+        id(n)
+        for aligned in alignments
+        if aligned is not None
+        for f in aligned.binding.values()
+        for n in ConceptNetwork((f,)).iter_nodes()
+    }
+    return [n for n in got.iter_nodes() if id(n) not in held]
+
+
 def record_builds(monkeypatch, model) -> list[ConceptNetwork]:
-    """Check every chart build with ``check_build`` as the chart makes it."""
+    """Check every chart build with ``check_build`` as the chart makes it,
+    and that no node one build made fresh appears in another. The builds
+    stay referenced, so the ids of their nodes stay unique."""
     builds: list[ConceptNetwork] = []
     lhs_ids = rule_lhs_ids(model)
+    made: set[int] = set()  # id() of each node some build made fresh
 
     def checked(rule, alignments):
         got = check_build(rule, alignments, lhs_ids)
+        fresh = {id(n) for n in fresh_nodes(alignments, got)}
+        assert made.isdisjoint(fresh), rule.rule_id
+        made.update(fresh)
         builds.append(got)
         return got
 
@@ -146,8 +183,7 @@ def record_builds(monkeypatch, model) -> list[ConceptNetwork]:
 @pytest.mark.parametrize("beam", [1, 2, 16])
 def test_chart_builds_match_old_builds(beam, monkeypatch):
     total = 0
-    for name, surfaces in surfaces_by_model():
-        loaded = load_model(str(DATA / name))
+    for loaded, surfaces in build_models():
         model = replace(loaded, pragmas=replace(loaded.pragmas, beam=beam))
         builds = record_builds(monkeypatch, model)
         for surface in surfaces:

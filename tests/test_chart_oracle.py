@@ -5,8 +5,10 @@ alignments were memoized and later sweeps limited to one-part pattern rules.
 For every segmentation of every demo_corpus.tsv surface and every English
 column of translations.tsv, at several beams, each cell of the new chart must
 hold the same items in the same insertion order, with the same serials,
-``repr(score)``, traces and unary counts. Small beams make cells evict items,
-which is where an ordering slip would show.
+``repr(score)``, traces and unary counts. A new item's trace is its
+derivation record rendered by ``parser.render_trace``; the oracle's items
+carry the string traces the chart used to copy into each item. Small beams
+make cells evict items, which is where an ordering slip would show.
 
 ``parser._tilings`` grows tilings part by part. Called unmasked (every part
 bit and every cell mask all ones), it must give the same list, in the same
@@ -56,10 +58,18 @@ def surfaces() -> list[str]:
 
 
 def cells(frags) -> dict:
+    """Each cell's items as (key, serial, score, trace, unary); an item of
+    the new chart gives its trace by rendering its derivation record."""
     return {
-        span: [(key, it.serial, repr(it.score), it.trace, it.unary) for key, it in cell.items()]
+        span: [(key, it.serial, repr(it.score), trace(it), it.unary) for key, it in cell.items()]
         for span, cell in frags.items()
     }
+
+
+def trace(item) -> list[str]:
+    if isinstance(item, chart_oracle._Item):
+        return item.trace
+    return conspec.parser.render_trace(item.derivation)
 
 
 @pytest.mark.parametrize("beam", [1, 2, 4, 16])

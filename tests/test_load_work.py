@@ -6,9 +6,10 @@
   ``tests/test_golden_treeline.py`` and the fuzzed documents of
   ``tests/test_load_oracle.py``.
 - Two loads of english.cn share no node, network, concept, definition, rule
-  or rule part, but the module-level ``{have}`` body: nothing is cached
-  across loads, which is what makes each load of the cold benchmark a cold
-  one.
+  or rule part, but the module-level ``{have}`` body, even once each has
+  parsed a sentence and so built its chart data and reverse plans: nothing
+  is cached across loads, which is what makes each load of the cold
+  benchmark a cold one. A load that only realizes builds no reverse plan.
 - One load of english.cn builds each definition record once, each distinct
   concept once, and aligns only the rule parts of more than one node. The
   counts are ceilings, so that work cannot come back unnoticed.
@@ -20,13 +21,16 @@ import gc
 import random
 from collections import Counter
 from importlib import resources
+from types import ModuleType
 
 import conspec.lexicon
 import conspec.rules
 import conspec.treeline
 from conspec.errors import ConspecError
 from conspec.lexicon import _HAVE_BODY, Definition, lint_networks
-from conspec.model import load_model_text
+from conspec.model import load_corpus, load_model_text
+from conspec.parser import parse_text
+from conspec.realizer import realize
 from conspec.network import Concept, ConceptNetwork, Node
 from conspec.rules import Literal, PatternPart, Rule
 from conspec.similarity import align_networks
@@ -37,6 +41,7 @@ from .test_load_oracle import fuzz_line
 
 DATA = resources.files("conspec.data")
 ENGLISH = (DATA / "english.cn").read_text(encoding="utf-8")
+SENTENCE, NETWORK, _ = load_corpus(str(DATA / "demo_corpus.tsv"))[0]
 
 
 def test_reader_concepts_equal_checked_concepts(monkeypatch):
@@ -69,13 +74,17 @@ KINDS = (Node, ConceptNetwork, Concept, Definition, Rule, PatternPart, Literal)
 
 def held(root: object) -> dict[int, object]:
     """Each object of ``KINDS`` reachable from ``root``, by id. The walk
-    follows every reference but those to classes, so no module is reached."""
+    follows every reference but those to classes and modules. A parsed
+    model reaches a function (the chart's root index packs its answers with
+    one), and so that function's module globals, but from there no other
+    module: through ``sys.modules`` it would reach every loaded test
+    module's models."""
     seen: set[int] = set()
     out: dict[int, object] = {}
     stack = [root]
     while stack:
         obj = stack.pop()
-        if id(obj) in seen or isinstance(obj, type):
+        if id(obj) in seen or isinstance(obj, (type, ModuleType)):
             continue
         seen.add(id(obj))
         if isinstance(obj, KINDS):
@@ -86,11 +95,21 @@ def held(root: object) -> dict[int, object]:
 
 def test_two_loads_share_nothing_but_the_have_body():
     first, second = load_model_text(ENGLISH), load_model_text(ENGLISH)
+    # a parse builds the chart's data and the rules' reverse plans, lazily
+    for model in (first, second):
+        parse_text(model, SENTENCE)
+        assert any(rule.reverse_plan is not None for rule in model.rules)
     a, b, have = held(first), held(second), held(_HAVE_BODY)
     assert len(a) == len(b) > 500
     assert have.keys() <= a.keys() and have.keys() <= b.keys()
     shared = (a.keys() & b.keys()) - have.keys()
     assert not shared, [a[i] for i in shared][:5]
+
+
+def test_a_load_that_only_realizes_builds_no_plan():
+    model = load_model_text(ENGLISH)
+    assert realize(model, NETWORK)
+    assert all(rule.reverse_plan is None for rule in model.rules)
 
 
 def test_one_load_builds_each_record_once(monkeypatch):

@@ -17,6 +17,7 @@ from conspec.network import (
     canonical_key,
     canonicalize,
     equal,
+    keyed_node,
     node_paths,
     resolve_anchors,
     to_json_dict,
@@ -90,6 +91,15 @@ class TestCanonicalize:
             once = canonicalize(n)
             twice = canonicalize(once)
             assert print_network(once) == print_network(twice)
+
+    def test_keyed_node_keeps_the_constructor_check(self):
+        shell = ConceptNetwork((Node(concept=Concept("dog")),))
+        for fields in ({}, {"concept": Concept("dog"), "capsule": shell}):
+            with pytest.raises(MalformedNetworkError) as want:
+                Node(**fields)
+            with pytest.raises(MalformedNetworkError) as got:
+                keyed_node(**fields)
+            assert str(got.value) == str(want.value) == "node must hold exactly one of concept or capsule"
 
     def test_unresolvable_anchor_rejected(self):
         bad = ConceptNetwork(

@@ -95,6 +95,16 @@ class TestRealize:
                 seen.update(got)
         assert len(seen) > 10, seen
 
+    def test_results_share_no_trace_list(self):
+        # realize results built from sibling hypotheses once shared their
+        # parents' step lists, so changing one result's trace changed another's
+        data = resources.files("conspec.data")
+        model = load_model(str(data / "english.cn"))
+        results = [realize(model, net) for _, net, _ in load_corpus(str(data / "demo_corpus.tsv"))]
+        lists = [lst for ranked in results for _, _, trace in ranked for lst in (trace, *trace)]
+        assert len(lists) > 100
+        assert len({id(lst) for lst in lists}) == len(lists)
+
     def test_analogical_jump(self, tiny):
         ranked = realize(tiny, parse_network("jump > {past}"))
         assert ranked[0][0] == "jumped"
