@@ -16,7 +16,6 @@ without the aligner.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -66,7 +65,6 @@ class ModelBundle:
     rules: tuple[Rule, ...]
     pragmas: Pragmas
     path: str = "<inline>"
-    content_hash: str = ""
     # the reader's notes, and the networks the stemless lint scans, in
     # statement order; ``lints`` reads them
     notes: tuple[str, ...] = field(default=(), repr=False, compare=False)
@@ -150,9 +148,8 @@ def load_model_text(text: str, path: str = "<inline>") -> ModelBundle:
     except ModelLoadError as exc:  # a definition cycle: name the model file
         raise ModelLoadError(exc.args[0], path, exc.line) from None
     lex.stemless_registry.update(declares)
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     scanned = tuple(lint_networks(doc.statements))
-    return ModelBundle(lex, tuple(rules), pragmas, path, digest, tuple(doc.lints), scanned)
+    return ModelBundle(lex, tuple(rules), pragmas, path, tuple(doc.lints), scanned)
 
 
 def _read_file(path: str | Path, what: str) -> str:

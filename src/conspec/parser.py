@@ -9,22 +9,21 @@ its pattern around the matched fragments, exactly or analogically.
 
 The chart decides before it builds:
 
-- A span's first sweep visits only the rules the model's corner table lists
-  for the span's first and last tokens and width: at most as many parts as
-  the span has tokens, and any literal first or last part equal to the
-  span's first or last token; any other rule has no tiling of the span.
-  After the first sweep only the one-part pattern rules are tried on the
-  span again.
-- Each item carries, from the lexicon's root index over the rule parts, the
-  set of parts whose root can align with its root; a part outside it is
-  answered None unaligned. The chart keeps per start the end of each
-  non-empty final cell and the OR of its items' sets (the cell's mask), and
-  a tiling's pattern part walks only the cells whose mask holds the part.
-- The chart also keeps per position the OR of the masks of the final cells
-  that start there and of those that end there. A rule whose first pattern
-  part is outside the mask opening at the span's start, or whose last
-  pattern part is outside the mask closing at its end, is not tiled; nor is
-  a one-part pattern rule while the cell being filled is empty.
+- Every rule part has a bit: a pattern part its own, a literal part the one
+  bit of its text. Each token that is some literal's text enters the chart
+  as a one-token entry carrying that bit, and each non-empty final cell as
+  an entry carrying the OR of its items' bits (its mask). A rule part takes
+  only an entry that holds its bit.
+- Each item's bits come from the lexicon's root index over the pattern
+  parts: the set of parts whose root can align with its root. A part
+  outside it is answered None unaligned.
+- The chart keeps per position the OR of the entries that start there and
+  of those that end there. A span's first sweep visits the rules of at most
+  as many parts as the span has tokens, and passes over one whose first
+  part's bit is outside the OR opening at the span's start, or whose last
+  part's bit is outside the OR closing at its end; nor does it tile a
+  one-part pattern rule while the cell being filled is empty. After the
+  first sweep only the one-part pattern rules are tried on the span again.
 - Each slot of a tiling is cut to the items that align with its part, then
   the cut slots' combinations are walked in product order up to the
   ``beam*4`` cap. Each rule part is aligned with each chart item once.
@@ -209,40 +208,28 @@ class _Item:
     parts: int = 0  # bit set of the pattern parts whose root can align with it (_ChartIndex)
 
 
-def _tilings(
-    rule, bits, tokens: list[str], frags, ends, i: int, j: int
-) -> list[list[tuple[int, int]]]:
-    """Every way the rule's parts cover tokens[i:j], in lexicographic order,
-    through cells holding an item that each pattern part may align with.
+def _tilings(bits: list[int], ends, i: int, j: int) -> list[list[tuple[int, int]]]:
+    """Every way a rule's parts, of bits ``bits``, cover tokens[i:j] through
+    the chart's entries, in lexicographic order.
 
     Partial tilings grow one part at a time, in order. Each part covers at
     least one token, so part k ends no later than j minus the parts still to
     come, and the last part ends at j. ``ends[at]`` lists, by increasing
-    end, the (end, mask) of each non-empty final cell starting at ``at``,
-    ``mask`` being the OR of its items' ``parts``; pattern part k takes an
-    end only where ``mask & bits[k]``. Every cell a part can cover is final
-    but (i, j) itself, which only a one-part rule covers; it reads that
-    cell, the one being filled, as it stands.
+    end, the (end, mask) of each entry starting at ``at``: a one-token
+    literal entry or a non-empty final cell. Part k takes an entry only
+    where ``mask & bits[k]``.
     """
-    parts = rule.parts
     partial: list[tuple[list[tuple[int, int]], int]] = [([], i)]  # (tiling so far, next start)
-    for k, part in enumerate(parts):
-        hi = j - (len(parts) - 1 - k)
+    last = len(bits) - 1
+    for k, bit in enumerate(bits):
+        hi = j - (last - k)
+        lo = j if k == last else 0
         grown = []
         for acc, at in partial:
-            lo = j if k == len(parts) - 1 else at + 1
-            if isinstance(part, Literal):
-                if lo <= at + 1 <= hi and tokens[at] == part.text:
-                    grown.append((acc + [(at, at + 1)], at + 1))
-                continue
-            if at == i and hi == j:  # the one part covers the span being filled
-                if frags[(i, j)]:
-                    grown.append((acc + [(i, j)], j))
-                continue
             for end, mask in ends[at]:
                 if end > hi:
                     break
-                if end >= lo and mask & bits[k]:
+                if end >= lo and mask & bit:
                     grown.append((acc + [(at, end)], end))
         if not grown:
             return []
@@ -289,63 +276,43 @@ def _aligned_combos(slots: list[list], align, cap: int) -> list[tuple[tuple, lis
 class _ChartIndex:
     """The parser's data derived from one rule tuple: built on the model's
     first parse, kept on the lexicon by ``similarity.root_index`` (see
-    ``chart_index``) and filled as the chart asks for it.
+    ``chart_index``).
 
     ``vocab`` is the segmenter's vocabulary of the rules and the lexicon.
-    ``corners`` maps a span's corner key to the rules its first sweep
-    visits, in declaration order, filled as keys are first asked for. The key
-    is the span's first token if it is some rule's literal first part, else
-    None; its last token likewise; and its width, clamped at the most parts
-    of any rule. A rule is visited where it has at most that many parts and
-    its literal first and last parts, if any, are the key's: any other rule
-    has no tiling of the span, since each part covers at least one token. So
-    the table is bounded by the rules' literals, not by the tokens seen.
+    ``widths[w]`` lists the (rule number, rule) entries of at most w parts,
+    in declaration order, up to the most parts of any rule; a wider span
+    takes the last list. Each part covers at least one token, so no other
+    rule has a tiling of a span of w tokens.
 
     ``parts`` is the root index of the pattern parts, numbered in declaration
-    order. It packs each answer as a bit set in an int, bit n for part n, and
-    ``part_bits[r][k]`` is the bit of part k of rule r (0 for a literal).
-    ``edges[r]`` is the bits of rule r's first and last parts, or None for a
-    one-part pattern rule, whose part covers the cell being filled.
+    order. It packs each answer as a bit set in an int, bit n for part n.
+    ``literal_bits`` gives each distinct literal text one bit, numbered after
+    the pattern parts', and ``part_bits[r][k]`` is the bit of part k of rule
+    r. ``edges[r]`` is the bits of rule r's first and last parts, or None for
+    a one-part pattern rule, whose part covers the cell being filled;
+    ``regrow`` lists those rules.
     """
 
     def __init__(self, rules: tuple[Rule, ...], lexicon: Lexicon, alpha: float):
         self.source = rules
         self.vocab = build_vocabulary(rules, lexicon)
-        self.rules = list(enumerate(rules))
-        self.regrow = [e for e in self.rules if [type(p) for p in e[1].parts] == [PatternPart]]
-        # per rule, the text of a literal first and last part (None for a pattern part)
-        self.literals = [(_text(rl.parts[0]), _text(rl.parts[-1])) for rl in rules]
-        self.firsts = {first for first, _ in self.literals} - {None}
-        self.lasts = {last for _, last in self.literals} - {None}
-        self.most = max((len(rl.parts) for rl in rules), default=1)
-        self.corners: dict[tuple[str | None, str | None, int], list[tuple[int, Rule]]] = {}
+        entries = list(enumerate(rules))
+        most = max((len(rl.parts) for rl in rules), default=0)
+        self.widths = [[e for e in entries if len(e[1].parts) <= w] for w in range(most + 1)]
+        patterns = tuple(p.pattern for rl in rules for p in rl.parts if isinstance(p, PatternPart))
+        texts = dict.fromkeys(p.text for rl in rules for p in rl.parts if isinstance(p, Literal))
+        self.literal_bits = literal = {t: 1 << n for n, t in enumerate(texts, len(patterns))}
         numbers = count()
         self.part_bits = [
-            [1 << next(numbers) if isinstance(part, PatternPart) else 0 for part in rl.parts]
+            [literal[p.text] if isinstance(p, Literal) else 1 << next(numbers) for p in rl.parts]
             for rl in rules
         ]
         self.edges = [
-            None if len(bits) == 1 and bits[0] else (bits[0], bits[-1]) for bits in self.part_bits
+            None if [type(p) for p in rl.parts] == [PatternPart] else (bits[0], bits[-1])
+            for rl, bits in zip(rules, self.part_bits)
         ]
-        patterns = tuple(p.pattern for rl in rules for p in rl.parts if isinstance(p, PatternPart))
+        self.regrow = [e for e in entries if self.edges[e[0]] is None]
         self.parts = RootIndex(rules, patterns, alpha, _bit_set)
-
-    def sweep(self, first: str, last: str, width: int) -> list[tuple[int, Rule]]:
-        """The rules a span's first sweep visits, in declaration order."""
-        key = (
-            first if first in self.firsts else None,
-            last if last in self.lasts else None,
-            min(width, self.most),
-        )
-        got = self.corners.get(key)
-        if got is None:
-            first, last, width = key
-            got = self.corners[key] = [
-                entry  # shared with self.rules
-                for entry, (a, b) in zip(self.rules, self.literals)
-                if len(entry[1].parts) <= width and a in (None, first) and b in (None, last)
-            ]
-        return got
 
 
 def chart_index(model: ModelBundle) -> _ChartIndex:
@@ -353,10 +320,6 @@ def chart_index(model: ModelBundle) -> _ChartIndex:
     alpha, so a copy with other pragmas shares it."""
     lex, alpha, rules = model.lexicon, model.pragmas.alpha, model.rules
     return root_index(lex, "chart", alpha, rules, lambda: _ChartIndex(rules, lex, alpha))
-
-
-def _text(part: Literal | PatternPart) -> str | None:
-    return part.text if isinstance(part, Literal) else None
 
 
 def _bit_set(numbers) -> int:
@@ -377,14 +340,16 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
         (i, j): {} for i in range(n) for j in range(i + 1, n + 1)
     }
     ranked: dict[tuple[int, int], list[_Item]] = {}  # final cells, best score first
-    # start -> (end, OR of its items' parts) of its non-empty final cells, by end
-    ends: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    # start (end) -> the OR of the masks of the non-empty final cells there
-    opens, closes = [0] * n, [0] * (n + 1)
-    serials = count()
     lex = model.lexicon
     sim = rule_node_sim(lex, model.pragmas.alpha)
     index = chart_index(model)
+    # start -> (end, mask) by end: each token that is a literal's text with
+    # its bit, then each non-empty final cell with the OR of its items' parts
+    literal = [index.literal_bits.get(token, 0) for token in tokens]
+    ends: list[list[tuple[int, int]]] = [[(i + 1, b)] if b else [] for i, b in enumerate(literal)]
+    # start (end) -> the OR of the masks of the entries there
+    opens, closes = literal, [0, *literal]
+    serials = count()
     aligned: dict[tuple[int, int, int], Alignment | None] = {}  # (rule, part, item serial)
 
     def add(i: int, j: int, item: _Item) -> bool:
@@ -451,27 +416,27 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
         # that were final before this span began, so all its combinations are
         # already in ``tried``, and skipping them changes no add() call.
         #
-        # The first sweep visits only the rules the corner table lists for
-        # the span, in declaration order. ``_tilings`` is empty for every
-        # other rule: each part covers at least one token, a literal first
-        # part must be tokens[i], and a literal last part must be
-        # tokens[j - 1]. A part outside an item's ``parts`` would align with
-        # it as None, so ``align`` answers None without aligning, and
-        # ``_tilings`` passes over a final cell whose mask, the OR of its
+        # The first sweep visits the rules of at most j - i parts, in
+        # declaration order; any other rule has no tiling, since each part
+        # covers at least one token. A part outside an item's ``parts`` would
+        # align with it as None, so ``align`` answers None without aligning,
+        # and ``_tilings`` passes over a cell whose mask, the OR of its
         # items' ``parts``, lacks the part: that tiling would add no entry to
-        # ``tried`` and make no add() call.
+        # ``tried`` and make no add() call. A literal bit sits only on the
+        # one-token entries of its own text and item masks hold only pattern
+        # bits, so a literal part takes exactly the tokens of its text.
         #
         # Nor is a rule tiled whose ``_tilings`` would be empty at its two
         # ends. Spans are filled in width order, so ``opens[i]`` is the OR of
-        # the masks of exactly the final cells (i, e) with e < j, and
-        # ``closes[j]`` of exactly the final cells (a, j) with a > i: the
-        # cells a rule of two or more parts could take for its first and
-        # last parts. A pattern part at either end whose bit is outside that
-        # OR has no cell, so the rule's tilings are empty. A one-part pattern
-        # rule covers the cell being filled, which has no tiling while it is
-        # empty; that is tested as the rule is reached, since an earlier rule
-        # of the sweep may fill it. A skipped rule adds no ``tried`` or
-        # ``aligned`` entry and makes no add() call.
+        # the literal entry at i and the final cells (i, e) with e < j, and
+        # ``closes[j]`` of the literal entry ending at j and the final cells
+        # (a, j) with a > i: every entry a rule's first or last part could
+        # take but the cell being filled. A part at either end whose bit is
+        # outside that OR has no entry, so the rule's tilings are empty. A
+        # one-part pattern rule covers the cell being filled, its one tiling
+        # while the cell is not empty; that is tested as the rule is reached,
+        # since an earlier rule of the sweep may fill it. A skipped rule adds
+        # no ``tried`` or ``aligned`` entry and makes no add() call.
         #
         # An item is built only if add() could admit it. Its score is known
         # from the alignments alone, so one below ``tau``, or one that a full
@@ -480,7 +445,7 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
         cell = frags[(i, j)]
         tried: set[tuple] = set()
         opened, closed = opens[i], closes[j]
-        sweep = index.sweep(tokens[i], tokens[j - 1], j - i)
+        sweep = index.widths[min(j - i, len(index.widths) - 1)]
         while sweep:
             changed = False
             for r, rule in sweep:
@@ -488,9 +453,12 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
                 if edge is None:
                     if not cell:
                         continue
-                elif edge[0] & opened != edge[0] or edge[1] & closed != edge[1]:
+                    tilings = [[(i, j)]]
+                elif not edge[0] & opened or not edge[1] & closed:
                     continue
-                for tiling in _tilings(rule, index.part_bits[r], tokens, frags, ends, i, j):
+                else:
+                    tilings = _tilings(index.part_bits[r], ends, i, j)
+                for tiling in tilings:
                     same_span = tiling == [(i, j)]
                     slots = [
                         [None] if isinstance(part, Literal) else rank(a, b)

@@ -45,8 +45,9 @@ class Hypothesis:
 def join_affixes(tokens: list[str]) -> str:
     """Fold affix-marked literals into words, left to right.
 
-    '+x' appends to the previous word, '-x' strips a suffix from it, 'x+'
-    glues onto the next word. Plain tokens join with single spaces.
+    '+x' appends to the previous word, '-x' strips a suffix from it (never
+    the whole word), 'x+' glues onto the next word. Plain tokens join with
+    single spaces.
     """
     if not tokens:
         raise AffixError("no tokens to join")
@@ -66,6 +67,8 @@ def join_affixes(tokens: list[str]) -> str:
                 raise AffixError(f"{tok!r} has no preceding token")
             if not words[-1].endswith(tok[1:]):
                 raise AffixError(f"cannot strip {tok[1:]!r} from {words[-1]!r}")
+            if words[-1] == tok[1:]:
+                raise AffixError(f"stripping {tok[1:]!r} from {words[-1]!r} leaves no word")
             words[-1] = words[-1][: -len(tok[1:])]
         elif len(tok) > 1 and tok.endswith("+"):
             prefix += tok[:-1]

@@ -16,7 +16,6 @@ them.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
 
@@ -494,8 +493,7 @@ def load_model_text(text: str, path: str = "<inline>") -> ModelBundle:
     lints = list(doc.lints)
     for label in undeclared_stemless(doc.statements, lex.stemless_registry):
         lints.append(f"undeclared stemless label {{{label}}}")
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    model = ModelBundle(lex, tuple(rules), pragmas, path, digest)
+    model = ModelBundle(lex, tuple(rules), pragmas, path)
     model.lints = lints  # the old load's list, in place of the first read's
     return model
 

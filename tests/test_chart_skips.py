@@ -11,8 +11,8 @@ english.cn and again with the stress model ``tests/gen.STRESS_MODEL``, and
 for the constructed model of ``test_chart_oracle.CAP_MODEL``, whose tilings
 the ``beam*4`` cap cuts:
 
-- Each tiling that ``_tilings`` gives unmasked (all-ones part bits and cell
-  masks) and drops with the rule's part bits has no combination of
+- Each tiling that ``_tilings`` gives unmasked (all-ones pattern part bits
+  and cell masks) and drops with the rule's part bits has no combination of
   ``_part_combos`` whose every part aligns under ``align_parts``.
 - ``_aligned_combos`` gives, in order and with the same alignments, exactly
   the combinations of ``_part_combos`` that pass the unary guard and whose
@@ -35,12 +35,12 @@ import pytest
 import conspec.parser
 from conspec.model import load_model, load_model_text
 from conspec.network import canonical_key, canonicalize
-from conspec.parser import _chart_parse, _Item, segment
+from conspec.parser import _chart_parse, _Item, chart_index, segment
 from conspec.rules import Literal, instantiate_reverse, reverse_score
 from conspec.similarity import align_networks, rule_node_sim
 
 from .gen import STRESS_MODEL
-from .test_chart_oracle import CAP_MODEL, unmasked
+from .test_chart_oracle import CAP_MODEL, chart_locals, lowest_literal_bit, unmasked
 from .test_rule_filters import english_surfaces
 
 DATA = resources.files("conspec.data")
@@ -107,37 +107,40 @@ def check_chart_skips(model, token_lists, monkeypatch) -> dict[str, int]:
     checks saw."""
     beam = model.pragmas.beam
     sim = rule_node_sim(model.lexicon, model.pragmas.alpha)
-    index = {id(rule): r for r, rule in enumerate(model.rules)}
+    literal = lowest_literal_bit(chart_index(model))
     tilings = conspec.parser._tilings
     aligned_combos = conspec.parser._aligned_combos
     may_admit = conspec.parser._may_admit
     olds: dict[int, tuple] = {}  # id(chart) -> its old helpers
     charts: list = []  # keeps every chart referenced, so its id stays unique
-    now: dict = {}  # the rule being tiled, its span and tilings, the combination
     counts = {"dropped": 0, "combos": 0, "unaligned": 0, "capped": 0, "refused": 0}
 
-    def record_tilings(rule, bits, tokens, frags, ends, i, j):
+    def old_helpers(frags):
         if id(frags) not in olds:
             charts.append(frags)
             olds[id(frags)] = old_chart(frags, beam, sim)
-        got = tilings(rule, bits, tokens, frags, ends, i, j)
-        ones, open_ends = unmasked(rule, ends)
-        every = tilings(rule, ones, tokens, frags, open_ends, i, j)
+        return olds[id(frags)]
+
+    def record_tilings(bits, ends, i, j):
+        chart = chart_locals()
+        r, rule = chart["r"], chart["rule"]
+        got = tilings(bits, ends, i, j)
+        ones, open_ends = unmasked(bits, ends, literal)
+        every = tilings(ones, open_ends, i, j)
         assert got == [tiling for tiling in every if tiling in got]
-        _, align_parts, _part_combos = olds[id(frags)]
+        _, align_parts, _part_combos = old_helpers(chart["frags"])
         for tiling in every:
             if tiling not in got:
                 assert tiling != [(i, j)]  # so the unary guard never applies
                 for items in _part_combos(rule, tiling):
-                    assert align_parts(index[id(rule)], rule, items) is None
+                    assert align_parts(r, rule, items) is None
                 counts["dropped"] += 1
-        now.update(rule=rule, frags=frags, span=(i, j), tilings=list(got))
         return got
 
     def checked_combos(slots, align, cap):
-        rule, frags, (i, j) = now["rule"], now["frags"], now["span"]
-        tiling = now["tilings"].pop(0)
-        _, align_parts, _part_combos = olds[id(frags)]
+        chart = chart_locals()
+        r, rule, tiling, i, j = (chart[k] for k in ("r", "rule", "tiling", "i", "j"))
+        _, align_parts, _part_combos = old_helpers(chart["frags"])
         old = list(_part_combos(rule, tiling))
         assert cap == beam * 4
         assert list(islice(iter_product(*slots), cap)) == old
@@ -146,7 +149,7 @@ def check_chart_skips(model, token_lists, monkeypatch) -> dict[str, int]:
             picked = [it for it in items if it is not None]
             if tiling == [(i, j)] and picked and picked[0].unary + 1 > MAX_UNARY:
                 continue
-            alignments = align_parts(index[id(rule)], rule, items)
+            alignments = align_parts(r, rule, items)
             if alignments is not None:
                 want.append((items, alignments))
         got = aligned_combos(slots, align, cap)
@@ -156,15 +159,14 @@ def check_chart_skips(model, token_lists, monkeypatch) -> dict[str, int]:
         counts["combos"] += len(got)
         counts["unaligned"] += len(old) - len(got)
         counts["capped"] += prod(map(len, slots)) > cap
-        for combo in got:
-            now["combo"] = combo
-            yield combo
+        return got
 
     def checked_admit(cell, beam_, score):
         got = may_admit(cell, beam_, score)
         if not got:
-            rule, (i, j) = now["rule"], now["span"]
-            items, alignments = now["combo"]
+            chart = chart_locals()
+            rule, i, j = chart["rule"], chart["i"], chart["j"]
+            items, alignments = chart["items"], chart["alignments"]
             built = instantiate_reverse(rule, alignments)
             assert prod(it.score for it in items if it is not None) * reverse_score(alignments) == score
             item = _Item(canonicalize(built), score, [])

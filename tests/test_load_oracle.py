@@ -91,7 +91,6 @@ def _outcome(load, vocabulary, text: str):
         "ancestors": {c: ancestors(model.lexicon, c) for c in model.lexicon.definitions},
         "pragmas": model.pragmas,
         "lints": model.lints,
-        "hash": model.content_hash,
     }
 
 

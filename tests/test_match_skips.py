@@ -10,7 +10,8 @@ This file keeps, verbatim, what the skips and memos stand in for:
   match whose root lost content; it now checks the first roots before
   aligning;
 - ``_tilings`` as it was when it probed every ``(at, end)`` cell of the
-  chart; the chart now walks only the ends of its non-empty final cells;
+  chart and matched literal parts against the tokens; the chart now walks
+  only its entries, a literal's text as a token or a non-empty final cell;
 - ``rule_node_sim`` as it was before it read a memo on the lexicon;
 - ``realize`` as it was before it memoized ``_rewrite_options`` per fragment
   within one call.
@@ -31,9 +32,11 @@ what realize gives, with english.cn and again with the stress model
   target root's children cannot take one of its role markers, has
   ``align_networks(...) is None`` on that target, and the marker check
   drops some on the shipped corpora and on each generated run;
-- every ``_tilings`` answer, called unmasked (all-ones part bits and cell
-  masks), equals the cell-probing one, and called with the rule's part bits
-  equals that one less each tiling a cell's part mask rules out;
+- every ``_tilings`` answer, called unmasked (all-ones pattern part bits
+  and cell masks), equals the cell-probing one, and called with the rule's
+  part bits equals that one less each tiling a cell's part mask rules out;
+  and the one tiling the chart takes for a one-part pattern rule is the
+  cell-probing one;
 - every answer of a memoized ``rule_node_sim`` equals the unmemoized one,
   and the memo holds only pairs of concepts each defined or a registered
   stemless concept of sense 1;
@@ -46,10 +49,11 @@ model, every call answers as the align-then-drop copy does, and
 with that copy installed. Both scorers answer every ordered pair of the
 shipped models' concepts alike, and the memo then holds exactly the pairs it may; a
 warm pass over the shipped corpora calls ``is_a`` not once; a generated region never aligns with a copy whose
-root carries another anchor; and the root indexes, the scorer's memo and
-the chart's corner table stay within bounds computed from the model after
-targets with fresh concepts and anchors, while every index answer admits
-only patterns that pass the first checks at the root.
+root carries another anchor; and the root indexes and the scorer's memo
+stay within bounds computed from the model, and the chart's literal bits
+and per-width rule lists are fixed by it, after targets with fresh concepts
+and anchors, while every index answer admits only patterns that pass the
+first checks at the root.
 """
 
 from __future__ import annotations
@@ -96,7 +100,7 @@ from conspec.transfer import load_pair, translate
 from conspec.treeline import parse_network, print_network
 
 from .gen import STRESS_MODEL, gen_network, rule_count_model
-from .test_chart_oracle import admitted_by_masks, unmasked
+from .test_chart_oracle import admitted_by_masks, chart_locals, lowest_literal_bit, unmasked
 
 DATA = resources.files("conspec.data")
 BEAMS = [1, 2, 16]
@@ -123,7 +127,7 @@ def checked(monkeypatch) -> SimpleNamespace:
     collect = conspec.rules._collect_transfer_matches
     candidates = RootIndex.candidates
     with_markers = RootIndex.with_markers
-    tilings = conspec.parser._tilings
+    tilings, aligned_combos = conspec.parser._tilings, conspec.parser._aligned_combos
     memoized = conspec.similarity.rule_node_sim
     engine_realize = conspec.realizer.realize
 
@@ -168,15 +172,26 @@ def checked(monkeypatch) -> SimpleNamespace:
         counts["collected"] += 1
         return got
 
-    def checked_tilings(rule, bits, tokens, frags, ends, i, j):
-        got = tilings(rule, bits, tokens, frags, ends, i, j)
+    def checked_tilings(bits, ends, i, j):
+        chart = chart_locals()
+        tokens, frags, rule = chart["tokens"], chart["frags"], chart["rule"]
+        got = tilings(bits, ends, i, j)
         want = _tilings(rule, tokens, frags, i, j)
-        ones, open_ends = unmasked(rule, ends)
-        assert tilings(rule, ones, tokens, frags, open_ends, i, j) == want, (tokens, i, j, rule.rule_id)
-        kept = [t for t in want if admitted_by_masks(rule, bits, frags, t, i, j)]
+        ones, open_ends = unmasked(bits, ends, lowest_literal_bit(chart["index"]))
+        assert tilings(ones, open_ends, i, j) == want, (tokens, i, j, rule.rule_id)
+        kept = [t for t in want if admitted_by_masks(rule, bits, frags, t)]
         assert got == kept, (tokens, i, j, rule.rule_id)
         counts["tilings"] += 1
         return got
+
+    def checked_combos(slots, align, cap):
+        chart = chart_locals()
+        if chart["index"].edges[chart["r"]] is None:  # tiled without ``_tilings``
+            i, j = chart["i"], chart["j"]
+            want = _tilings(chart["rule"], chart["tokens"], chart["frags"], i, j)
+            assert [chart["tiling"]] == want == [[(i, j)]]
+            counts["tilings"] += 1
+        return aligned_combos(slots, align, cap)
 
     def checked_sim(lex: Lexicon, alpha: float = DEFAULT_ALPHA) -> NodeSim:
         new, old = memoized(lex, alpha), rule_node_sim(lex, alpha)
@@ -206,6 +221,7 @@ def checked(monkeypatch) -> SimpleNamespace:
     monkeypatch.setattr(conspec.realizer, "match_rules", checked_match_rules)
     monkeypatch.setattr(conspec.rules, "_collect_transfer_matches", checked_collect)
     monkeypatch.setattr(conspec.parser, "_tilings", checked_tilings)
+    monkeypatch.setattr(conspec.parser, "_aligned_combos", checked_combos)
     monkeypatch.setattr(conspec.parser, "rule_node_sim", checked_sim)
     monkeypatch.setattr(conspec.rules, "rule_node_sim", checked_sim)
     monkeypatch.setattr(conspec.transfer, "realize", checked_realize)
@@ -500,10 +516,11 @@ def check_bounded(index: RootIndex, patterns: list[ConceptNetwork], lex: Lexicon
 
 def test_indexes_stay_bounded(monkeypatch):
     """After 400 generated networks, and copies of them with fresh concepts
-    and anchors, realize's, transfer's and the chart's indexes, the scorer's
-    memos and the chart's corner table hold only keys the model bounds, and
-    every index answer, memo hit or not, admits only patterns that can
-    align at the root."""
+    and anchors, realize's, transfer's and the chart's indexes and the
+    scorer's memos hold only keys the model bounds, the chart's literal bits
+    and per-width rule lists are as the model built them, and every index
+    answer, memo hit or not, admits only patterns that can align at the
+    root."""
     candidates, counts = RootIndex.candidates, Counter()
 
     def checked_candidates(index, roots, lex):
@@ -516,6 +533,12 @@ def test_indexes_stay_bounded(monkeypatch):
     pair = load_pair(str(DATA / "english_sov.pair"))
     lex, src = model.lexicon, pair.source_model.lexicon
     alpha, tau = model.pragmas.alpha, model.pragmas.tau
+    rules = model.rules
+    texts = {p.text for r in rules for p in r.parts if isinstance(p, Literal)}
+    most = max(len(r.parts) for r in rules)
+    index = conspec.parser.chart_index(model)
+    built = (dict(index.literal_bits), [list(rs) for rs in index.widths])
+    assert len(built[0]) == len(texts) and len(built[1]) == most + 1
     rng = random.Random(17)
     fresh = 0
     for k in range(400):
@@ -531,18 +554,12 @@ def test_indexes_stay_bounded(monkeypatch):
                 outcome(parse_text, model, got[0][0])
     assert fresh > 250
     assert counts["admitted"] > 1000, counts
-    rules = model.rules
     parts = [p.pattern for r in rules for p in r.parts if not isinstance(p, Literal)]
     check_bounded(lex.root_indexes[("realize", alpha)], [r.lhs for r in rules], lex)
     check_bounded(lex.root_indexes[("chart", alpha)].parts, parts, lex)
     check_bounded(src.root_indexes[("transfer", alpha)], [t.src for t in pair.transfer_rules], src)
-    corners = lex.root_indexes[("chart", alpha)].corners
-    firsts = {r.parts[0].text if isinstance(r.parts[0], Literal) else None for r in rules}
-    lasts = {r.parts[-1].text if isinstance(r.parts[-1], Literal) else None for r in rules}
-    most = max(len(r.parts) for r in rules)
-    for first, last, width in corners:
-        assert first in firsts and last in lasts and 1 <= width <= most
-    assert 0 < len(corners) <= len(firsts) * len(lasts) * most
+    assert lex.root_indexes[("chart", alpha)] is index
+    assert (index.literal_bits, index.widths) == built
 
 
 @pytest.mark.parametrize("name", ["english.cn", "sov.cn"])

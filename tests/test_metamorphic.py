@@ -3,12 +3,12 @@
 Appending 100 rules over concepts english.cn never defines, and that no
 demo_corpus.tsv row holds, must leave every ranked output, score and trace
 of ``parse_text`` and ``realize`` on demo_corpus.tsv as it was, at beams 1,
-2 and 16. Half the rules are ``zK > {past} <=> ['zzK']``, whose literal
-first and last part the chart's corner table files under a token no input
-holds. The other half have three parts, ``{agent} > wK``, ``'zzK'`` and
-``zK > {past}``: pattern parts at both ends, so the corner table lists them
-for every span of three or more tokens, and a first part whose root is a
-role marker the shipped rules use. Both grow the corner table and every
+2 and 16. Half the rules are ``zK > {past} <=> ['zzK']``, whose one literal
+part gets a bit no token of any input carries. The other half have three
+parts, ``{agent} > wK``, ``'zzK'`` and ``zK > {past}``: pattern parts at
+both ends, so the chart's first sweep visits them on every span of three
+or more tokens, and a first part whose root is a role marker the shipped
+rules use. Both grow the per-width rule lists, the literal bits and every
 root index (realize's over the rules, the chart's over their parts), and
 neither may change an answer.
 """

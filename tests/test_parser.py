@@ -549,45 +549,35 @@ class TestChartReuse:
 
 
 def check_sweeps(monkeypatch, beam, model_path=None) -> None:
-    """A span's first sweep hands ``_tilings`` the rules the corner table
-    lists, in declaration order, less those the corner masks skip (each
-    checked to have no tiling by ``chart_sweeps``); every later sweep hands
-    it the one-part pattern rules alone."""
-    from conspec.rules import Literal, PatternPart
+    """A span's first sweep visits the rules of at most as many parts as
+    the span has tokens, in declaration order, and every later sweep visits
+    the one-part pattern rules alone; the gate passes over some of them
+    (each checked to have no tiling by ``chart_sweeps``)."""
+    from conspec.rules import PatternPart
 
     from .test_rule_filters import chart_sweeps, models_and_tokens
-
-    def admitted(rule, tokens, i, j) -> bool:
-        first, last = rule.parts[0], rule.parts[-1]
-        return (
-            len(rule.parts) <= j - i
-            and (not isinstance(first, Literal) or first.text == tokens[i])
-            and (not isinstance(last, Literal) or last.text == tokens[j - 1])
-        )
 
     model, token_lists = models_and_tokens(beam, model_path)
     spans = chart_sweeps(monkeypatch, model, token_lists)
     every = list(model.rules)
     regrow = [r for r in every if len(r.parts) == 1 and isinstance(r.parts[0], PatternPart)]
     assert 0 < len(regrow) < len(every)
-    swept_again = by_table = by_masks = 0
+    swept_again = by_width = by_gate = 0
     for span in spans:
         at = (span.tokens, span.i, span.j)
-        first = [r for r in every if admitted(r, span.tokens, span.i, span.j)]
+        first = [r for r in every if len(r.parts) <= span.j - span.i]
         assert set(map(id, regrow)) <= set(map(id, first)), at
-        assert [id(r) for _, r in span.first] == [id(r) for r in first], at
-        skipped = set(map(id, span.skipped))
-        reached = [id(r) for r in first if id(r) not in skipped]
-        assert [id(r) for r in span.called[: len(reached)]] == reached, at
-        later = span.called[len(reached) :]
+        visited = [id(v.rule) for v in span.visits]
+        assert visited[: len(first)] == [id(r) for r in first], at
+        later = visited[len(first) :]
         sweeps = len(later) // len(regrow)
-        assert [id(r) for r in later] == [id(r) for r in regrow] * sweeps, at
+        assert later == [id(r) for r in regrow] * sweeps, at
         swept_again += sweeps > 0
-        by_table += len(first) < len(every)
-        by_masks += bool(skipped)
+        by_width += len(first) < len(every)
+        by_gate += bool(span.skipped)
     assert swept_again > 0
-    assert by_table > 0
-    assert by_masks > 0
+    assert by_width > 0
+    assert by_gate > 0
 
 
 def english_and_demo_surfaces():

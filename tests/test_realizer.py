@@ -43,6 +43,11 @@ class TestJoinAffixes:
         with pytest.raises(AffixError):
             join_affixes(["trust", "-z"])
 
+    @pytest.mark.parametrize("tokens", [["ed", "-ed"], ["a", "ed", "-ed"]])
+    def test_strip_that_empties_a_word_errors(self, tokens):
+        with pytest.raises(AffixError, match="stripping 'ed' from 'ed'"):
+            join_affixes(tokens)
+
     def test_leading_suffix_errors(self):
         with pytest.raises(AffixError):
             join_affixes(["+ed", "trust"])

@@ -1,16 +1,18 @@
 """The rule filters skip only rules that cannot match.
 
-A span's first chart sweep filters the rules twice. The corner table skips a
-rule by part count and by its literal first and last parts; every rule it
-skips must have no tiling of that span, checked with ``_tilings`` unmasked.
-The corner masks then skip a listed rule whose first or last pattern part no
-final cell at the span's edge can take, and a one-part pattern rule while the
-cell being filled is empty; every rule they skip must have a masked
-``_tilings`` of [] on the chart as it stood when the sweep reached it. Both
-are checked over every segmentation of demo_corpus.tsv and of the English
-column of translations.tsv, at beams 1, 2 and 16, with english.cn and again
-with the stress model ``tests/gen.STRESS_MODEL``, and on the constructed
-model of ``test_chart_oracle``.
+A span's first chart sweep visits only the rules of at most as many parts
+as the span has tokens; every rule it leaves out must have no tiling of that
+span, checked with ``_tilings`` unmasked. The gate then passes over a
+visited rule whose first or last part's bit no entry at the span's edge
+holds, a literal's text as a token or a final cell, and over a one-part
+pattern rule while the cell being filled is empty; every rule it skips must
+have a masked ``_tilings`` of [] on the chart as it stood when the sweep
+reached it, or an empty cell. Both are checked over every segmentation of
+demo_corpus.tsv and of the English column of translations.tsv, at beams 1,
+2 and 16, with english.cn and again with the stress model
+``tests/gen.STRESS_MODEL``; with the rule-count model of ``tests/gen``,
+whose one-literal rules meet their text at the first and last token; and on
+the constructed model of ``test_chart_oracle``.
 
 ``rules._find_embeddings`` skips an lhs node whose concept differs from the
 rule part's root before aligning the part with it; every node it skips must
@@ -21,6 +23,7 @@ generated (sub-chain, lhs) pairs.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
@@ -30,13 +33,14 @@ import conspec.parser
 import conspec.rules
 from conspec.model import load_corpus, load_model, load_model_text
 from conspec.network import ConceptNetwork, Node
-from conspec.parser import _chart_parse, _ChartIndex, _tilings, segment
-from conspec.rules import PatternPart, _exact_sim
+from conspec.parser import _chart_parse, _tilings, chart_index, segment
+from conspec.rules import Literal, PatternPart, _exact_sim
 from conspec.similarity import align_networks
 from conspec.transfer import load_pair
 
-from .gen import STRESS_MODEL, gen_network
-from .test_chart_oracle import CAP_MODEL, final_ends, unmasked
+from .gen import STRESS_MODEL, gen_network, rule_count_model
+from .test_canonical_oracle import COUNTED_VERBS
+from .test_chart_oracle import CAP_MODEL, final_ends, lowest_literal_bit, unmasked
 
 DATA = resources.files("conspec.data")
 
@@ -50,79 +54,95 @@ def english_surfaces() -> list[str]:
 
 
 @dataclass
+class Visit:
+    """One rule the sweep reached, as the gate saw it."""
+
+    r: int
+    rule: object
+    cell: bool  # whether the cell being filled held an item
+    opened: int  # the OR of the entries starting at the span's start
+    closed: int  # and of those ending at its end
+    # its masked ``_tilings`` there; for a one-part pattern rule, the cell
+    # being filled if it held an item
+    tilings: list
+    tiled: bool = False  # whether the chart went on to tile it
+
+
+@dataclass
 class Span:
     """One span's fill, as ``chart_sweeps`` saw it."""
 
     tokens: list[str]
     i: int
     j: int
-    first: list  # the (rule number, rule) entries the corner table lists
-    called: list = field(default_factory=list)  # rules handed to _tilings, in order
-    skipped: list = field(default_factory=list)  # entries of ``first`` never handed to it
-    visited: int = 0  # entries of ``first`` the first sweep has passed
+    visits: list[Visit] = field(default_factory=list)  # in visit order, over every sweep
     frags: dict = field(default_factory=dict)  # the finished chart's cells
-    ends: list = field(default_factory=list)  # its ends, rebuilt from those cells
+    ends: list = field(default_factory=list)  # its ends, rebuilt from its tokens and cells
+
+    @property
+    def skipped(self) -> list[Visit]:
+        return [v for v in self.visits if not v.tiled]
+
+
+class _Visits(list):
+    """A rule table whose every read, one per rule a sweep visits, is
+    reported with the locals of the ``apply_rules_over`` call reading it."""
+
+    def __init__(self, table, report):
+        super().__init__(table)
+        self.report = report
+
+    def __getitem__(self, r):
+        self.report(r, sys._getframe(1).f_locals)
+        return super().__getitem__(r)
 
 
 def chart_sweeps(monkeypatch, model, token_lists) -> list[Span]:
     """Charts each token list and returns every span's fill, in fill order.
 
-    An entry of a span's first sweep that never reaches ``_tilings`` was
-    skipped by the corner masks, and must have a masked ``_tilings`` of []
-    on the chart as it stood when the sweep passed it. A skip adds nothing,
-    so that is the chart at the span's next ``_tilings`` call. Past the
-    span's last call it is the finished chart: ``_tilings`` over (i, j)
-    reads only cells that were final when (i, j) was filled, and (i, j)
-    itself, none of which changes afterwards.
+    The chart reads ``edges[r]`` once as each sweep visits rule r; that read
+    records the gate's inputs, and the rule's masked ``_tilings`` as the
+    chart stands then. The rule was tiled if ``_tilings`` or
+    ``_aligned_combos`` is called before the next visit: a rule the gate
+    passes tiles through ``_tilings`` unless it is a one-part pattern rule,
+    whose one tiling goes straight to ``_aligned_combos``.
     """
-    sweep = _ChartIndex.sweep
+    index = chart_index(model)
+    edges = index.edges
     spans: list[Span] = []
-    fill = iter(())  # the spans of the chart being filled, in fill order
-    index: list[_ChartIndex] = []
-    chart_ends: list = []  # the chart's own ends, once some rule reaches _tilings
+    now: list = []  # the tokens being charted, and the chart's own ends once a rule is visited
 
-    def passed(span: Span, frags, ends, upto: int) -> None:
-        while span.visited < upto:
-            r, rule = span.first[span.visited]
-            got = _tilings(rule, index[0].part_bits[r], span.tokens, frags, ends, span.i, span.j)
-            assert got == [], (span.tokens, span.i, span.j, rule.rule_id)
-            span.skipped.append(rule)
-            span.visited += 1
-
-    def recording_sweep(self, first, last, width):
-        index[:] = [self]
-        tokens, i, j = next(fill)
-        assert (first, last, width) == (tokens[i], tokens[j - 1], j - i)
-        got = sweep(self, first, last, width)
-        spans.append(Span(tokens, i, j, got))
-        return got
-
-    def recording_tilings(rule, bits, tokens, frags, ends, i, j):
-        span = spans[-1]
-        assert (span.tokens, span.i, span.j) == (tokens, i, j)
-        chart_ends[:] = [ends]
-        rest = [rl for _, rl in span.first[span.visited :]]
-        at = next((k for k, rl in enumerate(rest) if rl is rule), None)
-        if at is None:  # a later sweep: the first skipped all it had left
-            passed(span, frags, ends, len(span.first))
+    def visit(r, chart):
+        tokens, i, j, cell = now[0], chart["i"], chart["j"], bool(chart["cell"])
+        if not spans or (spans[-1].tokens, spans[-1].i, spans[-1].j) != (tokens, i, j):
+            spans.append(Span(tokens, i, j))
+        now[1:] = [chart["ends"]]
+        if edges[r] is None:
+            tilings = [[(i, j)]] if cell else []
         else:
-            passed(span, frags, ends, span.visited + at)
-            span.visited += 1
-        span.called.append(rule)
-        return _tilings(rule, bits, tokens, frags, ends, i, j)
+            tilings = _tilings(index.part_bits[r], chart["ends"], i, j)
+        gate = (chart["opened"], chart["closed"])
+        spans[-1].visits.append(Visit(r, model.rules[r], cell, *gate, tilings))
 
-    monkeypatch.setattr(_ChartIndex, "sweep", recording_sweep)
-    monkeypatch.setattr(conspec.parser, "_tilings", recording_tilings)
+    def tiled(fn):
+        def call(*args):
+            spans[-1].visits[-1].tiled = True
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(index, "edges", _Visits(edges, visit))
+    monkeypatch.setattr(conspec.parser, "_tilings", tiled(_tilings))
+    monkeypatch.setattr(conspec.parser, "_aligned_combos", tiled(conspec.parser._aligned_combos))
     for tokens in token_lists:
-        n = len(tokens)
-        fill = iter([(tokens, i, i + w) for w in range(1, n + 1) for i in range(n - w + 1)])
-        start, chart_ends[:] = len(spans), []
+        start, now[:] = len(spans), [tokens]
         frags = _chart_parse(model, tokens)
-        assert next(fill, None) is None  # each span was swept first once, in fill order
-        ends = final_ends(frags, n)
-        assert chart_ends in ([], [ends])
+        ends = final_ends(frags, tokens, index.literal_bits)
+        assert now[1:] in ([], [ends])
+        fill = [(i, i + w) for w in range(1, len(tokens) + 1) for i in range(len(tokens) - w + 1)]
+        visited = [(span.i, span.j) for span in spans[start:]]
+        assert visited == [span for span in fill if span in visited]  # in fill order, once each
         for span in spans[start:]:
-            passed(span, frags, ends, len(span.first))
             span.frags, span.ends = frags, ends
     return spans
 
@@ -130,33 +150,52 @@ def chart_sweeps(monkeypatch, model, token_lists) -> list[Span]:
 def models_and_tokens(beam, model_path=None):
     """The model at ``model_path`` (english.cn unless given) at ``beam``
     with every segmentation of the English surfaces, or the constructed
-    model with its one input."""
+    model with its one input, or the rule-count model with the English
+    surfaces and its verbs."""
     if beam == "cap":
         return load_model_text(CAP_MODEL), ["a b c d".split()]
-    loaded = load_model(str(model_path or DATA / "english.cn"))
-    model = replace(loaded, pragmas=replace(loaded.pragmas, beam=beam))
-    return model, [tokens for surface in english_surfaces() for tokens in segment(model, surface)]
+    if beam == "rule count":
+        model = load_model_text(rule_count_model(20))
+        surfaces = english_surfaces() + COUNTED_VERBS + ["w4ed", "w11ed the dog", "Fred w6ed"]
+    else:
+        loaded = load_model(str(model_path or DATA / "english.cn"))
+        model = replace(loaded, pragmas=replace(loaded.pragmas, beam=beam))
+        surfaces = english_surfaces()
+    return model, [tokens for surface in surfaces for tokens in segment(model, surface)]
 
 
 def check_filters(monkeypatch, beam, model_path=None) -> None:
     model, token_lists = models_and_tokens(beam, model_path)
+    index = chart_index(model)
+    literal, edges = lowest_literal_bit(index), index.edges
     spans = chart_sweeps(monkeypatch, model, token_lists)
-    by_table = by_edges = by_cell = 0
+    by_width = by_cell = at_literal = at_pattern = 0
     for span in spans:
-        # unmasked, a rule has a tiling wherever its parts cover cells that
-        # hold items; the finished chart has the cells of the first sweep
-        listed = {id(rule) for _, rule in span.first}
-        for rule in model.rules:
-            if id(rule) in listed:
+        # unmasked, a rule has a tiling wherever its parts cover entries;
+        # the finished chart has the entries of the first sweep
+        visited = {v.r for v in span.visits}
+        for r, bits in enumerate(index.part_bits):
+            if r not in visited:
+                ones, open_ends = unmasked(bits, span.ends, literal)
+                assert _tilings(ones, open_ends, span.i, span.j) == [], model.rules[r].rule_id
+                by_width += 1
+        for v in span.skipped:
+            assert v.tilings == [], (span.tokens, span.i, span.j, v.rule.rule_id)
+            if edges[v.r] is None:
+                by_cell += 1
                 continue
-            ones, open_ends = unmasked(rule, span.ends)
-            assert _tilings(rule, ones, span.tokens, span.frags, open_ends, span.i, span.j) == []
-            by_table += 1
-        by_edges += sum(len(rule.parts) > 1 for rule in span.skipped)
-        by_cell += sum(len(rule.parts) == 1 for rule in span.skipped)
-    assert by_table > 0 and by_cell > 0
-    if beam != "cap":  # its only rules of several parts span the whole input
-        assert by_edges > 0
+            parts, (first, last) = v.rule.parts, edges[v.r]
+            outside = [
+                part
+                for part, bit, edge in ((parts[0], first, v.opened), (parts[-1], last, v.closed))
+                if not bit & edge
+            ]
+            assert outside, (span.tokens, span.i, span.j, v.rule.rule_id)
+            at_literal += any(isinstance(part, Literal) for part in outside)
+            at_pattern += any(isinstance(part, PatternPart) for part in outside)
+    assert by_width > 0 and by_cell > 0
+    if beam != "cap":  # no literals, and its rules of several parts span the whole input
+        assert at_literal > 0 and at_pattern > 0
 
 
 def test_corner_filter_skips_only_rules_without_a_tiling(monkeypatch):
@@ -171,6 +210,10 @@ def test_corner_filters_skip_only_rules_without_a_tiling_at_other_beams(monkeypa
 @pytest.mark.parametrize("beam", [1, 2, 16])
 def test_corner_filters_skip_only_rules_without_a_tiling_on_the_stress_model(monkeypatch, beam):
     check_filters(monkeypatch, beam, STRESS_MODEL)
+
+
+def test_corner_filters_skip_only_rules_without_a_tiling_on_the_rule_count_model(monkeypatch):
+    check_filters(monkeypatch, "rule count")
 
 
 def _binding_view(binding: dict) -> list:

@@ -91,3 +91,50 @@ def test_engine_imports_only_the_standard_library():
                 if top != "conspec" and top not in sys.stdlib_module_names:
                     outside.add((path.name, name))
     assert not outside
+
+
+def _names(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """(defined, read) names of one module. Defined: function and class
+    names, class-level annotated fields and stored attributes. Read: names
+    and attributes loaded, keyword argument names, and string constants
+    that are identifiers, which covers ``__all__`` and tables of field
+    names."""
+    defined: set[str] = set()
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined.update(
+                    stmt.target.id
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                )
+        elif isinstance(node, ast.Attribute):
+            (read if isinstance(node.ctx, ast.Load) else defined).add(node.attr)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            read.add(node.arg)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                read.add(node.value)
+    return defined, read
+
+
+def test_every_source_name_is_read():
+    """Every function, class, field and attribute that src/conspec defines,
+    dunders aside, is read somewhere in src/conspec: nothing is built that
+    no code uses."""
+    defined: dict[str, str] = {}
+    read: set[str] = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        got, seen = _names(ast.parse(path.read_text(encoding="utf-8")))
+        defined.update(dict.fromkeys(got, path.name))
+        read |= seen
+    unread = sorted(
+        f"{where}: {name}"
+        for name, where in defined.items()
+        if name not in read and not (name.startswith("__") and name.endswith("__"))
+    )
+    assert not unread
