@@ -26,8 +26,8 @@ first runs and kept by ``similarity.root_index`` for that tuple: the root
 indexes of realize and transfer (``similarity.RootIndex``), each bounded by
 the model (realize's also holds each rule's role markers, worked out when
 first needed), and the parser's ``_ChartIndex``, built on the model's first
-parse, which holds its vocabulary, per-width rule lists, part bits and part
-index. Two readers on different threads may both fill one memo entry or
+parse, which holds its surface forms, literal texts and affixes, per-width
+rule lists, part bits and part index. Two readers on different threads may both fill one memo entry or
 ancestor set; both write the same value. No cache takes part in equality or
 repr.
 """

@@ -4,14 +4,13 @@ Model files use the tree-line statement format (see treeline). Loading is
 atomic: the bundle is fully built and validated before being returned, so a
 reload that fails leaves the previous bundle untouched. Everything that can
 raise runs inside ``load_model_text``, and a load builds nothing whose build
-cannot fail and that a caller may never read: the parser's vocabulary, which
-``realize`` never reads, is part of the chart index built on the model's
-first parse (``ModelBundle.vocab`` reads it there); the undeclared-stemless
-lint runs on the first read of ``ModelBundle.lints``; and the lexicon builds
-each ancestor set on the first ask. A load reads the statements once, by
-their exact type, and builds each record once: the lexicon keeps each
-definition statement as read, and ``build_rule`` places a one-node rule part
-without the aligner.
+cannot fail and that a caller may never read: the parser's table of surface
+forms and rule literals, which ``realize`` never reads, is its chart index,
+built on the model's first parse; the undeclared-stemless lint runs on the
+first read of ``ModelBundle.lints``; and the lexicon builds each ancestor set
+on the first ask. A load reads the statements once, by their exact type, and
+builds each record once: the lexicon keeps each definition statement as
+read, and ``build_rule`` places a one-node rule part without the aligner.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .errors import ModelLoadError, TreelineParseError
 from .lexicon import Definition, Lexicon, lint_networks, undeclared_stemless
@@ -34,9 +32,6 @@ from .treeline import (
     RuleStmt,
     parse_document,
 )
-
-if TYPE_CHECKING:
-    from .parser import Vocabulary
 
 
 @dataclass(frozen=True)
@@ -77,13 +72,6 @@ class ModelBundle:
         first read, by this bundle or a ``dataclasses.replace`` copy."""
         undeclared = undeclared_stemless(self.scanned, self.lexicon.stemless_registry)
         return [*self.notes, *(f"undeclared stemless label {{{label}}}" for label in undeclared)]
-
-    @property
-    def vocab(self) -> Vocabulary:
-        """Surface forms and rule literals for the parser, from its chart index."""
-        from .parser import chart_index
-
-        return chart_index(self).vocab
 
 
 _BOOL = {"on": True, "true": True, "off": False, "false": False}

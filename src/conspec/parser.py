@@ -42,7 +42,7 @@ dropped. The rest are ranked by derivation score, then printed network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import count, groupby, product
 from math import prod
@@ -66,50 +66,32 @@ MAX_AFFIXES_PER_WORD = 3
 MAX_WORDS = 64
 
 
-@dataclass
-class Vocabulary:
-    surfaces: dict[str, list] = field(default_factory=dict)  # surface -> [Concept], in sense order
-    literals: set[str] = field(default_factory=set)  # every rule literal
-    affixes: list[str] = field(default_factory=list)  # marker-carrying literals, in rule order
-    max_words: int = 1  # words in the longest surface form
-
-    def knows(self, token: str) -> bool:
-        return token in self.surfaces or token in self.literals
-
-
-def build_vocabulary(rules: tuple[Rule, ...], lexicon: Lexicon) -> Vocabulary:
-    vocab = Vocabulary()
+def build_vocabulary(rules: tuple[Rule, ...], lexicon: Lexicon) -> dict[str, list[Concept]]:
+    """Each surface form of the rules' and the lexicon's concepts, with its
+    concepts in sense order."""
     concepts: dict[Concept, None] = {}  # first-seen order, so no hash order leaks
     for rule in rules:
-        for part in rule.parts:
-            if isinstance(part, Literal):
-                t = part.text
-                vocab.literals.add(t)
-                affix = (t.startswith("+") or t.startswith("-") or t.endswith("+")) and len(t) > 1
-                if affix and t not in vocab.affixes:
-                    vocab.affixes.append(t)
         concepts.update(dict.fromkeys(rule.lhs.concepts()))
     concepts.update(dict.fromkeys(lexicon.definitions))
+    surfaces: dict[str, list[Concept]] = {}
     for concept in concepts:
-        if concept.stemless:
-            continue
-        vocab.surfaces.setdefault(concept.label, []).append(concept)
-        vocab.max_words = max(vocab.max_words, concept.label.count(" ") + 1)
-    for senses in vocab.surfaces.values():
+        if not concept.stemless:
+            surfaces.setdefault(concept.label, []).append(concept)
+    for senses in surfaces.values():
         senses.sort(key=lambda c: c.sense)
-    return vocab
+    return surfaces
 
 
-def _decompose(word: str, vocab: Vocabulary) -> list[list[str]]:
+def _decompose(word: str, index: _ChartIndex) -> list[list[str]]:
     """Affix splits of one word: [prefix, ..., stem, suffix, ...] sequences
     that re-join to it."""
     out: list[list[str]] = []
-    _undo(vocab, set(), out, word, [], [], 0)
+    _undo(index, set(), out, word, [], [], 0)
     return [seq for seq in out if join_affixes(seq) == word]
 
 
 def _undo(
-    vocab: Vocabulary, seen: set, out: list, cur: str, pre: list, post: list, depth: int
+    index: _ChartIndex, seen: set, out: list, cur: str, pre: list, post: list, depth: int
 ) -> None:
     """Append to ``out`` each [pre, stem, post] split of ``cur`` that undoing
     up to MAX_AFFIXES_PER_WORD affixes reaches, depth-first."""
@@ -117,19 +99,19 @@ def _undo(
     if depth > MAX_AFFIXES_PER_WORD or state in seen:
         return
     seen.add(state)
-    if depth and cur in vocab.surfaces:
+    if depth and cur in index.surfaces:
         out.append(pre + [cur] + post)
-    for affix in vocab.affixes:
+    for affix in index.affixes:
         if affix.startswith("+"):
             tail = affix[1:]
             if cur.endswith(tail) and len(cur) > len(tail):
-                _undo(vocab, seen, out, cur[: -len(tail)], pre, [affix] + post, depth + 1)
+                _undo(index, seen, out, cur[: -len(tail)], pre, [affix] + post, depth + 1)
         elif affix.startswith("-"):
-            _undo(vocab, seen, out, cur + affix[1:], pre, [affix] + post, depth + 1)
+            _undo(index, seen, out, cur + affix[1:], pre, [affix] + post, depth + 1)
         elif affix.endswith("+"):
             head = affix[:-1]
             if cur.startswith(head) and len(cur) > len(head):
-                _undo(vocab, seen, out, cur[len(head) :], pre + [affix], post, depth + 1)
+                _undo(index, seen, out, cur[len(head) :], pre + [affix], post, depth + 1)
 
 
 def segment(model: ModelBundle, text: str) -> list[list[str]]:
@@ -161,7 +143,7 @@ def _segment_raw(model: ModelBundle, text: str) -> list[list[str]]:
         raise UnparseableTextError(
             f"input has {len(words)} words; the parser takes at most {MAX_WORDS}"
         )
-    vocab = model.vocab
+    index = chart_index(model)
 
     # table[i]: the 32 best distinct (tokens, affix splits) covers of words[i:],
     # stably sorted from options of longer known tokens, then words[i]'s affix
@@ -170,12 +152,12 @@ def _segment_raw(model: ModelBundle, text: str) -> list[list[str]]:
     table: list[list[tuple[list[str], int]]] = [[] for _ in range(n)] + [[([], 0)]]
     for i in range(n - 1, -1, -1):
         options: list[tuple[list[str], int]] = []
-        for j in range(min(n, i + vocab.max_words), i, -1):
+        for j in range(min(n, i + index.max_words), i, -1):
             token = " ".join(words[i:j])
-            if vocab.knows(token):
+            if index.knows(token):
                 for rest, splits in table[j]:
                     options.append(([token] + rest, splits))
-        for decomp in _decompose(words[i], vocab):
+        for decomp in _decompose(words[i], index):
             for rest, splits in table[i + 1]:
                 options.append((decomp + rest, splits + 1))
         firsts: dict[tuple[str, ...], tuple[list[str], int]] = {}
@@ -186,7 +168,7 @@ def _segment_raw(model: ModelBundle, text: str) -> list[list[str]]:
     if not table[0]:
         prefix = []
         for w in words:
-            if not vocab.knows(w) and not _decompose(w, vocab):
+            if not index.knows(w) and not _decompose(w, index):
                 break
             prefix.append(w)
         raise UnparseableTextError(
@@ -278,7 +260,11 @@ class _ChartIndex:
     first parse, kept on the lexicon by ``similarity.root_index`` (see
     ``chart_index``).
 
-    ``vocab`` is the segmenter's vocabulary of the rules and the lexicon.
+    ``surfaces`` maps each surface form of the rules' and the lexicon's
+    concepts to its concepts in sense order (``build_vocabulary``), and
+    ``max_words`` is the most words in one, or 1. The segmenter knows a token
+    that is a surface form or a literal text (``knows``), and undoes
+    ``affixes``, the marker-carrying literal texts in first-seen rule order.
     ``widths[w]`` lists the (rule number, rule) entries of at most w parts,
     in declaration order, up to the most parts of any rule; a wider span
     takes the last list. Each part covers at least one token, so no other
@@ -295,13 +281,15 @@ class _ChartIndex:
 
     def __init__(self, rules: tuple[Rule, ...], lexicon: Lexicon, alpha: float):
         self.source = rules
-        self.vocab = build_vocabulary(rules, lexicon)
+        self.surfaces = build_vocabulary(rules, lexicon)
+        self.max_words = max((s.count(" ") + 1 for s in self.surfaces), default=1)
         entries = list(enumerate(rules))
         most = max((len(rl.parts) for rl in rules), default=0)
         self.widths = [[e for e in entries if len(e[1].parts) <= w] for w in range(most + 1)]
         patterns = tuple(p.pattern for rl in rules for p in rl.parts if isinstance(p, PatternPart))
         texts = dict.fromkeys(p.text for rl in rules for p in rl.parts if isinstance(p, Literal))
         self.literal_bits = literal = {t: 1 << n for n, t in enumerate(texts, len(patterns))}
+        self.affixes = [t for t in texts if len(t) > 1 and (t[0] in "+-" or t[-1] == "+")]
         numbers = count()
         self.part_bits = [
             [literal[p.text] if isinstance(p, Literal) else 1 << next(numbers) for p in rl.parts]
@@ -313,6 +301,9 @@ class _ChartIndex:
         ]
         self.regrow = [e for e in entries if self.edges[e[0]] is None]
         self.parts = RootIndex(rules, patterns, alpha, _bit_set)
+
+    def knows(self, token: str) -> bool:
+        return token in self.surfaces or token in self.literal_bits
 
 
 def chart_index(model: ModelBundle) -> _ChartIndex:
@@ -369,7 +360,7 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
         cell[key] = item
         return True
 
-    surfaces = index.vocab.surfaces
+    surfaces = index.surfaces
     for i, token in enumerate(tokens):
         for concept in surfaces.get(token, ()):  # shift: token -> concept
             net = ConceptNetwork((keyed_node(concept),))

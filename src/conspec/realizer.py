@@ -54,22 +54,20 @@ def join_affixes(tokens: list[str]) -> str:
     words: list[str] = []
     prefix = ""
     for tok in tokens:
-        if len(tok) > 1 and tok.startswith("+"):
+        if len(tok) > 1 and tok[0] in "+-":
             if prefix:
                 raise AffixError(f"prefix {prefix + '+'!r} not attached before {tok!r}")
             if not words:
                 raise AffixError(f"{tok!r} has no preceding token")
-            words[-1] += tok[1:]
-        elif len(tok) > 1 and tok.startswith("-"):
-            if prefix:
-                raise AffixError(f"prefix {prefix + '+'!r} not attached before {tok!r}")
-            if not words:
-                raise AffixError(f"{tok!r} has no preceding token")
-            if not words[-1].endswith(tok[1:]):
-                raise AffixError(f"cannot strip {tok[1:]!r} from {words[-1]!r}")
-            if words[-1] == tok[1:]:
-                raise AffixError(f"stripping {tok[1:]!r} from {words[-1]!r} leaves no word")
-            words[-1] = words[-1][: -len(tok[1:])]
+            affix = tok[1:]
+            if tok[0] == "+":
+                words[-1] += affix
+            elif not words[-1].endswith(affix):
+                raise AffixError(f"cannot strip {affix!r} from {words[-1]!r}")
+            elif words[-1] == affix:
+                raise AffixError(f"stripping {affix!r} from {words[-1]!r} leaves no word")
+            else:
+                words[-1] = words[-1][: -len(affix)]
         elif len(tok) > 1 and tok.endswith("+"):
             prefix += tok[:-1]
         else:

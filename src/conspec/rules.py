@@ -499,9 +499,9 @@ def _collect_transfer_matches(
     tau: float,
 ) -> list[_TransferMatch]:
     """Every match of a transfer rule at a node of the net, with score >=
-    tau: best score first, then by rule id, then in declaration order, each
-    rule's matches in the net's preorder. Each node is aligned only with the
-    rules the root index admits on it."""
+    tau: best score first, then in declaration order, each rule's matches in
+    the net's preorder. Each node is aligned only with the rules the root
+    index admits on it."""
     sim = rule_node_sim(lex, alpha)
     index = root_index(
         lex,
@@ -510,7 +510,7 @@ def _collect_transfer_matches(
         trules,
         lambda: RootIndex(trules, tuple(r.src for r in trules), alpha, tuple),
     )
-    found: list[tuple[float, str, int, _TransferMatch]] = []
+    found: list[tuple[float, int, _TransferMatch]] = []
     for node in net.iter_nodes():
         roots = (node,)
         picked = index.candidates(roots, lex)
@@ -523,22 +523,17 @@ def _collect_transfer_matches(
             if got is not None:
                 region = frozenset(got.binding.values())
                 match = _TransferMatch(rule, node, got.binding, got.score, region)
-                found.append((-got.score, rule.rule_id, idx, match))
+                found.append((-got.score, idx, match))
     # stable sort: a rule's matches of equal score stay in the net's preorder
-    found.sort(key=lambda item: item[:3])
+    found.sort(key=lambda item: item[:2])
     return [m for *_, m in found]
-
-
-def _select_match_sets(matches: list[_TransferMatch], beam: int) -> list[tuple[_TransferMatch, ...]]:
-    """Fork a hypothesis per overlapping alternative; apply disjoint sets together."""
-    selections: list[tuple[_TransferMatch, ...]] = []
-    _select(matches, [], beam * 4, selections, set())
-    return selections
 
 
 def _select(remaining: list, chosen: list, cap: int, selections: list, seen: set) -> None:
     """Extend ``chosen`` by each disjoint way to cover ``remaining``, adding
-    each new set to ``selections`` until it holds ``cap``."""
+    each new set to ``selections`` until it holds ``cap``: a fork per
+    overlapping alternative, disjoint matches applied together. With no
+    matches it adds one empty set."""
     if len(selections) >= cap:
         return
     if not remaining:
@@ -598,7 +593,8 @@ def transfer_scored(
 ) -> list[tuple[ConceptNetwork, float]]:
     """All receptor networks with scores, best first, deduplicated by equal()."""
     matches = _collect_transfer_matches(trules, lexicon, net, alpha, tau)
-    selections = _select_match_sets(matches, beam) if matches else [()]
+    selections: list[tuple[_TransferMatch, ...]] = []
+    _select(matches, [], beam * 4, selections, set())
     results: dict[tuple, tuple[ConceptNetwork, float]] = {}
     missing = None  # the concept text of the first selection's untranslatable concept
     for selection in selections:

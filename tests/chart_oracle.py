@@ -20,6 +20,7 @@ from itertools import count, islice, product as iter_product
 from conspec.lexicon import Lexicon
 from conspec.model import ModelBundle
 from conspec.network import ConceptNetwork, Node, canonical_key, canonicalize
+from conspec.parser import chart_index
 from conspec.rules import Literal, Rule
 from conspec.similarity import align_networks, rule_node_sim
 
@@ -117,7 +118,7 @@ def _chart_parse(model: ModelBundle, tokens: list[str]):
         return True
 
     for i, token in enumerate(tokens):
-        for concept in model.vocab.surfaces.get(token, ()):  # shift: token -> concept
+        for concept in chart_index(model).surfaces.get(token, ()):  # shift: token -> concept
             net = ConceptNetwork((Node(concept=concept),))
             add(i, i + 1, _Item(net, 1.0, [f"shift:{token}"]))
 

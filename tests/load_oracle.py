@@ -9,21 +9,21 @@ top of its chain. ``load_model_text`` is the old load, which filled the
 lexicon's ancestor table with that walk and computed the lints with
 ``undeclared_stemless`` as it was, over the statements. ``build_vocabulary`` is the
 parser's vocabulary as the old load built it, from each rule's lhs nodes
-indexed by concept. ``tests/test_load_oracle.py`` checks
-``conspec.model.load_model_text`` and a loaded model's ``vocab`` against
+indexed by concept, in the ``Vocabulary`` record the parser kept then.
+``tests/test_load_oracle.py`` checks ``conspec.model.load_model_text`` and
+a loaded model's chart index (``conspec.parser.chart_index``) against
 them.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from conspec.errors import ModelLoadError, TreelineParseError
 from conspec.lexicon import Definition, Lexicon
 from conspec.model import ModelBundle, Pragmas, _apply_pragma
 from conspec.network import DOWN, STRUCTURAL_CHARS, UP, Anchor, Concept, ConceptNetwork, Node
-from conspec.parser import Vocabulary
 from conspec.rules import Literal, PatternPart, Rule, _exact_sim
 from conspec.similarity import Alignment, align_networks
 from conspec.treeline import (
@@ -496,6 +496,17 @@ def load_model_text(text: str, path: str = "<inline>") -> ModelBundle:
     model = ModelBundle(lex, tuple(rules), pragmas, path)
     model.lints = lints  # the old load's list, in place of the first read's
     return model
+
+
+@dataclass
+class Vocabulary:
+    surfaces: dict[str, list] = field(default_factory=dict)  # surface -> [Concept], in sense order
+    literals: set[str] = field(default_factory=set)  # every rule literal
+    affixes: list[str] = field(default_factory=list)  # marker-carrying literals, in rule order
+    max_words: int = 1  # words in the longest surface form
+
+    def knows(self, token: str) -> bool:
+        return token in self.surfaces or token in self.literals
 
 
 def build_vocabulary(rules: tuple[Rule, ...], lexicon: Lexicon) -> Vocabulary:

@@ -245,13 +245,14 @@ class TestFlagOverrides:
     def test_overrides_build_a_new_bundle(self):
         from conspec.cli import _with_overrides, build_arg_parser
         from conspec.model import load_model
+        from conspec.parser import chart_index
 
         model = load_model(ENGLISH)
         args = build_arg_parser().parse_args(["parse", "--beam", "4", "--tau", "0.7"])
         changed = _with_overrides(model, args)
         assert (changed.pragmas.beam, changed.pragmas.tau) == (4, 0.7)
         assert (model.pragmas.beam, model.pragmas.tau) == (16, 0.5)
-        assert changed.vocab is model.vocab
+        assert chart_index(changed) is chart_index(model)
 
 
 class TestLintLoadErrors:

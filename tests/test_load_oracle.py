@@ -9,18 +9,19 @@ position), or the same:
 - rules: printed lhs and parts (literals by their text), each part's
   ``to_lhs`` and the rule's ``part_at`` as lhs preorder positions;
 - vocabulary: surfaces in order, literals, affixes and ``max_words``, the
-  model's ``vocab`` against the oracle's ``build_vocabulary``;
+  model's chart index (its ``literal_bits`` keys as the literals) against
+  the oracle's ``build_vocabulary``;
 - lexicon, each defined concept's ancestor set as ``ancestors`` gives it,
-  pragmas, lints and content hash.
+  pragmas and lints.
 
 The inputs are the shipped .cn files, the statements of the shipped .pair
-files, the rule-count model of ``tests/gen.py`` at 100 copies (235 rules),
-and 200 seeded models. Each seeded model holds a few definitions and
-one rule whose lhs is a ``tests/gen.py`` network; its parts are cut from the
-lhs as ``sub_chain`` in ``tests/test_rule_filters.py`` cuts them, with
-literals between. Some parts are ambiguous or overlap, some definitions
-form a cycle or name a stemless concept with a stem's label, and some rule
-lines are cut short.
+files, the affix model of ``tests/test_parser.py``, the rule-count model of
+``tests/gen.py`` at 100 copies (235 rules), and 200 seeded models. Each
+seeded model holds a few definitions and one rule whose lhs is a
+``tests/gen.py`` network; its parts are cut from the lhs as ``sub_chain``
+in ``tests/test_rule_filters.py`` cuts them, with literals between. Some
+parts are ambiguous or overlap, some definitions form a cycle or name a
+stemless concept with a stem's label, and some rule lines are cut short.
 """
 
 from __future__ import annotations
@@ -34,11 +35,13 @@ from conspec.errors import ConspecError
 from conspec.lexicon import ancestors
 from conspec.model import load_model_text
 from conspec.network import ConceptNetwork
+from conspec.parser import chart_index
 from conspec.rules import Literal
 from conspec.treeline import parse_document, print_network
 
 from . import load_oracle
 from .gen import LABELS, STEMLESS, gen_network, rule_count_model
+from .test_parser import AFFIX_MODEL
 from .test_rule_filters import sub_chain
 
 DATA = resources.files("conspec.data")
@@ -68,25 +71,32 @@ def _rule_view(rule) -> tuple:
     )
 
 
-def _oracle_vocab(model):
-    return load_oracle.build_vocabulary(model.rules, model.lexicon)
+def _oracle_vocab(model) -> tuple:
+    vocab = load_oracle.build_vocabulary(model.rules, model.lexicon)
+    return vocab.surfaces, vocab.literals, vocab.affixes, vocab.max_words
+
+
+def _index_vocab(model) -> tuple:
+    index = chart_index(model)
+    return index.surfaces, set(index.literal_bits), index.affixes, index.max_words
 
 
 def _outcome(load, vocabulary, text: str):
-    """What ``load(text)`` gives, with the ``vocabulary`` of the model it
-    loads, as plain comparable data."""
+    """What ``load(text)`` gives, with the ``vocabulary`` (surfaces,
+    literals, affixes, most words) of the model it loads, as plain
+    comparable data."""
     try:
         model = load(text, "m.cn")
     except ConspecError as exc:
         where = tuple(getattr(exc, name, None) for name in ("path", "line", "col"))
         return (type(exc).__name__, str(exc), where)
-    vocab = vocabulary(model)
+    surfaces, literals, affixes, max_words = vocabulary(model)
     return {
         "rules": [_rule_view(rule) for rule in model.rules],
-        "surfaces": [(s, [c.text() for c in senses]) for s, senses in vocab.surfaces.items()],
-        "literals": vocab.literals,
-        "affixes": vocab.affixes,
-        "max_words": vocab.max_words,
+        "surfaces": [(s, [c.text() for c in senses]) for s, senses in surfaces.items()],
+        "literals": literals,
+        "affixes": affixes,
+        "max_words": max_words,
         "lexicon": model.lexicon,
         "ancestors": {c: ancestors(model.lexicon, c) for c in model.lexicon.definitions},
         "pragmas": model.pragmas,
@@ -104,7 +114,7 @@ def _document(parse, text: str) -> str:
 
 def check(text: str) -> object:
     assert _document(parse_document, text) == _document(load_oracle.parse_document, text)
-    got = _outcome(load_model_text, lambda model: model.vocab, text)
+    got = _outcome(load_model_text, _index_vocab, text)
     assert got == _outcome(load_oracle.load_model_text, _oracle_vocab, text)
     return got
 
@@ -118,6 +128,12 @@ def test_shipped_models(name):
 def test_rule_count_model():
     got = check(rule_count_model(100))
     assert isinstance(got, dict) and len(got["rules"]) == 235
+
+
+def test_affix_model():
+    # its affixes are declared out of sorted order, as the shipped models' are not
+    got = check(AFFIX_MODEL)
+    assert got["affixes"] == ["+ab", "ab+", "+ed", "+d", "+ked", "+s", "-y", "+ies", "re+"]
 
 
 @pytest.mark.parametrize("name", ["english_sov.pair", "english_identity.pair"])

@@ -701,7 +701,7 @@ def _collect_transfer_matches(
                 region = frozenset(got.binding.values())
                 out.append(_TransferMatch(rule, node, got.binding, got.score, region))
     # stable sort: a rule's matches of equal score stay in the net's preorder
-    out.sort(key=lambda m: (-m.score, m.rule.rule_id))
+    out.sort(key=lambda m: -m.score)
     return out
 
 

@@ -11,7 +11,7 @@ import conspec
 from conspec.errors import ConspecError, UnparseableTextError
 from conspec.model import load_model_text
 from conspec.network import equal
-from conspec.parser import MAX_WORDS, _decompose, _segment_raw, parse_text, segment
+from conspec.parser import MAX_WORDS, _decompose, _segment_raw, chart_index, parse_text, segment
 from conspec.realizer import join_affixes, realize
 from conspec.treeline import parse_network, print_network
 
@@ -145,14 +145,14 @@ def cover_count(model, text: str) -> int:
     """How many covers (duplicates included) the recursive segmenter builds
     for the text: the size of its list at position 0."""
     words = text.split()
-    vocab = model.vocab
+    index = chart_index(model)
     n = len(words)
     count = [0] * n + [1]
     for i in range(n - 1, -1, -1):
-        for j in range(i + 1, min(n, i + vocab.max_words) + 1):
-            if vocab.knows(" ".join(words[i:j])):
+        for j in range(i + 1, min(n, i + index.max_words) + 1):
+            if index.knows(" ".join(words[i:j])):
                 count[i] += count[j]
-        count[i] += len(_decompose(words[i], vocab)) * count[i + 1]
+        count[i] += len(_decompose(words[i], index)) * count[i + 1]
     return count[0]
 
 
@@ -160,7 +160,7 @@ def recursive_segment_raw(model, text: str) -> list[list[str]]:
     """``parser._segment_raw`` as it was before it filled its table with a
     loop, kept verbatim but for the error branch."""
     words = text.split()
-    vocab = model.vocab
+    index = chart_index(model)
 
     table: dict[int, list[tuple[list[str], int]]] = {len(words): [([], 0)]}
 
@@ -168,12 +168,12 @@ def recursive_segment_raw(model, text: str) -> list[list[str]]:
         if i in table:
             return table[i]
         options: list[tuple[list[str], int]] = []
-        for j in range(min(len(words), i + vocab.max_words), i, -1):
+        for j in range(min(len(words), i + index.max_words), i, -1):
             token = " ".join(words[i:j])
-            if vocab.knows(token):
+            if index.knows(token):
                 for rest, splits in seg(j):
                     options.append(([token] + rest, splits))
-        for decomp in _decompose(words[i], vocab):
+        for decomp in _decompose(words[i], index):
             for rest, splits in seg(i + 1):
                 options.append((decomp + rest, splits + 1))
         table[i] = options
@@ -347,8 +347,8 @@ class TestVocabulary:
         assert calls == []
 
     def test_vocabulary_is_built_on_the_first_parse_only(self, monkeypatch):
-        # the chart index is the vocabulary's one home: a load builds none,
-        # a realize neither, and the first parse builds it once for the rule
+        # the chart index is the parser's one table: a load builds none, a
+        # realize neither, and the first parse builds it once for the rule
         # tuple, shared by a copy with other pragmas
         from argparse import Namespace
 
@@ -364,10 +364,11 @@ class TestVocabulary:
         parse_text(model, "he trusted John")
         parse_text(model, "he trusted John")
         assert len(calls) == 1
-        want = build_vocabulary(model.rules, model.lexicon)
-        assert model.vocab == want and model.vocab is indexes[slot].vocab
+        index = chart_index(model)
+        assert index is indexes[slot]
+        assert index.surfaces == build_vocabulary(model.rules, model.lexicon)
         copy = _with_overrides(model, Namespace(beam=4, tau=0.25))
-        assert copy.pragmas != model.pragmas and copy.vocab is model.vocab
+        assert copy.pragmas != model.pragmas and chart_index(copy) is index
         assert len(calls) == 1
 
 

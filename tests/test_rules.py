@@ -292,6 +292,24 @@ class TestTransfer:
         assert len(want) == 3
         assert [m.anchor for m in matches] == want
 
+    def test_ties_keep_declaration_order_past_ten_rules(self):
+        # t2..t5 and t11 all match the root at 1.0; "t11" sorts before "t2"
+        # as a string, but declaration order puts it last, so the beam * 4
+        # cap on selections (4 at beam 1) leaves it out
+        text = "\n".join(
+            ("a > b" if k in (2, 3, 4, 5, 11) else f"q{k}") + f" => x{k}" for k in range(1, 12)
+        )
+        cmap = ConceptMap({})
+        trules = tuple(
+            build_transfer_rule(stmt.src, stmt.dst, cmap, f"t{k}")
+            for k, stmt in enumerate(parse_document(text).statements, 1)
+        )
+        lex, net = make_lexicon({}), parse_network("a > b")
+        matches = _collect_transfer_matches(trules, lex, net, 0.9, 0.5)
+        assert [m.rule.rule_id for m in matches] == ["t2", "t3", "t4", "t5", "t11"]
+        scored = transfer_scored(trules, cmap, net, lex, beam=1)
+        assert [(print_network(out), score) for out, score in scored] == [("x2", 1.0)]
+
     def test_identity(self):
         lex = make_lexicon({})
         net = canonicalize(parse_network("Anne > quiet > {past}"))

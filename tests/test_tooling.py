@@ -93,6 +93,23 @@ def test_engine_imports_only_the_standard_library():
     assert not outside
 
 
+def test_model_does_not_import_the_parser():
+    """model.py imports nothing from parser, at module level, in a function
+    or under TYPE_CHECKING: the parser's table of a model stays in parser.py."""
+    found = []
+    tree = ast.parse((SOURCE / "model.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [part for alias in node.names for part in alias.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            names = (node.module or "").split(".") + [alias.name for alias in node.names]
+        else:
+            continue
+        if "parser" in names:
+            found.append(node.lineno)
+    assert not found, f"model.py imports parser at lines {found}"
+
+
 def _names(tree: ast.AST) -> tuple[set[str], set[str]]:
     """(defined, read) names of one module. Defined: function and class
     names, class-level annotated fields and stored attributes. Read: names
